@@ -23,6 +23,7 @@ from .counting import (
     growth_check,
     imaginary_inverse_sum,
     lindelof_sums,
+    log_potential,
     profile,
     step_integral,
 )
@@ -81,7 +82,7 @@ __all__ = [
     "finite_difference_log_derivative", "footnote_sequence", "growth_check",
     "imaginary_inverse_sum", "int_decomposition", "integer_lattice",
     "jensen_identity_check", "lindelof_sums", "load_sequence",
-    "log_modulus_via_counting", "phi", "phi_profile", "profile",
+    "log_modulus_via_counting", "log_potential", "phi", "phi_profile", "profile",
     "scaled_lattice", "shift_origin", "step_integral", "tail_correction",
     "type_bound", "validate",
 ]

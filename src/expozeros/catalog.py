@@ -24,8 +24,6 @@ __all__ = [
     "footnote_sequence",
     "alpha_sequence",
     "int_decomposition",
-    "register_alpha",
-    "build_alpha",
     "build_generator",
     "GENERATORS",
 ]
@@ -136,22 +134,6 @@ class AlphaSpec:
         return 1.0 + self.c / (1.0 + t)
 
 
-_ALPHA_FAMILIES = {"log": lambda c=1.0: AlphaSpec(c=float(c))}
-
-
-def register_alpha(name: str, factory) -> None:
-    """Register an alternative concave density family for CLI addressing."""
-    _ALPHA_FAMILIES[name] = factory
-
-
-def build_alpha(name: str = "log", **params) -> AlphaSpec:
-    try:
-        factory = _ALPHA_FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown alpha family {name!r}; registered: {sorted(_ALPHA_FAMILIES)}")
-    return factory(**params)
-
-
 def alpha_sequence(spec: AlphaSpec, N: int) -> ZeroSequence:
     """Symmetric real zeros {+-a_k, k = 1..N} with alpha(a_k) = k."""
     N = int(N)
@@ -228,19 +210,19 @@ def int_decomposition(spec: AlphaSpec, x: float, t_max: float) -> IntDecompositi
 
 # --- CLI-addressable generator registry --------------------------------------
 
-def _gen_lattice(R: float = 100.0, **_ignored) -> ZeroSequence:
+def _gen_lattice(R: float = 100.0) -> ZeroSequence:
     return integer_lattice(R)
 
 
-def _gen_scaled(h: float = 1.0, R: float = 100.0, **_ignored) -> ZeroSequence:
+def _gen_scaled(h: float = 1.0, R: float = 100.0) -> ZeroSequence:
     return scaled_lattice(h, R)
 
 
-def _gen_footnote(R: float = 1e4, **_ignored) -> ZeroSequence:
+def _gen_footnote(R: float = 1e4) -> ZeroSequence:
     return footnote_sequence(R)
 
 
-def _gen_alpha(c: float = 1.0, N: float = 1000, R: float | None = None, **_ignored) -> ZeroSequence:
+def _gen_alpha(c: float = 1.0, N: float = 1000) -> ZeroSequence:
     # N may arrive as a float from the CLI parameter parser
     return alpha_sequence(AlphaSpec(c=float(c)), int(N))
 

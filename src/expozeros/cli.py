@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog, criteria, product, zero_model
-from .counting import step_integral
+from .counting import log_potential, step_integral
 from .criteria import default_base_point, default_x_max
 from .product import (
     circle_average,
@@ -291,8 +291,8 @@ def run_phi_profile(args) -> int:
     b = args.b if args.b is not None else default_base_point(seq)
     span = args.x_max if args.x_max is not None else default_x_max(seq)
     xs = np.linspace(-span, span, args.grid + 1)
-    phi_vals = criteria._phi_batch(seq, b, xs, args.threads)
-    d_vals = criteria._d_batch(seq, xs, args.threads)
+    phi_vals = log_potential(seq, xs, b, threads=args.threads)
+    d_vals = log_potential(seq, xs, 0.0, 1.0, threads=args.threads)
     rows = [
         {"x": float(x), "phi": float(p), "d_integrand": float(q)}
         for x, p, q in zip(xs, phi_vals, d_vals)
@@ -457,6 +457,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise CLIError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

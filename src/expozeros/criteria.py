@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .counting import (
     angular_density,
     growth_check,
     lindelof_sums,
+    log_potential,
     step_integral,
 )
 from .zero_model import ZeroSequence
@@ -117,65 +117,16 @@ def phi(seq: ZeroSequence, b: float, x: float) -> float:
     return step_integral(seq, b, x, 0.0, math.inf)
 
 
-def _phi_batch(seq: ZeroSequence, b: float, xs: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Vectorized phi over a real grid (matrix route; ~1e-10 accurate, which
-    is plenty for sup hunting and window integrals; exactness-sensitive
-    callers use the scalar path)."""
-    xs = np.asarray(xs, dtype=float)
-    if not len(seq):
-        return np.zeros(xs.shape)
-    pos = seq.positions
-    mult = seq.multiplicities
-    db = np.abs(pos - complex(b))
-    if np.any(db == 0.0):
-        raise ValueError(f"base point b = {b} is a zero position")
-    const_b = float(mult @ np.log(db))
-
-    def eval_chunk(chunk: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.abs(pos[:, None] - chunk[None, :]))
-        return mult @ logs - const_b
-
-    return _chunked(eval_chunk, xs, pos.size, threads)
-
-
-def _d_batch(seq: ZeroSequence, xs: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Vectorized base-1 integral of [n(0,t) - n(x,t)]/t over [1, inf)."""
-    xs = np.asarray(xs, dtype=float)
-    if not len(seq):
-        return np.zeros(xs.shape)
-    pos = seq.positions
-    mult = seq.multiplicities
-    const0 = float(mult @ np.log(np.maximum(np.abs(pos), 1.0)))
-
-    def eval_chunk(chunk: np.ndarray) -> np.ndarray:
-        dx = np.abs(pos[:, None] - chunk[None, :])
-        return mult @ np.log(np.maximum(dx, 1.0)) - const0
-
-    return _chunked(eval_chunk, xs, pos.size, threads)
-
-
-def _chunked(fn, xs: np.ndarray, n_zeros: int, threads: int) -> np.ndarray:
-    if xs.size == 0:
-        return np.zeros(0)
-    chunk = max(16, 4_000_000 // max(1, n_zeros))
-    pieces = [xs[i:i + chunk] for i in range(0, xs.size, chunk)]
-    if threads > 1 and len(pieces) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(fn, pieces))
-    else:
-        parts = [fn(p) for p in pieces]
-    return np.concatenate(parts)
-
-
 def d_value(seq: ZeroSequence, x: float) -> float:
     """Scalar base-1 integral; x may coincide with a zero (range starts at 1)."""
     return step_integral(seq, 0.0, float(x), 1.0, math.inf)
 
 
 def phi_profile(seq: ZeroSequence, b: float, xs) -> PhiProfile:
+    """phi(seq, b, x) at every x through log_potential, whose docstring
+    states the error bound; points on zeros are listed in clipped."""
     xs = np.asarray(xs, dtype=float)
-    vals = _phi_batch(seq, b, xs)
+    vals = log_potential(seq, xs, float(b))
     samples = tuple(
         (float(x), float(v)) for x, v in zip(xs, vals) if math.isfinite(v)
     )
@@ -337,7 +288,7 @@ def check_B(seq: ZeroSequence, b: float, x_grid, *, threads: int = 1,
     kap2 = _curvature_allowance(seq)
 
     def adjusted(arr: np.ndarray) -> np.ndarray:
-        return _phi_batch(seq, b, arr, threads) - 0.5 * kap2 * arr ** 2
+        return log_potential(seq, arr, b, threads=threads) - 0.5 * kap2 * arr ** 2
 
     xs = _augment_grid(seq, base, adjusted)
     vals = adjusted(xs)
@@ -386,7 +337,7 @@ def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1,
     kap2 = _curvature_allowance(seq)
 
     def objective(arr: np.ndarray) -> np.ndarray:
-        return np.abs(_d_batch(seq, arr, threads) - 0.5 * kap2 * arr ** 2)
+        return np.abs(log_potential(seq, arr, 0.0, 1.0, threads=threads) - 0.5 * kap2 * arr ** 2)
 
     xs = _augment_grid(seq, base, objective)
     vals = objective(xs)
@@ -438,8 +389,8 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
         while True:
             xs = np.linspace(lo, hi, n + 1)
             envelope = 0.5 * kap2 * xs ** 2
-            up = np.maximum(_phi_batch(seq, b, xs, threads) - envelope, 0.0)
-            um = np.maximum(_phi_batch(seq, b, -xs, threads) - envelope, 0.0)
+            up = np.maximum(log_potential(seq, xs, b, threads=threads) - envelope, 0.0)
+            um = np.maximum(log_potential(seq, -xs, b, threads=threads) - envelope, 0.0)
             weight = 1.0 + xs ** 2
             val = float(np.trapezoid((up + um) / weight, xs))
             if prev is not None and (abs(val - prev) <= 1e-4 * (1.0 + abs(val)) or n >= grid * 16):
@@ -542,14 +493,7 @@ def type_bound(seq: ZeroSequence, b: float, y_values, sigma: float, *,
         raise ValueError("y values must include both signs")
     b = float(b)
     sigma = float(sigma)
-    if len(seq) and np.any(seq.positions == complex(b)):
-        raise ValueError(f"base point b = {b} is a zero position")
-    if len(seq):
-        vals = np.array([
-            step_integral(seq, b, 1j * y, 0.0, math.inf) / abs(y) for y in ys
-        ])
-    else:
-        vals = np.zeros(ys.shape)
+    vals = log_potential(seq, 1j * ys, b) / mags
     plateau = mags >= mags[-1] / 2.0
     pv = vals[plateau]
     py = ys[plateau]

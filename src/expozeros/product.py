@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import step_integral
+from .counting import log_potential, step_integral
 from .zero_model import ZeroSequence
 
 __all__ = [
@@ -167,23 +167,10 @@ def derivative_at_multiple_zero(seq: ZeroSequence, z0: complex) -> float:
     self_mask = pos == z0
     if not np.any(self_mask):
         raise ValueError(f"z0 = {z0} is not a zero position of the sequence")
-    d0 = np.abs(pos)
-    dx = np.abs(pos - z0)
-    upper = mult * (np.log(np.maximum(dx, 1.0)) - np.log(np.maximum(d0, 1.0)))
-    lower_origin = mult * -np.log(np.minimum(d0, 1.0))
     others = ~self_mask
-    with np.errstate(divide="ignore"):
-        lower_center = mult[others] * np.log(np.minimum(dx[others], 1.0))
-    return math.fsum(upper) + math.fsum(lower_origin) + math.fsum(lower_center)
-
-
-def _log_abs_at_points(seq: ZeroSequence, points: np.ndarray) -> np.ndarray:
-    """log|product| at an array of points (complete stored product)."""
-    total = np.zeros(points.shape, dtype=float)
-    with np.errstate(divide="ignore"):
-        for z in seq.zeros:
-            total += z.multiplicity * np.log(np.abs(1.0 - points / z.position))
-    return total
+    lower_center = mult[others] * np.log(np.minimum(np.abs(pos[others] - z0), 1.0))
+    return (step_integral(seq, 0.0, z0, 1.0, math.inf) + _unit_disc_term(seq)
+            + math.fsum(lower_center))
 
 
 def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 4096) -> float:
@@ -226,8 +213,7 @@ def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 40
         shift /= 2.0
     theta = offset + step * np.arange(n)
     points = z + radius * np.exp(1j * theta)
-    values = _log_abs_at_points(seq, points)
-    return math.fsum(values) / n
+    return math.fsum(log_potential(seq, points, 0.0)) / n
 
 
 def jensen_identity_check(seq: ZeroSequence, z: complex, nodes: int = 65536) -> float:

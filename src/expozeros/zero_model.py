@@ -115,11 +115,11 @@ class ZeroSequence:
 
     @property
     def origin_excluded(self) -> bool:
-        return all(z.position != 0 for z in self.zeros)
+        return not np.any(self.positions == 0)
 
     @property
     def total_multiplicity(self) -> int:
-        return int(sum(z.multiplicity for z in self.zeros))
+        return int(self.multiplicities.sum())
 
     @property
     def max_abs(self) -> float:

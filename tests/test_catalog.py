@@ -14,7 +14,6 @@ from expozeros import (
     profile,
     scaled_lattice,
 )
-from expozeros.catalog import build_alpha, register_alpha
 
 E2 = math.exp(2.0)
 
@@ -91,13 +90,6 @@ class TestAlphaSpec:
         slopes = spec.alpha_prime(ts)
         assert np.all(slopes >= 1.0) and np.all(slopes <= 2.0)
         assert np.all(np.diff(slopes) < 0)  # concavity
-
-    def test_registry(self):
-        register_alpha("test-family", lambda c=2.0: AlphaSpec(c=c))
-        spec = build_alpha("test-family", c=3.0)
-        assert spec.c == 3.0
-        with pytest.raises(ValueError):
-            build_alpha("nope")
 
 
 class TestAlphaSequence:

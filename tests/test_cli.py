@@ -32,6 +32,21 @@ class TestSources:
     def test_unknown_generator(self, capsys):
         assert run_cli(capsys, "classify", "--gen", "bogus,R=10")[0] == 2
 
+    def test_unknown_generator_parameter(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "--gen", "lattice,r=1e4")
+        assert code == 2
+        assert "'r'" in err
+
+    def test_radius_override_rejected_by_alpha(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "--gen", "alpha", "--R", "5")
+        assert code == 2
+        assert "'R'" in err
+
+    def test_threads_below_one(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "--gen", "lattice,R=10", "--threads", "0")
+        assert code == 2
+        assert "--threads" in err
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "zeros.txt"
         path.write_text("1 0 1\noops\n")

@@ -1,9 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_point, random_sequence, random_symmetric_sequence, riemann_step_integral
+from expozeros import counting
 from expozeros import (
     DivergentIntegralError,
     Zero,
@@ -15,6 +19,7 @@ from expozeros import (
     imaginary_inverse_sum,
     integer_lattice,
     lindelof_sums,
+    log_potential,
     profile,
     shift_origin,
     step_integral,
@@ -38,9 +43,6 @@ class TestProfile:
         prof = profile(ZeroSequence(()), 3 + 4j)
         assert prof.total == 0
         assert count_disc(prof, 100.0) == 0
-
-    def test_cache_reuses(self):
-        assert profile(TRIO, 1j) is profile(TRIO, 1j)
 
 
 class TestCountDisc:
@@ -314,3 +316,148 @@ class TestStepIntegral:
             assert step_integral(seq, 0.0, x, 1.0, math.inf) == step_integral(
                 neg, 0.0, -x, 1.0, math.inf
             )
+
+
+U = 2.0 ** -53
+
+
+def _log_clamps(seq, p, b, t_lo, t_hi):
+    """L_p and L_b of the log_potential docstring, per stored zero."""
+    with np.errstate(divide="ignore"):
+        lp = np.log(np.clip(np.abs(seq.positions - p), t_lo, t_hi))
+        lb = np.log(np.clip(np.abs(seq.positions - b), t_lo, t_hi))
+    return lp, lb
+
+
+def _exact_bound(seq, p, b, t_lo=0.0, t_hi=math.inf):
+    lp, lb = _log_clamps(seq, p, b, t_lo, t_hi)
+    return 70 * U * float(np.sum(seq.multiplicities * (1.0 + np.abs(lp) + np.abs(lb))))
+
+
+def _reduction_bound(seq, p, b, value, t_lo=0.0, t_hi=math.inf):
+    lp, lb = _log_clamps(seq, p, b, t_lo, t_hi)
+    return 64 * U * float(np.sum(seq.multiplicities * np.abs(lp - lb))) + 2 * U * abs(value)
+
+
+def _lattice_log_abs(K, x):
+    """log of prod_{k=1..K} |k - x| |k + x| at 30 digits, in closed form:
+    log |Gamma(K+1-x) Gamma(K+1+x) / (Gamma(1-x) Gamma(1+x))|."""
+    x = mpmath.mpf(x)
+    lg = mpmath.loggamma
+    return mpmath.re(lg(K + 1 - x) + lg(K + 1 + x) - lg(1 - x) - lg(1 + x))
+
+
+zero_lists = st.lists(
+    st.tuples(st.floats(-30, 30), st.floats(-30, 30), st.integers(1, 3)),
+    min_size=1, max_size=150,
+)
+
+
+def _sequence(raw):
+    return ZeroSequence(tuple(Zero(complex(re, im), m) for re, im, m in raw))
+
+
+class TestLogPotential:
+    def test_mpmath_reference_at_1e5_zeros(self):
+        with mpmath.workdps(30):
+            # the closed form agrees with a direct 30-digit sum on a small lattice
+            direct = mpmath.fsum(mpmath.log(abs(k - mpmath.mpf(2.5)) * abs(k + mpmath.mpf(2.5)))
+                                 for k in range(1, 21))
+            assert abs(_lattice_log_abs(20, 2.5) - direct) < mpmath.mpf(10) ** -25
+
+            seq = integer_lattice(5e4)
+            K = len(seq) // 2
+            rng = np.random.default_rng(31)
+            b = 0.25
+            xs = rng.uniform(-1.25e4, 1.25e4, 16)
+            assert float(np.abs(seq.positions.real[:, None] - xs).min()) > 1e-3
+            ref_b = _lattice_log_abs(K, b)
+            exact = [float(_lattice_log_abs(K, x) - ref_b) for x in xs]
+        batch = log_potential(seq, xs, b)
+        for x, want, got in zip(xs, exact, batch):
+            scalar = step_integral(seq, b, x, 0.0, math.inf)
+            bound = _exact_bound(seq, x, b)
+            assert abs(got - want) <= bound
+            assert abs(scalar - want) <= bound
+            assert abs(got - scalar) <= _reduction_bound(seq, x, b, scalar)
+
+    @settings(max_examples=60, deadline=None)
+    @given(zero_lists, st.lists(st.complex_numbers(max_magnitude=40, allow_nan=False,
+                                                   allow_infinity=False), min_size=1, max_size=20),
+           st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+           st.sampled_from([0.0, 0.5, 3.0]), st.sampled_from([math.inf, 8.0, 50.0]))
+    def test_batch_equals_scalar_within_bound(self, raw, points, b, t_lo, t_hi):
+        seq = _sequence(raw)
+        if t_lo == 0.0:
+            assume(not np.isin(np.array(points + [b]), seq.positions).any())
+        batch = log_potential(seq, np.array(points), b, t_lo, t_hi)
+        for p, got in zip(points, batch):
+            scalar = step_integral(seq, b, p, t_lo, t_hi)
+            assert abs(got - scalar) <= _reduction_bound(seq, p, b, scalar, t_lo, t_hi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(zero_lists, st.floats(-5, 5))
+    def test_minus_inf_exactly_at_zeros(self, raw, b):
+        seq = _sequence(raw)
+        assume(not np.any(seq.positions == b))
+        points = np.concatenate([seq.positions, seq.positions + 1e-3])
+        on_zero = (points[:, None] == seq.positions[None, :]).any(axis=1)
+        vals = log_potential(seq, points, b)
+        assert np.array_equal(vals == -math.inf, on_zero)
+        assert np.all(np.isfinite(vals[~on_zero]))
+        # a range starting at t > 0 never diverges
+        assert np.all(np.isfinite(log_potential(seq, seq.positions, b, 0.5)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(zero_lists, st.data())
+    def test_base_point_on_zero_raises(self, raw, data):
+        seq = _sequence(raw)
+        k = data.draw(st.integers(0, len(seq) - 1))
+        with pytest.raises(DivergentIntegralError) as err:
+            log_potential(seq, [0.5, 1.5j], seq.positions[k])
+        assert err.value.zero == seq.positions[k]
+
+    def test_shape_and_empty(self):
+        grid = np.linspace(-3, 3, 12).reshape(3, 4) + 0.5j
+        assert log_potential(TRIO, grid, 0.0).shape == (3, 4)
+        assert log_potential(ZeroSequence(()), grid, 0.0).tolist() == np.zeros((3, 4)).tolist()
+        assert log_potential(TRIO, np.empty(0), 0.0).shape == (0,)
+
+    def test_rejects_bad_threads_and_range(self):
+        with pytest.raises(ValueError):
+            log_potential(TRIO, [0.5], 0.0, threads=0)
+        with pytest.raises(ValueError):
+            log_potential(TRIO, [0.5], 0.0, 2.0, 1.0)
+        seq = ZeroSequence((Zero(1 + 0j),), truncation_radius=10.0)
+        with pytest.raises(ValueError):
+            log_potential(seq, [3.0], 0.0, 0.0, 8.0)
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        seq = integer_lattice(50.0)
+        xs = np.linspace(-40.0, 40.0, 35) + 0.25
+        monkeypatch.setattr(counting, "_BLOCK_CELLS", len(seq) * 10)  # 4 blocks
+        serial = log_potential(seq, xs, 0.5)
+        assert log_potential(seq, xs, 0.5, threads=2).tobytes() == serial.tobytes()
+        seen = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(counting, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: 64)
+        assert log_potential(seq, xs, 0.5, threads=10 ** 6).tobytes() == serial.tobytes()
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
+        log_potential(seq, xs, 0.5, threads=10 ** 6)
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: None)
+        log_potential(seq, xs, 0.5, threads=10 ** 6)
+        assert seen == [4, 3]
