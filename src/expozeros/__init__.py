@@ -51,6 +51,7 @@ from .product import (
     derivative_at_multiple_zero,
     evaluate_product,
     finite_difference_log_derivative,
+    jensen_counting_side,
     jensen_identity_check,
     log_modulus_via_counting,
     tail_correction,
@@ -81,7 +82,7 @@ __all__ = [
     "dump_sequence", "dump_sequence_json", "evaluate_product",
     "finite_difference_log_derivative", "footnote_sequence", "growth_check",
     "imaginary_inverse_sum", "int_decomposition", "integer_lattice",
-    "jensen_identity_check", "lindelof_sums", "load_sequence",
+    "jensen_counting_side", "jensen_identity_check", "lindelof_sums", "load_sequence",
     "log_modulus_via_counting", "log_potential", "phi", "phi_profile", "profile",
     "scaled_lattice", "shift_origin", "step_integral", "tail_correction",
     "type_bound", "validate",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .zero_model import Zero, ZeroSequence
+from .zero_model import ZeroSequence
 
 __all__ = [
     "AlphaSpec",
@@ -49,15 +49,19 @@ def _bisect_newton(f, fprime, targets, lo: float, hi: float,
     return r
 
 
+def _symmetric(values: np.ndarray, R: float, provenance: str) -> ZeroSequence:
+    """Simple real zeros at +-v for each v in values, complete inside R."""
+    return ZeroSequence.from_arrays(np.concatenate([values, -values]),
+                                    np.ones(2 * values.size), R, provenance)
+
+
 def integer_lattice(R: float) -> ZeroSequence:
     """Simple zeros at every nonzero integer k with |k| < R (symmetric)."""
     R = float(R)
     if not R > 1:
         raise ValueError(f"R must exceed 1, got {R}")
     ks = np.arange(1, int(math.floor(R)) + 1, dtype=float)
-    ks = ks[ks < R]
-    zeros = [Zero(complex(s * k, 0.0)) for k in ks for s in (1.0, -1.0)]
-    return ZeroSequence(tuple(zeros), truncation_radius=R, provenance=f"lattice(R={R:g})")
+    return _symmetric(ks[ks < R], R, f"lattice(R={R:g})")
 
 
 def scaled_lattice(h: float, R: float) -> ZeroSequence:
@@ -66,12 +70,9 @@ def scaled_lattice(h: float, R: float) -> ZeroSequence:
     R = float(R)
     if h <= 0:
         raise ValueError(f"spacing h must be positive, got {h}")
-    if R <= h:
-        return ZeroSequence((), truncation_radius=R, provenance=f"scaled(h={h:g},R={R:g})")
     ks = np.arange(1, int(math.floor(R / h)) + 1, dtype=float)
     ks = ks[h * ks < R]
-    zeros = [Zero(complex(s * h * k, 0.0)) for k in ks for s in (1.0, -1.0)]
-    return ZeroSequence(tuple(zeros), truncation_radius=R, provenance=f"scaled(h={h:g},R={R:g})")
+    return _symmetric(h * ks, R, f"scaled(h={h:g},R={R:g})")
 
 
 def _footnote_count(r):
@@ -96,7 +97,7 @@ def footnote_sequence(R: float) -> ZeroSequence:
     if not R > E_SQUARED:
         raise ValueError(f"R must exceed e^2 = {E_SQUARED:.6f}, got {R}")
     k_max = int(math.floor(R / math.log(R) ** 2))
-    radii = [E_SQUARED]
+    radii = np.array([E_SQUARED])
     if k_max >= 2:
         roots = _bisect_newton(
             _footnote_count,
@@ -105,9 +106,8 @@ def footnote_sequence(R: float) -> ZeroSequence:
             E_SQUARED * (1.0 + 1e-12),
             R,
         )
-        radii.extend(float(r) for r in roots if r < R)
-    zeros = tuple(Zero(complex(-r, 0.0)) for r in radii)
-    return ZeroSequence(zeros, truncation_radius=R, provenance=f"footnote(R={R:g})")
+        radii = np.concatenate([radii, roots[roots < R]])
+    return ZeroSequence.from_arrays(-radii, np.ones(radii.size), R, f"footnote(R={R:g})")
 
 
 # --- concave counting density a(t) = t + c*log(1+t) -------------------------
@@ -136,18 +136,15 @@ class AlphaSpec:
 
 def alpha_sequence(spec: AlphaSpec, N: int) -> ZeroSequence:
     """Symmetric real zeros {+-a_k, k = 1..N} with alpha(a_k) = k."""
+    if not float(N).is_integer():
+        raise ValueError(f"N must be an integer, got {N!r}")
     N = int(N)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     a = _bisect_newton(spec.alpha, spec.alpha_prime, np.arange(1, N + 1), 0.0, float(N))
     spacing = float(a[-1] - a[-2]) if N >= 2 else float(a[0])
     radius = float(a[-1]) + spacing / 2.0
-    zeros = tuple(Zero(complex(s * v, 0.0)) for v in a for s in (1.0, -1.0))
-    return ZeroSequence(
-        zeros,
-        truncation_radius=radius,
-        provenance=f"alpha(c={spec.c:g},N={N})",
-    )
+    return _symmetric(a, radius, f"alpha(c={spec.c:g},N={N})")
 
 
 @dataclass(frozen=True)
@@ -223,8 +220,8 @@ def _gen_footnote(R: float = 1e4) -> ZeroSequence:
 
 
 def _gen_alpha(c: float = 1.0, N: float = 1000) -> ZeroSequence:
-    # N may arrive as a float from the CLI parameter parser
-    return alpha_sequence(AlphaSpec(c=float(c)), int(N))
+    # N may arrive as an integral float from the CLI parameter parser
+    return alpha_sequence(AlphaSpec(c=float(c)), N)
 
 
 GENERATORS = {

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: classify, eval, identity-check, phi-profile, reproduce.
-Verdicts are data, not errors: only I/O problems (exit 2) and reproduce
+Verdicts are data, not errors: only input problems (exit 2) and reproduce
 assertion failures (exit 1) change the exit code.  Numbers are printed with
 17 significant digits so every double round-trips; runs are deterministic
 for a fixed --seed.  Set EXPOZEROS_LOG=DEBUG|INFO|... for progress logging.
@@ -23,13 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog, criteria, product, zero_model
-from .counting import log_potential, step_integral
+from .counting import DivergentIntegralError, log_potential
 from .criteria import default_base_point, default_x_max
 from .product import (
     circle_average,
     derivative_at_multiple_zero,
     evaluate_product,
     finite_difference_log_derivative,
+    jensen_counting_side,
     log_modulus_via_counting,
     tail_correction,
 )
@@ -242,7 +243,8 @@ def run_identity_check(args) -> int:
             "lhs": pe.value.log_magnitude, "rhs": cs, "residual": resid, "note": "",
         })
 
-    for z in seq.positions[: min(3, len(seq))]:
+    first_zeros = seq.positions[:3]
+    for z in first_zeros:
         pe = evaluate_product(seq, complex(z))
         cs = log_modulus_via_counting(seq, complex(z))
         exact = pe.value.log_magnitude == cs == -math.inf
@@ -254,7 +256,7 @@ def run_identity_check(args) -> int:
 
     for z in _draw_points(rng, seq, args.jensen_count, min(scale, 3.0), min_dist=0.0):
         left = circle_average(seq, z, 1.0, args.nodes)
-        right = step_integral(seq, 0.0, z, 1.0, math.inf) + product._unit_disc_term(seq)
+        right = jensen_counting_side(seq, z)
         resid = abs(left - right)
         residuals.append(resid)
         rows.append({
@@ -262,16 +264,16 @@ def run_identity_check(args) -> int:
             "lhs": left, "rhs": right, "residual": resid, "note": f"nodes={args.nodes}",
         })
 
-    multi = [z for z in seq.zeros if z.multiplicity >= 2][:5]
-    for z in multi:
-        counting = derivative_at_multiple_zero(seq, z.position)
-        oracle = finite_difference_log_derivative(seq, z.position)
+    multi = seq.multiplicities >= 2
+    for z, m in zip(seq.positions[multi][:5].tolist(), seq.multiplicities[multi][:5].tolist()):
+        counting = derivative_at_multiple_zero(seq, z)
+        oracle = finite_difference_log_derivative(seq, z)
         resid = abs(counting - oracle)
         residuals.append(resid)
         rows.append({
-            "kind": "multiple_zero", "re": z.position.real, "im": z.position.imag,
+            "kind": "multiple_zero", "re": z.real, "im": z.imag,
             "lhs": counting, "rhs": oracle, "residual": resid,
-            "note": f"multiplicity={z.multiplicity}",
+            "note": f"multiplicity={int(m)}",
         })
 
     max_residual = max(residuals) if residuals else 0.0
@@ -463,7 +465,7 @@ def main(argv=None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SequenceFormatError, OSError) as exc:
+    except (SequenceFormatError, DivergentIntegralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -71,16 +71,10 @@ class CountingProfile:
 def profile(seq: ZeroSequence, c: complex = 0j) -> CountingProfile:
     """Distance profile of seq about c."""
     c = complex(c)
-    dists = np.abs(seq.positions - c)
-    if dists.size:
-        uniq, inverse = np.unique(dists, return_inverse=True)
-        mults = np.zeros(uniq.size, dtype=np.int64)
-        np.add.at(mults, inverse, seq.multiplicities.astype(np.int64))
-        cumulative = np.cumsum(mults)
-    else:
-        uniq = np.empty(0)
-        mults = np.empty(0, dtype=np.int64)
-        cumulative = np.empty(0, dtype=np.int64)
+    uniq, inverse = np.unique(np.abs(seq.positions - c), return_inverse=True)
+    mults = np.zeros(uniq.size, dtype=np.int64)
+    np.add.at(mults, inverse, seq.multiplicities.astype(np.int64))
+    cumulative = np.cumsum(mults)
     return CountingProfile(
         center=c,
         distances=uniq,

@@ -28,6 +28,7 @@ __all__ = [
     "log_modulus_via_counting",
     "derivative_at_multiple_zero",
     "circle_average",
+    "jensen_counting_side",
     "jensen_identity_check",
     "finite_difference_log_derivative",
     "tail_correction",
@@ -144,12 +145,13 @@ def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
     return step_integral(seq, 0.0, z, 0.0, math.inf)
 
 
-def _unit_disc_term(seq: ZeroSequence) -> float:
-    """Integral over (0,1] of n(0,t)/t: sum of m * max(0, -log|a|)."""
-    if not len(seq):
-        return 0.0
+def jensen_counting_side(seq: ZeroSequence, z: complex) -> float:
+    """Counting side of Jensen's formula on the unit circle |w - z| = 1: the
+    step integral of [n(0,t) - n(z,t)]/t over [1, inf) plus the integral of
+    n(0,t)/t over (0,1], which is the sum of m * max(0, -log|a|)."""
     d0 = np.abs(seq.positions)
-    return math.fsum(seq.multiplicities * -np.log(np.minimum(d0, 1.0)))
+    unit_disc = math.fsum(seq.multiplicities * -np.log(np.minimum(d0, 1.0)))
+    return step_integral(seq, 0.0, complex(z), 1.0, math.inf) + unit_disc
 
 
 def derivative_at_multiple_zero(seq: ZeroSequence, z0: complex) -> float:
@@ -169,8 +171,7 @@ def derivative_at_multiple_zero(seq: ZeroSequence, z0: complex) -> float:
         raise ValueError(f"z0 = {z0} is not a zero position of the sequence")
     others = ~self_mask
     lower_center = mult[others] * np.log(np.minimum(np.abs(pos[others] - z0), 1.0))
-    return (step_integral(seq, 0.0, z0, 1.0, math.inf) + _unit_disc_term(seq)
-            + math.fsum(lower_center))
+    return jensen_counting_side(seq, z0) + math.fsum(lower_center)
 
 
 def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 4096) -> float:
@@ -193,10 +194,7 @@ def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 40
     n = 1 << (nodes - 1).bit_length()
     step = 2.0 * math.pi / n
     offset = 0.0
-    near = [
-        p for p in seq.positions
-        if abs(abs(p - z) - radius) <= 1e-9 + radius * 1e-12
-    ]
+    near = seq.positions[np.abs(np.abs(seq.positions - z) - radius) <= 1e-9 + radius * 1e-12]
     shift = step / 2.0
     for _ in range(50):
         collision = False
@@ -217,13 +215,9 @@ def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 40
 
 
 def jensen_identity_check(seq: ZeroSequence, z: complex, nodes: int = 65536) -> float:
-    """|circle average - exact counting side| for the unit-circle identity:
-    the average of log|product| on |w - z| = 1 equals the step integral of
-    [n(0,t) - n(z,t)]/t over [1, inf) plus the integral of n(0,t)/t over (0,1]."""
-    z = complex(z)
-    left = circle_average(seq, z, 1.0, nodes)
-    right = step_integral(seq, 0.0, z, 1.0, math.inf) + _unit_disc_term(seq)
-    return abs(left - right)
+    """Residual of Jensen's formula about z: |average of log|product| on the
+    circle |w - z| = 1 - jensen_counting_side(seq, z)|."""
+    return abs(circle_average(seq, z, 1.0, nodes) - jensen_counting_side(seq, z))
 
 
 def finite_difference_log_derivative(seq: ZeroSequence, z0: complex,
@@ -233,10 +227,10 @@ def finite_difference_log_derivative(seq: ZeroSequence, z0: complex,
     estimated from product values by an l-th central finite difference with
     one Richardson extrapolation step."""
     z0 = complex(z0)
-    match = [z for z in seq.zeros if z.position == z0]
-    if not match:
+    match = seq.multiplicities[seq.positions == z0]
+    if not match.size:
         raise ValueError(f"z0 = {z0} is not a zero position of the sequence")
-    order = match[0].multiplicity
+    order = int(match[0])
     others = np.abs(seq.positions[seq.positions != z0] - z0)
     sep = float(others.min()) if others.size else 1.0
     if h is None:

@@ -1,9 +1,10 @@
 """Zero-sequence data model: positions with multiplicities, file I/O, origin shifts.
 
-A sequence is stored as a canonically merged multiset: equal positions are
-combined by summing multiplicities (exact coordinate equality, no epsilon),
-and entries are sorted by (|position|, Re, Im).  That ordering is also the
-truncation order used by the product module.
+A sequence is stored as a canonically merged multiset in two read-only
+arrays: equal positions are combined by summing multiplicities (exact
+coordinate equality, no epsilon), and entries are sorted by (|position|, Re,
+Im).  That ordering is also the truncation order used by the product module.
+Every producer builds through ZeroSequence.from_arrays.
 """
 
 from __future__ import annotations
@@ -54,64 +55,79 @@ class Zero:
         object.__setattr__(self, "multiplicity", mult)
 
 
-def _coerce_zero(entry) -> Zero:
-    if isinstance(entry, Zero):
-        return entry
-    if isinstance(entry, tuple):
-        return Zero(*entry)
-    return Zero(entry)
+def _merge(positions: np.ndarray, multiplicities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort by (|a|, Re, Im) and sum the multiplicities of equal positions.
+    |a| is np.hypot: it matches Python's abs(complex) bit for bit, np.abs does
+    not and would reorder near ties.  The sort is stable, so a run of equal
+    positions keeps its first spelling (0.0 or -0.0), as a dict would."""
+    order = np.lexsort((positions.imag, positions.real, np.hypot(positions.real, positions.imag)))
+    pos = positions[order]
+    # a run starts wherever a position differs from its left neighbour; the
+    # slice drops the lone start that an empty input would otherwise get
+    starts = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))[: pos.size]
+    return pos[starts], np.add.reduceat(multiplicities[order], starts)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ZeroSequence:
     """Finite multiset of zeros plus completeness metadata.
 
+    positions (complex128) and multiplicities (float64) are merged, sorted
+    and read-only; `zeros` views them as Zero objects, built on first access.
     truncation_radius > 0 claims the stored list is complete inside
     |z| < truncation_radius; 0 means the sequence is exactly this finite set
     on all of the plane.  Instances are immutable and safe to share across
     threads.
     """
 
-    zeros: tuple[Zero, ...]
-    truncation_radius: float = 0.0
-    provenance: str = ""
-    duplicate_merges: int = 0
-    # Chained shifts are recomputed from the original coordinates so that a
-    # shift and its exact negation cancel bit-for-bit.
-    shift_base: tuple[Zero, ...] | None = field(default=None, repr=False)
-    shift_offset: complex = field(default=0j, repr=False)
+    positions: np.ndarray
+    multiplicities: np.ndarray
+    truncation_radius: float
+    provenance: str
+    duplicate_merges: int
+    # Chained shifts are recomputed from the original arrays so that a shift
+    # and its exact negation cancel bit-for-bit: (a - c) + c is not a.
+    shift_base: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
+    shift_offset: complex = field(repr=False)
 
-    def __post_init__(self):
-        merged: dict[complex, int] = {}
-        merges = 0
-        for entry in self.zeros:
-            z = _coerce_zero(entry)
-            if z.position in merged:
-                merged[z.position] += z.multiplicity
-                merges += 1
-            else:
-                merged[z.position] = z.multiplicity
-        items = sorted(merged.items(), key=lambda it: (abs(it[0]), it[0].real, it[0].imag))
-        radius = float(self.truncation_radius)
+    def __new__(cls, zeros=(), truncation_radius=0.0, provenance="", duplicate_merges=0):
+        """Build from Zero objects, (position, multiplicity) tuples or bare positions."""
+        entries = [z if isinstance(z, Zero) else Zero(*z) if isinstance(z, tuple) else Zero(z)
+                   for z in zeros]
+        return cls.from_arrays([z.position for z in entries], [z.multiplicity for z in entries],
+                               truncation_radius, provenance, duplicate_merges)
+
+    @classmethod
+    def from_arrays(cls, positions, multiplicities, truncation_radius=0.0, provenance="",
+                    duplicate_merges=0, *, shift_base=None, shift_offset=0j) -> "ZeroSequence":
+        """Validate, merge and sort one zero per entry of the two arrays."""
+        positions = np.asarray(positions, dtype=np.complex128)
+        multiplicities = np.asarray(multiplicities, dtype=np.float64)
+        if positions.ndim != 1 or positions.shape != multiplicities.shape:
+            raise ValueError(f"need 1-D arrays of one length, got {positions.shape}, {multiplicities.shape}")
+        if not np.all(np.isfinite(positions)):
+            raise ValueError("zero positions must be finite")
+        if not np.all(np.isfinite(multiplicities) & (multiplicities >= 1)
+                      & (multiplicities == np.floor(multiplicities))):
+            raise ValueError("multiplicities must be positive integers")
+        radius = float(truncation_radius)
         if not math.isfinite(radius) or radius < 0:
             raise ValueError(f"truncation_radius must be finite and >= 0, got {radius!r}")
-        if radius > 0 and items:
-            worst = max(abs(p) for p, _ in items)
-            if worst >= radius:
-                raise ValueError(
-                    f"zero at |z| = {worst} contradicts claimed completeness radius {radius}"
-                )
-        object.__setattr__(self, "zeros", tuple(Zero(p, m) for p, m in items))
-        object.__setattr__(self, "truncation_radius", radius)
-        object.__setattr__(self, "duplicate_merges", int(self.duplicate_merges) + merges)
+        pos, mult = _merge(positions, multiplicities)
+        pos.flags.writeable = mult.flags.writeable = False
+        seq = object.__new__(cls)
+        # a frozen dataclass takes its fields through __dict__
+        seq.__dict__.update(positions=pos, multiplicities=mult, truncation_radius=radius,
+                            provenance=provenance, shift_base=shift_base,
+                            duplicate_merges=int(duplicate_merges) + positions.size - pos.size,
+                            shift_offset=complex(shift_offset))
+        if radius > 0 and seq.max_abs >= radius:
+            raise ValueError(f"zero at |z| = {seq.max_abs} contradicts claimed completeness radius {radius}")
+        return seq
 
     @cached_property
-    def positions(self) -> np.ndarray:
-        return np.array([z.position for z in self.zeros], dtype=np.complex128)
-
-    @cached_property
-    def multiplicities(self) -> np.ndarray:
-        return np.array([z.multiplicity for z in self.zeros], dtype=np.float64)
+    def zeros(self) -> tuple[Zero, ...]:
+        return tuple(Zero(p, int(m)) for p, m in zip(self.positions.tolist(), self.multiplicities.tolist()))
 
     @property
     def origin_excluded(self) -> bool:
@@ -123,10 +139,10 @@ class ZeroSequence:
 
     @property
     def max_abs(self) -> float:
-        return max((abs(z.position) for z in self.zeros), default=0.0)
+        return float(np.hypot(self.positions.real, self.positions.imag).max(initial=0.0))
 
     def __len__(self) -> int:
-        return len(self.zeros)
+        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -157,9 +173,20 @@ def _parse_mult(token: str, line: int) -> int:
     return mult
 
 
+def _from_records(records, radius: float, provenance: str) -> ZeroSequence:
+    """Checked [re, im, mult] records as a sequence; re and im are paired
+    through a float view, which keeps every bit (re + 1j*im can flip a -0.0)."""
+    table = np.array(records, dtype=np.float64).reshape(-1, 3)
+    positions = np.ascontiguousarray(table[:, :2]).view(np.complex128)[:, 0]
+    try:
+        return ZeroSequence.from_arrays(positions, table[:, 2], radius, provenance)
+    except ValueError as exc:
+        raise SequenceFormatError(str(exc)) from exc
+
+
 def _load_text(source: str, provenance: str) -> ZeroSequence:
     radius = 0.0
-    zeros: list[Zero] = []
+    records: list[tuple[float, float, int]] = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -177,14 +204,10 @@ def _load_text(source: str, provenance: str) -> ZeroSequence:
             raise SequenceFormatError(
                 f"expected 're im multiplicity', got {len(fields)} fields", lineno
             )
-        re = _parse_float(fields[0], lineno, "real part")
-        im = _parse_float(fields[1], lineno, "imaginary part")
-        mult = _parse_mult(fields[2], lineno)
-        zeros.append(Zero(complex(re, im), mult))
-    try:
-        return ZeroSequence(tuple(zeros), truncation_radius=radius, provenance=provenance)
-    except ValueError as exc:
-        raise SequenceFormatError(str(exc)) from exc
+        records.append((_parse_float(fields[0], lineno, "real part"),
+                        _parse_float(fields[1], lineno, "imaginary part"),
+                        _parse_mult(fields[2], lineno)))
+    return _from_records(records, radius, provenance)
 
 
 def _load_json(source: str, provenance: str) -> ZeroSequence:
@@ -200,21 +223,15 @@ def _load_json(source: str, provenance: str) -> ZeroSequence:
     records = payload.get("zeros", [])
     if not isinstance(records, list):
         raise SequenceFormatError("'zeros' must be an array of [re, im, mult] triples")
-    zeros: list[Zero] = []
     for i, rec in enumerate(records):
         if not (isinstance(rec, list) and len(rec) == 3):
             raise SequenceFormatError(f"zeros[{i}] must be a [re, im, mult] triple")
-        re, im, mult = rec
-        for label, v in (("re", re), ("im", im)):
+        for label, v in zip(("re", "im", "multiplicity"), rec):
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
                 raise SequenceFormatError(f"zeros[{i}].{label} must be a finite number, got {v!r}")
-        if isinstance(mult, bool) or not isinstance(mult, (int, float)) or int(mult) != mult or mult < 1:
-            raise SequenceFormatError(f"zeros[{i}] multiplicity must be a positive integer, got {mult!r}")
-        zeros.append(Zero(complex(re, im), int(mult)))
-    try:
-        return ZeroSequence(tuple(zeros), truncation_radius=float(radius), provenance=provenance)
-    except ValueError as exc:
-        raise SequenceFormatError(str(exc)) from exc
+        if int(rec[2]) != rec[2] or rec[2] < 1:
+            raise SequenceFormatError(f"zeros[{i}] multiplicity must be a positive integer, got {rec[2]!r}")
+    return _from_records(records, float(radius), provenance)
 
 
 def load_sequence(source: str, provenance: str = "") -> ZeroSequence:
@@ -230,23 +247,25 @@ def load_sequence(source: str, provenance: str = "") -> ZeroSequence:
     return _load_text(source, provenance)
 
 
+def _records(seq: ZeroSequence):
+    """(re, im, multiplicity) as Python floats and ints, for exact reprs."""
+    pos = seq.positions
+    return zip(pos.real.tolist(), pos.imag.tolist(), seq.multiplicities.astype(np.int64).tolist())
+
+
 def dump_sequence(seq: ZeroSequence) -> str:
     """Render the text form; float repr keeps doubles bit-exact on reload."""
     lines = []
     if seq.provenance:
         lines.append(f"# {seq.provenance}")
     lines.append(f"@radius {seq.truncation_radius!r}")
-    for z in seq.zeros:
-        lines.append(f"{z.position.real!r} {z.position.imag!r} {z.multiplicity}")
+    lines.extend(f"{re!r} {im!r} {m}" for re, im, m in _records(seq))
     return "\n".join(lines) + "\n"
 
 
 def dump_sequence_json(seq: ZeroSequence) -> str:
-    payload = {
-        "radius": seq.truncation_radius,
-        "zeros": [[z.position.real, z.position.imag, z.multiplicity] for z in seq.zeros],
-    }
-    return json.dumps(payload)
+    return json.dumps({"radius": seq.truncation_radius,
+                       "zeros": [[re, im, m] for re, im, m in _records(seq)]})
 
 
 def shift_origin(seq: ZeroSequence, c: complex) -> ZeroSequence:
@@ -264,27 +283,20 @@ def shift_origin(seq: ZeroSequence, c: complex) -> ZeroSequence:
         raise ValueError(
             f"shift magnitude {abs(c)} leaves no complete disc (radius {radius})"
         )
-    base = seq.shift_base if seq.shift_base is not None else seq.zeros
+    base_pos, base_mult = seq.shift_base or (seq.positions, seq.multiplicities)
     offset = seq.shift_offset + c
     new_radius = radius - abs(c) if radius > 0 else 0.0
-    shifted = tuple(
-        Zero(z.position - offset, z.multiplicity)
-        for z in base
-        if new_radius == 0.0 or abs(z.position - offset) < new_radius
-    )
-    return ZeroSequence(
-        shifted,
-        truncation_radius=new_radius,
-        provenance=f"{seq.provenance}|shift({c})" if seq.provenance else f"shift({c})",
-        shift_base=base,
-        shift_offset=offset,
-    )
+    moved = base_pos - offset
+    keep = np.hypot(moved.real, moved.imag) < new_radius if new_radius > 0 else slice(None)
+    provenance = f"{seq.provenance}|shift({c})" if seq.provenance else f"shift({c})"
+    return ZeroSequence.from_arrays(moved[keep], base_mult[keep], new_radius, provenance,
+                                    shift_base=(base_pos, base_mult), shift_offset=offset)
 
 
 def validate(seq: ZeroSequence) -> ValidationReport:
     """Reporting only: counts and flags consistent with the stored sequence."""
     return ValidationReport(
-        total_count=len(seq.zeros),
+        total_count=len(seq),
         max_radius=seq.max_abs,
         has_origin_zero=not seq.origin_excluded,
         duplicate_merges=seq.duplicate_merges,

@@ -214,6 +214,11 @@ class TestBuildGenerator:
         seq = build_generator("alpha", c=1.0, N=50)
         assert len(seq) == 100
 
+    def test_alpha_count_must_be_integral(self):
+        assert len(build_generator("alpha", N=50.0)) == 100
+        with pytest.raises(ValueError):
+            build_generator("alpha", N=50.5)
+
     def test_unknown(self):
         with pytest.raises(ValueError):
             build_generator("mystery")

@@ -42,6 +42,17 @@ class TestSources:
         assert code == 2
         assert "'R'" in err
 
+    def test_base_point_on_zero(self, capsys):
+        for command in ("phi-profile", "classify"):
+            code, _, err = run_cli(capsys, command, "--gen", "lattice,R=20", "--b", "1")
+            assert code == 2
+            assert err.startswith("error:") and "diverges" in err
+
+    def test_non_integer_alpha_count(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "--gen", "alpha,N=100.7")
+        assert code == 2
+        assert "N must be an integer" in err
+
     def test_threads_below_one(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--gen", "lattice,R=10", "--threads", "0")
         assert code == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expozeros import (
     SequenceFormatError,
@@ -62,6 +64,83 @@ class TestZeroSequence:
         seq = ZeroSequence((Zero(1j, 2), Zero(2 + 0j)))
         assert seq.positions.dtype == np.complex128
         assert seq.total_multiplicity == 3
+
+
+def _dict_merge(records):
+    """Reference merge: a dict keyed by position (which keeps the first
+    spelling of an equal key), then a sort by (abs, re, im)."""
+    merged: dict[complex, int] = {}
+    for pos, mult in records:
+        merged[pos] = merged.get(pos, 0) + mult
+    items = sorted(merged.items(), key=lambda it: (abs(it[0]), it[0].real, it[0].imag))
+    return items, len(records) - len(items)
+
+
+_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]),
+    st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestArrayStorage:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_coords, _coords), min_size=1, max_size=12),
+           st.lists(st.tuples(st.integers(0, 11), st.integers(1, 3)), max_size=60))
+    def test_merge_matches_dict_reference(self, points, picks):
+        records = [(complex(*points[i % len(points)]), m) for i, m in picks]
+        items, merges = _dict_merge(records)
+        expected = np.array([p for p, _ in items], dtype=np.complex128)
+        built = (
+            ZeroSequence.from_arrays(np.array([p for p, _ in records], dtype=np.complex128),
+                                     [m for _, m in records]),
+            ZeroSequence(tuple(Zero(p, m) for p, m in records)),
+        )
+        for seq in built:
+            assert seq.positions.tobytes() == expected.tobytes()
+            assert seq.multiplicities.tolist() == [float(m) for _, m in items]
+            assert seq.duplicate_merges == merges
+            assert seq.zeros == tuple(Zero(p, m) for p, m in items)
+
+    def test_sort_key_is_python_abs(self):
+        # |p| ties with q under Python's abs (so Re orders them), while
+        # numpy's array abs can round |p| one unit higher and put q first
+        p = 0.6404226504432821 + 0.19205435028986062j
+        q = complex(abs(p), 0.0)
+        assert ZeroSequence.from_arrays([q, p], [1, 1]).positions.tolist() == [p, q]
+
+    def test_arrays_are_read_only(self):
+        source = np.array([2 + 0j, 1j])
+        seq = ZeroSequence.from_arrays(source, [1, 2])
+        source[0] = 7.0  # the sequence holds its own copy
+        assert seq.positions.tolist() == [1j, 2 + 0j]
+        with pytest.raises(ValueError):
+            seq.positions[0] = 5.0
+        with pytest.raises(ValueError):
+            seq.multiplicities[0] = 5.0
+
+    def test_zeros_built_on_first_access(self):
+        seq = ZeroSequence.from_arrays([1j, -2.0], [2, 1], 3.0, "p")
+        assert "zeros" not in vars(seq)
+        assert seq.zeros == (Zero(1j, 2), Zero(-2 + 0j))
+        assert "zeros" in vars(seq)
+
+    @pytest.mark.parametrize("positions, mults, radius", [
+        ([complex("inf")], [1], 0.0),
+        ([complex(0, math.nan)], [1], 0.0),
+        ([1 + 0j], [1.5], 0.0),
+        ([1 + 0j], [0], 0.0),
+        ([1 + 0j], [math.inf], 0.0),
+        ([1 + 0j], [math.nan], 0.0),
+        ([1 + 0j, 2 + 0j], [1], 0.0),
+        ([[1 + 0j]], [[1]], 0.0),
+        ([3 + 0j], [1], 3.0),
+        ([3 + 4j], [1], 4.0),
+        ([1 + 0j], [1], -1.0),
+        ([1 + 0j], [1], math.inf),
+    ])
+    def test_from_arrays_rejects(self, positions, mults, radius):
+        with pytest.raises(ValueError):
+            ZeroSequence.from_arrays(positions, mults, radius)
 
 
 class TestLoadText:
@@ -131,6 +210,11 @@ class TestLoadJson:
     def test_bad_multiplicity(self):
         with pytest.raises(SequenceFormatError):
             load_sequence('{"zeros": [[1, 0, 0.5]]}')
+
+    @pytest.mark.parametrize("mult", ["Infinity", "NaN"])
+    def test_nonfinite_multiplicity(self, mult):
+        with pytest.raises(SequenceFormatError):
+            load_sequence('{"zeros": [[1, 0, %s]]}' % mult)
 
 
 class TestRoundTrip:
