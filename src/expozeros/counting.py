@@ -133,10 +133,10 @@ class LindelofTrace:
 
 
 def lindelof_sums(seq: ZeroSequence, radii) -> LindelofTrace:
-    """Partial sums with strict |a| < R; the convergence verdict is an
-    oscillation test: max pairwise spread over the last quarter of radii
-    below 1e-3 * (1 + |final|).  Raw sums are returned so callers can
-    re-judge."""
+    """Partial sums with strict |a| < R, accumulated in the stored order
+    (ascending |a| = np.hypot); the convergence verdict is an oscillation
+    test: max pairwise spread over the last quarter of radii below
+    1e-3 * (1 + |final|).  Raw sums are returned so callers can re-judge."""
     rs = np.asarray(radii, dtype=float)
     if rs.size == 0:
         raise ValueError("at least one radius is required")
@@ -144,12 +144,10 @@ def lindelof_sums(seq: ZeroSequence, radii) -> LindelofTrace:
         raise ValueError("radii must be strictly ascending")
     if not seq.origin_excluded:
         raise ValueError("partial sums of 1/a require 0 not in the zero set")
-    dists = np.abs(seq.positions)
-    order = np.argsort(dists, kind="stable")
-    sorted_d = dists[order]
-    terms = (seq.multiplicities / seq.positions)[order]
-    csum = np.concatenate([[0j], np.cumsum(terms)])
-    idx = np.searchsorted(sorted_d, rs, side="left")   # strict |a| < R
+    pos = seq.positions
+    dists = np.hypot(pos.real, pos.imag)
+    csum = np.concatenate([[0j], np.cumsum(seq.multiplicities / pos)])
+    idx = np.searchsorted(dists, rs, side="left")   # strict |a| < R
     partial = csum[idx]
     ties = int(seq.multiplicities[np.isin(dists, rs)].sum()) if dists.size else 0
     final = complex(partial[-1])
@@ -241,7 +239,7 @@ def angular_density(seq: ZeroSequence, alpha: float, R: float) -> AngularDensity
         raise ValueError(f"R = {R} exceeds completeness radius {seq.truncation_radius}")
     if not len(seq):
         return AngularDensity(0.0, 0.0, 0)
-    dists = np.abs(seq.positions)
+    dists = np.hypot(seq.positions.real, seq.positions.imag)
     inside = (dists > 0) & (dists < R)
     args = np.angle(seq.positions[inside])
     mult = seq.multiplicities[inside]

@@ -74,7 +74,11 @@ class CriterionReport:
     window_x / window_values hold the raw dyadic-window data (or per-|y|
     values for the type check) for re-analysis; tail_error_bound is a
     rim-mass extrapolation estimate of what zeros beyond the completeness
-    radius could contribute at the far end of the grid.
+    radius could contribute at the far end of the grid.  diagnostics counts
+    the work done: grid_base_points and grid_aug_points (the grid before and
+    after refinement), kernel_calls and kernel_points (log_potential calls
+    and the points they evaluated), and zero_points (zeros x kernel_points).
+    It holds counts only, so a report is the same on every run.
     """
 
     criterion: str
@@ -88,6 +92,7 @@ class CriterionReport:
     trend_slope: float | None = None
     tail_error_bound: float = 0.0
     notes: str = ""
+    diagnostics: dict = dataclasses.field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -136,18 +141,28 @@ def phi_profile(seq: ZeroSequence, b: float, xs) -> PhiProfile:
 
 # --- grid machinery ----------------------------------------------------------
 
-def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective) -> np.ndarray:
+def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective) -> tuple[np.ndarray, np.ndarray]:
     """Add midpoints of consecutive real zeros inside the grid range, then
     three golden-section refinement passes per gap (maximizing `objective`).
-    Uniform grids miss the local maxima that sit strictly inside the gaps."""
-    xs = np.unique(np.asarray(xs, dtype=float))
+    Uniform grids miss the local maxima that sit strictly inside the gaps.
+
+    Returns the sorted points and the objective's values there, each point
+    evaluated once.  The first pass probes two points per gap; since
+    G**2 = 1 - G the point that survives a pass is one of the next pass's
+    two, so each later pass probes one new point and keeps the survivor's
+    value.  Base points and midpoints not probed share one call.  objective
+    must act pointwise: a value may not depend on the other points of a call.
+    """
+    # + 0.0 spells x = 0 one way: a symmetric grid holds both -0.0 and 0.0,
+    # and np.unique keeps whichever its sort puts first
+    xs = np.unique(np.asarray(xs, dtype=float) + 0.0)
     if not len(seq):
-        return xs
+        return xs, objective(xs)
     lo, hi = float(xs.min()), float(xs.max())
     pos = seq.positions
     real = np.unique(pos.real[pos.imag == 0.0])
     if real.size == 0:
-        return xs
+        return xs, objective(xs)
     inside = real[(real >= lo) & (real <= hi)]
     pieces = [inside]
     below = real[real < lo]
@@ -158,25 +173,64 @@ def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective) -> np.ndarray:
         pieces.append(above[:1])
     rz = np.unique(np.concatenate(pieces))
     if rz.size < 2:
-        return xs
+        return xs, objective(xs)
     ga = np.maximum(rz[:-1], lo)
     gb = np.minimum(rz[1:], hi)
     keep = gb - ga > 1e-9 * (1.0 + np.abs(ga))
     ga, gb = ga[keep], gb[keep]
     if ga.size == 0:
-        return xs
-    extra = [0.5 * (rz[:-1] + rz[1:])[keep]]
-    for _ in range(3):
-        x1 = gb - _GOLDEN * (gb - ga)
-        x2 = ga + _GOLDEN * (gb - ga)
-        f1 = objective(x1)
-        f2 = objective(x2)
-        extra.extend([x1, x2])
+        return xs, objective(xs)
+    x1 = gb - _GOLDEN * (gb - ga)
+    x2 = ga + _GOLDEN * (gb - ga)
+    f1, f2 = np.split(objective(np.concatenate([x1, x2])), 2)
+    probes, values = [x1, x2], [f1, f2]
+    for _ in range(2):
         move_lo = f1 < f2
         ga = np.where(move_lo, x1, ga)
         gb = np.where(move_lo, gb, x2)
-    pts = np.concatenate([xs] + extra)
-    return np.unique(pts[(pts >= lo) & (pts <= hi)])
+        new = np.where(move_lo, ga + _GOLDEN * (gb - ga), gb - _GOLDEN * (gb - ga))
+        f_new = objective(new)
+        probes.append(new)
+        values.append(f_new)
+        x1, x2 = np.where(move_lo, x2, new), np.where(move_lo, new, x1)
+        f1, f2 = np.where(move_lo, f2, f_new), np.where(move_lo, f_new, f1)
+    probes = np.concatenate(probes)
+    rest = np.concatenate([xs, 0.5 * (rz[:-1] + rz[1:])[keep]])
+    rest = np.setdiff1d(rest[(rest >= lo) & (rest <= hi)], probes)
+    pts, first = np.unique(np.concatenate([probes, rest]), return_index=True)
+    return pts, np.concatenate(values + [objective(rest)])[first]
+
+
+class _Counted:
+    """A criterion's kernel, tallying its calls and the points it evaluated."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.calls = 0
+        self.points = 0
+
+    def __call__(self, arr: np.ndarray) -> np.ndarray:
+        self.calls += 1
+        self.points += arr.size
+        return self.kernel(arr)
+
+    def diagnostics(self, seq: ZeroSequence, base_points: int, aug_points: int) -> dict:
+        return {
+            "grid_base_points": int(base_points),
+            "grid_aug_points": int(aug_points),
+            "kernel_calls": self.calls,
+            "kernel_points": self.points,
+            "zero_points": len(seq) * self.points,
+        }
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """even[..., 0], odd[..., 0], even[..., 1], ... along the last axis: a
+    sampled grid refined by its midpoints."""
+    out = np.empty(even.shape[:-1] + (even.shape[-1] + odd.shape[-1],))
+    out[..., ::2] = even
+    out[..., 1::2] = odd
+    return out
 
 
 def _octaves(xs: np.ndarray) -> np.ndarray:
@@ -287,11 +341,10 @@ def check_B(seq: ZeroSequence, b: float, x_grid, *, threads: int = 1,
         raise ValueError("x_grid must be nonempty")
     kap2 = _curvature_allowance(seq)
 
-    def adjusted(arr: np.ndarray) -> np.ndarray:
-        return log_potential(seq, arr, b, threads=threads) - 0.5 * kap2 * arr ** 2
-
-    xs = _augment_grid(seq, base, adjusted)
-    vals = adjusted(xs)
+    adjusted = _Counted(
+        lambda arr: log_potential(seq, arr, b, threads=threads) - 0.5 * kap2 * arr ** 2)
+    xs, vals = _augment_grid(seq, base, adjusted)
+    diagnostics = adjusted.diagnostics(seq, base.size, xs.size)
     finite = np.isfinite(vals)
     desc = (
         f"{base.size}-point grid on [{base.min():g}, {base.max():g}], "
@@ -301,7 +354,7 @@ def check_B(seq: ZeroSequence, b: float, x_grid, *, threads: int = 1,
     if not finite.any():
         return CriterionReport("B", INCONCLUSIVE, None, -math.inf,
                                seq.truncation_radius, desc,
-                               notes="no finite grid values")
+                               notes="no finite grid values", diagnostics=diagnostics)
     fx = xs[finite]
     fv = vals[finite]
     top = int(np.argmax(fv))
@@ -321,6 +374,7 @@ def check_B(seq: ZeroSequence, b: float, x_grid, *, threads: int = 1,
         trend_slope=slope,
         tail_error_bound=_tail_allowance(seq, float(np.abs(xs).max())),
         notes=f"base point b = {b}",
+        diagnostics=diagnostics,
     )
 
 
@@ -336,11 +390,9 @@ def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1,
         raise ValueError("x_grid must be nonempty")
     kap2 = _curvature_allowance(seq)
 
-    def objective(arr: np.ndarray) -> np.ndarray:
-        return np.abs(log_potential(seq, arr, 0.0, 1.0, threads=threads) - 0.5 * kap2 * arr ** 2)
-
-    xs = _augment_grid(seq, base, objective)
-    vals = objective(xs)
+    objective = _Counted(
+        lambda arr: np.abs(log_potential(seq, arr, 0.0, 1.0, threads=threads) - 0.5 * kap2 * arr ** 2))
+    xs, vals = _augment_grid(seq, base, objective)
     desc = (
         f"{base.size}-point grid on [{base.min():g}, {base.max():g}], "
         f"augmented to {xs.size} points; base point fixed at 0; "
@@ -362,6 +414,7 @@ def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1,
         window_values=tuple(float(v) for v in running),
         trend_slope=slope,
         tail_error_bound=_tail_allowance(seq, float(np.abs(xs).max())),
+        diagnostics=objective.diagnostics(seq, base.size, xs.size),
     )
 
 
@@ -381,16 +434,20 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
 
     best_x = 0.0
     best_val = -math.inf
+    kernel = _Counted(lambda arr: log_potential(seq, arr, b, threads=threads))
+
+    def both_sides(xs: np.ndarray) -> np.ndarray:
+        return kernel(np.concatenate([xs, -xs])).reshape(2, -1)
 
     def window_value(lo: float, hi: float) -> tuple[float, int]:
         nonlocal best_x, best_val
         n = grid
+        xs = np.linspace(lo, hi, n + 1)
+        pot = both_sides(xs)
         prev = None
         while True:
-            xs = np.linspace(lo, hi, n + 1)
             envelope = 0.5 * kap2 * xs ** 2
-            up = np.maximum(log_potential(seq, xs, b, threads=threads) - envelope, 0.0)
-            um = np.maximum(log_potential(seq, -xs, b, threads=threads) - envelope, 0.0)
+            up, um = np.maximum(pot - envelope, 0.0)
             weight = 1.0 + xs ** 2
             val = float(np.trapezoid((up + um) / weight, xs))
             if prev is not None and (abs(val - prev) <= 1e-4 * (1.0 + abs(val)) or n >= grid * 16):
@@ -404,6 +461,11 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
                 return val, n
             prev = val
             n *= 2
+            # halving the step is exact, so linspace(lo, hi, 2n + 1)[::2] is
+            # linspace(lo, hi, n + 1) bit for bit: only the odd points are new
+            odd = np.linspace(lo, hi, n + 1)[1::2]
+            xs = _interleave(xs, odd)
+            pot = _interleave(pot, both_sides(odd))
 
     windows: list[tuple[float, float, float, int]] = []
     lo = 0.0
@@ -459,6 +521,8 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
         trend_slope=slope,
         tail_error_bound=_tail_allowance(seq, x_max),
         notes=f"base point b = {b}; truncated weighted integral = {total:.6g}",
+        diagnostics=kernel.diagnostics(seq, 2 * (grid + 1) * len(windows),
+                                       sum(2 * (w[3] + 1) for w in windows)),
     )
 
 
@@ -493,7 +557,8 @@ def type_bound(seq: ZeroSequence, b: float, y_values, sigma: float, *,
         raise ValueError("y values must include both signs")
     b = float(b)
     sigma = float(sigma)
-    vals = log_potential(seq, 1j * ys, b) / mags
+    kernel = _Counted(lambda arr: log_potential(seq, arr, b))
+    vals = kernel(1j * ys) / mags
     plateau = mags >= mags[-1] / 2.0
     pv = vals[plateau]
     py = ys[plateau]
@@ -518,6 +583,7 @@ def type_bound(seq: ZeroSequence, b: float, y_values, sigma: float, *,
         window_values=tuple(float(v) for v in vals),
         trend_slope=None,
         notes=f"sigma = {sigma}; plateau variation = {variation:.3g}",
+        diagnostics=kernel.diagnostics(seq, ys.size, ys.size),
     )
 
 

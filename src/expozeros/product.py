@@ -10,6 +10,7 @@ sequences evaluated at real points come out with argument exactly 0 or pi.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -36,6 +37,9 @@ __all__ = [
 
 TAIL_COMPLETE = "complete"
 TAIL_TRUNCATED = "truncated"
+# Zeros per evaluate_product block: its temporaries stay cache-sized (512 KiB
+# per complex array) instead of growing with the sequence.
+_PRODUCT_BLOCK = 1 << 15
 
 
 def wrap_angle(theta: float) -> float:
@@ -90,8 +94,13 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     """Product of (1 - z/a)^multiplicity over |a| < R, in log space.
 
     Truncation is by ascending |a| with strict |a| < R; that ordering is what
-    makes symmetric (conditionally convergent) truncations behave.  If z is
+    makes symmetric (conditionally convergent) truncations behave.  |a| is
+    np.hypot, the modulus the completeness radius is checked with.  If z is
     exactly a stored position inside R the value is an exact zero.
+
+    Per-zero log and argument terms are computed in blocks of _PRODUCT_BLOCK
+    zeros and each total is one fsum, so the value does not depend on the
+    block size.
     """
     z = complex(z)
     if not seq.origin_excluded:
@@ -102,32 +111,41 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     R = float(R)
     if R0 > 0 and R > R0:
         raise ValueError(f"evaluation radius {R} exceeds completeness radius {R0}")
-    pos = seq.positions
-    mult = seq.multiplicities
-    inside = np.abs(pos) < R
-    pos = pos[inside]
-    mult = mult[inside]
+    # positions are sorted by |a| (np.hypot = Python's abs), so the zeros
+    # inside R are a prefix
+    n = bisect.bisect_left(range(len(seq)), R, key=lambda i: abs(complex(seq.positions[i])))
+    pos = seq.positions[:n]
+    mult = seq.multiplicities[:n]
     count = int(mult.sum())
     flag = TAIL_COMPLETE if (R0 == 0.0 and count == seq.total_multiplicity) else TAIL_TRUNCATED
-    if pos.size == 0:
+    if n == 0:
         return ProductEvaluation(LogComplex(0.0, 0.0), R, 0, flag)
-    if np.any(pos == z):
-        return ProductEvaluation(LogComplex(-math.inf, 0.0), R, count, flag, -math.inf)
-    w = 1.0 - z / pos
-    absw = np.abs(w)
-    with np.errstate(divide="ignore"):
-        log_terms = mult * np.log(absw)
-    log_magnitude = math.fsum(log_terms)
-    is_real = w.imag == 0.0
-    pi_count = int(mult[is_real & (w.real < 0.0)].sum())
-    arg_terms = mult[~is_real] * np.arctan2(w.imag[~is_real], w.real[~is_real])
+    log_terms = np.empty(n)
+    arg_terms = np.empty(n)  # 0.0 for a real factor: its pi goes to pi_count
+    pi_count = 0
+    min_abs = math.inf
+    for start in range(0, n, _PRODUCT_BLOCK):
+        block = slice(start, start + _PRODUCT_BLOCK)
+        p = pos[block]
+        m = mult[block]
+        if np.any(p == z):
+            return ProductEvaluation(LogComplex(-math.inf, 0.0), R, count, flag, -math.inf)
+        w = 1.0 - z / p
+        absw = np.abs(w)
+        min_abs = min(min_abs, float(absw.min()))
+        with np.errstate(divide="ignore"):
+            np.multiply(m, np.log(absw, out=absw), out=log_terms[block])
+        is_real = w.imag == 0.0
+        pi_count += int(m[is_real & (w.real < 0.0)].sum())
+        args = np.multiply(m, np.arctan2(w.imag, w.real), out=arg_terms[block])
+        args[is_real] = 0.0
     theta = math.fsum(arg_terms) + (pi_count & 1) * math.pi
     return ProductEvaluation(
-        LogComplex(log_magnitude, wrap_angle(theta)),
+        LogComplex(math.fsum(log_terms), wrap_angle(theta)),
         R,
         count,
         flag,
-        float(np.log(absw.min())) if absw.min() > 0 else -math.inf,
+        float(np.log(min_abs)) if min_abs > 0 else -math.inf,
     )
 
 
@@ -269,14 +287,15 @@ def tail_correction(seq: ZeroSequence, z: complex, R: float) -> TailCorrection:
         raise ValueError("tail correction requires 0 not in the zero set")
     pos = seq.positions
     mult = seq.multiplicities
-    tail = np.abs(pos) >= R
+    d = np.hypot(pos.real, pos.imag)
+    tail = d >= R
     count = int(mult[tail].sum())
     if count == 0:
         return TailCorrection(0j, 0.0, 0)
     inv = mult[tail] / pos[tail]
     first = -z * complex(inv.sum())
-    ratio = abs(z) / float(np.abs(pos[tail]).min())
-    inv_sq = float((mult[tail] / np.abs(pos[tail]) ** 2).sum())
+    ratio = abs(z) / float(d[tail].min())
+    inv_sq = float((mult[tail] / d[tail] ** 2).sum())
     if ratio >= 1.0:
         bound = math.inf
     else:

@@ -88,3 +88,16 @@ def riemann_step_integral(seq, b, x, t_lo, t_hi, panels=10 ** 6):
         return 0.0
     weights = np.log(edges[1:][mask]) - np.log(edges[:-1][mask])
     return float(np.sum(diff[mask] * weights))
+
+
+def outer_zero_above_hypot(rng, n=40):
+    """A sequence of n random zeros whose outermost zero a has np.abs(a)
+    above hypot(a) = abs(a), with R0 = np.abs(a) as its completeness
+    radius: complete, but a sits one rounding step below R0 only by hypot."""
+    while True:
+        pts = rng.uniform(-10.0, 10.0, n) + 1j * rng.uniform(-10.0, 10.0, n)
+        d = np.hypot(pts.real, pts.imag)
+        k = int(np.argmax(d))
+        R0 = float(np.abs(pts)[k])
+        if R0 > d[k]:
+            return ZeroSequence.from_arrays(pts, np.ones(n), R0), R0

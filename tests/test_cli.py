@@ -74,6 +74,9 @@ class TestClassify:
         crit = payload["report"]["criteria"]
         assert crit["C"]["verdict"] == "evidence_satisfied"
         assert crit["B"]["verdict"] == "evidence_satisfied"
+        for rep in crit.values():
+            assert set(rep["diagnostics"]) == {"grid_base_points", "grid_aug_points",
+                                               "kernel_calls", "kernel_points", "zero_points"}
 
     def test_empty_file_all_satisfied(self, tmp_path, capsys):
         path = tmp_path / "zeros.txt"

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_point, random_sequence, random_symmetric_sequence, riemann_step_integral
+from conftest import (
+    draw_point,
+    outer_zero_above_hypot,
+    random_sequence,
+    random_symmetric_sequence,
+    riemann_step_integral,
+)
 from expozeros import counting
 from expozeros import (
     DivergentIntegralError,
@@ -142,6 +148,18 @@ class TestLindelof:
         trace = lindelof_sums(seq, [1.0, 2.0, 3.0])
         assert trace.partial_sums[0] == 0  # strict |a| < 1
         assert trace.boundary_ties == 2
+
+    def test_radius_compared_with_hypot(self):
+        # the outermost zero lies inside R0 = np.abs(a) by hypot; sums run
+        # in the stored order, ascending hypot
+        rng = np.random.default_rng(33)
+        for _ in range(50):
+            seq, R0 = outer_zero_above_hypot(rng)
+            trace = lindelof_sums(seq, [R0 / 2.0, R0])
+            assert trace.final_value == np.cumsum(1.0 / seq.positions)[-1]
+            assert trace.boundary_ties == 0
+            right, left = angular_density(seq, math.pi / 2, R0)
+            assert round(right * R0) + round(left * R0) == len(seq)
 
     def test_requires_ascending(self):
         with pytest.raises(ValueError):

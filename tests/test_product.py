@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import draw_point, random_conjugate_sequence, random_sequence
+from conftest import (
+    draw_point,
+    outer_zero_above_hypot,
+    random_conjugate_sequence,
+    random_sequence,
+)
+from expozeros import product
 from expozeros import (
     LogComplex,
     Zero,
@@ -78,6 +84,32 @@ class TestEvaluateProduct:
         pe = evaluate_product(seq, 1.0 + 1e-13)
         assert pe.min_factor_log_magnitude < -25.0
         assert math.isfinite(pe.value.log_magnitude)
+
+    def test_radius_compared_with_hypot(self):
+        # np.abs rounds above hypot on about a third of complex points; the
+        # outermost zero of a sequence complete inside R0 = np.abs(a) must
+        # still count at the default radius R0
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            seq, R0 = outer_zero_above_hypot(rng)
+            pe = evaluate_product(seq, 0.5 + 0.25j)
+            assert pe.radius_used == R0
+            assert pe.factor_count == seq.total_multiplicity
+            assert tail_correction(seq, 0.5 + 0.25j, R0).zero_count == 0
+
+    def test_block_size_does_not_change_bits(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        cases = []
+        for _ in range(20):
+            seq = random_conjugate_sequence(rng)
+            z = draw_point(rng, seq, 8.0, min_dist=1e-3)
+            cases.append((seq, z, evaluate_product(seq, z)))
+        monkeypatch.setattr(product, "_PRODUCT_BLOCK", 3)
+        for seq, z, whole in cases:
+            assert evaluate_product(seq, z) == whole
+        hit = random_conjugate_sequence(rng)
+        at_zero = evaluate_product(hit, complex(hit.positions[-1]))
+        assert at_zero.value.is_zero and at_zero.factor_count == hit.total_multiplicity
 
     def test_conjugate_symmetric_argument_exact(self):
         rng = np.random.default_rng(12)
