@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .zero_model import ZeroSequence
 
@@ -170,6 +169,9 @@ def int_decomposition(spec: AlphaSpec, x: float, t_max: float) -> IntDecompositi
     integer, so that piece is integrated exactly segment by segment; the two
     smooth pieces use adaptive quadrature.
     """
+    # scipy.integrate takes most of a second to import and only this uses it
+    from scipy import integrate
+
     x = float(x)
     t_max = float(t_max)
     if x <= 2:

@@ -390,17 +390,20 @@ def _add_source_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--R", type=float, default=None, help="generator radius override")
 
 
-def _add_common_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--b", type=float, default=None, help="real base point (default: picked off the zero set)")
+def _add_output_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--output", default=None, help="output file (default: stdout)")
+
+
+def _add_span_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x-max", dest="x_max", type=float, default=None,
                    help="real-axis span (default: truncation radius / 4)")
     p.add_argument("--grid", type=int, default=64, help="grid density")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default=None, help="output file (default: stdout)")
-    p.add_argument("--seed", type=int, default=42)
+
+
+def _add_potential_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--b", type=float, default=None, help="real base point (default: picked off the zero set)")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--tail-correct", dest="tail_correct", action="store_true",
-                   help="apply the first-order product tail correction instead of only reporting it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="run prerequisite estimates and the three class criteria")
     _add_source_options(p)
-    _add_common_options(p)
+    _add_span_options(p)
+    _add_potential_options(p)
+    _add_output_options(p)
     p.add_argument("--sigma", type=float, default=None, help="also check the type bound against sigma")
     p.add_argument("--alpha", type=float, action="append", default=None,
                    help="sector half-angle for the density estimates, in (0, pi/2] (repeatable)")
@@ -421,7 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate the canonical product")
     _add_source_options(p)
-    _add_common_options(p)
+    _add_span_options(p)
+    _add_output_options(p)
+    p.add_argument("--tail-correct", dest="tail_correct", action="store_true",
+                   help="apply the first-order product tail correction instead of only reporting it")
     p.add_argument("--points", help="explicit points 're,im;re,im;...' (default: real-axis sweep)")
     p.add_argument("--eval-radius", dest="eval_radius", type=float, default=None,
                    help="product truncation radius (default: whole stored sequence)")
@@ -429,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity-check", help="product-vs-counting residual table")
     _add_source_options(p)
-    _add_common_options(p)
+    _add_output_options(p)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--count", type=int, default=100, help="number of random evaluation points")
     p.add_argument("--jensen-count", dest="jensen_count", type=int, default=5)
     p.add_argument("--nodes", type=int, default=4096, help="circle-average quadrature nodes")
@@ -437,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phi-profile", help="plot-friendly profile of the counting integrals")
     _add_source_options(p)
-    _add_common_options(p)
+    _add_span_options(p)
+    _add_potential_options(p)
+    _add_output_options(p)
     p.set_defaults(func=run_phi_profile, grid=512)
 
     p = sub.add_parser("reproduce", help="rebuild one of the two explicit constructions")
@@ -446,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0, help="alpha coefficient")
     p.add_argument("--x", type=float, action="append", default=None,
                    help="evaluation point (repeatable)")
-    _add_common_options(p)
+    _add_output_options(p)
     p.set_defaults(func=run_reproduce)
 
     return parser
@@ -459,7 +470,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise CLIError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except CLIError as exc:

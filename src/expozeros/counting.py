@@ -71,7 +71,8 @@ class CountingProfile:
 def profile(seq: ZeroSequence, c: complex = 0j) -> CountingProfile:
     """Distance profile of seq about c."""
     c = complex(c)
-    uniq, inverse = np.unique(np.abs(seq.positions - c), return_inverse=True)
+    rel = seq.positions - c
+    uniq, inverse = np.unique(np.hypot(rel.real, rel.imag), return_inverse=True)
     mults = np.zeros(uniq.size, dtype=np.int64)
     np.add.at(mults, inverse, seq.multiplicities.astype(np.int64))
     cumulative = np.cumsum(mults)

@@ -122,11 +122,6 @@ def phi(seq: ZeroSequence, b: float, x: float) -> float:
     return step_integral(seq, b, x, 0.0, math.inf)
 
 
-def d_value(seq: ZeroSequence, x: float) -> float:
-    """Scalar base-1 integral; x may coincide with a zero (range starts at 1)."""
-    return step_integral(seq, 0.0, float(x), 1.0, math.inf)
-
-
 def phi_profile(seq: ZeroSequence, b: float, xs) -> PhiProfile:
     """phi(seq, b, x) at every x through log_potential, whose docstring
     states the error bound; points on zeros are listed in clipped."""
@@ -258,17 +253,21 @@ def _sup_trend_verdict(js: np.ndarray, running: np.ndarray, tolerance: float):
     return (VIOLATED if slope > tolerance else SATISFIED), slope
 
 
+def _rim(seq: ZeroSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Moduli (np.hypot) and multiplicities of the stored rim shell [R/2, R);
+    empty for a complete sequence.  Positions are stored in ascending hypot
+    order, so the shell is a suffix."""
+    R = seq.truncation_radius
+    pos = seq.positions
+    d = np.hypot(pos.real, pos.imag)
+    start = int(np.searchsorted(d, R / 2.0)) if R > 0 else d.size
+    return d[start:], seq.multiplicities[start:]
+
+
 def _tail_allowance(seq: ZeroSequence, span: float) -> float:
     """Rim-mass extrapolation estimate of the step-integral error that zeros
     beyond the completeness radius could contribute at |x| <= span."""
-    R = seq.truncation_radius
-    if R == 0 or not len(seq):
-        return 0.0
-    rim = np.abs(seq.positions) >= R / 2.0
-    if not rim.any():
-        return 0.0
-    d = np.abs(seq.positions[rim])
-    m = seq.multiplicities[rim]
+    d, m = _rim(seq)
     lam = float((m / d).sum())
     kap = float((m / d ** 2).sum())
     return span * lam + span ** 2 * kap
@@ -285,13 +284,8 @@ def _curvature_allowance(seq: ZeroSequence) -> float:
     0.5 * coefficient * x^2, otherwise every truncated sequence eventually
     looks unbounded on the default span.  Complete sequences need none.
     """
-    R = seq.truncation_radius
-    if R == 0 or not len(seq):
-        return 0.0
-    rim = np.abs(seq.positions) >= R / 2.0
-    if not rim.any():
-        return 0.0
-    return float((seq.multiplicities[rim] / np.abs(seq.positions[rim]) ** 2).sum())
+    d, m = _rim(seq)
+    return float((m / d ** 2).sum())
 
 
 def default_base_point(seq: ZeroSequence) -> float:
@@ -299,7 +293,8 @@ def default_base_point(seq: ZeroSequence) -> float:
     candidates = (0.0, 0.5, 0.25, 0.75, 1.0 / 3.0, 0.2, 0.7, 1.0 / 7.0)
     if not len(seq):
         return candidates[0]
-    dists = [float(np.abs(seq.positions - c).min()) for c in candidates]
+    pos = seq.positions
+    dists = [float(np.hypot(pos.real - c, pos.imag).min()) for c in candidates]
     for c, d in zip(candidates, dists):
         if d >= 1e-6:
             return c
@@ -316,66 +311,77 @@ def default_x_max(seq: ZeroSequence) -> float:
     return max(8.0, 2.0 * seq.max_abs + 4.0)
 
 
+def _dyadic_edges(x_max: float) -> list[float]:
+    """Edges [0, min(1, x_max), 2, 4, ..., x_max] of the dyadic |x| windows."""
+    edges = [0.0, min(1.0, x_max)]
+    while edges[-1] < x_max:
+        edges.append(min(2.0 * edges[-1], x_max))
+    return edges
+
+
 def default_grid(x_max: float, per_octave: int = 24) -> np.ndarray:
     """Symmetric grid with per_octave points in every dyadic |x| window."""
-    x_max = float(x_max)
-    pieces = [np.linspace(0.0, min(1.0, x_max), per_octave + 1)]
-    lo = 1.0
-    while lo < x_max:
-        hi = min(2.0 * lo, x_max)
-        pieces.append(np.linspace(lo, hi, per_octave + 1))
-        lo = hi
-    g = np.unique(np.concatenate(pieces))
+    edges = _dyadic_edges(float(x_max))
+    g = np.unique(np.concatenate(
+        [np.linspace(lo, hi, per_octave + 1) for lo, hi in zip(edges, edges[1:])]))
     return np.unique(np.concatenate([-g, g]))
 
 
 # --- criteria ----------------------------------------------------------------
 
-def check_B(seq: ZeroSequence, b: float, x_grid, *, threads: int = 1,
-            trend_tolerance: float = TREND_TOLERANCE) -> CriterionReport:
-    """Real-axis boundedness evidence: sup of phi over the augmented grid,
-    with a running-sup trend over dyadic |x| windows."""
-    b = float(b)
+def _sup_check(seq: ZeroSequence, criterion: str, x_grid, objective, grid_note: str,
+               notes: str, trend_tolerance: float) -> CriterionReport:
+    """The B and D pipeline.  objective(arr, envelope) gives the judged values
+    at the points arr, where envelope is the quadratic truncation envelope;
+    the grid is augmented, and the running sup of the finite values over
+    dyadic |x| windows is judged by its trend."""
     base = np.unique(np.asarray(x_grid, dtype=float))
     if base.size == 0:
         raise ValueError("x_grid must be nonempty")
     kap2 = _curvature_allowance(seq)
-
-    adjusted = _Counted(
-        lambda arr: log_potential(seq, arr, b, threads=threads) - 0.5 * kap2 * arr ** 2)
-    xs, vals = _augment_grid(seq, base, adjusted)
-    diagnostics = adjusted.diagnostics(seq, base.size, xs.size)
-    finite = np.isfinite(vals)
+    counted = _Counted(lambda arr: objective(arr, 0.5 * kap2 * arr ** 2))
+    xs, vals = _augment_grid(seq, base, counted)
+    diagnostics = counted.diagnostics(seq, base.size, xs.size)
     desc = (
         f"{base.size}-point grid on [{base.min():g}, {base.max():g}], "
-        f"augmented to {xs.size} points (zero-gap midpoints + golden refinement); "
+        f"augmented to {xs.size} points{grid_note}; "
         f"values adjusted by the quadratic truncation envelope (coeff {kap2:.3g})"
     )
+    finite = np.isfinite(vals)
     if not finite.any():
-        return CriterionReport("B", INCONCLUSIVE, None, -math.inf,
+        return CriterionReport(criterion, INCONCLUSIVE, None, -math.inf,
                                seq.truncation_radius, desc,
                                notes="no finite grid values", diagnostics=diagnostics)
     fx = xs[finite]
     fv = vals[finite]
     top = int(np.argmax(fv))
-    sup = float(fv[top])
-    witness = float(fx[top])
     js, running = _running_sup_windows(fx, fv)
     verdict, slope = _sup_trend_verdict(js, running, trend_tolerance)
     return CriterionReport(
-        criterion="B",
+        criterion=criterion,
         verdict=verdict,
-        witness=witness if verdict != INCONCLUSIVE else None,
-        extremum_value=sup,
+        witness=float(fx[top]) if verdict != INCONCLUSIVE else None,
+        extremum_value=float(fv[top]),
         truncation_radius=seq.truncation_radius,
         grid_description=desc,
         window_x=tuple(float(2.0 ** j) for j in js),
         window_values=tuple(float(v) for v in running),
         trend_slope=slope,
         tail_error_bound=_tail_allowance(seq, float(np.abs(xs).max())),
-        notes=f"base point b = {b}",
+        notes=notes,
         diagnostics=diagnostics,
     )
+
+
+def check_B(seq: ZeroSequence, b: float, x_grid, *, threads: int = 1,
+            trend_tolerance: float = TREND_TOLERANCE) -> CriterionReport:
+    """Real-axis boundedness evidence: sup of phi over the augmented grid,
+    with a running-sup trend over dyadic |x| windows."""
+    b = float(b)
+    return _sup_check(
+        seq, "B", x_grid,
+        lambda arr, envelope: log_potential(seq, arr, b, threads=threads) - envelope,
+        " (zero-gap midpoints + golden refinement)", f"base point b = {b}", trend_tolerance)
 
 
 def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1,
@@ -385,37 +391,10 @@ def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1,
     t = 1, so grid points may coincide with zeros)."""
     if not seq.origin_excluded:
         raise ValueError("base-1 criterion requires 0 not in the zero set")
-    base = np.unique(np.asarray(x_grid, dtype=float))
-    if base.size == 0:
-        raise ValueError("x_grid must be nonempty")
-    kap2 = _curvature_allowance(seq)
-
-    objective = _Counted(
-        lambda arr: np.abs(log_potential(seq, arr, 0.0, 1.0, threads=threads) - 0.5 * kap2 * arr ** 2))
-    xs, vals = _augment_grid(seq, base, objective)
-    desc = (
-        f"{base.size}-point grid on [{base.min():g}, {base.max():g}], "
-        f"augmented to {xs.size} points; base point fixed at 0; "
-        f"values adjusted by the quadratic truncation envelope (coeff {kap2:.3g})"
-    )
-    top = int(np.argmax(vals))
-    sup = float(vals[top])
-    witness = float(xs[top])
-    js, running = _running_sup_windows(xs, vals)
-    verdict, slope = _sup_trend_verdict(js, running, trend_tolerance)
-    return CriterionReport(
-        criterion="D",
-        verdict=verdict,
-        witness=witness if verdict != INCONCLUSIVE else None,
-        extremum_value=sup,
-        truncation_radius=seq.truncation_radius,
-        grid_description=desc,
-        window_x=tuple(float(2.0 ** j) for j in js),
-        window_values=tuple(float(v) for v in running),
-        trend_slope=slope,
-        tail_error_bound=_tail_allowance(seq, float(np.abs(xs).max())),
-        diagnostics=objective.diagnostics(seq, base.size, xs.size),
-    )
+    return _sup_check(
+        seq, "D", x_grid,
+        lambda arr, envelope: np.abs(log_potential(seq, arr, 0.0, 1.0, threads=threads) - envelope),
+        "; base point fixed at 0", "", trend_tolerance)
 
 
 def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int = 32,
@@ -467,17 +446,8 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
             xs = _interleave(xs, odd)
             pot = _interleave(pot, both_sides(odd))
 
-    windows: list[tuple[float, float, float, int]] = []
-    lo = 0.0
-    hi = min(1.0, x_max)
-    val, used = window_value(lo, hi)
-    windows.append((lo, hi, val, used))
-    lo = 1.0
-    while lo < x_max:
-        hi = min(2.0 * lo, x_max)
-        val, used = window_value(lo, hi)
-        windows.append((lo, hi, val, used))
-        lo = hi
+    edges = _dyadic_edges(x_max)
+    windows = [(lo, hi, *window_value(lo, hi)) for lo, hi in zip(edges, edges[1:])]
 
     total = math.fsum(w[2] for w in windows)
     qual = [(int(round(math.log2(w[0]))), w[2]) for w in windows if w[0] >= 2.0]
@@ -642,7 +612,7 @@ def _prerequisite_radii(seq: ZeroSequence, count: int) -> np.ndarray:
     R = seq.truncation_radius
     hi = R if R > 0 else max(seq.max_abs * (1.0 + 1e-9), 1.0)
     if len(seq):
-        smallest = float(np.abs(seq.positions).min())
+        smallest = abs(complex(seq.positions[0]))
         lo = min(max(smallest * 1.25, hi * 1e-6), hi / 2.0)
     else:
         lo = hi / 10.0

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,3 +225,14 @@ class TestBuildGenerator:
     def test_unknown(self):
         with pytest.raises(ValueError):
             build_generator("mystery")
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate takes most of a second to import; only
+    # int_decomposition needs it, so importing the package must not load it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import expozeros; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

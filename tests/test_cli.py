@@ -58,6 +58,23 @@ class TestSources:
         assert code == 2
         assert "--threads" in err
 
+    @pytest.mark.parametrize("command,flag", [
+        ("classify", "--seed"), ("classify", "--tail-correct"),
+        ("eval", "--b"), ("eval", "--seed"), ("eval", "--threads"),
+        ("identity-check", "--b"), ("identity-check", "--x-max"), ("identity-check", "--grid"),
+        ("identity-check", "--threads"), ("identity-check", "--tail-correct"),
+        ("phi-profile", "--seed"), ("phi-profile", "--tail-correct"),
+        ("reproduce", "--b"), ("reproduce", "--x-max"), ("reproduce", "--grid"),
+        ("reproduce", "--seed"), ("reproduce", "--threads"), ("reproduce", "--tail-correct"),
+    ])
+    def test_flag_the_subcommand_does_not_read(self, capsys, command, flag):
+        source = ["footnote"] if command == "reproduce" else ["--gen", "lattice,R=10"]
+        value = [] if flag == "--tail-correct" else ["1"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *source, flag, *value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "zeros.txt"
         path.write_text("1 0 1\noops\n")

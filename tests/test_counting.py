@@ -63,14 +63,20 @@ class TestCountDisc:
     def test_monotone_right_continuous(self):
         rng = np.random.default_rng(3)
         seq = random_sequence(rng, n_max=40, r_min=0.5, r_max=10.0)
-        prof = profile(seq, 0.3 + 0.1j)
-        ts = np.sort(rng.uniform(0, 12, 200))
-        counts = [count_disc(prof, t) for t in ts]
-        assert all(a <= b for a, b in zip(counts, counts[1:]))
-        for d, m in prof.events:
-            assert count_disc(prof, d) == count_disc(prof, float(np.nextafter(d, np.inf)))
-            if d > 0:
-                assert count_disc(prof, float(np.nextafter(d, -np.inf))) == count_disc(prof, d) - m
+        # the second input's outermost zero a has np.abs(a) above abs(a)
+        outer, _ = outer_zero_above_hypot(np.random.default_rng(35))
+        for seq, c in ((seq, 0.3 + 0.1j), (outer, 0j)):
+            prof = profile(seq, c)
+            ts = np.sort(rng.uniform(0, 12, 200))
+            counts = [count_disc(prof, t) for t in ts]
+            assert all(a <= b for a, b in zip(counts, counts[1:]))
+            for d, m in prof.events:
+                assert count_disc(prof, d) == count_disc(prof, float(np.nextafter(d, np.inf)))
+                if d > 0:
+                    assert count_disc(prof, float(np.nextafter(d, -np.inf))) == count_disc(prof, d) - m
+            # the closed disc through the farthest zero holds every zero
+            farthest = max(abs(a - c) for a in seq.positions.tolist())
+            assert count_disc(prof, farthest) == prof.total
 
 
 class TestCountSquare:

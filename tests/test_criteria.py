@@ -29,10 +29,11 @@ from expozeros import (
     phi_profile,
     scaled_lattice,
     shift_origin,
+    step_integral,
     type_bound,
 )
 from expozeros import criteria
-from expozeros.criteria import d_value, default_base_point, default_grid, default_x_max
+from expozeros.criteria import default_base_point, default_grid, default_x_max
 
 
 @pytest.fixture(scope="module")
@@ -142,11 +143,11 @@ class TestCheckD:
 
     def test_zero_at_origin_base(self):
         seq = integer_lattice(100.0)
-        assert d_value(seq, 0.0) == 0.0
+        assert step_integral(seq, 0.0, 0.0, 1.0, math.inf) == 0.0
 
     def test_grid_may_touch_zeros(self):
         seq = integer_lattice(100.0)
-        assert math.isfinite(d_value(seq, 1.0))
+        assert math.isfinite(step_integral(seq, 0.0, 1.0, 1.0, math.inf))
 
     def test_footnote_violated(self, footnote_big):
         rep = check_D(footnote_big, np.geomspace(1.0, 2.5e5, 300))
@@ -158,7 +159,7 @@ class TestCheckD:
             seq = random_symmetric_sequence(rng)
             neg = ZeroSequence(tuple(Zero(-z.position, z.multiplicity) for z in seq.zeros))
             x = float(rng.uniform(0.3, 25.0))
-            assert d_value(seq, x) == d_value(neg, -x)
+            assert step_integral(seq, 0.0, x, 1.0, math.inf) == step_integral(neg, 0.0, -x, 1.0, math.inf)
 
 
 class TestCheckC:
@@ -176,6 +177,22 @@ class TestCheckC:
         rep = check_C(ZeroSequence(()), 0.0, 16.0)
         assert rep.verdict == SATISFIED
         assert rep.extremum_value == 0.0
+
+
+class TestRim:
+    def test_shell_edge_measured_with_hypot(self):
+        # a sits on the shell edge R/2 = np.abs(a) by numpy's array abs, but
+        # below it by hypot, the modulus the completeness radius is checked with
+        rng = np.random.default_rng(36)
+        while True:
+            a = complex(rng.uniform(1.0, 10.0), rng.uniform(1.0, 10.0))
+            if float(np.abs(np.array([a]))[0]) > abs(a):
+                break
+        R = 2.0 * float(np.abs(np.array([a]))[0])
+        rim_zero = 0.75 * R
+        seq = ZeroSequence.from_arrays(np.array([a, rim_zero]), np.ones(2), R)
+        assert criteria._curvature_allowance(seq) == 1.0 / rim_zero ** 2
+        assert criteria._tail_allowance(seq, 3.0) == 3.0 / rim_zero + 9.0 / rim_zero ** 2
 
 
 class TestCartwrightIntegral:
