@@ -57,6 +57,7 @@ from .product import (
     tail_correction,
 )
 from .zero_model import (
+    RealAxisView,
     SequenceFormatError,
     ValidationReport,
     Zero,
@@ -74,7 +75,7 @@ __all__ = [
     "AlphaSpec", "AngularDensity", "ClassifyReport", "CountingProfile",
     "CriterionReport", "DivergentIntegralError", "GrowthEstimate",
     "INCONCLUSIVE", "IntDecomposition", "LindelofTrace", "LogComplex",
-    "PhiProfile", "ProductEvaluation", "SATISFIED", "SequenceFormatError",
+    "PhiProfile", "ProductEvaluation", "RealAxisView", "SATISFIED", "SequenceFormatError",
     "TailCorrection", "VIOLATED", "ValidationReport", "Zero", "ZeroSequence",
     "alpha_sequence", "angular_density", "build_generator",
     "cartwright_integral", "check_B", "check_C", "check_D", "circle_average",

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog, criteria, product, zero_model
-from .counting import DivergentIntegralError, log_potential
+from .counting import log_potential
 from .criteria import default_base_point, default_x_max
 from .product import (
     circle_average,
@@ -470,13 +470,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise CLIError(f"--threads must be >= 1, got {args.threads}")
+        for flag, least in (("threads", 1), ("grid", 1), ("count", 0), ("jensen_count", 0)):
+            value = getattr(args, flag, least)
+            if value < least:
+                raise CLIError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SequenceFormatError, DivergentIntegralError, OSError) as exc:
+    except (CLIError, ValueError, OSError) as exc:
+        # a library ValueError here comes from a flag value it rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

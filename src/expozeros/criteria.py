@@ -23,6 +23,7 @@ from .counting import (
     AngularDensity,
     GrowthEstimate,
     LindelofTrace,
+    _log_potential_slope,
     angular_density,
     growth_check,
     lindelof_sums,
@@ -65,6 +66,11 @@ NEGLIGIBLE_REL = 1e-12
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FLOOR_OCTAVE = -60
+_U = 2.0 ** -53
+# A gap with more near zeros than this is searched without a bound, so the
+# near-zero sums cost O(gaps); they run over this many gaps at a time.
+_NEAR_MAX = 64
+_NEAR_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,11 @@ class CriterionReport:
     the work done: grid_base_points and grid_aug_points (the grid before and
     after refinement), kernel_calls and kernel_points (log_potential calls
     and the points they evaluated), and zero_points (zeros x kernel_points).
-    It holds counts only, so a report is the same on every run.
+    B and D add gaps and gaps_searched (real-zero gaps in the grid range,
+    and those given golden-section probes) and slope_points (points of the
+    slope pass behind the gap bounds).  kernel_points also counts D's gap
+    ends that only feed a bound, so it can exceed grid_aug_points.  It holds
+    counts only, so a report is the same on every run.
     """
 
     criterion: str
@@ -136,64 +146,219 @@ def phi_profile(seq: ZeroSequence, b: float, xs) -> PhiProfile:
 
 # --- grid machinery ----------------------------------------------------------
 
-def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective) -> tuple[np.ndarray, np.ndarray]:
-    """Add midpoints of consecutive real zeros inside the grid range, then
-    three golden-section refinement passes per gap (maximizing `objective`).
-    Uniform grids miss the local maxima that sit strictly inside the gaps.
+class _GapBound:
+    """Upper bounds of a B or D objective on gaps between real zeros, and the
+    work they cost.
 
-    Returns the sorted points and the objective's values there, each point
-    evaluated once.  The first pass probes two points per gap; since
-    G**2 = 1 - G the point that survives a pass is one of the next pass's
-    two, so each later pass probes one new point and keeps the survivor's
-    value.  Base points and midpoints not probed share one call.  objective
-    must act pointwise: a value may not depend on the other points of a call.
+    The objective is h(x) = sum of m (log clamp|x - a| - log clamp|b - a|)
+    - kap2 x^2 / 2 with clamp(d) = max(d, t_lo), judged as h (B: t_lo = 0)
+    or as |h| (D: b = 0, t_lo = 1).  On a gap [ga, gb] holding no real zero
+    in its interior, a zero is near when Re a lies within t_lo of the gap and
+    |Im a| < t_lo (its clamp may act there; none is near when t_lo = 0).  A
+    near term is a nondecreasing function of |x - a|, so it lies between its
+    value at x = clip(Re a, ga, gb) and its larger end value.  The far rest S
+    is smooth on the gap and S - curv x^2 / 2 is concave: a real zero's log
+    is concave, and a complex zero's has curvature at most
+    1 / max((Im a)^2, t_lo^2), summed into curv.  With an anchor c in the
+    gap, r = max(c - ga, gb - c) and w = gb - ga, that gives
+
+        h <= h(c) + sum_near (larger end term - term at c)
+             + |S'(c)| r + curv r^2 / 2,
+        -h <= max over the ends e of (-h(e) + sum_near (term at e - least
+              term)) + curv w^2 / 8,
+
+    and the bound of the judged value is the first line for B and the larger
+    line for D, each with judged values in place of h, which only loosens
+    them.  S'(c) is h'(c) (a blocked slope pass over every zero) less the
+    near terms' slopes.  A gap with more than _NEAR_MAX near zeros is given no
+    bound.  Each bound carries an allowance for rounding: log_potential's
+    stated 70 u * sum m (1 + |L_p| + |L_b|) per value, with the same form for
+    the slope (times r) and the near sums, taken 4 + (near zeros) times.
+    """
+
+    def __init__(self, seq: ZeroSequence, b: float, t_lo: float, kap2: float, threads: int):
+        self.seq, self.b, self.t_lo, self.kap2, self.threads = seq, b, t_lo, kap2, threads
+        self.ends = t_lo > 0.0   # D's lower line needs h at the gap ends
+        view = seq.real_axis
+        beta = np.abs(view.complex.imag)
+        self.curv = float((view.complex_multiplicities / np.maximum(beta, t_lo) ** 2).sum())
+        self.beta_min = float(beta.min(initial=math.inf))
+        low = beta < t_lo
+        near_re = np.concatenate([view.real, view.complex.real[low]])
+        order = np.argsort(near_re, kind="stable")
+        self.near_re = near_re[order]
+        self.near_im = np.concatenate([np.zeros(view.real.size), view.complex.imag[low]])[order]
+        self.near_m = np.concatenate([view.real_multiplicities,
+                                      view.complex_multiplicities[low]])[order]
+        self.gaps = self.gaps_searched = self.slope_points = 0
+
+    def _near_sums(self, ga, gb, c):
+        """Per gap: the near zeros' sums of (larger end term - term at c),
+        (least term - term at ga), (least term - term at gb) and slope at c,
+        and their count; a gap with too many near zeros gets an infinite
+        first sum."""
+        t = self.t_lo
+        i0 = np.searchsorted(self.near_re, ga - t, side="right")
+        count = np.searchsorted(self.near_re, gb + t, side="left") - i0
+        sums = np.zeros((4, ga.size))
+        sums[0, count > _NEAR_MAX] = math.inf
+        fits = np.flatnonzero(count <= _NEAR_MAX)
+        for start in range(0, fits.size, _NEAR_CHUNK):
+            gaps = fits[start:start + _NEAR_CHUNK]
+            k = count[gaps]
+            local = np.repeat(np.arange(gaps.size), k)
+            j = np.repeat(i0[gaps] - np.cumsum(k) + k, k) + np.arange(local.size)
+            re, im, m = self.near_re[j], self.near_im[j], self.near_m[j]
+            ends_a, ends_b, at_c = ga[gaps][local], gb[gaps][local], c[gaps][local]
+
+            def term(x):
+                return m * np.log(np.maximum(np.hypot(x - re, im), t))
+
+            t_a, t_b, t_c = term(ends_a), term(ends_b), term(at_c)
+            least = term(np.clip(re, ends_a, ends_b))
+            dx = at_c - re
+            r2 = dx * dx + im * im
+            slope = np.divide(m * dx, r2, out=np.zeros(r2.size), where=r2 > t * t)
+            for row, w in enumerate((np.maximum(t_a, t_b) - t_c, least - t_a, least - t_b, slope)):
+                sums[row, gaps] += np.bincount(local, w, minlength=gaps.size)
+        return sums, count
+
+    def bounds(self, za, zb, ga, gb, c, value_at, target):
+        """Upper bounds, rounding allowance included, of the judged objective
+        on the gaps [ga, gb] between the real zeros za < zb, from the judged
+        values value_at(points) and anchors c in the gaps.  Where the part
+        without the slope term already reaches target, that part is returned
+        and no slope is computed."""
+        t = self.t_lo
+        seq = self.seq
+        r = np.maximum(c - ga, gb - c)
+        vc = value_at(c)
+        if self.ends:
+            (up, lo_a, lo_b, near_slope), count = self._near_sums(ga, gb, c)
+            neg = np.maximum(value_at(ga) - lo_a, value_at(gb) - lo_b) + self.curv * (gb - ga) ** 2 / 8.0
+        else:
+            up = near_slope = np.zeros(c.size)
+            neg = np.full(c.size, -math.inf)
+            count = 0
+        # rounding allowance: |L| <= lam for every log in the values used
+        pos, mult = seq.positions, seq.multiplicities
+        mass = float(mult.sum())
+        reach = max(float(np.abs(ga).max()), float(np.abs(gb).max()))
+        d = np.maximum(np.minimum(np.minimum(c - za, zb - c), self.beta_min), t)
+        with np.errstate(divide="ignore"):
+            log_b = np.abs(np.log(np.maximum(np.hypot(pos.real - self.b, pos.imag), t)))
+            lam = np.maximum(abs(math.log(max(reach + seq.max_abs, t))), np.abs(np.log(d)))
+            tol = (4.0 + count) * 70.0 * _U * (float((mult * log_b).sum()) + 0.5 * self.kap2 * reach ** 2
+                                               + mass * (1.0 + lam + r / d))
+        out = np.maximum(vc + up, neg) + tol
+        todo = np.flatnonzero(out < target)
+        if todo.size:
+            self.slope_points += todo.size
+            ct, rt = c[todo], r[todo]
+            slope = _log_potential_slope(seq, ct, t, threads=self.threads) - self.kap2 * ct - near_slope[todo]
+            upper = vc[todo] + up[todo] + np.abs(slope) * rt + self.curv * rt ** 2 / 2.0
+            out[todo] = np.maximum(upper, neg[todo]) + tol[todo]
+        return out
+
+    def diagnostics(self) -> dict:
+        return {"gaps": self.gaps, "gaps_searched": self.gaps_searched,
+                "slope_points": self.slope_points}
+
+
+def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective,
+                  bound: _GapBound | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Add the midpoint of every gap between consecutive real zeros inside
+    the grid range, then search gaps by three golden-section passes
+    (maximizing `objective`).  Uniform grids miss the local maxima that sit
+    strictly inside the gaps.
+
+    The base grid and the midpoints are evaluated first; they give each
+    dyadic |x| window's running sup.  Given a bound, a gap is searched only
+    when it reaches into an octave that holds no finite value yet, or when
+    its bound reaches the running sup of the lowest window it touches.  A
+    probe below that sup moves no window's running sup and not the
+    extremum, so the judged values keep every result of searching all gaps.
+    Without a bound every gap is searched.
+
+    Returns the sorted judged points and the objective's values there.
+    Every point is evaluated once; gap ends that a bound needs and the grid
+    lacks are evaluated but not judged.  The first pass probes two points
+    per gap; since G**2 = 1 - G the point that survives a pass is one of the
+    next pass's two, so each later pass probes one new point and keeps the
+    survivor's value.  objective must act pointwise: a value may not depend
+    on the other points of a call.
     """
     # + 0.0 spells x = 0 one way: a symmetric grid holds both -0.0 and 0.0,
     # and np.unique keeps whichever its sort puts first
     xs = np.unique(np.asarray(xs, dtype=float) + 0.0)
     if not len(seq):
         return xs, objective(xs)
-    lo, hi = float(xs.min()), float(xs.max())
-    pos = seq.positions
-    real = np.unique(pos.real[pos.imag == 0.0])
-    if real.size == 0:
-        return xs, objective(xs)
-    inside = real[(real >= lo) & (real <= hi)]
-    pieces = [inside]
-    below = real[real < lo]
-    above = real[real > hi]
-    if below.size:
-        pieces.append(below[-1:])
-    if above.size:
-        pieces.append(above[:1])
-    rz = np.unique(np.concatenate(pieces))
-    if rz.size < 2:
-        return xs, objective(xs)
+    lo, hi = float(xs[0]), float(xs[-1])
+    real = seq.real_axis.real
+    first = int(np.searchsorted(real, lo, side="left"))
+    last = int(np.searchsorted(real, hi, side="right"))
+    rz = real[max(first - 1, 0):last + 1]   # the zeros in range and one each side
     ga = np.maximum(rz[:-1], lo)
     gb = np.minimum(rz[1:], hi)
     keep = gb - ga > 1e-9 * (1.0 + np.abs(ga))
-    ga, gb = ga[keep], gb[keep]
-    if ga.size == 0:
+    if not keep.any():
         return xs, objective(xs)
-    x1 = gb - _GOLDEN * (gb - ga)
-    x2 = ga + _GOLDEN * (gb - ga)
-    f1, f2 = np.split(objective(np.concatenate([x1, x2])), 2)
-    probes, values = [x1, x2], [f1, f2]
-    for _ in range(2):
-        move_lo = f1 < f2
-        ga = np.where(move_lo, x1, ga)
-        gb = np.where(move_lo, gb, x2)
-        new = np.where(move_lo, ga + _GOLDEN * (gb - ga), gb - _GOLDEN * (gb - ga))
-        f_new = objective(new)
-        probes.append(new)
-        values.append(f_new)
-        x1, x2 = np.where(move_lo, x2, new), np.where(move_lo, new, x1)
-        f1, f2 = np.where(move_lo, f2, f_new), np.where(move_lo, f_new, f1)
-    probes = np.concatenate(probes)
-    rest = np.concatenate([xs, 0.5 * (rz[:-1] + rz[1:])[keep]])
-    rest = np.setdiff1d(rest[(rest >= lo) & (rest <= hi)], probes)
-    pts, first = np.unique(np.concatenate([probes, rest]), return_index=True)
-    return pts, np.concatenate(values + [objective(rest)])[first]
+    za, zb, ga, gb = rz[:-1][keep], rz[1:][keep], ga[keep], gb[keep]
+    mids = 0.5 * (za + zb)
+    rest = np.concatenate([xs, mids])
+    rest = np.unique(rest[(rest >= lo) & (rest <= hi)])
+    seen = np.unique(np.concatenate([rest, ga, gb])) if bound is not None and bound.ends else rest
+    seen_values = objective(seen)
+
+    def values_at(points: np.ndarray) -> np.ndarray:
+        """objective at points, evaluating only those not evaluated before"""
+        nonlocal seen, seen_values
+        at = np.minimum(np.searchsorted(seen, points), seen.size - 1)
+        new = np.unique(points[seen[at] != points])
+        if new.size:
+            seen = np.concatenate([seen, new])
+            seen_values = np.concatenate([seen_values, objective(new)])
+            order = np.argsort(seen)
+            seen, seen_values = seen[order], seen_values[order]
+            at = np.searchsorted(seen, points)
+        return seen_values[at]
+
+    search = np.ones(ga.size, dtype=bool)
+    if bound is not None:
+        judged = values_at(rest)
+        finite = np.isfinite(judged)
+        js, running = _running_sup_windows(rest[finite], judged[finite])
+        # the octaves of |x| over the open gap, and whether each holds a window
+        inner = np.where((ga < 0.0) & (gb > 0.0), 0.0, np.minimum(np.abs(ga), np.abs(gb)))
+        j_lo = _octaves(inner)
+        j_hi = _octaves(np.maximum(np.abs(ga), np.abs(gb)))
+        k_lo = np.searchsorted(js, j_lo)
+        covered = np.flatnonzero(np.searchsorted(js, j_hi, side="right") - k_lo == j_hi - j_lo + 1)
+        if covered.size:
+            target = running[k_lo[covered]]
+            ub = bound.bounds(za[covered], zb[covered], ga[covered], gb[covered],
+                              np.clip(mids[covered], lo, hi), values_at, target)
+            search[covered[ub < target]] = False
+        bound.gaps += ga.size
+        bound.gaps_searched += int(search.sum())
+    ga, gb = ga[search], gb[search]
+    probes = []
+    if ga.size:
+        x1 = gb - _GOLDEN * (gb - ga)
+        x2 = ga + _GOLDEN * (gb - ga)
+        f1, f2 = np.split(values_at(np.concatenate([x1, x2])), 2)
+        probes = [x1, x2]
+        for _ in range(2):
+            move_lo = f1 < f2
+            ga = np.where(move_lo, x1, ga)
+            gb = np.where(move_lo, gb, x2)
+            new = np.where(move_lo, ga + _GOLDEN * (gb - ga), gb - _GOLDEN * (gb - ga))
+            f_new = values_at(new)
+            probes.append(new)
+            x1, x2 = np.where(move_lo, x2, new), np.where(move_lo, new, x1)
+            f1, f2 = np.where(move_lo, f2, f_new), np.where(move_lo, f_new, f1)
+    pts = np.unique(np.concatenate([rest, *probes]))
+    return pts, values_at(pts)
 
 
 class _Counted:
@@ -329,19 +494,25 @@ def default_grid(x_max: float, per_octave: int = 24) -> np.ndarray:
 
 # --- criteria ----------------------------------------------------------------
 
-def _sup_check(seq: ZeroSequence, criterion: str, x_grid, objective, grid_note: str,
-               notes: str, trend_tolerance: float) -> CriterionReport:
-    """The B and D pipeline.  objective(arr, envelope) gives the judged values
-    at the points arr, where envelope is the quadratic truncation envelope;
-    the grid is augmented, and the running sup of the finite values over
-    dyadic |x| windows is judged by its trend."""
+def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
+               grid_note: str, notes: str, trend_tolerance: float, threads: int) -> CriterionReport:
+    """The B and D pipeline over h(x) = log_potential(seq, x, b, t_lo) minus
+    the quadratic truncation envelope, judged as h when t_lo = 0 (B) and as
+    |h| otherwise (D): the grid is augmented, and the running sup of the
+    finite values over dyadic |x| windows is judged by its trend."""
     base = np.unique(np.asarray(x_grid, dtype=float))
     if base.size == 0:
         raise ValueError("x_grid must be nonempty")
     kap2 = _curvature_allowance(seq)
-    counted = _Counted(lambda arr: objective(arr, 0.5 * kap2 * arr ** 2))
-    xs, vals = _augment_grid(seq, base, counted)
-    diagnostics = counted.diagnostics(seq, base.size, xs.size)
+
+    def objective(arr: np.ndarray) -> np.ndarray:
+        h = log_potential(seq, arr, b, t_lo, threads=threads) - 0.5 * kap2 * arr ** 2
+        return np.abs(h) if t_lo > 0.0 else h
+
+    counted = _Counted(objective)
+    bound = _GapBound(seq, b, t_lo, kap2, threads)
+    xs, vals = _augment_grid(seq, base, counted, bound)
+    diagnostics = counted.diagnostics(seq, base.size, xs.size) | bound.diagnostics()
     desc = (
         f"{base.size}-point grid on [{base.min():g}, {base.max():g}], "
         f"augmented to {xs.size} points{grid_note}; "
@@ -378,10 +549,8 @@ def check_B(seq: ZeroSequence, b: float, x_grid, *, threads: int = 1,
     """Real-axis boundedness evidence: sup of phi over the augmented grid,
     with a running-sup trend over dyadic |x| windows."""
     b = float(b)
-    return _sup_check(
-        seq, "B", x_grid,
-        lambda arr, envelope: log_potential(seq, arr, b, threads=threads) - envelope,
-        " (zero-gap midpoints + golden refinement)", f"base point b = {b}", trend_tolerance)
+    return _sup_check(seq, "B", x_grid, b, 0.0, " (zero-gap midpoints + golden refinement)",
+                      f"base point b = {b}", trend_tolerance, threads)
 
 
 def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1,
@@ -391,10 +560,8 @@ def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1,
     t = 1, so grid points may coincide with zeros)."""
     if not seq.origin_excluded:
         raise ValueError("base-1 criterion requires 0 not in the zero set")
-    return _sup_check(
-        seq, "D", x_grid,
-        lambda arr, envelope: np.abs(log_potential(seq, arr, 0.0, 1.0, threads=threads) - envelope),
-        "; base point fixed at 0", "", trend_tolerance)
+    return _sup_check(seq, "D", x_grid, 0.0, 1.0, "; base point fixed at 0", "",
+                      trend_tolerance, threads)
 
 
 def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int = 32,

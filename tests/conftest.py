@@ -4,6 +4,7 @@ brute-force oracles the closed forms are checked against."""
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from expozeros import Zero, ZeroSequence
 
@@ -101,3 +102,29 @@ def outer_zero_above_hypot(rng, n=40):
         R0 = float(np.abs(pts)[k])
         if R0 > d[k]:
             return ZeroSequence.from_arrays(pts, np.ones(n), R0), R0
+
+
+_coordinates = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def axis_sequences(draw, radius=False):
+    """A real, reflection-symmetric or conjugate-symmetric sequence with
+    multiplicities 1-3 (hypothesis strategy); radius=True also draws a
+    completeness radius above the largest modulus."""
+    kind = draw(st.sampled_from(("real", "symmetric", "conjugate")))
+    xs = draw(st.lists(_coordinates, min_size=1, max_size=12))
+    if kind == "real":
+        positions = [complex(x, 0.0) for x in xs]
+    elif kind == "symmetric":
+        positions = [complex(s * x, 0.0) for x in xs for s in (1.0, -1.0)]
+    else:
+        ys = draw(st.lists(_coordinates, min_size=len(xs), max_size=len(xs)))
+        positions = [p for x, y in zip(xs, ys)
+                     for p in ((complex(x, 0.0),) if y == 0.0 else (complex(x, y), complex(x, -y)))]
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(positions), max_size=len(positions)))
+    seq = ZeroSequence.from_arrays(positions, mults)
+    if radius:
+        return ZeroSequence.from_arrays(positions, mults, seq.max_abs * draw(st.floats(1.01, 4.0)) + 1.0)
+    return seq
+

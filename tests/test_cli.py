@@ -58,6 +58,26 @@ class TestSources:
         assert code == 2
         assert "--threads" in err
 
+    def test_classify_out_of_range_numbers(self, capsys):
+        for flags, text in ((["--x-max", "-5"], "x_max must be positive"),
+                            (["--alpha", "3"], "alpha must lie in"),
+                            (["--grid", "0"], "--grid must be >= 1")):
+            code, out, err = run_cli(capsys, "classify", "--gen", "lattice,R=10", *flags)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and text in err
+
+    def test_eval_out_of_range_grid(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--gen", "lattice,R=10", "--grid", "-3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--grid must be >= 1" in err
+
+    def test_identity_check_out_of_range_numbers(self, capsys):
+        for flags, text in ((["--nodes", "0"], "16 quadrature nodes"),
+                            (["--count", "-2"], "--count must be >= 0")):
+            code, out, err = run_cli(capsys, "identity-check", "--gen", "lattice,R=10", *flags)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and text in err
+
     @pytest.mark.parametrize("command,flag", [
         ("classify", "--seed"), ("classify", "--tail-correct"),
         ("eval", "--b"), ("eval", "--seed"), ("eval", "--threads"),
@@ -91,9 +111,10 @@ class TestClassify:
         crit = payload["report"]["criteria"]
         assert crit["C"]["verdict"] == "evidence_satisfied"
         assert crit["B"]["verdict"] == "evidence_satisfied"
-        for rep in crit.values():
-            assert set(rep["diagnostics"]) == {"grid_base_points", "grid_aug_points",
-                                               "kernel_calls", "kernel_points", "zero_points"}
+        counts = {"grid_base_points", "grid_aug_points", "kernel_calls", "kernel_points", "zero_points"}
+        gaps = {"gaps", "gaps_searched", "slope_points"}
+        for name, rep in crit.items():
+            assert set(rep["diagnostics"]) == (counts | gaps if name in "BD" else counts)
 
     def test_empty_file_all_satisfied(self, tmp_path, capsys):
         path = tmp_path / "zeros.txt"

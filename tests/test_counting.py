@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    axis_sequences,
     draw_point,
     outer_zero_above_hypot,
     random_sequence,
@@ -246,7 +247,22 @@ class TestAngularDensity:
         assert (right, left) == (0.0, pytest.approx(0.1))
 
 
+_points = st.complex_numbers(max_magnitude=2e3, allow_nan=False, allow_infinity=False)
+
+
 class TestStepIntegral:
+    @settings(max_examples=80, deadline=None)
+    @given(seq=axis_sequences(), b=_points, x=_points, t_lo=st.floats(0.0, 10.0),
+           width=st.one_of(st.just(math.inf), st.floats(0.5, 1e3)))
+    def test_antisymmetric_bit_for_bit(self, seq, b, x, t_lo, width):
+        if t_lo == 0.0:
+            assume(not np.any(seq.positions == b) and not np.any(seq.positions == x))
+        forward = step_integral(seq, b, x, t_lo, t_lo + width)
+        backward = step_integral(seq, x, b, t_lo, t_lo + width)
+        # + 0.0 folds -0.0 into 0.0: at b = x both calls give 0.0, so the sign
+        # of a zero value cannot be antisymmetric
+        assert np.float64(forward + 0.0).tobytes() == np.float64(-backward + 0.0).tobytes()
+
     def test_same_centers_exact_zero(self):
         rng = np.random.default_rng(5)
         seq = random_sequence(rng, n_max=30)
@@ -379,6 +395,31 @@ zero_lists = st.lists(
 
 def _sequence(raw):
     return ZeroSequence(tuple(Zero(complex(re, im), m) for re, im, m in raw))
+
+
+class TestLogPotentialSlope:
+    @settings(max_examples=40, deadline=None)
+    @given(seq=axis_sequences(), xs=st.lists(st.floats(-2e3, 2e3), min_size=1, max_size=20),
+           t_lo=st.sampled_from((0.0, 1.0)))
+    def test_matches_an_mpmath_sum(self, seq, xs, t_lo):
+        xs = np.array(xs)
+        # off the zeros, far enough that |x - a|**2 stays a normal float
+        assume(np.abs(seq.positions[:, None] - xs).min() >= 1e-3)
+        got = counting._log_potential_slope(seq, xs, t_lo)
+        for x, g in zip(xs, got):
+            terms = [m * mpmath.re(1 / (mpmath.mpf(x) - mpmath.mpc(a.real, a.imag)))
+                     for a, m in zip(seq.positions, seq.multiplicities) if abs(x - a) > t_lo]
+            scale = math.fsum(m / max(abs(x - a), t_lo) for a, m in zip(seq.positions, seq.multiplicities))
+            assert abs(g - float(mpmath.fsum(terms))) <= 70 * 2.0 ** -53 * scale
+
+    def test_is_the_derivative_of_log_potential(self):
+        seq = integer_lattice(200.0)
+        xs = np.array([0.5, 3.25, 17.7, -40.1])
+        h = 1e-6
+        for t_lo in (0.0, 1.0):
+            slope = counting._log_potential_slope(seq, xs, t_lo)
+            fd = (log_potential(seq, xs + h, 0.5, t_lo) - log_potential(seq, xs - h, 0.5, t_lo)) / (2 * h)
+            assert np.allclose(slope, fd, rtol=1e-6, atol=1e-6)
 
 
 class TestLogPotential:

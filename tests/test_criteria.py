@@ -323,12 +323,17 @@ class TestEvaluatedOnce:
             "B": lambda xs: log_potential(seq, xs, b) - 0.5 * kap2 * xs ** 2,
             "D": lambda xs: np.abs(log_potential(seq, xs, 0.0, 1.0) - 0.5 * kap2 * xs ** 2),
         }
-        for rep, judged in (_judged_points(check_B, seq, b, grid), _judged_points(check_D, seq, grid)):
+        for rep, asked in (_judged_points(check_B, seq, b, grid), _judged_points(check_D, seq, grid)):
             diag = rep.diagnostics
-            # each point once, and the grid is exactly the points evaluated
-            assert np.unique(judged).size == judged.size == diag["kernel_points"]
+            # each point once; the grid is the points evaluated, less the gap
+            # ends off the grid that only feed D's bounds (real zeros)
+            assert np.unique(asked).size == asked.size == diag["kernel_points"]
+            assert diag["zero_points"] == len(seq) * asked.size
+            bound_only = np.setdiff1d(np.intersect1d(asked, seq.real_axis.real), grid)
+            if rep.criterion == "B":
+                assert bound_only.size == 0
+            judged = np.setdiff1d(asked, bound_only)
             assert diag["grid_aug_points"] == judged.size
-            assert diag["zero_points"] == len(seq) * judged.size
             xs = np.sort(judged)
             vals = fresh[rep.criterion](xs)
             keep = np.isfinite(vals)
@@ -366,15 +371,22 @@ class TestEvaluatedOnce:
                     a, b = (x1, b) if objective(np.array([x1]))[0] < objective(np.array([x2]))[0] else (a, x2)
 
     def test_lattice_points_evaluated_once(self):
-        # the dense path evaluated 6373 (B) and 6745 (D) kernel points here
+        # the dense path evaluated 6373 (B) and 6745 (D) kernel points here,
+        # and searching all 499 gaps 2909 each; B searches only the gap
+        # (-1, 1), D the gaps whose integer ends beat their window's sup
         seq = integer_lattice(1e3)
         xs = default_grid(default_x_max(seq), 24)
+        counts = {"B": (917, 917, 1, 498), "D": (1277, 1693, 91, 408)}
         for rep in (check_B(seq, 0.0, xs), check_D(seq, xs)):
             diag = rep.diagnostics
             augmented = int(re.match(r"^(\d+)-point grid .*augmented to (\d+) points",
                                      rep.grid_description)[2])
             assert diag["grid_base_points"] == xs.size
-            assert diag["kernel_points"] <= diag["grid_aug_points"] == augmented
+            assert diag["grid_aug_points"] == augmented
+            assert (diag["grid_aug_points"], diag["kernel_points"], diag["gaps_searched"],
+                    diag["slope_points"]) == counts[rep.criterion]
+            assert diag["gaps"] == 499
+            # base grid and midpoints (and D's gap ends), then three golden passes
             assert diag["kernel_calls"] == 4
             assert diag["zero_points"] == len(seq) * diag["kernel_points"]
 
@@ -408,6 +420,104 @@ class TestEvaluatedOnce:
             assert bits(rep.window_values) == bits(windows)
             assert rep.diagnostics["kernel_points"] == rep.diagnostics["grid_aug_points"] == points
             assert rep.diagnostics["grid_base_points"] == 2 * 9 * len(windows)
+
+
+REPORT_FIELDS = ("verdict", "witness", "extremum_value", "window_x", "window_values",
+                 "trend_slope", "tail_error_bound")
+
+
+def _report_bits(rep):
+    # a float's repr names its bits, -0.0 included
+    return tuple(repr(getattr(rep, f)) for f in REPORT_FIELDS)
+
+
+def _unpruned(check, *args):
+    """The check with every gap searched: no gap bound is below its target."""
+    with mock.patch.object(criteria._GapBound, "bounds",
+                           lambda self, za, *rest: np.full(za.size, math.inf)):
+        return check(*args)
+
+
+def _gap_objectives(seq, b):
+    kap2 = criteria._curvature_allowance(seq)
+    return kap2, {
+        "B": (b, 0.0, lambda xs: log_potential(seq, xs, b) - 0.5 * kap2 * xs ** 2),
+        "D": (0.0, 1.0, lambda xs: np.abs(log_potential(seq, xs, 0.0, 1.0) - 0.5 * kap2 * xs ** 2)),
+    }
+
+
+def _golden_max(objective, ga, gb, passes=40):
+    """Golden-section maximum of objective on every gap [ga, gb] at once."""
+    g = criteria._GOLDEN
+    x1, x2 = gb - g * (gb - ga), ga + g * (gb - ga)
+    f1, f2 = objective(x1), objective(x2)
+    best = np.maximum(f1, f2)
+    for _ in range(passes):
+        move_lo = f1 < f2
+        ga, gb = np.where(move_lo, x1, ga), np.where(move_lo, gb, x2)
+        new = np.where(move_lo, ga + g * (gb - ga), gb - g * (gb - ga))
+        f_new = objective(new)
+        best = np.maximum(best, f_new)
+        x1, x2 = np.where(move_lo, x2, new), np.where(move_lo, new, x1)
+        f1, f2 = np.where(move_lo, f2, f_new), np.where(move_lo, f_new, f1)
+    return best
+
+
+class TestGapPruning:
+    @settings(max_examples=40, deadline=None)
+    @given(seq=real_axis_sequences(), span=st.floats(2.0, 60.0), count=st.integers(3, 40),
+           per_octave=st.integers(2, 24))
+    def test_reports_match_searching_every_gap(self, seq, span, count, per_octave):
+        b = default_base_point(seq)
+        for grid in (np.linspace(-span, span, count), default_grid(span, per_octave)):
+            for check, args in ((check_B, (seq, b, grid)), (check_D, (seq, grid))):
+                assert _report_bits(check(*args)) == _report_bits(_unpruned(check, *args))
+
+    def test_conftest_and_lattice_reports_match(self):
+        rng = np.random.default_rng(43)
+        cases = [(integer_lattice(300.0), default_grid(75.0, 24))]
+        for k in range(24):
+            seq = (random_symmetric_sequence, random_conjugate_sequence)[k % 2](rng)
+            cases.append((seq, default_grid(float(rng.uniform(4.0, 40.0)), 12)))
+        pruned = 0
+        for seq, grid in cases:
+            b = default_base_point(seq)
+            for check, args in ((check_B, (seq, b, grid)), (check_D, (seq, grid))):
+                rep = check(*args)
+                assert _report_bits(rep) == _report_bits(_unpruned(check, *args))
+                pruned += rep.diagnostics["gaps"] - rep.diagnostics["gaps_searched"]
+        assert pruned > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seq=real_axis_sequences(), span=st.floats(2.0, 60.0), count=st.integers(3, 40))
+    def test_bound_covers_the_gap_maximum(self, seq, span, count):
+        # every gap's bound, not only the pruned ones, against a dense sample
+        # plus a golden search of the gap
+        grid = np.linspace(-span, span, count)
+        lo, hi = grid[0], grid[-1]
+        rz = seq.real_axis.real
+        first, last = np.searchsorted(rz, lo), np.searchsorted(rz, hi, side="right")
+        rz = rz[max(first - 1, 0):last + 1]
+        za, zb = rz[:-1], rz[1:]
+        ga, gb = np.maximum(za, lo), np.minimum(zb, hi)
+        keep = gb - ga > 1e-9 * (1.0 + np.abs(ga))
+        za, zb, ga, gb = za[keep], zb[keep], ga[keep], gb[keep]
+        if not ga.size:
+            return
+        kap2, objectives = _gap_objectives(seq, default_base_point(seq))
+        for name, (b, t_lo, objective) in objectives.items():
+            bound = criteria._GapBound(seq, b, t_lo, kap2, 1)
+            ub = bound.bounds(za, zb, ga, gb, np.clip(0.5 * (za + zb), lo, hi), objective, math.inf)
+            assert bound.slope_points == ga.size
+            dense = objective(np.linspace(ga, gb, 257)).max(axis=0)
+            assert np.all(dense <= ub), name
+            assert np.all(_golden_max(objective, ga, gb) <= ub), name
+
+    def test_lattice_4e3_point_budget(self):
+        seq = integer_lattice(4e3)
+        xs = default_grid(default_x_max(seq), 24)
+        assert check_B(seq, 0.0, xs).diagnostics["kernel_points"] <= 3000
+        assert check_D(seq, xs).diagnostics["kernel_points"] <= 6000
 
 
 # C/B/D verdicts of classify with default arguments on every catalog

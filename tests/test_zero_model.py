@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import axis_sequences
 from expozeros import (
     SequenceFormatError,
     Zero,
@@ -241,6 +242,51 @@ class TestRoundTrip:
         seq = load_sequence("0.1 0.2 1\n0.30000000000000004 0 2")
         text = dump_sequence(seq)
         assert dump_sequence(load_sequence(text)) == text
+
+
+def _same_arrays(a, b):
+    return (a.positions.tobytes() == b.positions.tobytes()
+            and a.multiplicities.tobytes() == b.multiplicities.tobytes())
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(seq=axis_sequences(radius=True))
+    def test_text_and_json_round_trips(self, seq):
+        for dump in (dump_sequence, dump_sequence_json):
+            again = load_sequence(dump(seq))
+            assert _same_arrays(again, seq)
+            assert again.truncation_radius == seq.truncation_radius
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=axis_sequences(), truncated=st.booleans(),
+           c=st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False))
+    def test_shift_round_trip(self, seq, truncated, c):
+        if truncated:
+            seq = ZeroSequence.from_arrays(seq.positions, seq.multiplicities,
+                                           seq.max_abs + 2.0 * abs(c) + 1.0)
+        back = shift_origin(shift_origin(seq, c), -c)
+        keep = (np.hypot(seq.positions.real, seq.positions.imag) < back.truncation_radius
+                if truncated else slice(None))
+        expect = ZeroSequence.from_arrays(seq.positions[keep], seq.multiplicities[keep])
+        assert _same_arrays(back, expect)
+
+
+class TestRealAxisView:
+    @settings(max_examples=60, deadline=None)
+    @given(seq=axis_sequences())
+    def test_splits_real_and_complex_zeros(self, seq):
+        assert "real_axis" not in seq.__dict__  # built on first access only
+        view = seq.real_axis
+        on_axis = seq.positions.imag == 0.0
+        assert np.all(np.diff(view.real) > 0)
+        order = np.argsort(seq.positions.real[on_axis])
+        assert view.real.tobytes() == seq.positions.real[on_axis][order].tobytes()
+        assert view.real_multiplicities.tobytes() == seq.multiplicities[on_axis][order].tobytes()
+        assert view.complex.tobytes() == seq.positions[~on_axis].tobytes()
+        assert view.complex_multiplicities.tobytes() == seq.multiplicities[~on_axis].tobytes()
+        assert seq.real_axis is view
+        assert not (view.real.flags.writeable or view.complex.flags.writeable)
 
 
 class TestShiftOrigin:
