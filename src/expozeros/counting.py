@@ -415,4 +415,3 @@ def _log_potential_slope(seq: ZeroSequence, xs: np.ndarray, t_lo: float = 0.0, *
 
     _blocked(xs.size, re.size, threads, block)
     return out
-

@@ -127,4 +127,3 @@ def axis_sequences(draw, radius=False):
     if radius:
         return ZeroSequence.from_arrays(positions, mults, seq.max_abs * draw(st.floats(1.01, 4.0)) + 1.0)
     return seq
-

@@ -317,12 +317,8 @@ class TestEvaluatedOnce:
     @given(seq=real_axis_sequences(), span=st.floats(2.0, 60.0), count=st.integers(3, 40))
     def test_judged_values_are_fresh_kernel_values(self, seq, span, count):
         grid = np.linspace(-span, span, count)
-        kap2 = criteria._curvature_allowance(seq)
         b = default_base_point(seq)
-        fresh = {
-            "B": lambda xs: log_potential(seq, xs, b) - 0.5 * kap2 * xs ** 2,
-            "D": lambda xs: np.abs(log_potential(seq, xs, 0.0, 1.0) - 0.5 * kap2 * xs ** 2),
-        }
+        fresh = {name: objective for name, (_, _, objective) in _gap_objectives(seq, b)[1].items()}
         for rep, asked in (_judged_points(check_B, seq, b, grid), _judged_points(check_D, seq, grid)):
             diag = rep.diagnostics
             # each point once; the grid is the points evaluated, less the gap
@@ -439,6 +435,8 @@ def _unpruned(check, *args):
 
 
 def _gap_objectives(seq, b):
+    """The envelope coefficient, and per criterion the base point, t_lo and
+    judged objective of check_B and check_D, computed afresh."""
     kap2 = criteria._curvature_allowance(seq)
     return kap2, {
         "B": (b, 0.0, lambda xs: log_potential(seq, xs, b) - 0.5 * kap2 * xs ** 2),
