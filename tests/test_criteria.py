@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_point, random_conjugate_sequence, random_sequence, random_symmetric_sequence
@@ -298,6 +298,24 @@ def real_axis_sequences(draw):
     return ZeroSequence.from_arrays(positions, mults)
 
 
+@st.composite
+def clustered_sequences(draw):
+    """Runs of real zeros 0.2-3.5 apart, complex pairs within 1.5 of the axis
+    beside them (so D's clamp acts across gaps) and a few far zeros;
+    multiplicities 1-5."""
+    start = draw(st.floats(-30.0, 30.0))
+    steps = draw(st.lists(st.floats(0.2, 3.5), min_size=2, max_size=20))
+    reals = [start + x for x in np.cumsum(steps)]
+    pairs = draw(st.lists(st.tuples(st.floats(min(reals) - 2.0, max(reals) + 2.0),
+                                    st.floats(0.02, 1.5)), max_size=6))
+    far = draw(st.lists(st.floats(-200.0, 200.0), max_size=10))
+    positions = reals + far + [complex(x, s * y) for x, y in pairs for s in (1.0, -1.0)]
+    mults = draw(st.lists(st.integers(1, 5), min_size=len(positions), max_size=len(positions)))
+    seq = ZeroSequence.from_arrays(positions, mults)
+    assume(seq.origin_excluded)
+    return seq
+
+
 def _judged_points(check, *args):
     """Run a B or D check with criteria's kernel recorded; return the report
     and every point the kernel was asked for."""
@@ -486,13 +504,12 @@ class TestGapPruning:
                 pruned += rep.diagnostics["gaps"] - rep.diagnostics["gaps_searched"]
         assert pruned > 0
 
-    @settings(max_examples=40, deadline=None)
-    @given(seq=real_axis_sequences(), span=st.floats(2.0, 60.0), count=st.integers(3, 40))
-    def test_bound_covers_the_gap_maximum(self, seq, span, count):
+    @settings(max_examples=80, deadline=None)
+    @given(seq=st.one_of(real_axis_sequences(), clustered_sequences()),
+           lo=st.floats(-60.0, -2.0), hi=st.floats(2.0, 60.0))
+    def test_bound_covers_the_gap_maximum(self, seq, lo, hi):
         # every gap's bound, not only the pruned ones, against a dense sample
         # plus a golden search of the gap
-        grid = np.linspace(-span, span, count)
-        lo, hi = grid[0], grid[-1]
         rz = seq.real_axis.real
         first, last = np.searchsorted(rz, lo), np.searchsorted(rz, hi, side="right")
         rz = rz[max(first - 1, 0):last + 1]
