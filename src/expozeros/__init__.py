@@ -57,7 +57,6 @@ from .product import (
     tail_correction,
 )
 from .zero_model import (
-    RealAxisView,
     SequenceFormatError,
     ValidationReport,
     Zero,
@@ -75,7 +74,7 @@ __all__ = [
     "AlphaSpec", "AngularDensity", "ClassifyReport", "CountingProfile",
     "CriterionReport", "DivergentIntegralError", "GrowthEstimate",
     "INCONCLUSIVE", "IntDecomposition", "LindelofTrace", "LogComplex",
-    "PhiProfile", "ProductEvaluation", "RealAxisView", "SATISFIED", "SequenceFormatError",
+    "PhiProfile", "ProductEvaluation", "SATISFIED", "SequenceFormatError",
     "TailCorrection", "VIOLATED", "ValidationReport", "Zero", "ZeroSequence",
     "alpha_sequence", "angular_density", "build_generator",
     "cartwright_integral", "check_B", "check_C", "check_D", "circle_average",

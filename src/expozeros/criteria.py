@@ -14,6 +14,7 @@ so a caller can re-judge.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,9 +69,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FLOOR_OCTAVE = -60
 _U = 2.0 ** -53
 # A gap with more near zeros than this is searched without a bound, so the
-# near-zero sums cost O(gaps); they run over this many gaps at a time.
+# near-zero sums cost O(gaps).
 _NEAR_MAX = 64
-_NEAR_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -146,21 +146,30 @@ def phi_profile(seq: ZeroSequence, b: float, xs) -> PhiProfile:
 
 # --- grid machinery ----------------------------------------------------------
 
-class _GapBound:
-    """Upper bounds of a B or D objective on gaps between real zeros, and the
-    work they cost.
+def _real_zeros(seq: ZeroSequence) -> np.ndarray:
+    """The real zeros' positions in ascending order, each once (positions
+    are merged)."""
+    return np.sort(seq.positions.real[seq.positions.imag == 0.0])
+
+
+def _gap_bounds(seq: ZeroSequence, b: float, t_lo: float, kap2: float, threads: int,
+                za, zb, ga, gb, c, value_at, target) -> tuple[np.ndarray, int]:
+    """Upper bounds, rounding allowance included, of a B or D objective on
+    the gaps [ga, gb] between the real zeros za < zb, from the judged values
+    value_at(points) and anchors c in the gaps; and the number of slope
+    points they cost.
 
     The objective is h(x) = sum of m (log clamp|x - a| - log clamp|b - a|)
     - kap2 x^2 / 2 with clamp(d) = max(d, t_lo), judged as h (B: t_lo = 0)
-    or as |h| (D: b = 0, t_lo = 1).  On a gap [ga, gb] holding no real zero
-    in its interior, a zero is near when Re a lies within t_lo of the gap and
+    or as |h| (D: b = 0, t_lo = 1).  On a gap holding no real zero in its
+    interior, a zero is near when Re a lies within t_lo of the gap and
     |Im a| < t_lo (its clamp may act there; none is near when t_lo = 0).  A
     near term is a nondecreasing function of |x - a|, so it lies between its
     value at x = clip(Re a, ga, gb) and its larger end value.  The far rest S
     is smooth on the gap and S - curv x^2 / 2 is concave: a real zero's log
     is concave, and a complex zero's has curvature at most
-    1 / max((Im a)^2, t_lo^2), summed into curv.  With an anchor c in the
-    gap, r = max(c - ga, gb - c) and w = gb - ga, that gives
+    1 / max((Im a)^2, t_lo^2), summed into curv.  With r = max(c - ga, gb - c)
+    and w = gb - ga, that gives
 
         h <= h(c) + sum_near (larger end term - term at c)
              + |S'(c)| r + curv r^2 / 2,
@@ -174,115 +183,83 @@ class _GapBound:
     bound.  Each bound carries an allowance for rounding: log_potential's
     stated 70 u * sum m (1 + |L_p| + |L_b|) per value, with the same form for
     the slope (times r) and the near sums, taken 4 + (near zeros) times.
+    Where the part without the slope term already reaches target, that part
+    is returned and no slope is computed.
     """
-
-    def __init__(self, seq: ZeroSequence, b: float, t_lo: float, kap2: float, threads: int):
-        self.seq, self.b, self.t_lo, self.kap2, self.threads = seq, b, t_lo, kap2, threads
-        self.ends = t_lo > 0.0   # D's lower line needs h at the gap ends
-        view = seq.real_axis
-        beta = np.abs(view.complex.imag)
-        self.curv = float((view.complex_multiplicities / np.maximum(beta, t_lo) ** 2).sum())
-        self.beta_min = float(beta.min(initial=math.inf))
-        low = beta < t_lo
-        near_re = np.concatenate([view.real, view.complex.real[low]])
-        order = np.argsort(near_re, kind="stable")
-        self.near_re = near_re[order]
-        self.near_im = np.concatenate([np.zeros(view.real.size), view.complex.imag[low]])[order]
-        self.near_m = np.concatenate([view.real_multiplicities,
-                                      view.complex_multiplicities[low]])[order]
-        self.gaps = self.gaps_searched = self.slope_points = 0
-
-    def _near_sums(self, ga, gb, c):
-        """Per gap: the near zeros' sums of (larger end term - term at c),
-        (least term - term at ga), (least term - term at gb) and slope at c,
-        and their count; a gap with too many near zeros gets an infinite
-        first sum."""
-        t = self.t_lo
-        i0 = np.searchsorted(self.near_re, ga - t, side="right")
-        count = np.searchsorted(self.near_re, gb + t, side="left") - i0
-        sums = np.zeros((4, ga.size))
-        sums[0, count > _NEAR_MAX] = math.inf
-        fits = np.flatnonzero(count <= _NEAR_MAX)
-        for start in range(0, fits.size, _NEAR_CHUNK):
-            gaps = fits[start:start + _NEAR_CHUNK]
-            k = count[gaps]
-            local = np.repeat(np.arange(gaps.size), k)
-            j = np.repeat(i0[gaps] - np.cumsum(k) + k, k) + np.arange(local.size)
-            re, im, m = self.near_re[j], self.near_im[j], self.near_m[j]
-            ends_a, ends_b, at_c = ga[gaps][local], gb[gaps][local], c[gaps][local]
+    t = t_lo
+    pos, mult = seq.positions, seq.multiplicities
+    off_axis = pos.imag != 0.0
+    beta = np.abs(pos.imag[off_axis])
+    curv = float((mult[off_axis] / np.maximum(beta, t) ** 2).sum())
+    r = np.maximum(c - ga, gb - c)
+    vc = value_at(c)
+    up, lo_a, lo_b, near_slope = np.zeros((4, c.size))
+    neg = np.full(c.size, -math.inf)
+    count = 0
+    if t > 0.0:
+        # the near zeros by Re a, a real zero before complex ones of equal Re
+        near = np.abs(pos.imag) < t
+        order = np.lexsort((off_axis[near], pos.real[near]))
+        re, im, m = pos.real[near][order], pos.imag[near][order], mult[near][order]
+        i0 = np.searchsorted(re, ga - t, side="right")
+        count = np.searchsorted(re, gb + t, side="left") - i0
+        fits = count <= _NEAR_MAX
+        # offset k into each gap's near zeros, so each sum adds its terms in order
+        for k in range(int(count[fits].max(initial=0))):
+            gaps = np.flatnonzero(fits & (count > k))
+            j = i0[gaps] + k
 
             def term(x):
-                return m * np.log(np.maximum(np.hypot(x - re, im), t))
+                return m[j] * np.log(np.maximum(np.hypot(x - re[j], im[j]), t))
 
-            t_a, t_b, t_c = term(ends_a), term(ends_b), term(at_c)
-            least = term(np.clip(re, ends_a, ends_b))
-            dx = at_c - re
-            r2 = dx * dx + im * im
-            slope = np.divide(m * dx, r2, out=np.zeros(r2.size), where=r2 > t * t)
-            for row, w in enumerate((np.maximum(t_a, t_b) - t_c, least - t_a, least - t_b, slope)):
-                sums[row, gaps] += np.bincount(local, w, minlength=gaps.size)
-        return sums, count
-
-    def bounds(self, za, zb, ga, gb, c, value_at, target):
-        """Upper bounds, rounding allowance included, of the judged objective
-        on the gaps [ga, gb] between the real zeros za < zb, from the judged
-        values value_at(points) and anchors c in the gaps.  Where the part
-        without the slope term already reaches target, that part is returned
-        and no slope is computed."""
-        t = self.t_lo
-        seq = self.seq
-        r = np.maximum(c - ga, gb - c)
-        vc = value_at(c)
-        if self.ends:
-            (up, lo_a, lo_b, near_slope), count = self._near_sums(ga, gb, c)
-            neg = np.maximum(value_at(ga) - lo_a, value_at(gb) - lo_b) + self.curv * (gb - ga) ** 2 / 8.0
-        else:
-            up = near_slope = np.zeros(c.size)
-            neg = np.full(c.size, -math.inf)
-            count = 0
-        # rounding allowance: |L| <= lam for every log in the values used
-        pos, mult = seq.positions, seq.multiplicities
-        mass = float(mult.sum())
-        reach = max(float(np.abs(ga).max()), float(np.abs(gb).max()))
-        d = np.maximum(np.minimum(np.minimum(c - za, zb - c), self.beta_min), t)
-        with np.errstate(divide="ignore"):
-            log_b = np.abs(np.log(np.maximum(np.hypot(pos.real - self.b, pos.imag), t)))
-            lam = np.maximum(abs(math.log(max(reach + seq.max_abs, t))), np.abs(np.log(d)))
-            tol = (4.0 + count) * 70.0 * _U * (float((mult * log_b).sum()) + 0.5 * self.kap2 * reach ** 2
-                                               + mass * (1.0 + lam + r / d))
-        out = np.maximum(vc + up, neg) + tol
-        todo = np.flatnonzero(out < target)
-        if todo.size:
-            self.slope_points += todo.size
-            ct, rt = c[todo], r[todo]
-            slope = _log_potential_slope(seq, ct, t, threads=self.threads) - self.kap2 * ct - near_slope[todo]
-            upper = vc[todo] + up[todo] + np.abs(slope) * rt + self.curv * rt ** 2 / 2.0
-            out[todo] = np.maximum(upper, neg[todo]) + tol[todo]
-        return out
-
-    def diagnostics(self) -> dict:
-        return {"gaps": self.gaps, "gaps_searched": self.gaps_searched,
-                "slope_points": self.slope_points}
+            t_a, t_b, t_c = term(ga[gaps]), term(gb[gaps]), term(c[gaps])
+            least = term(np.clip(re[j], ga[gaps], gb[gaps]))
+            dx = c[gaps] - re[j]
+            r2 = dx * dx + im[j] * im[j]
+            up[gaps] += np.maximum(t_a, t_b) - t_c
+            lo_a[gaps] += least - t_a
+            lo_b[gaps] += least - t_b
+            near_slope[gaps] += np.divide(m[j] * dx, r2, out=np.zeros(r2.size), where=r2 > t * t)
+        up[~fits] = math.inf
+        neg = np.maximum(value_at(ga) - lo_a, value_at(gb) - lo_b) + curv * (gb - ga) ** 2 / 8.0
+    # rounding allowance: |L| <= lam for every log in the values used
+    mass = float(mult.sum())
+    reach = max(float(np.abs(ga).max()), float(np.abs(gb).max()))
+    d = np.maximum(np.minimum(np.minimum(c - za, zb - c), beta.min(initial=math.inf)), t)
+    with np.errstate(divide="ignore"):
+        log_b = np.abs(np.log(np.maximum(np.hypot(pos.real - b, pos.imag), t)))
+        lam = np.maximum(abs(math.log(max(reach + seq.max_abs, t))), np.abs(np.log(d)))
+        tol = (4.0 + count) * 70.0 * _U * (float((mult * log_b).sum()) + 0.5 * kap2 * reach ** 2
+                                           + mass * (1.0 + lam + r / d))
+    out = np.maximum(vc + up, neg) + tol
+    todo = np.flatnonzero(out < target)
+    ct, rt = c[todo], r[todo]
+    slope = _log_potential_slope(seq, ct, t, threads=threads) - kap2 * ct - near_slope[todo]
+    upper = vc[todo] + up[todo] + np.abs(slope) * rt + curv * rt ** 2 / 2.0
+    out[todo] = np.maximum(upper, neg[todo]) + tol[todo]
+    return out, int(todo.size)
 
 
-def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective,
-                  bound: _GapBound | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective, bound, *,
+                  ends: bool = False) -> tuple[np.ndarray, np.ndarray, dict]:
     """Add the midpoint of every gap between consecutive real zeros inside
     the grid range, then search gaps by three golden-section passes
     (maximizing `objective`).  Uniform grids miss the local maxima that sit
     strictly inside the gaps.
 
     The base grid and the midpoints are evaluated first; they give each
-    dyadic |x| window's running sup.  Given a bound, a gap is searched only
-    when it reaches into an octave that holds no finite value yet, or when
-    its bound reaches the running sup of the lowest window it touches.  A
-    probe below that sup moves no window's running sup and not the
-    extremum, so the judged values keep every result of searching all gaps.
-    Without a bound every gap is searched.
+    dyadic |x| window's running sup.  A gap is searched only when it reaches
+    into an octave that holds no finite value yet, or when its bound (see
+    _gap_bounds, less its leading arguments) reaches the running sup of the
+    lowest window it touches.  A probe below that sup moves no window's
+    running sup and not the extremum, so the judged values keep every result
+    of searching all gaps.
 
-    Returns the sorted judged points and the objective's values there.
-    Every point is evaluated once; gap ends that a bound needs and the grid
-    lacks are evaluated but not judged.  The first pass probes two points
+    Returns the sorted judged points, the objective's values there, and the
+    counts gaps, gaps_searched (real-zero gaps in the grid range, and those
+    given golden-section probes) and slope_points (of the bounds).  Every
+    point is evaluated once; with ends, the gap ends are evaluated with the
+    first points, for the bound only.  The first pass probes two points
     per gap; since G**2 = 1 - G the point that survives a pass is one of the
     next pass's two, so each later pass probes one new point and keeps the
     survivor's value.  objective must act pointwise: a value may not depend
@@ -291,23 +268,19 @@ def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective,
     # + 0.0 spells x = 0 one way: a symmetric grid holds both -0.0 and 0.0,
     # and np.unique keeps whichever its sort puts first
     xs = np.unique(np.asarray(xs, dtype=float) + 0.0)
-    if not len(seq):
-        return xs, objective(xs)
     lo, hi = float(xs[0]), float(xs[-1])
-    real = seq.real_axis.real
+    real = _real_zeros(seq)
     first = int(np.searchsorted(real, lo, side="left"))
     last = int(np.searchsorted(real, hi, side="right"))
     rz = real[max(first - 1, 0):last + 1]   # the zeros in range and one each side
     ga = np.maximum(rz[:-1], lo)
     gb = np.minimum(rz[1:], hi)
     keep = gb - ga > 1e-9 * (1.0 + np.abs(ga))
-    if not keep.any():
-        return xs, objective(xs)
     za, zb, ga, gb = rz[:-1][keep], rz[1:][keep], ga[keep], gb[keep]
     mids = 0.5 * (za + zb)
     rest = np.concatenate([xs, mids])
     rest = np.unique(rest[(rest >= lo) & (rest <= hi)])
-    seen = np.unique(np.concatenate([rest, ga, gb])) if bound is not None and bound.ends else rest
+    seen = np.unique(np.concatenate([rest, ga, gb])) if ends else rest
     seen_values = objective(seen)
 
     def values_at(points: np.ndarray) -> np.ndarray:
@@ -323,42 +296,40 @@ def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective,
             at = np.searchsorted(seen, points)
         return seen_values[at]
 
+    judged = values_at(rest)
+    finite = np.isfinite(judged)
+    js, running = _running_sup_windows(rest[finite], judged[finite])
+    # the octaves of |x| over the open gap, and whether each holds a window
+    inner = np.where((ga < 0.0) & (gb > 0.0), 0.0, np.minimum(np.abs(ga), np.abs(gb)))
+    j_lo = _octaves(inner)
+    j_hi = _octaves(np.maximum(np.abs(ga), np.abs(gb)))
+    k_lo = np.searchsorted(js, j_lo)
+    covered = np.flatnonzero(np.searchsorted(js, j_hi, side="right") - k_lo == j_hi - j_lo + 1)
     search = np.ones(ga.size, dtype=bool)
-    if bound is not None:
-        judged = values_at(rest)
-        finite = np.isfinite(judged)
-        js, running = _running_sup_windows(rest[finite], judged[finite])
-        # the octaves of |x| over the open gap, and whether each holds a window
-        inner = np.where((ga < 0.0) & (gb > 0.0), 0.0, np.minimum(np.abs(ga), np.abs(gb)))
-        j_lo = _octaves(inner)
-        j_hi = _octaves(np.maximum(np.abs(ga), np.abs(gb)))
-        k_lo = np.searchsorted(js, j_lo)
-        covered = np.flatnonzero(np.searchsorted(js, j_hi, side="right") - k_lo == j_hi - j_lo + 1)
-        if covered.size:
-            target = running[k_lo[covered]]
-            ub = bound.bounds(za[covered], zb[covered], ga[covered], gb[covered],
-                              np.clip(mids[covered], lo, hi), values_at, target)
-            search[covered[ub < target]] = False
-        bound.gaps += ga.size
-        bound.gaps_searched += int(search.sum())
+    slope_points = 0
+    if covered.size:
+        target = running[k_lo[covered]]
+        ub, slope_points = bound(za[covered], zb[covered], ga[covered], gb[covered],
+                                 np.clip(mids[covered], lo, hi), values_at, target)
+        search[covered[ub < target]] = False
+    counts = {"gaps": int(ga.size), "gaps_searched": int(search.sum()),
+              "slope_points": slope_points}
     ga, gb = ga[search], gb[search]
-    probes = []
-    if ga.size:
-        x1 = gb - _GOLDEN * (gb - ga)
-        x2 = ga + _GOLDEN * (gb - ga)
-        f1, f2 = np.split(values_at(np.concatenate([x1, x2])), 2)
-        probes = [x1, x2]
-        for _ in range(2):
-            move_lo = f1 < f2
-            ga = np.where(move_lo, x1, ga)
-            gb = np.where(move_lo, gb, x2)
-            new = np.where(move_lo, ga + _GOLDEN * (gb - ga), gb - _GOLDEN * (gb - ga))
-            f_new = values_at(new)
-            probes.append(new)
-            x1, x2 = np.where(move_lo, x2, new), np.where(move_lo, new, x1)
-            f1, f2 = np.where(move_lo, f2, f_new), np.where(move_lo, f_new, f1)
+    x1 = gb - _GOLDEN * (gb - ga)
+    x2 = ga + _GOLDEN * (gb - ga)
+    f1, f2 = np.split(values_at(np.concatenate([x1, x2])), 2)
+    probes = [x1, x2]
+    for _ in range(2):
+        move_lo = f1 < f2
+        ga = np.where(move_lo, x1, ga)
+        gb = np.where(move_lo, gb, x2)
+        new = np.where(move_lo, ga + _GOLDEN * (gb - ga), gb - _GOLDEN * (gb - ga))
+        f_new = values_at(new)
+        probes.append(new)
+        x1, x2 = np.where(move_lo, x2, new), np.where(move_lo, new, x1)
+        f1, f2 = np.where(move_lo, f2, f_new), np.where(move_lo, f_new, f1)
     pts = np.unique(np.concatenate([rest, *probes]))
-    return pts, values_at(pts)
+    return pts, values_at(pts), counts
 
 
 class _Counted:
@@ -510,9 +481,9 @@ def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
         return np.abs(h) if t_lo > 0.0 else h
 
     counted = _Counted(objective)
-    bound = _GapBound(seq, b, t_lo, kap2, threads)
-    xs, vals = _augment_grid(seq, base, counted, bound)
-    diagnostics = counted.diagnostics(seq, base.size, xs.size) | bound.diagnostics()
+    bound = functools.partial(_gap_bounds, seq, b, t_lo, kap2, threads)
+    xs, vals, counts = _augment_grid(seq, base, counted, bound, ends=t_lo > 0.0)
+    diagnostics = counted.diagnostics(seq, base.size, xs.size) | counts
     desc = (
         f"{base.size}-point grid on [{base.min():g}, {base.max():g}], "
         f"augmented to {xs.size} points{grid_note}; "

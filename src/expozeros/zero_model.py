@@ -13,14 +13,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Zero",
     "ZeroSequence",
-    "RealAxisView",
     "ValidationReport",
     "SequenceFormatError",
     "load_sequence",
@@ -70,24 +68,12 @@ def _merge(positions: np.ndarray, multiplicities: np.ndarray) -> tuple[np.ndarra
     return pos[starts], np.add.reduceat(multiplicities[order], starts)
 
 
-class RealAxisView(NamedTuple):
-    """A sequence split along the real axis: the real zeros in ascending
-    order (float64, each once, since positions are merged) with their
-    multiplicities, and the remaining complex zeros in stored order."""
-
-    real: np.ndarray
-    real_multiplicities: np.ndarray
-    complex: np.ndarray
-    complex_multiplicities: np.ndarray
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class ZeroSequence:
     """Finite multiset of zeros plus completeness metadata.
 
     positions (complex128) and multiplicities (float64) are merged, sorted
-    and read-only; `zeros` views them as Zero objects and `real_axis` splits
-    them into real and complex zeros, each built on first access.
+    and read-only; `zeros` views them as Zero objects, built on first access.
     truncation_radius > 0 claims the stored list is complete inside
     |z| < truncation_radius; 0 means the sequence is exactly this finite set
     on all of the plane.  Instances are immutable and safe to share across
@@ -142,17 +128,6 @@ class ZeroSequence:
     @cached_property
     def zeros(self) -> tuple[Zero, ...]:
         return tuple(Zero(p, int(m)) for p, m in zip(self.positions.tolist(), self.multiplicities.tolist()))
-
-    @cached_property
-    def real_axis(self) -> RealAxisView:
-        """The real-axis view, built on first access."""
-        on_axis = self.positions.imag == 0.0
-        order = np.argsort(self.positions.real[on_axis], kind="stable")
-        parts = (self.positions.real[on_axis][order], self.multiplicities[on_axis][order],
-                 self.positions[~on_axis], self.multiplicities[~on_axis])
-        for part in parts:
-            part.flags.writeable = False
-        return RealAxisView(*parts)
 
     @property
     def origin_excluded(self) -> bool:

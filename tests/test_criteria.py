@@ -330,6 +330,11 @@ def _judged_points(check, *args):
     return rep, np.concatenate(calls)
 
 
+def _no_bound(za, *rest):
+    """A gap bound that is never below its target, at no slope point."""
+    return np.full(za.size, math.inf), 0
+
+
 class TestEvaluatedOnce:
     @settings(max_examples=40, deadline=None)
     @given(seq=real_axis_sequences(), span=st.floats(2.0, 60.0), count=st.integers(3, 40))
@@ -343,7 +348,7 @@ class TestEvaluatedOnce:
             # ends off the grid that only feed D's bounds (real zeros)
             assert np.unique(asked).size == asked.size == diag["kernel_points"]
             assert diag["zero_points"] == len(seq) * asked.size
-            bound_only = np.setdiff1d(np.intersect1d(asked, seq.real_axis.real), grid)
+            bound_only = np.setdiff1d(np.intersect1d(asked, criteria._real_zeros(seq)), grid)
             if rep.criterion == "B":
                 assert bound_only.size == 0
             judged = np.setdiff1d(asked, bound_only)
@@ -371,7 +376,7 @@ class TestEvaluatedOnce:
                 return -(x - peaks[np.clip(np.searchsorted(zeros, x) - 1, 0, peaks.size - 1)]) ** 2
 
             base = np.linspace(zeros[0], zeros[-1], 7)
-            pts, vals = criteria._augment_grid(seq, base, objective)
+            pts, vals, _ = criteria._augment_grid(seq, base, objective, _no_bound)
             assert bits(vals) == bits(objective(pts))
             mids = 0.5 * (zeros[:-1] + zeros[1:])
             probes = pts[~np.isin(pts, np.concatenate([base, mids]))]
@@ -446,9 +451,8 @@ def _report_bits(rep):
 
 
 def _unpruned(check, *args):
-    """The check with every gap searched: no gap bound is below its target."""
-    with mock.patch.object(criteria._GapBound, "bounds",
-                           lambda self, za, *rest: np.full(za.size, math.inf)):
+    """The check with every gap searched."""
+    with mock.patch.object(criteria, "_gap_bounds", lambda *args: _no_bound(*args[5:])):
         return check(*args)
 
 
@@ -510,7 +514,7 @@ class TestGapPruning:
     def test_bound_covers_the_gap_maximum(self, seq, lo, hi):
         # every gap's bound, not only the pruned ones, against a dense sample
         # plus a golden search of the gap
-        rz = seq.real_axis.real
+        rz = criteria._real_zeros(seq)
         first, last = np.searchsorted(rz, lo), np.searchsorted(rz, hi, side="right")
         rz = rz[max(first - 1, 0):last + 1]
         za, zb = rz[:-1], rz[1:]
@@ -521,9 +525,10 @@ class TestGapPruning:
             return
         kap2, objectives = _gap_objectives(seq, default_base_point(seq))
         for name, (b, t_lo, objective) in objectives.items():
-            bound = criteria._GapBound(seq, b, t_lo, kap2, 1)
-            ub = bound.bounds(za, zb, ga, gb, np.clip(0.5 * (za + zb), lo, hi), objective, math.inf)
-            assert bound.slope_points == ga.size
+            ub, slope_points = criteria._gap_bounds(seq, b, t_lo, kap2, 1, za, zb, ga, gb,
+                                                    np.clip(0.5 * (za + zb), lo, hi), objective,
+                                                    math.inf)
+            assert slope_points == ga.size
             dense = objective(np.linspace(ga, gb, 257)).max(axis=0)
             assert np.all(dense <= ub), name
             assert np.all(_golden_max(objective, ga, gb) <= ub), name

@@ -272,23 +272,6 @@ class TestRoundTripProperties:
         assert _same_arrays(back, expect)
 
 
-class TestRealAxisView:
-    @settings(max_examples=60, deadline=None)
-    @given(seq=axis_sequences())
-    def test_splits_real_and_complex_zeros(self, seq):
-        assert "real_axis" not in seq.__dict__  # built on first access only
-        view = seq.real_axis
-        on_axis = seq.positions.imag == 0.0
-        assert np.all(np.diff(view.real) > 0)
-        order = np.argsort(seq.positions.real[on_axis])
-        assert view.real.tobytes() == seq.positions.real[on_axis][order].tobytes()
-        assert view.real_multiplicities.tobytes() == seq.multiplicities[on_axis][order].tobytes()
-        assert view.complex.tobytes() == seq.positions[~on_axis].tobytes()
-        assert view.complex_multiplicities.tobytes() == seq.multiplicities[~on_axis].tobytes()
-        assert seq.real_axis is view
-        assert not (view.real.flags.writeable or view.complex.flags.writeable)
-
-
 class TestShiftOrigin:
     def test_identity_shift(self):
         seq = ZeroSequence((Zero(1 + 0j), Zero(-1 + 0j)))
