@@ -86,9 +86,8 @@ class CriterionReport:
     and the points they evaluated), and zero_points (zeros x kernel_points).
     B and D add gaps and gaps_searched (real-zero gaps in the grid range,
     and those given golden-section probes) and slope_points (points of the
-    slope pass behind the gap bounds).  kernel_points also counts D's gap
-    ends that only feed a bound, so it can exceed grid_aug_points.  It holds
-    counts only, so a report is the same on every run.
+    slope pass behind the gap bounds).  It holds counts only, so a report is
+    the same on every run.
     """
 
     criterion: str
@@ -240,8 +239,8 @@ def _gap_bounds(seq: ZeroSequence, b: float, t_lo: float, kap2: float, threads: 
     return out, int(todo.size)
 
 
-def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective, bound, *,
-                  ends: bool = False) -> tuple[np.ndarray, np.ndarray, dict]:
+def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective,
+                  bound) -> tuple[np.ndarray, np.ndarray, dict]:
     """Add the midpoint of every gap between consecutive real zeros inside
     the grid range, then search gaps by three golden-section passes
     (maximizing `objective`).  Uniform grids miss the local maxima that sit
@@ -258,12 +257,12 @@ def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective, bound, *,
     Returns the sorted judged points, the objective's values there, and the
     counts gaps, gaps_searched (real-zero gaps in the grid range, and those
     given golden-section probes) and slope_points (of the bounds).  Every
-    point is evaluated once; with ends, the gap ends are evaluated with the
-    first points, for the bound only.  The first pass probes two points
-    per gap; since G**2 = 1 - G the point that survives a pass is one of the
-    next pass's two, so each later pass probes one new point and keeps the
-    survivor's value.  objective must act pointwise: a value may not depend
-    on the other points of a call.
+    point is evaluated once.  The judged points are xs, the midpoints and
+    the probes; D's bound reads the gap ends, which check_D puts in xs.  The
+    first pass probes two points per gap; since G**2 = 1 - G the point that
+    survives a pass is one of the next pass's two, so each later pass probes
+    one new point and keeps the survivor's value.  objective must act
+    pointwise: a value may not depend on the other points of a call.
     """
     # + 0.0 spells x = 0 one way: a symmetric grid holds both -0.0 and 0.0,
     # and np.unique keeps whichever its sort puts first
@@ -280,8 +279,9 @@ def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective, bound, *,
     mids = 0.5 * (za + zb)
     rest = np.concatenate([xs, mids])
     rest = np.unique(rest[(rest >= lo) & (rest <= hi)])
-    seen = np.unique(np.concatenate([rest, ga, gb])) if ends else rest
-    seen_values = objective(seen)
+    seen, seen_values = rest, objective(rest)
+    finite = np.isfinite(seen_values)
+    js, running = _running_sup_windows(rest[finite], seen_values[finite])
 
     def values_at(points: np.ndarray) -> np.ndarray:
         """objective at points, evaluating only those not evaluated before"""
@@ -296,9 +296,6 @@ def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective, bound, *,
             at = np.searchsorted(seen, points)
         return seen_values[at]
 
-    judged = values_at(rest)
-    finite = np.isfinite(judged)
-    js, running = _running_sup_windows(rest[finite], judged[finite])
     # the octaves of |x| over the open gap, and whether each holds a window
     inner = np.where((ga < 0.0) & (gb > 0.0), 0.0, np.minimum(np.abs(ga), np.abs(gb)))
     j_lo = _octaves(inner)
@@ -480,9 +477,14 @@ def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
         h = log_potential(seq, arr, b, t_lo, threads=threads) - 0.5 * kap2 * arr ** 2
         return np.abs(h) if t_lo > 0.0 else h
 
+    grid = base
+    if t_lo > 0.0:
+        # D is finite at the real zeros, and its bounds need the gap ends
+        real = _real_zeros(seq)
+        grid = np.concatenate([base, real[(real >= base[0]) & (real <= base[-1])]])
     counted = _Counted(objective)
     bound = functools.partial(_gap_bounds, seq, b, t_lo, kap2, threads)
-    xs, vals, counts = _augment_grid(seq, base, counted, bound, ends=t_lo > 0.0)
+    xs, vals, counts = _augment_grid(seq, grid, counted, bound)
     diagnostics = counted.diagnostics(seq, base.size, xs.size) | counts
     desc = (
         f"{base.size}-point grid on [{base.min():g}, {base.max():g}], "
@@ -528,7 +530,8 @@ def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1,
             trend_tolerance: float = TREND_TOLERANCE) -> CriterionReport:
     """Translation-compactness evidence: sup of |base-1 integral| over the
     augmented grid (base point fixed at 0; the integration range starts at
-    t = 1, so grid points may coincide with zeros)."""
+    t = 1, so the value is finite at zeros, and the real zeros in the grid
+    range join the grid)."""
     if not seq.origin_excluded:
         raise ValueError("base-1 criterion requires 0 not in the zero set")
     return _sup_check(seq, "D", x_grid, 0.0, 1.0, "; base point fixed at 0", "",

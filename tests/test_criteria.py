@@ -344,16 +344,11 @@ class TestEvaluatedOnce:
         fresh = {name: objective for name, (_, _, objective) in _gap_objectives(seq, b)[1].items()}
         for rep, asked in (_judged_points(check_B, seq, b, grid), _judged_points(check_D, seq, grid)):
             diag = rep.diagnostics
-            # each point once; the grid is the points evaluated, less the gap
-            # ends off the grid that only feed D's bounds (real zeros)
+            # each point once, and every point evaluated is judged
             assert np.unique(asked).size == asked.size == diag["kernel_points"]
             assert diag["zero_points"] == len(seq) * asked.size
-            bound_only = np.setdiff1d(np.intersect1d(asked, criteria._real_zeros(seq)), grid)
-            if rep.criterion == "B":
-                assert bound_only.size == 0
-            judged = np.setdiff1d(asked, bound_only)
-            assert diag["grid_aug_points"] == judged.size
-            xs = np.sort(judged)
+            assert diag["grid_aug_points"] == asked.size
+            xs = np.sort(asked)
             vals = fresh[rep.criterion](xs)
             keep = np.isfinite(vals)
             xs, vals = xs[keep], vals[keep]
@@ -392,10 +387,11 @@ class TestEvaluatedOnce:
     def test_lattice_points_evaluated_once(self):
         # the dense path evaluated 6373 (B) and 6745 (D) kernel points here,
         # and searching all 499 gaps 2909 each; B searches only the gap
-        # (-1, 1), D the gaps whose integer ends beat their window's sup
+        # (-1, 1), D (which also judges the integers) the gaps whose bound
+        # beats their window's sup
         seq = integer_lattice(1e3)
         xs = default_grid(default_x_max(seq), 24)
-        counts = {"B": (917, 917, 1, 498), "D": (1277, 1693, 91, 408)}
+        counts = {"B": (917, 917, 1, 498), "D": (1445, 1445, 29, 470)}
         for rep in (check_B(seq, 0.0, xs), check_D(seq, xs)):
             diag = rep.diagnostics
             augmented = int(re.match(r"^(\d+)-point grid .*augmented to (\d+) points",
@@ -405,7 +401,7 @@ class TestEvaluatedOnce:
             assert (diag["grid_aug_points"], diag["kernel_points"], diag["gaps_searched"],
                     diag["slope_points"]) == counts[rep.criterion]
             assert diag["gaps"] == 499
-            # base grid and midpoints (and D's gap ends), then three golden passes
+            # base grid and midpoints (and D's real zeros), then three golden passes
             assert diag["kernel_calls"] == 4
             assert diag["zero_points"] == len(seq) * diag["kernel_points"]
 
