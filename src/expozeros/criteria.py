@@ -64,6 +64,10 @@ TREND_TOLERANCE = 0.05
 C_VIOLATED_SLOPE = -0.40
 C_SATISFIED_SLOPE = -0.50
 NEGLIGIBLE_REL = 1e-12
+# Relative tolerance of the type check's plateau stability and sigma margin.
+TYPE_TOLERANCE = 0.05
+# Radii sampled by classify's Lindelof sums and growth check.
+RADII_COUNT = 48
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FLOOR_OCTAVE = -60
@@ -463,7 +467,7 @@ def default_grid(x_max: float, per_octave: int = 24) -> np.ndarray:
 # --- criteria ----------------------------------------------------------------
 
 def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
-               grid_note: str, notes: str, trend_tolerance: float, threads: int) -> CriterionReport:
+               grid_note: str, notes: str, threads: int) -> CriterionReport:
     """The B and D pipeline over h(x) = log_potential(seq, x, b, t_lo) minus
     the quadratic truncation envelope, judged as h when t_lo = 0 (B) and as
     |h| otherwise (D): the grid is augmented, and the running sup of the
@@ -500,7 +504,7 @@ def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
     fv = vals[finite]
     top = int(np.argmax(fv))
     js, running = _running_sup_windows(fx, fv)
-    verdict, slope = _sup_trend_verdict(js, running, trend_tolerance)
+    verdict, slope = _sup_trend_verdict(js, running, TREND_TOLERANCE)
     return CriterionReport(
         criterion=criterion,
         verdict=verdict,
@@ -517,25 +521,22 @@ def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
     )
 
 
-def check_B(seq: ZeroSequence, b: float, x_grid, *, threads: int = 1,
-            trend_tolerance: float = TREND_TOLERANCE) -> CriterionReport:
+def check_B(seq: ZeroSequence, b: float, x_grid, *, threads: int = 1) -> CriterionReport:
     """Real-axis boundedness evidence: sup of phi over the augmented grid,
     with a running-sup trend over dyadic |x| windows."""
     b = float(b)
     return _sup_check(seq, "B", x_grid, b, 0.0, " (zero-gap midpoints + golden refinement)",
-                      f"base point b = {b}", trend_tolerance, threads)
+                      f"base point b = {b}", threads)
 
 
-def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1,
-            trend_tolerance: float = TREND_TOLERANCE) -> CriterionReport:
+def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1) -> CriterionReport:
     """Translation-compactness evidence: sup of |base-1 integral| over the
     augmented grid (base point fixed at 0; the integration range starts at
     t = 1, so the value is finite at zeros, and the real zeros in the grid
     range join the grid)."""
     if not seq.origin_excluded:
         raise ValueError("base-1 criterion requires 0 not in the zero set")
-    return _sup_check(seq, "D", x_grid, 0.0, 1.0, "; base point fixed at 0", "",
-                      trend_tolerance, threads)
+    return _sup_check(seq, "D", x_grid, 0.0, 1.0, "; base point fixed at 0", "", threads)
 
 
 def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int = 32,
@@ -651,8 +652,7 @@ def cartwright_integral(log_modulus_samples) -> float:
     return float(np.trapezoid(integrand, xs))
 
 
-def type_bound(seq: ZeroSequence, b: float, y_values, sigma: float, *,
-               rel_tolerance: float = 0.05) -> CriterionReport:
+def type_bound(seq: ZeroSequence, b: float, y_values, sigma: float) -> CriterionReport:
     """Directional growth estimate along the imaginary axis: per-y values of
     the full-range step integral divided by |y|, compared with sigma on the
     largest-|y| plateau."""
@@ -677,8 +677,8 @@ def type_bound(seq: ZeroSequence, b: float, y_values, sigma: float, *,
     est = float(pv[k])
     witness = float(py[k])
     variation = float(pv.max() - pv.min())
-    stable = variation <= rel_tolerance * (1.0 + abs(est))
-    threshold = sigma + rel_tolerance * (1.0 + sigma)
+    stable = variation <= TYPE_TOLERANCE * (1.0 + abs(est))
+    threshold = sigma + TYPE_TOLERANCE * (1.0 + sigma)
     if stable:
         verdict = VIOLATED if est > threshold else SATISFIED
     else:
@@ -749,7 +749,7 @@ class ClassifyReport:
         }
 
 
-def _prerequisite_radii(seq: ZeroSequence, count: int) -> np.ndarray:
+def _prerequisite_radii(seq: ZeroSequence) -> np.ndarray:
     R = seq.truncation_radius
     hi = R if R > 0 else max(seq.max_abs * (1.0 + 1e-9), 1.0)
     if len(seq):
@@ -757,10 +757,10 @@ def _prerequisite_radii(seq: ZeroSequence, count: int) -> np.ndarray:
         lo = min(max(smallest * 1.25, hi * 1e-6), hi / 2.0)
     else:
         lo = hi / 10.0
-    return np.geomspace(max(lo, 1e-9), hi, count)
+    return np.geomspace(max(lo, 1e-9), hi, RADII_COUNT)
 
 
-def _growth_radii(seq: ZeroSequence, count: int) -> np.ndarray | None:
+def _growth_radii(seq: ZeroSequence) -> np.ndarray | None:
     R = seq.truncation_radius
     if R > 0:
         hi = R - 1.0
@@ -769,11 +769,11 @@ def _growth_radii(seq: ZeroSequence, count: int) -> np.ndarray | None:
     else:
         hi = max(seq.max_abs, 1.0)
     lo = min(max(hi / 8.0, hi * 1e-3), hi / 2.0)
-    return np.geomspace(lo, hi, count)
+    return np.geomspace(lo, hi, RADII_COUNT)
 
 
 def classify(seq: ZeroSequence, *, b: float | None = None, x_max: float | None = None,
-             grid: int = 24, radii_count: int = 48,
+             grid: int = 24,
              alphas=(math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2),
              sigma: float | None = None, threads: int = 1) -> ClassifyReport:
     """Run the prerequisite estimates and the three class criteria with shared
@@ -791,8 +791,8 @@ def classify(seq: ZeroSequence, *, b: float | None = None, x_max: float | None =
         x_max = default_x_max(seq)
     x_max = float(x_max)
 
-    lind = lindelof_sums(seq, _prerequisite_radii(seq, radii_count))
-    growth_radii = _growth_radii(seq, radii_count)
+    lind = lindelof_sums(seq, _prerequisite_radii(seq))
+    growth_radii = _growth_radii(seq)
     if growth_radii is not None:
         growth = growth_check(seq, growth_radii)
     else:
