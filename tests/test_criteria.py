@@ -108,6 +108,15 @@ class TestPhiProfile:
         assert xs == sorted(xs)
 
 
+def assert_no_gap_work(rep, points):
+    """A B or D report over a grid with no real-zero gap: the grid is
+    evaluated in one kernel call and nothing else is done."""
+    diag = rep.diagnostics
+    assert diag["kernel_calls"] == 1
+    assert diag["kernel_points"] == diag["grid_aug_points"] == points
+    assert diag["gaps"] == diag["gaps_searched"] == diag["slope_points"] == 0
+
+
 class TestCheckB:
     def test_lattice_bounded(self):
         seq = integer_lattice(200.0)
@@ -124,9 +133,20 @@ class TestCheckB:
         assert phi(footnote_big, 0.0, 100.0) >= 1.0 + 100.0 / (2.0 * math.log(100.0))
 
     def test_empty_sup_zero(self):
-        rep = check_B(ZeroSequence(()), 0.0, np.linspace(-20.0, 20.0, 101))
+        grid = np.linspace(-20.0, 20.0, 101)
+        rep = check_B(ZeroSequence(()), 0.0, grid)
         assert rep.verdict == SATISFIED
         assert rep.extremum_value == 0.0
+        for rep in (rep, check_D(ZeroSequence(()), grid)):
+            assert_no_gap_work(rep, grid.size)
+
+    @pytest.mark.parametrize("seq, grid", [
+        (ZeroSequence.from_arrays([2 + 1j, 2 - 1j, -3 + 0.5j], [1, 1, 2]), np.linspace(-20.0, 20.0, 101)),
+        (integer_lattice(50.0), np.array([2.5])),
+    ], ids=["complex-zeros-only", "one-point-grid"])
+    def test_no_gap_costs_one_kernel_call(self, seq, grid):
+        for rep in (check_B(seq, default_base_point(seq), grid), check_D(seq, grid)):
+            assert_no_gap_work(rep, grid.size)
 
     def test_witness_absent_when_inconclusive(self):
         seq = integer_lattice(50.0)
