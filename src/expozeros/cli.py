@@ -69,6 +69,17 @@ def _sanitize(obj):
     return obj
 
 
+def _finite_float(text: str) -> float:
+    """A finite float; the argparse type of every float flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_gen(spec: str) -> tuple[str, dict]:
     parts = spec.split(",")
     name = parts[0].strip()
@@ -78,9 +89,9 @@ def _parse_gen(spec: str) -> tuple[str, dict]:
             raise CLIError(f"generator parameter {item!r} must look like key=value")
         key, raw = item.split("=", 1)
         try:
-            params[key.strip()] = float(raw)
-        except ValueError:
-            raise CLIError(f"generator parameter {item!r} has a non-numeric value") from None
+            params[key.strip()] = _finite_float(raw)
+        except argparse.ArgumentTypeError:
+            raise CLIError(f"generator parameter {item!r} needs a finite number") from None
     return name, params
 
 
@@ -192,9 +203,9 @@ def run_eval(args) -> int:
         for tok in args.points.split(";"):
             try:
                 re_s, im_s = tok.split(",")
-                zs.append(complex(float(re_s), float(im_s)))
-            except ValueError:
-                raise CLIError(f"point {tok!r} must look like 're,im'") from None
+                zs.append(complex(_finite_float(re_s), _finite_float(im_s)))
+            except (ValueError, argparse.ArgumentTypeError):
+                raise CLIError(f"point {tok!r} must look like 're,im' with finite numbers") from None
     else:
         span = args.x_max if args.x_max is not None else default_x_max(seq)
         zs = [complex(x, 0.0) for x in np.linspace(-span, span, args.grid + 1)]
@@ -319,6 +330,9 @@ def _reproduce_footnote(args) -> int:
     R = args.R if args.R is not None else 1e6
     seq = catalog.footnote_sequence(R)
     xs = args.x if args.x else [E_CUBED, 100.0, 1000.0]
+    if min(xs) <= 1.0:
+        # the bound 1 + x / (2 log x) needs log x > 0
+        raise CLIError(f"footnote points need x > 1, got --x {_fmt(min(xs))}")
     rows = []
     failed = None
     for x in xs:
@@ -387,7 +401,7 @@ def _config_dict(args) -> dict:
 def _add_source_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gen", help="generator spec, e.g. 'lattice,R=1e4' or 'alpha,c=1,N=100000'")
     p.add_argument("--file", help="sequence file path (text or JSON format)")
-    p.add_argument("--R", type=float, default=None, help="generator radius override")
+    p.add_argument("--R", type=_finite_float, default=None, help="generator radius override")
 
 
 def _add_output_options(p: argparse.ArgumentParser) -> None:
@@ -396,13 +410,13 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_span_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x-max", dest="x_max", type=float, default=None,
+    p.add_argument("--x-max", dest="x_max", type=_finite_float, default=None,
                    help="real-axis span (default: truncation radius / 4)")
     p.add_argument("--grid", type=int, default=64, help="grid density")
 
 
 def _add_potential_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--b", type=float, default=None, help="real base point (default: picked off the zero set)")
+    p.add_argument("--b", type=_finite_float, default=None, help="real base point (default: picked off the zero set)")
     p.add_argument("--threads", type=int, default=1)
 
 
@@ -419,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_span_options(p)
     _add_potential_options(p)
     _add_output_options(p)
-    p.add_argument("--sigma", type=float, default=None, help="also check the type bound against sigma")
-    p.add_argument("--alpha", type=float, action="append", default=None,
+    p.add_argument("--sigma", type=_finite_float, default=None, help="also check the type bound against sigma")
+    p.add_argument("--alpha", type=_finite_float, action="append", default=None,
                    help="sector half-angle for the density estimates, in (0, pi/2] (repeatable)")
     p.set_defaults(func=run_classify, grid=24)
 
@@ -431,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail-correct", dest="tail_correct", action="store_true",
                    help="apply the first-order product tail correction instead of only reporting it")
     p.add_argument("--points", help="explicit points 're,im;re,im;...' (default: real-axis sweep)")
-    p.add_argument("--eval-radius", dest="eval_radius", type=float, default=None,
+    p.add_argument("--eval-radius", dest="eval_radius", type=_finite_float, default=None,
                    help="product truncation radius (default: whole stored sequence)")
     p.set_defaults(func=run_eval)
 
@@ -453,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="rebuild one of the two explicit constructions")
     p.add_argument("target", choices=("footnote", "alpha-example"))
-    p.add_argument("--R", type=float, default=None, help="footnote truncation radius (default 1e6)")
-    p.add_argument("--c", type=float, default=1.0, help="alpha coefficient")
-    p.add_argument("--x", type=float, action="append", default=None,
+    p.add_argument("--R", type=_finite_float, default=None, help="footnote truncation radius (default 1e6)")
+    p.add_argument("--c", type=_finite_float, default=1.0, help="alpha coefficient")
+    p.add_argument("--x", type=_finite_float, action="append", default=None,
                    help="evaluation point (repeatable)")
     _add_output_options(p)
     p.set_defaults(func=run_reproduce)

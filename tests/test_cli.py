@@ -78,6 +78,27 @@ class TestSources:
             assert code == 2 and out == ""
             assert err.startswith("error:") and text in err
 
+    @pytest.mark.parametrize("argv, text", [
+        (["classify", "--gen", "lattice,R=10", "--b", "nan"], "argument --b: must be a finite number"),
+        (["classify", "--gen", "lattice,R=10", "--b", "inf"], "argument --b: must be a finite number"),
+        (["classify", "--gen", "lattice,R=10", "--x-max", "nan"], "argument --x-max: must be a finite"),
+        (["eval", "--gen", "lattice,R=10", "--points", "nan,0"], "point 'nan,0' must look like"),
+        (["classify", "--gen", "lattice,R=inf"], "'R=inf' needs a finite number"),
+        (["reproduce", "footnote", "--R", "1e3", "--x", "1"], "footnote points need x > 1"),
+        (["reproduce", "footnote", "--R", "1e3", "--x", "0.5"], "footnote points need x > 1"),
+    ], ids=["b-nan", "b-inf", "x-max-nan", "points-nan", "gen-R-inf", "footnote-x-1",
+            "footnote-x-below-1"])
+    def test_non_finite_or_degenerate_number(self, capsys, argv, text):
+        # argparse rejects a flag value by SystemExit(2), the CLI by returning 2
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "error:" in err and text in err
+        assert "Traceback" not in err and "FAILED" not in err
+
     @pytest.mark.parametrize("command,flag", [
         ("classify", "--seed"), ("classify", "--tail-correct"),
         ("eval", "--b"), ("eval", "--seed"), ("eval", "--threads"),
