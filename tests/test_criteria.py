@@ -549,6 +549,27 @@ class TestGapPruning:
             assert np.all(dense <= ub), name
             assert np.all(_golden_max(objective, ga, gb) <= ub), name
 
+    def test_bound_covers_dense_clusters(self):
+        # real zeros 0.05-0.6 apart with multiplicities up to 7 put several
+        # near zeros on every gap, so each of D's near sums adds many terms
+        rng = np.random.default_rng(44)
+        for _ in range(400):
+            reals = rng.uniform(-30.0, 30.0) + np.cumsum(rng.uniform(0.05, 0.6, rng.integers(2, 30)))
+            px = rng.uniform(reals.min() - 2.0, reals.max() + 2.0, rng.integers(0, 10))
+            py = rng.uniform(0.02, 1.0, px.size)
+            positions = np.concatenate([reals, px + 1j * py, px - 1j * py])
+            seq = ZeroSequence.from_arrays(positions, rng.integers(1, 8, positions.size))
+            if not seq.origin_excluded:
+                continue
+            rz = criteria._real_zeros(seq)
+            za, zb = rz[:-1], rz[1:]
+            kap2, objectives = _gap_objectives(seq, default_base_point(seq))
+            for name, (b, t_lo, objective) in objectives.items():
+                ub, _ = criteria._gap_bounds(seq, b, t_lo, kap2, 1, za, zb, za, zb,
+                                             0.5 * (za + zb), objective, math.inf)
+                dense = objective(np.linspace(za, zb, 257)).max(axis=0)
+                assert np.all(dense <= ub), name
+
     def test_lattice_4e3_point_budget(self):
         seq = integer_lattice(4e3)
         xs = default_grid(default_x_max(seq), 24)
