@@ -32,15 +32,22 @@ E_SQUARED = math.exp(2.0)
 
 def _bisect_newton(f, fprime, targets, lo: float, hi: float,
                    width: float = 1e-9, newton_steps: int = 3) -> np.ndarray:
-    """Solve f(r) = k for each k in targets; f must be increasing on [lo, hi]."""
+    """Solve f(r) = k for each k in targets; f must be increasing on [lo, hi].
+
+    Every bracket is halved while the widest one still splits is wider than
+    width.  A bracket whose midpoint rounds to one of its ends (its ends are
+    adjacent floats, wider than width above about 4.5e6) stops there."""
     t = np.asarray(targets, dtype=float)
     lo_arr = np.full_like(t, lo)
     hi_arr = np.full_like(t, hi)
-    while float(np.max(hi_arr - lo_arr)) > width:
+    while True:
         mid = 0.5 * (lo_arr + hi_arr)
+        splits = (mid != lo_arr) & (mid != hi_arr)
+        if not np.any(splits & (hi_arr - lo_arr > width)):
+            break
         below = f(mid) < t
-        lo_arr = np.where(below, mid, lo_arr)
-        hi_arr = np.where(below, hi_arr, mid)
+        lo_arr = np.where(splits & below, mid, lo_arr)
+        hi_arr = np.where(splits & ~below, mid, hi_arr)
     r = 0.5 * (lo_arr + hi_arr)
     for _ in range(newton_steps):
         r = r - (f(r) - t) / fprime(r)

@@ -37,6 +37,11 @@ __all__ = [
 # Zero x point cells per log_potential block: one float64 work array of this
 # many cells (2 MiB) stays cache-sized.  Blocks never split a point's zeros.
 _BLOCK_CELLS = 1 << 18
+# Cells per block of the kernels that make two or more fresh arrays a block
+# (the slopes and _RealAxis's node sums): on a 2-core VM the slope kernel ran
+# at 3 ns a cell in blocks of this size and at 10 ns in blocks of
+# _BLOCK_CELLS.
+_SMALL_BLOCK_CELLS = 1 << 16
 # log_potential sums each point's terms in floating point over runs of this
 # many zeros, then the run sums exactly; the run length enters its error bound.
 _RUN = 64
@@ -270,7 +275,8 @@ def _check_range(seq: ZeroSequence, t_lo: float, t_hi: float, reach: float) -> N
 def _log_clamp(dist: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
     """In place: dist becomes log clamp(dist), clamp(d) = min(max(d, t_lo), t_hi);
     a zero distance with t_lo = 0 gives -inf."""
-    np.clip(dist, t_lo, t_hi, out=dist)
+    if t_lo > 0.0 or t_hi < math.inf:   # the clamp to [0, inf] moves no distance
+        np.clip(dist, t_lo, t_hi, out=dist)
     with np.errstate(divide="ignore"):
         return np.log(dist, out=dist)
 
@@ -317,12 +323,16 @@ def step_integral(seq: ZeroSequence, b: complex, x: complex, t_lo: float, t_hi: 
     return math.fsum(seq.multiplicities * (log_x - log_b))
 
 
-def _blocked(n_points: int, n_zeros: int, threads: int, block) -> None:
-    """Call block(start, stop) over runs of points holding about _BLOCK_CELLS
-    zero x point cells each, on min(threads, cpu count, blocks) threads."""
-    step = max(1, _BLOCK_CELLS // n_zeros)
+def _blocked(n_points: int, n_zeros: int, threads: int, block,
+             cells: int | None = None) -> None:
+    """Call block(start, stop) over runs of points holding about cells
+    (default _BLOCK_CELLS) zero x point cells each, on
+    min(threads, cpu count, blocks) threads."""
+    step = max(1, (cells or _BLOCK_CELLS) // n_zeros)
     starts = range(0, n_points, step)
-    workers = min(threads, os.cpu_count() or 1, len(starts))
+    workers = min(threads, len(starts))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda start: block(start, start + step), starts))
@@ -371,21 +381,63 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
     out = np.zeros(flat.shape)
     if not len(seq) or not flat.size:
         return out.reshape(pts.shape)
-    pos = seq.positions
-    mult = seq.multiplicities
     log_b = _center_logs(seq, b, "b", t_lo, t_hi)
+    _potential_sums(seq.positions, seq.multiplicities, log_b, flat, t_lo, t_hi, threads, out)
+    return out.reshape(pts.shape)
+
+
+def _potential_sums(pos: np.ndarray, mult: np.ndarray, log_b: np.ndarray, points: np.ndarray,
+                    t_lo: float, t_hi: float, threads: int, out: np.ndarray) -> None:
+    """out[i] = sum over the zeros of m (log clamp|a - points[i]| - log_b),
+    in blocks, each point's terms summed over runs of _RUN zeros and the run
+    sums with fsum: the kernel of log_potential and of _RealAxis's near sums.
+    pos may be real when every zero is."""
+    if not pos.size:
+        out[:] = 0.0
+        return
     runs = np.arange(0, pos.size, _RUN)
+    ones = bool(np.all(mult == 1.0))   # multiplying by 1 changes no value
 
     def block(start: int, stop: int) -> None:
-        cells = np.abs(pos - flat[start:stop, None])
+        cells = pos - points[start:stop, None]
+        # distances in place when both are real: a fresh 2 MiB array per
+        # operation costs more than the operation
+        cells = np.abs(cells, out=cells) if cells.dtype.kind == "f" else np.abs(cells)
         _log_clamp(cells, t_lo, t_hi)
         cells -= log_b
-        cells *= mult
+        if not ones:
+            cells *= mult
         sums = np.add.reduceat(cells, runs, axis=1)
-        out[start:stop] = sums[:, 0] if runs.size == 1 else [math.fsum(r) for r in sums]
+        out[start:stop] = sums[:, 0] if runs.size == 1 else [math.fsum(r) for r in sums.tolist()]
 
-    _blocked(flat.size, pos.size, threads, block)
-    return out.reshape(pts.shape)
+    _blocked(points.size, pos.size, threads, block)
+
+
+def _slope_sums(re: np.ndarray, im2: np.ndarray, mult: np.ndarray, xs: np.ndarray,
+                t_lo: float, threads: int, out: np.ndarray) -> None:
+    """out[i] = sum of m (x - Re a) / |x - a|**2 at x = xs[i] over the zeros
+    with |x - a| > t_lo, blocked like _potential_sums: the kernel of
+    _log_potential_slope and of _RealAxis's near slopes."""
+    if not re.size:
+        out[:] = 0.0
+        return
+    # adding 0 and multiplying by 1 change no value
+    real = not im2.any()
+    ones = bool(np.all(mult == 1.0))
+
+    def block(start: int, stop: int) -> None:
+        dx = xs[start:stop, None] - re
+        r2 = dx * dx
+        if not real:
+            r2 += im2
+        np.divide(dx, r2, out=dx)
+        if t_lo > 0.0:
+            dx[r2 <= t_lo * t_lo] = 0.0
+        if not ones:
+            dx *= mult
+        out[start:stop] = dx.sum(axis=1)
+
+    _blocked(xs.size, re.size, threads, block, _SMALL_BLOCK_CELLS)
 
 
 def _log_potential_slope(seq: ZeroSequence, xs: np.ndarray, t_lo: float = 0.0, *,
@@ -397,21 +449,267 @@ def _log_potential_slope(seq: ZeroSequence, xs: np.ndarray, t_lo: float = 0.0, *
     pairwise, so the error is at most
     70 u * sum of m / max(|x - a|, t_lo).  Blocked like log_potential."""
     out = np.zeros(xs.size)
-    if not len(seq) or not xs.size:
-        return out
-    re = seq.positions.real
-    im2 = seq.positions.imag ** 2
-    mult = seq.multiplicities
-
-    def block(start: int, stop: int) -> None:
-        dx = xs[start:stop, None] - re
-        r2 = dx * dx
-        r2 += im2
-        np.divide(dx, r2, out=dx)
-        if t_lo > 0.0:
-            dx[r2 <= t_lo * t_lo] = 0.0
-        dx *= mult
-        out[start:stop] = dx.sum(axis=1)
-
-    _blocked(xs.size, re.size, threads, block)
+    pos = seq.positions
+    _slope_sums(pos.real, pos.imag ** 2, seq.multiplicities, xs, t_lo, threads, out)
     return out
+
+
+# Nodes per cell of _RealAxis: first-kind Chebyshev points on [-1, 1], the
+# barycentric weights of those rounded points, and the bound (2/pi) log p + 1
+# on their Lebesgue constant.
+_NODES = 20
+_CHEB = np.cos((2 * np.arange(_NODES) + 1) * math.pi / (2 * _NODES))
+_WEIGHTS = 1.0 / np.array([np.prod(np.delete(_CHEB[j] - _CHEB, j)) for j in range(_NODES)])
+_LEBESGUE = 2.0 / math.pi * math.log(_NODES) + 1.0
+_U = 2.0 ** -53
+# Bernstein ellipses tried for a cell's bound: semi-major axis r = q D_min,
+# D_min the least distance from the cell's centre to a far zero.  M grows
+# like log(1 / (1 - q)) as q nears 1 while rho**(1 - p) keeps falling, so
+# the largest q wins on the catalog; the others guard clusters of zeros
+# near D_min.
+_REACH = 1.0 - 2.0 ** -np.array([2.0, 4.0, 7.0, 12.0])
+
+
+def _accurate_sums(terms: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D array of finite floats, each within
+    u |sum| + 32 n**2 u**2 max|term| for n terms a row: a row's terms are
+    split at a power of two sigma > (n + 4) max|term| into high parts, whose
+    sums are exact in any order, and exact low parts below u sigma (Rump,
+    Ogita & Oishi 2008, ExtractVector).  A row's sum depends on that row
+    alone."""
+    big = np.abs(terms).max(axis=1, initial=0.0)
+    sigma = np.ldexp(1.0, np.frexp((terms.shape[1] + 4) * big)[1])[:, None]
+    high = (terms + sigma) - sigma
+    return high.sum(axis=1) + (terms - high).sum(axis=1)
+
+
+def _by_rows(rows: int, cols: int, block) -> np.ndarray:
+    """block(slice) over runs of rows of about _SMALL_BLOCK_CELLS cells in
+    all, concatenated: a rows x cols array is never made at once."""
+    step = max(1, _SMALL_BLOCK_CELLS // max(cols, 1))
+    return np.concatenate([block(slice(i, i + step)) for i in range(0, rows, step)])
+
+
+def _interpolate(values: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The polynomial through values at _CHEB, at the points s in [-1, 1]:
+    the first barycentric form prod(s - x_k) * sum of w_j f_j / (s - x_j),
+    exact at a node."""
+    diff = s[:, None] - _CHEB
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.prod(diff, axis=1) * ((_WEIGHTS * values) / diff).sum(axis=1)
+    # a point on a node gives 0 * inf; any other term stays finite
+    for row in np.flatnonzero(np.isnan(out)):
+        out[row] = values[np.flatnonzero(diff[row] == 0.0)[0]]
+    return out
+
+
+def _truncation_bound(h: float, dist: np.ndarray, mult: np.ndarray, excess) -> float:
+    """The least over the ellipses _REACH of 4 M rho**(1 - p) / (rho - 1),
+    the Chebyshev interpolation bound for p nodes on a cell of half-width h
+    (Trefethen, ATAP, Thm 8.2), with M = sum of m excess(r, dist) over the
+    far zeros at distances dist from the centre, r the ellipse's
+    semi-major axis."""
+    if not dist.size:
+        return 0.0
+    r = float(dist.min()) * _REACH
+    rho = r / h + np.sqrt((r / h) ** 2 - 1.0)
+    size = _by_rows(r.size, dist.size,
+                    lambda rows: (mult * excess(r[rows, None], dist)).sum(axis=1))
+    return float((4.0 * size * rho ** (1 - _NODES) / (rho - 1.0)).min())
+
+
+class _RealAxis:
+    """log_potential(seq, x, b, t_lo) and _log_potential_slope(seq, x, t_lo)
+    at real x in [lo, hi], by a one-level treecode (Dutt, Gu & Rokhlin 1996;
+    the barycentric Lagrange treecode of Wang, Tlupova & Krasny 2020).
+
+    [lo, hi] is split into round(sqrt(samples / p)) equal cells, p = 20, with
+    samples the caller's base sample count.  For a point x in the cell of
+    centre c and half-width h, the zeros with |Re a - c| < 3h + t_lo are
+    near: their terms are summed densely, by log_potential's kernel, so a
+    point on a zero gives exactly -inf when t_lo = 0.  Every other zero is
+    far: |x - a| >= 2h + t_lo on the cell, so the clamp never acts on it.
+    The far sums are computed once per cell, on first use, at the cell's p
+    first-kind Chebyshev nodes: values as the constant
+    K = sum of m (log|c - a| - L_b) plus the centred sums
+    f(x) = sum of m log(|x - a| / |c - a|) (each term by log1p), slopes as
+    g(x) = sum of m (x - Re a) / |x - a|**2, every node sum within
+    u |sum| of its rounded terms.  The chord through the end nodes is taken
+    off f and g, and the rest is interpolated to the cell's points.  Each
+    value depends on x alone, on any number of threads.
+
+    Error bound, u = 2**-53, L_x = log clamp|a - x|, L_b = log clamp|a - b|
+    and Lambda = (2/pi) log p + 1 the nodes' Lebesgue bound: a value is
+    within 80 u * sum of m (1 + |L_x| + |L_b|) + E of the exact sum, and a
+    slope within 80 u * sum of m / max(|x - a|, t_lo) + E' of the exact
+    slope.  The first parts hold the dense kernels' bounds (the near sums,
+    K and the final additions); E and E' are the cell's far-field bounds,
+
+        E = 4 M rho**(1 - p) / (rho - 1) + 20 u Lambda F + 5 p u Lambda R.
+
+    The first term is the a-priori Chebyshev bound on the Bernstein ellipse
+    E_rho of the cell, whose points lie within r = h (rho + 1/rho) / 2 of c;
+    rho is the best of a few ellipses inside every far zero's distance
+    D = |c - a|.  Interpolation reproduces lines, so M may bound the far sum
+    less its tangent at c: M = sum of m (-log(1 - r/D) - r/D) for f,
+    below the sum of m (-log(1 - r/D) + arcsin(r/D)) that bounds f itself,
+    and M = sum of m r**2 / (D**2 (D - r)) for g.  The second term is the
+    node sums' rounding (each term within 13 u, node and point positions
+    rounded) times Lambda: F = sum of m (-log(1 - h/D)) bounds every node's
+    sum of |terms| for f, and F = sum of m / (D - h) for g.  The third is the
+    barycentric evaluation's rounding (Higham 2004, first form), with R the
+    largest node value less the chord.  far_bound and slope_bound return E
+    and E' at points; near_points and node_points count the value terms
+    evaluated.
+    """
+
+    def __init__(self, seq: ZeroSequence, b: float, t_lo: float, lo: float, hi: float,
+                 samples: int, *, threads: int = 1):
+        self.seq = seq
+        self.b = float(b)
+        self.threads = int(threads)
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
+        self.t_lo = float(t_lo)
+        _check_range(seq, self.t_lo, math.inf, 0.0)
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"need a finite range lo <= hi, got [{lo}, {hi}]")
+        self.lo = lo
+        self.hi = hi if hi > lo else lo + max(1.0, abs(lo))
+        self.cells = max(1, round(math.sqrt(samples / _NODES)))
+        self._edges = np.linspace(self.lo, self.hi, self.cells + 1)
+        self._centres = 0.5 * (self._edges[:-1] + self._edges[1:])
+        self._halves = 0.5 * (self._edges[1:] - self._edges[:-1])
+        pos = seq.positions
+        order = np.argsort(pos.real, kind="stable")
+        self._re = pos.real[order]
+        self._im = pos.imag[order]
+        self._im2 = self._im ** 2
+        self._mult = seq.multiplicities[order].astype(float)
+        self._pos = self._re if not self._im.any() else pos[order]
+        self._log_b = _center_logs(seq, complex(self.b), "b", self.t_lo, math.inf)[order]
+        reach = 3.0 * self._halves + self.t_lo
+        self._near = np.stack([np.searchsorted(self._re, self._centres - reach, side="right"),
+                               np.searchsorted(self._re, self._centres + reach, side="left")], 1)
+        self._value_fits: dict = {}
+        self._slope_fits: dict = {}
+        self.near_points = 0
+        self.node_points = 0
+
+    def _cells_of(self, xs: np.ndarray) -> np.ndarray:
+        if xs.size and not (xs.min() >= self.lo and xs.max() <= self.hi):
+            raise ValueError(f"points must lie in [{self.lo}, {self.hi}]")
+        return np.clip(np.searchsorted(self._edges, xs, side="right") - 1, 0, self.cells - 1)
+
+    def _far(self, k: int):
+        """Positions, multiplicities and base logs of cell k's far zeros, and
+        their distances from its centre."""
+        i, j = self._near[k]
+        re, im, m, log_b = (np.concatenate([v[:i], v[j:]])
+                            for v in (self._re, self._im, self._mult, self._log_b))
+        return re, im, m, log_b, np.hypot(self._centres[k] - re, im)
+
+    def _value_fit(self, k: int):
+        """K, the chord slope, the node values less the chord, and E of cell
+        k's far values."""
+        fit = self._value_fits.get(k)
+        if fit is None:
+            re, im, m, log_b, dist = self._far(k)
+            h = float(self._halves[k])
+            two_dc = 2.0 * (self._centres[k] - re)
+            d2 = dist * dist
+            half_m = 0.5 * m
+            s = (h * _CHEB)[:, None]
+            nodes = _by_rows(_NODES, re.size, lambda j: _accurate_sums(
+                half_m * np.log1p(s[j] * (two_dc + s[j]) / d2)))
+            self.node_points += _NODES * re.size
+            slope = (nodes[0] - nodes[-1]) / (_CHEB[0] - _CHEB[-1])
+            rest = nodes - slope * _CHEB
+            bound = (_truncation_bound(h, dist, m, lambda r, d: -np.log1p(-r / d) - r / d)
+                     + _LEBESGUE * _U * (20.0 * float((m * -np.log1p(-h / dist)).sum())
+                                         + 5.0 * _NODES * float(np.abs(rest).max())))
+            const = float(_accurate_sums((m * (np.log(dist) - log_b))[None, :])[0])
+            fit = (const, slope, rest, bound)
+            self._value_fits[k] = fit
+        return fit
+
+    def _slope_fit(self, k: int):
+        """The chord slope, the node values less the chord, and E' of cell
+        k's far slopes."""
+        fit = self._slope_fits.get(k)
+        if fit is None:
+            re, im, m, _, dist = self._far(k)
+            h = float(self._halves[k])
+            im2 = im * im
+            x = (self._centres[k] + h * _CHEB)[:, None]
+
+            def block(j):
+                dx = x[j] - re
+                return _accurate_sums(m * dx / (dx * dx + im2))
+
+            nodes = _by_rows(_NODES, re.size, block)
+            slope = (nodes[0] - nodes[-1]) / (_CHEB[0] - _CHEB[-1])
+            rest = nodes - slope * _CHEB
+            bound = (_truncation_bound(h, dist, m, lambda r, d: (r / d) ** 2 / (d - r))
+                     + _LEBESGUE * _U * (20.0 * float((m / (dist - h)).sum())
+                                         + 5.0 * _NODES * float(np.abs(rest).max())))
+            fit = (slope, rest, bound)
+            self._slope_fits[k] = fit
+        return fit
+
+    def _by_cell(self, xs, per_cell) -> np.ndarray:
+        """per_cell(k, points, s) over the cells holding xs, s the points'
+        offsets from the centre in half-widths."""
+        xs = np.asarray(xs, dtype=float)
+        flat = xs.ravel()
+        cell = self._cells_of(flat)
+        out = np.empty(flat.size)
+        used = np.unique(cell)
+        for k in used:
+            at = np.flatnonzero(cell == k) if used.size > 1 else slice(None)
+            x = flat[at]
+            out[at] = per_cell(int(k), x, (x - self._centres[k]) / self._halves[k])
+        return out.reshape(xs.shape)
+
+    def values(self, xs) -> np.ndarray:
+        """log_potential(seq, x, b, t_lo) at every x of xs."""
+        def per_cell(k, x, s):
+            i, j = self._near[k]
+            near = np.empty(x.size)
+            _potential_sums(self._pos[i:j], self._mult[i:j], self._log_b[i:j], x,
+                            self.t_lo, math.inf, self.threads, near)
+            self.near_points += x.size * int(j - i)
+            const, slope, rest, _ = self._value_fit(k)
+            return near + (const + (slope * s + _interpolate(rest, s)))
+        return self._by_cell(xs, per_cell)
+
+    def slopes(self, xs) -> np.ndarray:
+        """_log_potential_slope(seq, x, t_lo) at every x of xs (off the zeros)."""
+        def per_cell(k, x, s):
+            i, j = self._near[k]
+            near = np.empty(x.size)
+            _slope_sums(self._re[i:j], self._im2[i:j], self._mult[i:j], x, self.t_lo,
+                        self.threads, near)
+            slope, rest, _ = self._slope_fit(k)
+            return near + (slope * s + _interpolate(rest, s))
+        return self._by_cell(xs, per_cell)
+
+    def far_bound(self, xs) -> np.ndarray:
+        """E of the cell of every x of xs."""
+        return self._by_cell(xs, lambda k, x, s: self._value_fit(k)[3])
+
+    def slope_bound(self, xs) -> np.ndarray:
+        """E' of the cell of every x of xs."""
+        return self._by_cell(xs, lambda k, x, s: self._slope_fit(k)[2])
+
+    def diagnostics(self) -> dict:
+        """cells, the value terms summed densely and at nodes (and their
+        total, zero_points), and the largest E of the cells used."""
+        return {
+            "zero_points": self.near_points + self.node_points,
+            "cells": self.cells,
+            "near_points": self.near_points,
+            "node_points": self.node_points,
+            "far_error_bound": float(max((fit[3] for fit in self._value_fits.values()), default=0.0)),
+        }

@@ -24,7 +24,7 @@ from .counting import (
     AngularDensity,
     GrowthEstimate,
     LindelofTrace,
-    _log_potential_slope,
+    _RealAxis,
     angular_density,
     growth_check,
     lindelof_sums,
@@ -86,12 +86,18 @@ class CriterionReport:
     rim-mass extrapolation estimate of what zeros beyond the completeness
     radius could contribute at the far end of the grid.  diagnostics counts
     the work done: grid_base_points and grid_aug_points (the grid before and
-    after refinement), kernel_calls and kernel_points (log_potential calls
-    and the points they evaluated), and zero_points (zeros x kernel_points).
-    B and D add gaps and gaps_searched (real-zero gaps in the grid range,
-    and those given golden-section probes) and slope_points (points of the
-    slope pass behind the gap bounds).  It holds counts only, so a report is
-    the same on every run.
+    after refinement), kernel_calls and kernel_points (calls of the value
+    kernel and the points they evaluated), and zero_points (the zero x point
+    terms behind those values: zeros x kernel_points for the dense
+    log_potential).  C, B and D evaluate through counting._RealAxis and add
+    cells (its cells), near_points (terms of near zeros, summed densely),
+    node_points (terms of far zeros at the cells' Chebyshev nodes), so that
+    zero_points = near_points + node_points, and far_error_bound (the
+    largest far-field bound E of the cells used).  B and D add gaps and
+    gaps_searched (real-zero gaps in the grid range, and those given
+    golden-section probes) and slope_points (points of the slope pass behind
+    the gap bounds, whose terms zero_points leaves out).  It holds counts and
+    a bound only, so a report is the same on every run.
     """
 
     criterion: str
@@ -155,12 +161,12 @@ def _real_zeros(seq: ZeroSequence) -> np.ndarray:
     return np.sort(seq.positions.real[seq.positions.imag == 0.0])
 
 
-def _gap_bounds(seq: ZeroSequence, b: float, t_lo: float, kap2: float, threads: int,
-                za, zb, ga, gb, c, value_at, target) -> tuple[np.ndarray, int]:
+def _gap_bounds(axis: _RealAxis, kap2: float, za, zb, ga, gb, c, value_at,
+                target) -> tuple[np.ndarray, int]:
     """Upper bounds, rounding allowance included, of a B or D objective on
     the gaps [ga, gb] between the real zeros za < zb, from the judged values
     value_at(points) and anchors c in the gaps; and the number of slope
-    points they cost.
+    points they cost.  axis is the check's evaluator, for seq, b and t_lo.
 
     The objective is h(x) = sum of m (log clamp|x - a| - log clamp|b - a|)
     - kap2 x^2 / 2 with clamp(d) = max(d, t_lo), judged as h (B: t_lo = 0)
@@ -181,15 +187,16 @@ def _gap_bounds(seq: ZeroSequence, b: float, t_lo: float, kap2: float, threads: 
 
     and the bound of the judged value is the first line for B and the larger
     line for D, each with judged values in place of h, which only loosens
-    them.  S'(c) is h'(c) (a blocked slope pass over every zero) less the
-    near terms' slopes.  A gap with more than _NEAR_MAX near zeros is given no
-    bound.  Each bound carries an allowance for rounding: log_potential's
-    stated 70 u * sum m (1 + |L_p| + |L_b|) per value, with the same form for
-    the slope (times r) and the near sums, taken 4 + (near zeros) times.
+    them.  S'(c) is h'(c) (the evaluator's slope) less the near terms'
+    slopes.  A gap with more than _NEAR_MAX near zeros is given no bound.
+    Each bound carries an allowance for rounding: the evaluator's stated
+    80 u * sum m (1 + |L_p| + |L_b|) per value, with the same form for the
+    slope (times r) and the near sums, taken 4 + (near zeros) times, plus
+    the far-field bounds E of the values used and E' (times r) of the slope.
     Where the part without the slope term already reaches target, that part
     is returned and no slope is computed.
     """
-    t = t_lo
+    seq, b, t = axis.seq, axis.b, axis.t_lo
     pos, mult = seq.positions, seq.multiplicities
     off_axis = pos.imag != 0.0
     beta = np.abs(pos.imag[off_axis])
@@ -225,6 +232,9 @@ def _gap_bounds(seq: ZeroSequence, b: float, t_lo: float, kap2: float, threads: 
             near_slope[gaps] += np.divide(m[j] * dx, r2, out=np.zeros(r2.size), where=r2 > t * t)
         up[~fits] = math.inf
         neg = np.maximum(value_at(ga) - lo_a, value_at(gb) - lo_b) + curv * (gb - ga) ** 2 / 8.0
+    # the far-field bound of every value used: at c, and for D at the ends
+    far = axis.far_bound(np.concatenate([c, ga, gb]) if t > 0.0 else c)
+    far = far.reshape(-1, c.size).max(axis=0)
     # rounding allowance: |L| <= lam for every log in the values used
     mass = float(mult.sum())
     reach = max(float(np.abs(ga).max()), float(np.abs(gb).max()))
@@ -232,14 +242,14 @@ def _gap_bounds(seq: ZeroSequence, b: float, t_lo: float, kap2: float, threads: 
     with np.errstate(divide="ignore"):
         log_b = np.abs(np.log(np.maximum(np.hypot(pos.real - b, pos.imag), t)))
         lam = np.maximum(abs(math.log(max(reach + seq.max_abs, t))), np.abs(np.log(d)))
-        tol = (4.0 + count) * 70.0 * _U * (float((mult * log_b).sum()) + 0.5 * kap2 * reach ** 2
-                                           + mass * (1.0 + lam + r / d))
+        tol = (4.0 + count) * 80.0 * _U * (float((mult * log_b).sum()) + 0.5 * kap2 * reach ** 2
+                                           + mass * (1.0 + lam + r / d)) + far
     out = np.maximum(vc + up, neg) + tol
     todo = np.flatnonzero(out < target)
     ct, rt = c[todo], r[todo]
-    slope = _log_potential_slope(seq, ct, t, threads=threads) - kap2 * ct - near_slope[todo]
+    slope = axis.slopes(ct) - kap2 * ct - near_slope[todo]
     upper = vc[todo] + up[todo] + np.abs(slope) * rt + curv * rt ** 2 / 2.0
-    out[todo] = np.maximum(upper, neg[todo]) + tol[todo]
+    out[todo] = np.maximum(upper, neg[todo]) + tol[todo] + rt * axis.slope_bound(ct)
     return out, int(todo.size)
 
 
@@ -346,14 +356,17 @@ class _Counted:
         self.points += arr.size
         return self.kernel(arr)
 
-    def diagnostics(self, seq: ZeroSequence, base_points: int, aug_points: int) -> dict:
-        return {
+    def diagnostics(self, seq: ZeroSequence, base_points: int, aug_points: int,
+                    axis: _RealAxis | None = None) -> dict:
+        """The counts, with axis's cells and terms where the kernel is one."""
+        counts = {
             "grid_base_points": int(base_points),
             "grid_aug_points": int(aug_points),
             "kernel_calls": self.calls,
             "kernel_points": self.points,
             "zero_points": len(seq) * self.points,
         }
+        return counts | axis.diagnostics() if axis is not None else counts
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -471,14 +484,17 @@ def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
     """The B and D pipeline over h(x) = log_potential(seq, x, b, t_lo) minus
     the quadratic truncation envelope, judged as h when t_lo = 0 (B) and as
     |h| otherwise (D): the grid is augmented, and the running sup of the
-    finite values over dyadic |x| windows is judged by its trend."""
+    finite values over dyadic |x| windows is judged by its trend.  Values
+    and slopes come from one _RealAxis over the grid's range, with cells
+    sized by the grid's point count."""
     base = np.unique(np.asarray(x_grid, dtype=float))
     if base.size == 0:
         raise ValueError("x_grid must be nonempty")
     kap2 = _curvature_allowance(seq)
+    axis = _RealAxis(seq, b, t_lo, base[0], base[-1], base.size, threads=threads)
 
     def objective(arr: np.ndarray) -> np.ndarray:
-        h = log_potential(seq, arr, b, t_lo, threads=threads) - 0.5 * kap2 * arr ** 2
+        h = axis.values(arr) - 0.5 * kap2 * arr ** 2
         return np.abs(h) if t_lo > 0.0 else h
 
     grid = base
@@ -487,9 +503,9 @@ def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
         real = _real_zeros(seq)
         grid = np.concatenate([base, real[(real >= base[0]) & (real <= base[-1])]])
     counted = _Counted(objective)
-    bound = functools.partial(_gap_bounds, seq, b, t_lo, kap2, threads)
+    bound = functools.partial(_gap_bounds, axis, kap2)
     xs, vals, counts = _augment_grid(seq, grid, counted, bound)
-    diagnostics = counted.diagnostics(seq, base.size, xs.size) | counts
+    diagnostics = counted.diagnostics(seq, base.size, xs.size, axis) | counts
     desc = (
         f"{base.size}-point grid on [{base.min():g}, {base.max():g}], "
         f"augmented to {xs.size} points{grid_note}; "
@@ -543,7 +559,8 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
             *, threads: int = 1) -> CriterionReport:
     """Weighted positive-part integral evidence: adaptive trapezoid of
     [phi(x)]^+ / (1+x^2) over dyadic windows up to x_max, with a decay-rate
-    verdict on the window contributions."""
+    verdict on the window contributions.  phi comes from one _RealAxis over
+    [-x_max, x_max], with cells sized by the base sample count."""
     b = float(b)
     if x_max is None:
         x_max = default_x_max(seq)
@@ -555,7 +572,10 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
 
     best_x = 0.0
     best_val = -math.inf
-    kernel = _Counted(lambda arr: log_potential(seq, arr, b, threads=threads))
+    edges = _dyadic_edges(x_max)
+    base_points = 2 * (grid + 1) * (len(edges) - 1)
+    axis = _RealAxis(seq, b, 0.0, -x_max, x_max, base_points, threads=threads)
+    kernel = _Counted(axis.values)
 
     def both_sides(xs: np.ndarray) -> np.ndarray:
         return kernel(np.concatenate([xs, -xs])).reshape(2, -1)
@@ -588,7 +608,6 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
             xs = _interleave(xs, odd)
             pot = _interleave(pot, both_sides(odd))
 
-    edges = _dyadic_edges(x_max)
     windows = [(lo, hi, *window_value(lo, hi)) for lo, hi in zip(edges, edges[1:])]
 
     total = math.fsum(w[2] for w in windows)
@@ -633,8 +652,8 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
         trend_slope=slope,
         tail_error_bound=_tail_allowance(seq, x_max),
         notes=f"base point b = {b}; truncated weighted integral = {total:.6g}",
-        diagnostics=kernel.diagnostics(seq, 2 * (grid + 1) * len(windows),
-                                       sum(2 * (w[3] + 1) for w in windows)),
+        diagnostics=kernel.diagnostics(seq, base_points, sum(2 * (w[3] + 1) for w in windows),
+                                       axis),
     )
 
 

@@ -4,6 +4,7 @@ brute-force oracles the closed forms are checked against."""
 import math
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from expozeros import Zero, ZeroSequence
@@ -126,4 +127,22 @@ def axis_sequences(draw, radius=False):
     seq = ZeroSequence.from_arrays(positions, mults)
     if radius:
         return ZeroSequence.from_arrays(positions, mults, seq.max_abs * draw(st.floats(1.01, 4.0)) + 1.0)
+    return seq
+
+
+@st.composite
+def clustered_sequences(draw):
+    """Runs of real zeros 0.2-3.5 apart, complex pairs within 1.5 of the axis
+    beside them (so D's clamp acts across gaps) and a few far zeros;
+    multiplicities 1-5."""
+    start = draw(st.floats(-30.0, 30.0))
+    steps = draw(st.lists(st.floats(0.2, 3.5), min_size=2, max_size=20))
+    reals = [start + x for x in np.cumsum(steps)]
+    pairs = draw(st.lists(st.tuples(st.floats(min(reals) - 2.0, max(reals) + 2.0),
+                                    st.floats(0.02, 1.5)), max_size=6))
+    far = draw(st.lists(st.floats(-200.0, 200.0), max_size=10))
+    positions = reals + far + [complex(x, s * y) for x, y in pairs for s in (1.0, -1.0)]
+    mults = draw(st.lists(st.integers(1, 5), min_size=len(positions), max_size=len(positions)))
+    seq = ZeroSequence.from_arrays(positions, mults)
+    assume(seq.origin_excluded)
     return seq

@@ -236,3 +236,21 @@ def test_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_bisection_stops_where_floats_run_out():
+    # above about 4.5e6 the bracket width 1e-9 is below one ulp, so a
+    # bracket of adjacent floats can no longer halve; run in a child so a
+    # regression fails on the timeout instead of hanging the suite
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import math, numpy as np\n"
+            "from expozeros.catalog import _bisect_newton, _footnote_count, _footnote_count_prime\n"
+            "lo, hi = 1e6, 2e7\n"
+            "k = _footnote_count(np.array([1e7]))\n"
+            "r = _bisect_newton(_footnote_count, _footnote_count_prime, k, lo, hi)\n"
+            "print(repr(float(r[0])), bool(lo <= r[0] <= hi))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True, timeout=20)
+    root, inside = out.stdout.split()
+    assert inside == "True"
+    assert abs(float(root) - 1e7) <= 1e-8 * 1e7

@@ -132,7 +132,8 @@ class TestClassify:
         crit = payload["report"]["criteria"]
         assert crit["C"]["verdict"] == "evidence_satisfied"
         assert crit["B"]["verdict"] == "evidence_satisfied"
-        counts = {"grid_base_points", "grid_aug_points", "kernel_calls", "kernel_points", "zero_points"}
+        counts = {"grid_base_points", "grid_aug_points", "kernel_calls", "kernel_points", "zero_points",
+                  "cells", "near_points", "node_points", "far_error_bound"}
         gaps = {"gaps", "gaps_searched", "slope_points"}
         for name, rep in crit.items():
             assert set(rep["diagnostics"]) == (counts | gaps if name in "BD" else counts)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     axis_sequences,
+    clustered_sequences,
     draw_point,
     outer_zero_above_hypot,
+    random_conjugate_sequence,
     random_sequence,
     random_symmetric_sequence,
     riemann_step_integral,
@@ -31,6 +34,7 @@ from expozeros import (
     shift_origin,
     step_integral,
 )
+from expozeros.criteria import default_base_point
 
 TRIO = ZeroSequence((Zero(1 + 0j), Zero(-1 + 0j), Zero(2j)))
 
@@ -395,6 +399,128 @@ zero_lists = st.lists(
 
 def _sequence(raw):
     return ZeroSequence(tuple(Zero(complex(re, im), m) for re, im, m in raw))
+
+
+@st.composite
+def evaluator_sequences(draw):
+    """A conftest random, symmetric or conjugate sequence from a drawn seed,
+    or a clustered one."""
+    kind = draw(st.sampled_from(("random", "symmetric", "conjugate", "clustered")))
+    if kind == "clustered":
+        return draw(clustered_sequences())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    build = {"random": random_sequence, "symmetric": random_symmetric_sequence,
+             "conjugate": random_conjugate_sequence}[kind]
+    return build(rng)
+
+
+def _value_scale(seq, xs, b, t_lo):
+    """sum of m (1 + |L_x| + |L_b|) at every x of xs."""
+    with np.errstate(divide="ignore"):
+        lx = np.log(np.maximum(np.abs(seq.positions - xs[:, None]), t_lo))
+        lb = np.log(np.maximum(np.abs(seq.positions - b), t_lo))
+    return (seq.multiplicities * (1.0 + np.abs(lx) + np.abs(lb))).sum(axis=1)
+
+
+def _slope_scale(seq, xs, t_lo):
+    """sum of m / max(|x - a|, t_lo) at every x of xs."""
+    return (seq.multiplicities / np.maximum(np.abs(seq.positions - xs[:, None]), t_lo)).sum(axis=1)
+
+
+class TestRealAxis:
+    @settings(max_examples=60, deadline=None)
+    @given(seq=evaluator_sequences(), t_lo=st.sampled_from((0.0, 1.0)),
+           span=st.tuples(st.floats(-60.0, 0.0), st.floats(0.5, 60.0)),
+           samples=st.integers(1, 400), data=st.data())
+    def test_within_bound_of_the_dense_kernels(self, seq, t_lo, span, samples, data):
+        lo, hi = span
+        b = default_base_point(seq) if t_lo == 0.0 else 0.0
+        axis = counting._RealAxis(seq, b, t_lo, lo, hi, samples)
+        drawn = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=30))
+        real = seq.positions.real[(seq.positions.imag == 0.0) & (seq.positions.real >= lo)
+                                  & (seq.positions.real <= hi)]
+        xs = np.concatenate([drawn, real, [lo, hi]])
+        got = axis.values(xs)
+        dense = log_potential(seq, xs, b, t_lo)
+        # real zeros give exactly -inf, and only they, when t_lo = 0
+        on_zero = np.isin(xs, real)
+        assert np.array_equal(got == -math.inf, on_zero if t_lo == 0.0 else np.zeros(xs.size, bool))
+        keep = np.isfinite(dense)
+        assert np.array_equal(keep, np.isfinite(got))
+        bound = 150 * U * _value_scale(seq, xs[keep], b, t_lo) + axis.far_bound(xs[keep])
+        assert np.all(np.abs(got[keep] - dense[keep]) <= bound)
+        # off the zeros, far enough that |x - a|**2 stays a normal float
+        off = np.abs(seq.positions[:, None] - xs).min(axis=0) >= 1e-3
+        slopes = axis.slopes(xs[off])
+        dense_slopes = counting._log_potential_slope(seq, xs[off], t_lo)
+        bound = 150 * U * _slope_scale(seq, xs[off], t_lo) + axis.slope_bound(xs[off])
+        assert np.all(np.abs(slopes - dense_slopes) <= bound)
+        # a point's value and slope alone are its bits in the batch
+        alone = np.concatenate([axis.values(xs[i:i + 1]) for i in range(xs.size)])
+        assert alone.tobytes() == got.tobytes()
+        if off.any():
+            alone = np.concatenate([axis.slopes(x[None]) for x in xs[off]])
+            assert alone.tobytes() == slopes.tobytes()
+        # two threads over many small blocks give the same bits
+        with mock.patch.object(counting, "_BLOCK_CELLS", 3 * len(seq)), \
+                mock.patch.object(counting, "_SMALL_BLOCK_CELLS", 3 * len(seq)):
+            two = counting._RealAxis(seq, b, t_lo, lo, hi, samples, threads=2)
+            assert two.values(xs).tobytes() == got.tobytes()
+            assert two.slopes(xs[off]).tobytes() == slopes.tobytes()
+
+    def test_mpmath_reference_at_1e5_zeros(self):
+        seq = integer_lattice(5e4)
+        K = len(seq) // 2
+        rng = np.random.default_rng(32)
+        b = 0.25
+        xs = rng.uniform(-1.25e4, 1.25e4, 16)
+        assert float(np.abs(seq.positions.real[:, None] - xs).min()) > 1e-3
+        with mpmath.workdps(30):
+            ref_b = _lattice_log_abs(K, b)
+            exact = [float(_lattice_log_abs(K, x) - ref_b) for x in xs]
+            psi = mpmath.digamma
+            exact_slopes = [float(psi(K + 1 + mpmath.mpf(x)) - psi(K + 1 - mpmath.mpf(x))
+                                  + psi(1 - mpmath.mpf(x)) - psi(1 + mpmath.mpf(x))) for x in xs]
+        axis = counting._RealAxis(seq, b, 0.0, -1.25e4, 1.25e4, 2000)
+        assert axis.cells == 10
+        got = axis.values(xs)
+        bound = 80 * U * _value_scale(seq, xs, b, 0.0) + axis.far_bound(xs)
+        assert np.all(np.abs(got - exact) <= bound)
+        slopes = axis.slopes(xs)
+        bound = 80 * U * _slope_scale(seq, xs, 0.0) + axis.slope_bound(xs)
+        assert np.all(np.abs(slopes - exact_slopes) <= bound)
+        # the far terms are a small share of the bound
+        assert axis.diagnostics()["far_error_bound"] <= 1e-9
+
+    def test_interpolation_is_exact_at_the_nodes(self):
+        f = np.random.default_rng(5).standard_normal(counting._NODES)
+        assert counting._interpolate(f, counting._CHEB).tobytes() == f.tobytes()
+        s = np.linspace(-1.0, 1.0, 101)
+        line = counting._interpolate(3.0 - 2.0 * counting._CHEB, s)
+        assert np.all(np.abs(line - (3.0 - 2.0 * s)) <= 1e-13)
+
+    def test_accurate_sums_against_fsum(self):
+        rng = np.random.default_rng(6)
+        terms = rng.standard_normal((8, 1000)) * 10.0 ** rng.integers(-8, 8, (8, 1000))
+        terms[3] = 0.0
+        for got, row in zip(counting._accurate_sums(terms), terms):
+            exact = math.fsum(row)
+            assert abs(got - exact) <= U * abs(exact) + 32 * row.size ** 2 * U * U * np.abs(row).max()
+
+    def test_points_outside_the_range_rejected(self):
+        axis = counting._RealAxis(integer_lattice(50.0), 0.5, 0.0, -10.0, 10.0, 100)
+        for bad in ([10.5], [-11.0], [math.nan]):
+            with pytest.raises(ValueError):
+                axis.values(np.array(bad))
+
+    def test_empty_sequence_and_one_point_range(self):
+        axis = counting._RealAxis(ZeroSequence(()), 0.0, 0.0, -3.0, 3.0, 50)
+        assert axis.values(np.array([-3.0, 0.5, 3.0])).tolist() == [0.0, 0.0, 0.0]
+        assert axis.slopes(np.array([1.0])).tolist() == [0.0]
+        assert axis.diagnostics()["far_error_bound"] == 0.0
+        seq = integer_lattice(50.0)
+        one = counting._RealAxis(seq, 0.5, 0.0, 2.5, 2.5, 1)
+        assert abs(one.values(np.array([2.5]))[0] - log_potential(seq, [2.5], 0.5)[0]) <= 1e-12
 
 
 class TestLogPotentialSlope:

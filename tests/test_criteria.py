@@ -5,10 +5,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_point, random_conjugate_sequence, random_sequence, random_symmetric_sequence
+from conftest import (
+    clustered_sequences,
+    draw_point,
+    random_conjugate_sequence,
+    random_sequence,
+    random_symmetric_sequence,
+)
 from expozeros import (
     INCONCLUSIVE,
     SATISFIED,
@@ -32,8 +38,10 @@ from expozeros import (
     step_integral,
     type_bound,
 )
-from expozeros import criteria
+from expozeros import counting, criteria
 from expozeros.criteria import default_base_point, default_grid, default_x_max
+
+U = 2.0 ** -53
 
 
 @pytest.fixture(scope="module")
@@ -318,36 +326,34 @@ def real_axis_sequences(draw):
     return ZeroSequence.from_arrays(positions, mults)
 
 
-@st.composite
-def clustered_sequences(draw):
-    """Runs of real zeros 0.2-3.5 apart, complex pairs within 1.5 of the axis
-    beside them (so D's clamp acts across gaps) and a few far zeros;
-    multiplicities 1-5."""
-    start = draw(st.floats(-30.0, 30.0))
-    steps = draw(st.lists(st.floats(0.2, 3.5), min_size=2, max_size=20))
-    reals = [start + x for x in np.cumsum(steps)]
-    pairs = draw(st.lists(st.tuples(st.floats(min(reals) - 2.0, max(reals) + 2.0),
-                                    st.floats(0.02, 1.5)), max_size=6))
-    far = draw(st.lists(st.floats(-200.0, 200.0), max_size=10))
-    positions = reals + far + [complex(x, s * y) for x, y in pairs for s in (1.0, -1.0)]
-    mults = draw(st.lists(st.integers(1, 5), min_size=len(positions), max_size=len(positions)))
-    seq = ZeroSequence.from_arrays(positions, mults)
-    assume(seq.origin_excluded)
-    return seq
-
-
 def _judged_points(check, *args):
-    """Run a B or D check with criteria's kernel recorded; return the report
-    and every point the kernel was asked for."""
+    """Run a B or D check with its evaluator's values recorded; return the
+    report and every point the values were asked for."""
     calls = []
+    values = counting._RealAxis.values
 
-    def recording(seq, points, *rest, **kw):
+    def recording(axis, points):
         calls.append(np.array(points, dtype=float))
-        return log_potential(seq, points, *rest, **kw)
+        return values(axis, points)
 
-    with mock.patch.object(criteria, "log_potential", recording):
+    with mock.patch.object(counting._RealAxis, "values", recording):
         rep = check(*args)
     return rep, np.concatenate(calls)
+
+
+def assert_within_bound(axis, xs):
+    """axis's values at xs lie within its stated bound plus log_potential's
+    of the dense kernel, and are -inf exactly where the dense ones are."""
+    seq = axis.seq
+    got = axis.values(xs)
+    dense = log_potential(seq, xs, axis.b, axis.t_lo)
+    assert np.array_equal(got == -math.inf, dense == -math.inf)
+    keep = np.isfinite(dense)
+    with np.errstate(divide="ignore"):
+        lx = np.log(np.maximum(np.abs(seq.positions - xs[keep, None]), axis.t_lo))
+        lb = np.log(np.maximum(np.abs(seq.positions - axis.b), axis.t_lo))
+    scale = (seq.multiplicities * (1.0 + np.abs(lx) + np.abs(lb))).sum(axis=1)
+    assert np.all(np.abs(got[keep] - dense[keep]) <= 150 * U * scale + axis.far_bound(xs[keep]))
 
 
 def _no_bound(za, *rest):
@@ -361,15 +367,19 @@ class TestEvaluatedOnce:
     def test_judged_values_are_fresh_kernel_values(self, seq, span, count):
         grid = np.linspace(-span, span, count)
         b = default_base_point(seq)
-        fresh = {name: objective for name, (_, _, objective) in _gap_objectives(seq, b)[1].items()}
+        # a fresh evaluator with the check's layout: the grid's range and size
+        fresh = _gap_objectives(seq, b, -span, span, np.unique(grid).size)[1]
         for rep, asked in (_judged_points(check_B, seq, b, grid), _judged_points(check_D, seq, grid)):
             diag = rep.diagnostics
             # each point once, and every point evaluated is judged
             assert np.unique(asked).size == asked.size == diag["kernel_points"]
-            assert diag["zero_points"] == len(seq) * asked.size
+            assert diag["zero_points"] == diag["near_points"] + diag["node_points"]
+            assert diag["near_points"] <= len(seq) * asked.size
             assert diag["grid_aug_points"] == asked.size
             xs = np.sort(asked)
-            vals = fresh[rep.criterion](xs)
+            _, _, objective, axis = fresh[rep.criterion]
+            vals = objective(xs)
+            assert_within_bound(axis, xs)
             keep = np.isfinite(vals)
             xs, vals = xs[keep], vals[keep]
             top = int(np.argmax(vals))
@@ -412,6 +422,9 @@ class TestEvaluatedOnce:
         seq = integer_lattice(1e3)
         xs = default_grid(default_x_max(seq), 24)
         counts = {"B": (917, 917, 1, 498), "D": (1445, 1445, 29, 470)}
+        # value terms: near zeros summed densely plus far zeros at the nodes
+        # (dense: 1832166 and 2887110 zeros x points)
+        terms = {"B": (273502, 169960), "D": (433949, 169760)}
         for rep in (check_B(seq, 0.0, xs), check_D(seq, xs)):
             diag = rep.diagnostics
             augmented = int(re.match(r"^(\d+)-point grid .*augmented to (\d+) points",
@@ -423,7 +436,8 @@ class TestEvaluatedOnce:
             assert diag["gaps"] == 499
             # base grid and midpoints (and D's real zeros), then three golden passes
             assert diag["kernel_calls"] == 4
-            assert diag["zero_points"] == len(seq) * diag["kernel_points"]
+            assert (diag["near_points"], diag["node_points"]) == terms[rep.criterion]
+            assert diag["zero_points"] == sum(terms[rep.criterion])
 
     def test_C_matches_level_by_level_evaluation(self):
         # reference: every refinement level evaluated afresh, both signs
@@ -438,14 +452,17 @@ class TestEvaluatedOnce:
             edges = [0.0, min(1.0, x_max)]
             while edges[-1] < x_max:
                 edges.append(min(2.0 * max(edges[-1], 1.0), x_max))
+            # a fresh evaluator with the check's layout
+            axis = counting._RealAxis(seq, b, 0.0, -x_max, x_max, 2 * 9 * (len(edges) - 1))
             windows, points = [], 0
             for lo, hi in zip(edges, edges[1:]):
                 n, prev = 8, None
                 while True:
                     xs = np.linspace(lo, hi, n + 1)
                     env = 0.5 * kap2 * xs ** 2
-                    up = np.maximum(log_potential(seq, xs, b) - env, 0.0)
-                    um = np.maximum(log_potential(seq, -xs, b) - env, 0.0)
+                    up = np.maximum(axis.values(xs) - env, 0.0)
+                    um = np.maximum(axis.values(-xs) - env, 0.0)
+                    assert_within_bound(axis, np.concatenate([xs, -xs]))
                     val = float(np.trapezoid((up + um) / (1.0 + xs ** 2), xs))
                     if prev is not None and (abs(val - prev) <= 1e-4 * (1.0 + abs(val)) or n >= 128):
                         break
@@ -468,18 +485,25 @@ def _report_bits(rep):
 
 def _unpruned(check, *args):
     """The check with every gap searched."""
-    with mock.patch.object(criteria, "_gap_bounds", lambda *args: _no_bound(*args[5:])):
+    with mock.patch.object(criteria, "_gap_bounds", lambda *args: _no_bound(*args[2:])):
         return check(*args)
 
 
-def _gap_objectives(seq, b):
-    """The envelope coefficient, and per criterion the base point, t_lo and
-    judged objective of check_B and check_D, computed afresh."""
+def _gap_objectives(seq, b, lo, hi, samples):
+    """The envelope coefficient, and per criterion the base point, t_lo,
+    judged objective and evaluator of check_B and check_D on a grid over
+    [lo, hi] of samples points, computed afresh."""
     kap2 = criteria._curvature_allowance(seq)
-    return kap2, {
-        "B": (b, 0.0, lambda xs: log_potential(seq, xs, b) - 0.5 * kap2 * xs ** 2),
-        "D": (0.0, 1.0, lambda xs: np.abs(log_potential(seq, xs, 0.0, 1.0) - 0.5 * kap2 * xs ** 2)),
-    }
+    out = {}
+    for name, base, t_lo in (("B", b, 0.0), ("D", 0.0, 1.0)):
+        axis = counting._RealAxis(seq, base, t_lo, lo, hi, samples)
+
+        def objective(xs, axis=axis, t_lo=t_lo):
+            h = axis.values(xs) - 0.5 * kap2 * xs ** 2
+            return np.abs(h) if t_lo > 0.0 else h
+
+        out[name] = (base, t_lo, objective, axis)
+    return kap2, out
 
 
 def _golden_max(objective, ga, gb, passes=40):
@@ -539,9 +563,9 @@ class TestGapPruning:
         za, zb, ga, gb = za[keep], zb[keep], ga[keep], gb[keep]
         if not ga.size:
             return
-        kap2, objectives = _gap_objectives(seq, default_base_point(seq))
-        for name, (b, t_lo, objective) in objectives.items():
-            ub, slope_points = criteria._gap_bounds(seq, b, t_lo, kap2, 1, za, zb, ga, gb,
+        kap2, objectives = _gap_objectives(seq, default_base_point(seq), lo, hi, 200)
+        for name, (b, t_lo, objective, axis) in objectives.items():
+            ub, slope_points = criteria._gap_bounds(axis, kap2, za, zb, ga, gb,
                                                     np.clip(0.5 * (za + zb), lo, hi), objective,
                                                     math.inf)
             assert slope_points == ga.size
@@ -563,9 +587,9 @@ class TestGapPruning:
                 continue
             rz = criteria._real_zeros(seq)
             za, zb = rz[:-1], rz[1:]
-            kap2, objectives = _gap_objectives(seq, default_base_point(seq))
-            for name, (b, t_lo, objective) in objectives.items():
-                ub, _ = criteria._gap_bounds(seq, b, t_lo, kap2, 1, za, zb, za, zb,
+            kap2, objectives = _gap_objectives(seq, default_base_point(seq), rz[0], rz[-1], 200)
+            for name, (b, t_lo, objective, axis) in objectives.items():
+                ub, _ = criteria._gap_bounds(axis, kap2, za, zb, za, zb,
                                              0.5 * (za + zb), objective, math.inf)
                 dense = objective(np.linspace(za, zb, 257)).max(axis=0)
                 assert np.all(dense <= ub), name
