@@ -330,9 +330,7 @@ def _blocked(n_points: int, n_zeros: int, threads: int, block,
     min(threads, cpu count, blocks) threads."""
     step = max(1, (cells or _BLOCK_CELLS) // n_zeros)
     starts = range(0, n_points, step)
-    workers = min(threads, len(starts))
-    if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
+    workers = min(threads, os.cpu_count() or 1, len(starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda start: block(start, start + step), starts))
@@ -518,6 +516,18 @@ def _truncation_bound(h: float, dist: np.ndarray, mult: np.ndarray, excess) -> f
     return float((4.0 * size * rho ** (1 - _NODES) / (rho - 1.0)).min())
 
 
+def _chord_fit(nodes: np.ndarray, h: float, dist: np.ndarray, mult: np.ndarray, excess,
+               spread: float) -> tuple[float, np.ndarray, float]:
+    """The slope of the chord through a cell's end nodes, the node values
+    less the chord, and the cell's far-field bound E (see _RealAxis), with
+    F = spread."""
+    slope = (nodes[0] - nodes[-1]) / (_CHEB[0] - _CHEB[-1])
+    rest = nodes - slope * _CHEB
+    bound = (_truncation_bound(h, dist, mult, excess)
+             + _LEBESGUE * _U * (20.0 * spread + 5.0 * _NODES * float(np.abs(rest).max())))
+    return slope, rest, bound
+
+
 class _RealAxis:
     """log_potential(seq, x, b, t_lo) and _log_potential_slope(seq, x, t_lo)
     at real x in [lo, hi], by a one-level treecode (Dutt, Gu & Rokhlin 1996;
@@ -624,13 +634,9 @@ class _RealAxis:
             nodes = _by_rows(_NODES, re.size, lambda j: _accurate_sums(
                 half_m * np.log1p(s[j] * (two_dc + s[j]) / d2)))
             self.node_points += _NODES * re.size
-            slope = (nodes[0] - nodes[-1]) / (_CHEB[0] - _CHEB[-1])
-            rest = nodes - slope * _CHEB
-            bound = (_truncation_bound(h, dist, m, lambda r, d: -np.log1p(-r / d) - r / d)
-                     + _LEBESGUE * _U * (20.0 * float((m * -np.log1p(-h / dist)).sum())
-                                         + 5.0 * _NODES * float(np.abs(rest).max())))
             const = float(_accurate_sums((m * (np.log(dist) - log_b))[None, :])[0])
-            fit = (const, slope, rest, bound)
+            fit = (const, *_chord_fit(nodes, h, dist, m, lambda r, d: -np.log1p(-r / d) - r / d,
+                                      float((m * -np.log1p(-h / dist)).sum())))
             self._value_fits[k] = fit
         return fit
 
@@ -649,12 +655,8 @@ class _RealAxis:
                 return _accurate_sums(m * dx / (dx * dx + im2))
 
             nodes = _by_rows(_NODES, re.size, block)
-            slope = (nodes[0] - nodes[-1]) / (_CHEB[0] - _CHEB[-1])
-            rest = nodes - slope * _CHEB
-            bound = (_truncation_bound(h, dist, m, lambda r, d: (r / d) ** 2 / (d - r))
-                     + _LEBESGUE * _U * (20.0 * float((m / (dist - h)).sum())
-                                         + 5.0 * _NODES * float(np.abs(rest).max())))
-            fit = (slope, rest, bound)
+            fit = _chord_fit(nodes, h, dist, m, lambda r, d: (r / d) ** 2 / (d - r),
+                             float((m / (dist - h)).sum()))
             self._slope_fits[k] = fit
         return fit
 

@@ -146,3 +146,18 @@ def clustered_sequences(draw):
     seq = ZeroSequence.from_arrays(positions, mults)
     assume(seq.origin_excluded)
     return seq
+
+
+def value_scale(seq, xs, b, t_lo):
+    """sum of m (1 + |L_x| + |L_b|) at every real x of xs, the scale of
+    log_potential's stated error bound."""
+    with np.errstate(divide="ignore"):
+        lx = np.log(np.maximum(np.abs(seq.positions - xs[:, None]), t_lo))
+        lb = np.log(np.maximum(np.abs(seq.positions - b), t_lo))
+    return (seq.multiplicities * (1.0 + np.abs(lx) + np.abs(lb))).sum(axis=1)
+
+
+def slope_scale(seq, xs, t_lo):
+    """sum of m / max(|x - a|, t_lo) at every x of xs, the scale of the
+    slope kernel's stated error bound."""
+    return (seq.multiplicities / np.maximum(np.abs(seq.positions - xs[:, None]), t_lo)).sum(axis=1)

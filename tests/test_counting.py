@@ -16,6 +16,8 @@ from conftest import (
     random_sequence,
     random_symmetric_sequence,
     riemann_step_integral,
+    slope_scale,
+    value_scale,
 )
 from expozeros import counting
 from expozeros import (
@@ -414,19 +416,6 @@ def evaluator_sequences(draw):
     return build(rng)
 
 
-def _value_scale(seq, xs, b, t_lo):
-    """sum of m (1 + |L_x| + |L_b|) at every x of xs."""
-    with np.errstate(divide="ignore"):
-        lx = np.log(np.maximum(np.abs(seq.positions - xs[:, None]), t_lo))
-        lb = np.log(np.maximum(np.abs(seq.positions - b), t_lo))
-    return (seq.multiplicities * (1.0 + np.abs(lx) + np.abs(lb))).sum(axis=1)
-
-
-def _slope_scale(seq, xs, t_lo):
-    """sum of m / max(|x - a|, t_lo) at every x of xs."""
-    return (seq.multiplicities / np.maximum(np.abs(seq.positions - xs[:, None]), t_lo)).sum(axis=1)
-
-
 class TestRealAxis:
     @settings(max_examples=60, deadline=None)
     @given(seq=evaluator_sequences(), t_lo=st.sampled_from((0.0, 1.0)),
@@ -447,13 +436,13 @@ class TestRealAxis:
         assert np.array_equal(got == -math.inf, on_zero if t_lo == 0.0 else np.zeros(xs.size, bool))
         keep = np.isfinite(dense)
         assert np.array_equal(keep, np.isfinite(got))
-        bound = 150 * U * _value_scale(seq, xs[keep], b, t_lo) + axis.far_bound(xs[keep])
+        bound = 150 * U * value_scale(seq, xs[keep], b, t_lo) + axis.far_bound(xs[keep])
         assert np.all(np.abs(got[keep] - dense[keep]) <= bound)
         # off the zeros, far enough that |x - a|**2 stays a normal float
         off = np.abs(seq.positions[:, None] - xs).min(axis=0) >= 1e-3
         slopes = axis.slopes(xs[off])
         dense_slopes = counting._log_potential_slope(seq, xs[off], t_lo)
-        bound = 150 * U * _slope_scale(seq, xs[off], t_lo) + axis.slope_bound(xs[off])
+        bound = 150 * U * slope_scale(seq, xs[off], t_lo) + axis.slope_bound(xs[off])
         assert np.all(np.abs(slopes - dense_slopes) <= bound)
         # a point's value and slope alone are its bits in the batch
         alone = np.concatenate([axis.values(xs[i:i + 1]) for i in range(xs.size)])
@@ -484,10 +473,10 @@ class TestRealAxis:
         axis = counting._RealAxis(seq, b, 0.0, -1.25e4, 1.25e4, 2000)
         assert axis.cells == 10
         got = axis.values(xs)
-        bound = 80 * U * _value_scale(seq, xs, b, 0.0) + axis.far_bound(xs)
+        bound = 80 * U * value_scale(seq, xs, b, 0.0) + axis.far_bound(xs)
         assert np.all(np.abs(got - exact) <= bound)
         slopes = axis.slopes(xs)
-        bound = 80 * U * _slope_scale(seq, xs, 0.0) + axis.slope_bound(xs)
+        bound = 80 * U * slope_scale(seq, xs, 0.0) + axis.slope_bound(xs)
         assert np.all(np.abs(slopes - exact_slopes) <= bound)
         # the far terms are a small share of the bound
         assert axis.diagnostics()["far_error_bound"] <= 1e-9

@@ -14,6 +14,7 @@ from conftest import (
     random_conjugate_sequence,
     random_sequence,
     random_symmetric_sequence,
+    value_scale,
 )
 from expozeros import (
     INCONCLUSIVE,
@@ -349,10 +350,7 @@ def assert_within_bound(axis, xs):
     dense = log_potential(seq, xs, axis.b, axis.t_lo)
     assert np.array_equal(got == -math.inf, dense == -math.inf)
     keep = np.isfinite(dense)
-    with np.errstate(divide="ignore"):
-        lx = np.log(np.maximum(np.abs(seq.positions - xs[keep, None]), axis.t_lo))
-        lb = np.log(np.maximum(np.abs(seq.positions - axis.b), axis.t_lo))
-    scale = (seq.multiplicities * (1.0 + np.abs(lx) + np.abs(lb))).sum(axis=1)
+    scale = value_scale(seq, xs[keep], axis.b, axis.t_lo)
     assert np.all(np.abs(got[keep] - dense[keep]) <= 150 * U * scale + axis.far_bound(xs[keep]))
 
 
@@ -569,6 +567,7 @@ class TestGapPruning:
                                                     np.clip(0.5 * (za + zb), lo, hi), objective,
                                                     math.inf)
             assert slope_points == ga.size
+            assert_within_bound(axis, np.linspace(ga, gb, 257).ravel())
             dense = objective(np.linspace(ga, gb, 257)).max(axis=0)
             assert np.all(dense <= ub), name
             assert np.all(_golden_max(objective, ga, gb) <= ub), name
