@@ -457,7 +457,7 @@ def _log_potential_slope(seq: ZeroSequence, xs: np.ndarray, t_lo: float = 0.0, *
 # on their Lebesgue constant.
 _NODES = 20
 _CHEB = np.cos((2 * np.arange(_NODES) + 1) * math.pi / (2 * _NODES))
-_WEIGHTS = 1.0 / np.array([np.prod(np.delete(_CHEB[j] - _CHEB, j)) for j in range(_NODES)])
+_WEIGHTS = 1.0 / np.prod(np.where(np.eye(_NODES, dtype=bool), 1.0, _CHEB[:, None] - _CHEB), axis=1)
 _LEBESGUE = 2.0 / math.pi * math.log(_NODES) + 1.0
 _U = 2.0 ** -53
 # Bernstein ellipses tried for a cell's bound: semi-major axis r = q D_min,
