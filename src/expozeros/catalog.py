@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counting import exact_parts, exact_sum
 from .zero_model import ZeroSequence
 
 __all__ = [
@@ -28,6 +29,9 @@ __all__ = [
 ]
 
 E_SQUARED = math.exp(2.0)
+# Integer levels per block of int_decomposition's breakpoint walk: its
+# arrays stay a few MiB whatever alpha(x) is.
+_LEVEL_BLOCK = 1 << 16
 
 
 def _bisect_newton(f, fprime, targets, lo: float, hi: float,
@@ -173,8 +177,9 @@ def int_decomposition(spec: AlphaSpec, x: float, t_max: float) -> IntDecompositi
     """Compute the decomposition at x, truncating the far integral at t_max.
 
     The first integrand has jump discontinuities where alpha crosses an
-    integer, so that piece is integrated exactly segment by segment; the two
-    smooth pieces use adaptive quadrature.
+    integer, so that piece is integrated exactly segment by segment, the
+    levels walked in blocks of _LEVEL_BLOCK so memory stays bounded in x;
+    the two smooth pieces use adaptive quadrature.
     """
     # scipy.integrate takes most of a second to import and only this uses it
     from scipy import integrate
@@ -186,18 +191,25 @@ def int_decomposition(spec: AlphaSpec, x: float, t_max: float) -> IntDecompositi
     if t_max <= 2 * x:
         raise ValueError(f"t_max = {t_max} must exceed 2*x = {2 * x} for a meaningful far integral")
 
+    # level k - 1 holds on [b_(k-1), b_k], b_k the breakpoint alpha(b_k) = k,
+    # from b_(k_lo - 1) = 1 to b_(k_hi + 1) = x; levels go in blocks of
+    # _LEVEL_BLOCK, each block's first edge carried over from the last.  A
+    # block's brackets are halved while its own widest one is wider than
+    # 1e-9, so its breakpoints are those of one batch over every level
+    # unless the widths at the stop straddle 1e-9 by rounding.
     k_lo = int(math.floor(spec.alpha(1.0))) + 1
     k_hi = int(math.floor(spec.alpha(x)))
-    if k_hi >= k_lo:
-        breakpoints = _bisect_newton(
-            spec.alpha, spec.alpha_prime, np.arange(k_lo, k_hi + 1), 1.0, x
-        )
-        edges = np.concatenate([[1.0], breakpoints, [x]])
-        levels = np.arange(k_lo - 1, k_hi + 1, dtype=float)
-    else:
-        edges = np.array([1.0, x])
-        levels = np.array([float(k_lo - 1)])
-    first = 2.0 * (math.fsum(levels * np.log(edges[1:] / edges[:-1])) - (x - 1.0))
+    parts: list[float] = []
+    left = np.array([1.0])
+    for start in range(k_lo, k_hi + 2, _LEVEL_BLOCK):
+        stop = min(start + _LEVEL_BLOCK, k_hi + 2)
+        right = _bisect_newton(spec.alpha, spec.alpha_prime,
+                               np.arange(start, min(stop, k_hi + 1)), 1.0, x)
+        edges = np.concatenate([left, right, [x]] if stop == k_hi + 2 else [left, right])
+        levels = np.arange(start - 1, stop - 1, dtype=float)
+        parts += exact_parts(levels * np.log(edges[1:] / edges[:-1]))
+        left = edges[-1:]
+    first = 2.0 * (exact_sum(parts) - (x - 1.0))
 
     def mid_integrand(t):
         return (spec.alpha(x - t) - spec.alpha(x + t) + 2.0 * t) / t

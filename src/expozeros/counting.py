@@ -32,6 +32,8 @@ __all__ = [
     "angular_density",
     "step_integral",
     "log_potential",
+    "exact_sum",
+    "exact_parts",
 ]
 
 # Zero x point cells per log_potential block: one float64 work array of this
@@ -45,6 +47,17 @@ _SMALL_BLOCK_CELLS = 1 << 16
 # log_potential sums each point's terms in floating point over runs of this
 # many zeros, then the run sums exactly; the run length enters its error bound.
 _RUN = 64
+# exact_parts hands arrays of at most this many terms to math.fsum as they
+# are: one split level costs a few numpy passes, about what fsum takes over
+# 500 floats on a 2-core VM.
+_FSUM_CUT = 512
+# exact_parts splits only while (n + 4) max|term| stays below this, so sigma
+# and every partial sum are far from overflow; above it, or on inf or nan,
+# math.fsum gets the terms as they are.
+_SPLIT_LIMIT = 2.0 ** 1020
+# A split level's high sums are exact for up to about 2**26 terms
+# (n (n + 4) u <= 4); exact_parts halves longer arrays first.
+_SPLIT_MAX = 1 << 26
 
 
 class DivergentIntegralError(ValueError):
@@ -53,6 +66,54 @@ class DivergentIntegralError(ValueError):
     def __init__(self, message: str, zero: complex):
         super().__init__(message)
         self.zero = zero
+
+
+def _split(terms: np.ndarray, big):
+    """One error-free split along the last axis (Rump, Ogita & Oishi 2008,
+    ExtractVector): with n terms a row, big >= max|term| and sigma the power
+    of two above (n + 4) big, each term is high + low, high = (term + sigma)
+    - sigma.  The highs are multiples of u sigma whose partial sums stay
+    below sigma, so they sum exactly in any order; the lows are exact and
+    at most u sigma.  Returns (the highs' sums, the lows)."""
+    sigma = np.ldexp(1.0, np.frexp((terms.shape[-1] + 4) * big)[1])
+    high = terms + sigma
+    high -= sigma
+    return high.sum(axis=-1), np.subtract(terms, high, out=high)
+
+
+def exact_parts(terms: np.ndarray) -> list[float]:
+    """A few floats whose exact sum is that of the 1-D float array terms, so
+    math.fsum over them, or over the parts of several arrays together, is
+    the correctly rounded total of all the terms.
+
+    Each level splits the terms (_split), keeps the exact sum of the highs
+    as one part and passes the nonzero lows to the next level; a level
+    costs a few numpy passes, and at most _FSUM_CUT lows are left as parts
+    themselves.  An array holding inf or nan, or near overflow, comes back
+    as it is, so math.fsum gives its inf, nan, ValueError or OverflowError.
+    (Parts of several arrays only differ there when a running total of the
+    terms overflows while the whole does not.)
+    """
+    if terms.size > _SPLIT_MAX:
+        half = terms.size // 2
+        return exact_parts(terms[:half]) + exact_parts(terms[half:])
+    parts = []
+    while terms.size > _FSUM_CUT:
+        big = float(max(terms.max(), -terms.min()))   # nan if a term is nan
+        if not (terms.size + 4) * big < _SPLIT_LIMIT:
+            break
+        high_sum, low = _split(terms, big)
+        parts.append(float(high_sum))
+        nonzero = low != 0.0
+        terms = low if nonzero.all() else low[nonzero]
+    return parts + terms.tolist()
+
+
+def exact_sum(terms) -> float:
+    """math.fsum(terms) of a 1-D float array or sequence, bit for bit,
+    exceptions included, in a few numpy passes a level of exact_parts where
+    fsum converts every term to a Python float."""
+    return math.fsum(exact_parts(np.asarray(terms, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +185,7 @@ def imaginary_inverse_sum(seq: ZeroSequence) -> float:
     if not len(seq):
         return 0.0
     inv = 1.0 / seq.positions
-    return math.fsum(seq.multiplicities * np.abs(inv.imag))
+    return exact_sum(seq.multiplicities * np.abs(inv.imag))
 
 
 @dataclass(frozen=True)
@@ -306,10 +367,11 @@ def step_integral(seq: ZeroSequence, b: complex, x: complex, t_lo: float, t_hi: 
     full range (every clamp is then max(d, t_lo); the result is the closed
     form over the stored zeros and the completeness precondition is waived).
 
-    The pairwise log differences are totalled with exact (fsum) summation,
-    which makes the value independent of event order; the antisymmetry in
-    (b, x) and reflection symmetries therefore hold bit-exactly.  The error
-    bound is the one stated in log_potential.
+    The pairwise log differences are totalled by exact_sum: correctly
+    rounded, with the same bits as fsum, in a few numpy passes a split
+    level.  That makes the value independent of event order; the
+    antisymmetry in (b, x) and reflection symmetries therefore hold
+    bit-exactly.  The error bound is the one stated in log_potential.
     """
     b = complex(b)
     x = complex(x)
@@ -320,7 +382,7 @@ def step_integral(seq: ZeroSequence, b: complex, x: complex, t_lo: float, t_hi: 
         return 0.0
     log_b = _center_logs(seq, b, "b", t_lo, t_hi)
     log_x = _center_logs(seq, x, "x", t_lo, t_hi)
-    return math.fsum(seq.multiplicities * (log_x - log_b))
+    return exact_sum(seq.multiplicities * (log_x - log_b))
 
 
 def _blocked(n_points: int, n_zeros: int, threads: int, block,
@@ -470,15 +532,11 @@ _REACH = 1.0 - 2.0 ** -np.array([2.0, 4.0, 7.0, 12.0])
 
 def _accurate_sums(terms: np.ndarray) -> np.ndarray:
     """Row sums of a 2-D array of finite floats, each within
-    u |sum| + 32 n**2 u**2 max|term| for n terms a row: a row's terms are
-    split at a power of two sigma > (n + 4) max|term| into high parts, whose
-    sums are exact in any order, and exact low parts below u sigma (Rump,
-    Ogita & Oishi 2008, ExtractVector).  A row's sum depends on that row
-    alone."""
-    big = np.abs(terms).max(axis=1, initial=0.0)
-    sigma = np.ldexp(1.0, np.frexp((terms.shape[1] + 4) * big)[1])[:, None]
-    high = (terms + sigma) - sigma
-    return high.sum(axis=1) + (terms - high).sum(axis=1)
+    u |sum| + 32 n**2 u**2 max|term| for n terms a row: one _split level at
+    each row's max|term|, the highs summed exactly and the lows in floating
+    point.  A row's sum depends on that row alone."""
+    high_sums, low = _split(terms, np.abs(terms).max(axis=1, initial=0.0)[:, None])
+    return high_sums + low.sum(axis=1)
 
 
 def _by_rows(rows: int, cols: int, block) -> np.ndarray:

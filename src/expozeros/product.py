@@ -2,10 +2,12 @@
 
 A product over millions of factors (1 - z/a) over/underflows long before it
 finishes, so values are carried as (log-magnitude, argument).  Log-magnitudes
-and raw argument radians are totalled with exact (fsum) summation; arguments
-are normalized to (-pi, pi] once at the end.  Factors that are exactly real
-contribute their pi's through an integer counter, so conjugate-symmetric
-sequences evaluated at real points come out with argument exactly 0 or pi.
+and raw argument radians are totalled by counting's exact-sum kernel
+(exact_parts / exact_sum): correctly rounded, with the same bits as fsum, in
+a few numpy passes a split level; arguments are normalized to (-pi, pi] once
+at the end.  Factors that are exactly real contribute their pi's through an
+integer counter, so conjugate-symmetric sequences evaluated at real points
+come out with argument exactly 0 or pi.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import log_potential, step_integral
+from .counting import exact_parts, exact_sum, log_potential, step_integral
 from .zero_model import ZeroSequence
 
 __all__ = [
@@ -99,8 +101,9 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     exactly a stored position inside R the value is an exact zero.
 
     Per-zero log and argument terms are computed in blocks of _PRODUCT_BLOCK
-    zeros and each total is one fsum, so the value does not depend on the
-    block size.
+    zeros, each block split by exact_parts; each total is the correctly
+    rounded sum of all its terms (the bits fsum gives over them), so the
+    value does not depend on the block size.
     """
     z = complex(z)
     if not seq.origin_excluded:
@@ -120,8 +123,8 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     flag = TAIL_COMPLETE if (R0 == 0.0 and count == seq.total_multiplicity) else TAIL_TRUNCATED
     if n == 0:
         return ProductEvaluation(LogComplex(0.0, 0.0), R, 0, flag)
-    log_terms = np.empty(n)
-    arg_terms = np.empty(n)  # 0.0 for a real factor: its pi goes to pi_count
+    log_parts: list[float] = []
+    arg_parts: list[float] = []
     pi_count = 0
     min_abs = math.inf
     for start in range(0, n, _PRODUCT_BLOCK):
@@ -134,14 +137,16 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
         absw = np.abs(w)
         min_abs = min(min_abs, float(absw.min()))
         with np.errstate(divide="ignore"):
-            np.multiply(m, np.log(absw, out=absw), out=log_terms[block])
+            logs = np.log(absw, out=absw)
+        log_parts += exact_parts(np.multiply(m, logs, out=logs))
         is_real = w.imag == 0.0
         pi_count += int(m[is_real & (w.real < 0.0)].sum())
-        args = np.multiply(m, np.arctan2(w.imag, w.real), out=arg_terms[block])
-        args[is_real] = 0.0
-    theta = math.fsum(arg_terms) + (pi_count & 1) * math.pi
+        args = m * np.arctan2(w.imag, w.real)
+        args[is_real] = 0.0  # a real factor's pi goes to pi_count
+        arg_parts += exact_parts(args)
+    theta = exact_sum(arg_parts) + (pi_count & 1) * math.pi
     return ProductEvaluation(
-        LogComplex(math.fsum(log_terms), wrap_angle(theta)),
+        LogComplex(exact_sum(log_parts), wrap_angle(theta)),
         R,
         count,
         flag,
@@ -168,7 +173,7 @@ def jensen_counting_side(seq: ZeroSequence, z: complex) -> float:
     step integral of [n(0,t) - n(z,t)]/t over [1, inf) plus the integral of
     n(0,t)/t over (0,1], which is the sum of m * max(0, -log|a|)."""
     d0 = np.abs(seq.positions)
-    unit_disc = math.fsum(seq.multiplicities * -np.log(np.minimum(d0, 1.0)))
+    unit_disc = exact_sum(seq.multiplicities * -np.log(np.minimum(d0, 1.0)))
     return step_integral(seq, 0.0, complex(z), 1.0, math.inf) + unit_disc
 
 
@@ -189,7 +194,7 @@ def derivative_at_multiple_zero(seq: ZeroSequence, z0: complex) -> float:
         raise ValueError(f"z0 = {z0} is not a zero position of the sequence")
     others = ~self_mask
     lower_center = mult[others] * np.log(np.minimum(np.abs(pos[others] - z0), 1.0))
-    return jensen_counting_side(seq, z0) + math.fsum(lower_center)
+    return jensen_counting_side(seq, z0) + exact_sum(lower_center)
 
 
 def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 4096) -> float:
@@ -229,7 +234,7 @@ def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 40
         shift /= 2.0
     theta = offset + step * np.arange(n)
     points = z + radius * np.exp(1j * theta)
-    return math.fsum(log_potential(seq, points, 0.0)) / n
+    return exact_sum(log_potential(seq, points, 0.0)) / n
 
 
 def jensen_identity_check(seq: ZeroSequence, z: complex, nodes: int = 65536) -> float:

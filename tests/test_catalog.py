@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from expozeros import catalog
 from expozeros import (
     AlphaSpec,
     alpha_sequence,
@@ -183,6 +184,19 @@ class TestIntDecomposition:
         assert d3.first > d2.first > 0.0
         ratio = d3.first / d2.first
         assert abs(ratio - 2.25) <= 0.15 * 2.25
+
+    def test_level_blocks_keep_the_bits_of_first(self, monkeypatch):
+        # the x values of this class, each walked in one block at the
+        # default size; (x, levels per block) with the blocks a few levels
+        # long, or a few blocks at x = 1e4 to keep the walk short
+        cases = [(10.0, 1), (10.0, 3), (37.5, 3), (100.0, 3), (1000.0, 3), (1000.0, 64),
+                 (10000.0, 997)]
+        for spec in (self.SPEC, AlphaSpec(1.3)):
+            whole = [int_decomposition(spec, x, max(1e5, 20 * x)).first for x, _ in cases]
+            for (x, block), first in zip(cases, whole):
+                monkeypatch.setattr(catalog, "_LEVEL_BLOCK", block)
+                assert int_decomposition(spec, x, max(1e5, 20 * x)).first.hex() == first.hex()
+            monkeypatch.undo()
 
     def test_first_integral_against_brute_quadrature(self):
         # oracle: Riemann sum on a fine grid that never straddles a jump of

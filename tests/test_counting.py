@@ -416,6 +416,75 @@ def evaluator_sequences(draw):
     return build(rng)
 
 
+def _outcome(sum_, terms):
+    """The bits of sum_(terms), or the type and message of what it raises."""
+    try:
+        return float(sum_(terms)).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def term_arrays(draw):
+    """Up to 3000 floats (exact_parts' fsum cut-off is 512): signed mantissas
+    at exponents from a drawn window of the whole double range, subnormals
+    and underflow to zero included, with signed zeros and cancelling
+    triples [x, y, -x] mixed in and the order shuffled."""
+    n = draw(st.integers(0, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = draw(st.integers(-1080, 1024))
+    hi = draw(st.integers(lo, min(lo + draw(st.sampled_from((0, 40, 200, 2104))), 1024)))
+    signs = rng.choice((-1.0, 1.0), n)
+    terms = np.ldexp(rng.uniform(0.5, 1.0, n) * signs, rng.integers(lo, hi + 1, n))
+    terms[rng.random(n) < draw(st.sampled_from((0.0, 0.1, 0.9)))] = -0.0
+    terms[rng.random(n) < 0.05] = 0.0
+    triples = [[x, y, -x] for x, y in zip(np.ldexp(rng.choice((-1.0, 1.0), 5), rng.integers(0, 1024, 5)),
+                                            np.ldexp(rng.uniform(-1.0, 1.0, 5), rng.integers(-1074, 0, 5)))]
+    return rng.permutation(np.concatenate([terms, *triples[:draw(st.integers(0, 5))]]))
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(term_arrays(),
+                     st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=1500)
+                     .map(lambda v: np.array(v, dtype=float))))
+    def test_bits_of_fsum(self, terms):
+        assert _outcome(counting.exact_sum, terms) == _outcome(math.fsum, terms)
+        try:
+            total = counting.exact_sum(terms)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                counting.exact_sum(-terms)
+            return
+        negated = counting.exact_sum(-terms)
+        assert negated == -total
+        assert total == 0.0 or negated.hex() == (-total).hex()
+
+    def test_cancelling_triple(self):
+        for pad in (0, 1000):
+            terms = np.concatenate([[1e16, 1.0, -1e16], np.full(pad, 2.0 ** -60)])
+            assert counting.exact_sum(terms) == math.fsum(terms) == 1.0 + pad * 2.0 ** -60
+
+    def test_special_values_as_fsum(self):
+        for special in ([math.inf, -math.inf], [math.nan], [1e308, 1e308], [-math.inf, 1.0],
+                        [1e308, 1e308, -1e308]):
+            for pad in (0, 1000):
+                for terms in (np.concatenate([special, np.ones(pad)]),
+                              np.concatenate([np.ones(pad), special])):
+                    assert _outcome(counting.exact_sum, terms) == _outcome(math.fsum, terms)
+        with pytest.raises(ValueError):
+            counting.exact_sum(np.concatenate([[math.inf, -math.inf], np.ones(1000)]))
+        with pytest.raises(OverflowError):
+            counting.exact_sum(np.concatenate([np.ones(1000), [1e308, 1e308]]))
+        assert math.isnan(counting.exact_sum(np.concatenate([np.ones(1000), [math.nan]])))
+
+    def test_parts_of_blocks_total_the_whole(self):
+        rng = np.random.default_rng(7)
+        terms = rng.standard_normal(20000) * 10.0 ** rng.integers(-12, 12, 20000)
+        parts = [p for i in range(0, terms.size, 777) for p in counting.exact_parts(terms[i:i + 777])]
+        assert math.fsum(parts).hex() == math.fsum(terms).hex()
+
+
 class TestRealAxis:
     @settings(max_examples=60, deadline=None)
     @given(seq=evaluator_sequences(), t_lo=st.sampled_from((0.0, 1.0)),

@@ -18,6 +18,7 @@ from expozeros import (
     derivative_at_multiple_zero,
     evaluate_product,
     finite_difference_log_derivative,
+    integer_lattice,
     jensen_identity_check,
     log_modulus_via_counting,
     tail_correction,
@@ -110,6 +111,25 @@ class TestEvaluateProduct:
         hit = random_conjugate_sequence(rng)
         at_zero = evaluate_product(hit, complex(hit.positions[-1]))
         assert at_zero.value.is_zero and at_zero.factor_count == hit.total_multiplicity
+
+    def test_bits_of_one_fsum_at_1e5_zeros(self):
+        # the block-wise exact totals against math.fsum over every per-zero
+        # term at once, on integer_lattice(5e4): 99998 zeros, four blocks
+        seq = integer_lattice(5e4)
+        pos, mult = seq.positions, seq.multiplicities
+        rng = np.random.default_rng(33)
+        for i in range(12):
+            z = complex(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0) if i % 2 else 0.0)
+            w = 1.0 - z / pos
+            is_real = w.imag == 0.0
+            args = mult * np.arctan2(w.imag, w.real)
+            args[is_real] = 0.0
+            pi_count = int(mult[is_real & (w.real < 0.0)].sum())
+            expect = LogComplex(math.fsum(mult * np.log(np.abs(w))),
+                                product.wrap_angle(math.fsum(args) + (pi_count & 1) * math.pi))
+            got = evaluate_product(seq, z).value
+            assert got.log_magnitude.hex() == expect.log_magnitude.hex()
+            assert got.argument.hex() == expect.argument.hex()
 
     def test_conjugate_symmetric_argument_exact(self):
         rng = np.random.default_rng(12)
