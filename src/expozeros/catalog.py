@@ -178,8 +178,14 @@ def int_decomposition(spec: AlphaSpec, x: float, t_max: float) -> IntDecompositi
 
     The first integrand has jump discontinuities where alpha crosses an
     integer, so that piece is integrated exactly segment by segment, the
-    levels walked in blocks of _LEVEL_BLOCK so memory stays bounded in x;
-    the two smooth pieces use adaptive quadrature.
+    levels walked in blocks of _LEVEL_BLOCK so memory stays bounded in x.
+    The two smooth pieces, with alpha's linear parts cancelled in closed
+    form, use adaptive quadrature, the far one in u = log t:
+
+        second = integral over [1, x - 1] of c log1p(-2t / (1 + x + t)) / t dt,
+        third = integral over [log x, log t_max] of -c log1p(-x^2 / (1 + e^u)^2) du.
+
+    ArithmeticError is raised where scipy's quad reports no convergence.
     """
     # scipy.integrate takes most of a second to import and only this uses it
     from scipy import integrate
@@ -211,17 +217,15 @@ def int_decomposition(spec: AlphaSpec, x: float, t_max: float) -> IntDecompositi
         left = edges[-1:]
     first = 2.0 * (exact_sum(parts) - (x - 1.0))
 
-    def mid_integrand(t):
-        return (spec.alpha(x - t) - spec.alpha(x + t) + 2.0 * t) / t
+    def quad(f, lo, hi, piece):
+        value, _, _, *message = integrate.quad(f, lo, hi, limit=200, full_output=1)
+        if message:
+            raise ArithmeticError(f"the {piece} integral at x = {x} did not converge: {message[0]}")
+        return value
 
-    second, _ = integrate.quad(mid_integrand, 1.0, x - 1.0, limit=200)
-
-    def far_integrand(t):
-        return (2.0 * spec.alpha(t) - spec.alpha(t - x) - spec.alpha(t + x)) / t
-
-    third_near, _ = integrate.quad(far_integrand, x, 4.0 * x, limit=200)
-    third_far, _ = integrate.quad(far_integrand, 4.0 * x, t_max, limit=200)
-    third = third_near + third_far
+    second = quad(lambda t: spec.c * math.log1p(-2.0 * t / (1.0 + x + t)) / t, 1.0, x - 1.0, "second")
+    third = quad(lambda u: -spec.c * math.log1p(-(x / (1.0 + math.exp(u))) ** 2),
+                 math.log(x), math.log(t_max), "third")
 
     return IntDecomposition(x=x, first=first, second=second, third=third)
 

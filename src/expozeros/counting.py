@@ -515,12 +515,18 @@ def _log_potential_slope(seq: ZeroSequence, xs: np.ndarray, t_lo: float = 0.0, *
 
 
 # Nodes per cell of _RealAxis: first-kind Chebyshev points on [-1, 1], the
-# barycentric weights of those rounded points, and the bound (2/pi) log p + 1
-# on their Lebesgue constant.
+# barycentric weights of those rounded points, the bound (2/pi) log p + 1
+# on their Lebesgue constant, and the matrix taking values at the nodes to
+# the interpolant's derivative there (Berrut & Trefethen 2004, sec. 9):
+# D_ij = (w_j / w_i) / (x_i - x_j), and D_ii = -(the row's other entries' sum).
 _NODES = 20
 _CHEB = np.cos((2 * np.arange(_NODES) + 1) * math.pi / (2 * _NODES))
-_WEIGHTS = 1.0 / np.prod(np.where(np.eye(_NODES, dtype=bool), 1.0, _CHEB[:, None] - _CHEB), axis=1)
+_GAPS = np.where(np.eye(_NODES, dtype=bool), 1.0, _CHEB[:, None] - _CHEB)
+_WEIGHTS = 1.0 / np.prod(_GAPS, axis=1)
 _LEBESGUE = 2.0 / math.pi * math.log(_NODES) + 1.0
+_DIFF = np.where(np.eye(_NODES, dtype=bool), 0.0, _WEIGHTS / _WEIGHTS[:, None] / _GAPS)
+_DIFF -= np.diag(_DIFF.sum(axis=1))
+_DIFF_NORM = float(np.abs(_DIFF).sum(axis=1).max())
 _U = 2.0 ** -53
 # Bernstein ellipses tried for a cell's bound: semi-major axis r = q D_min,
 # D_min the least distance from the cell's centre to a far zero.  M grows
@@ -559,31 +565,27 @@ def _interpolate(values: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _truncation_bound(h: float, dist: np.ndarray, mult: np.ndarray, excess) -> float:
-    """The least over the ellipses _REACH of 4 M rho**(1 - p) / (rho - 1),
-    the Chebyshev interpolation bound for p nodes on a cell of half-width h
-    (Trefethen, ATAP, Thm 8.2), with M = sum of m excess(r, dist) over the
-    far zeros at distances dist from the centre, r the ellipse's
-    semi-major axis."""
+def _truncation_bounds(h: float, dist: np.ndarray, mult: np.ndarray) -> tuple[float, float]:
+    """The Chebyshev interpolation bounds of a cell of half-width h for p
+    nodes, each the least over the ellipses _REACH: for values
+    4 M rho**(1 - p) / (rho - 1) (Trefethen, ATAP, Thm 8.2), and for
+    x-slopes 2 M sum over k >= p of rho**-k (k**2 + (p - 1)**2) / h, since
+    the coefficients obey |a_k| <= 2 M rho**-k (Thm 8.1), the nodes alias
+    T_k to +-T_j with j < p, and |T_k'| <= k**2 on [-1, 1].  M is
+    sum of m (-log(1 - r/D) - r/D) over the far zeros at distances D from
+    the centre, r the ellipse's semi-major axis."""
     if not dist.size:
-        return 0.0
+        return 0.0, 0.0
     r = float(dist.min()) * _REACH
     rho = r / h + np.sqrt((r / h) ** 2 - 1.0)
-    size = _by_rows(r.size, dist.size,
-                    lambda rows: (mult * excess(r[rows, None], dist)).sum(axis=1))
-    return float((4.0 * size * rho ** (1 - _NODES) / (rho - 1.0)).min())
-
-
-def _chord_fit(nodes: np.ndarray, h: float, dist: np.ndarray, mult: np.ndarray, excess,
-               spread: float) -> tuple[float, np.ndarray, float]:
-    """The slope of the chord through a cell's end nodes, the node values
-    less the chord, and the cell's far-field bound E (see _RealAxis), with
-    F = spread."""
-    slope = (nodes[0] - nodes[-1]) / (_CHEB[0] - _CHEB[-1])
-    rest = nodes - slope * _CHEB
-    bound = (_truncation_bound(h, dist, mult, excess)
-             + _LEBESGUE * _U * (20.0 * spread + 5.0 * _NODES * float(np.abs(rest).max())))
-    return slope, rest, bound
+    size = _by_rows(r.size, dist.size, lambda rows: (
+        mult * (-np.log1p(-r[rows, None] / dist) - r[rows, None] / dist)).sum(axis=1))
+    # the slope's sum in closed form, q = 1/rho
+    p, q = _NODES, 1.0 / rho
+    tail = q ** p * (q * (1.0 + q) / (1.0 - q) ** 3 + 2.0 * p * q / (1.0 - q) ** 2
+                     + (p * p + (p - 1) ** 2) / (1.0 - q))
+    return (float((4.0 * size * rho ** (1 - _NODES) / (rho - 1.0)).min()),
+            float((2.0 * size * tail).min()) / h)
 
 
 class _RealAxis:
@@ -594,17 +596,19 @@ class _RealAxis:
     [lo, hi] is split into round(sqrt(samples / p)) equal cells, p = 20, with
     samples the caller's base sample count.  For a point x in the cell of
     centre c and half-width h, the zeros with |Re a - c| < 3h + t_lo are
-    near: their terms are summed densely, by log_potential's kernel, so a
-    point on a zero gives exactly -inf when t_lo = 0.  Every other zero is
-    far: |x - a| >= 2h + t_lo on the cell, so the clamp never acts on it.
-    The far sums are computed once per cell, on first use, at the cell's p
-    first-kind Chebyshev nodes: values as the constant
-    K = sum of m (log|c - a| - L_b) plus the centred sums
-    f(x) = sum of m log(|x - a| / |c - a|) (each term by log1p), slopes as
-    g(x) = sum of m (x - Re a) / |x - a|**2, every node sum within
-    u |sum| of its rounded terms.  The chord through the end nodes is taken
-    off f and g, and the rest is interpolated to the cell's points.  Each
-    value depends on x alone, on any number of threads.
+    near: their terms are summed densely, by log_potential's and
+    _log_potential_slope's kernels, so a point on a zero gives exactly -inf
+    when t_lo = 0.  Every other zero is far: |x - a| >= 2h + t_lo on the
+    cell, so the clamp never acts on it.  The far sums are computed once per
+    cell, on first use, at the cell's p first-kind Chebyshev nodes, as the
+    constant K = sum of m (log|c - a| - L_b) plus the centred sums
+    f(x) = sum of m log(|x - a| / |c - a|) (each term by log1p), every node
+    sum within u |sum| of its rounded terms.  The chord through the end
+    nodes is taken off f, and the rest is interpolated to the cell's
+    points; the far slope is the derivative of that interpolant, the chord's
+    slope plus the rest's derivative values at the nodes (_DIFF) again
+    interpolated, over h.  Each value depends on x alone, on any number of
+    threads.
 
     Error bound, u = 2**-53, L_x = log clamp|a - x|, L_b = log clamp|a - b|
     and Lambda = (2/pi) log p + 1 the nodes' Lebesgue bound: a value is
@@ -618,16 +622,24 @@ class _RealAxis:
     The first term is the a-priori Chebyshev bound on the Bernstein ellipse
     E_rho of the cell, whose points lie within r = h (rho + 1/rho) / 2 of c;
     rho is the best of a few ellipses inside every far zero's distance
-    D = |c - a|.  Interpolation reproduces lines, so M may bound the far sum
-    less its tangent at c: M = sum of m (-log(1 - r/D) - r/D) for f,
-    below the sum of m (-log(1 - r/D) + arcsin(r/D)) that bounds f itself,
-    and M = sum of m r**2 / (D**2 (D - r)) for g.  The second term is the
-    node sums' rounding (each term within 13 u, node and point positions
-    rounded) times Lambda: F = sum of m (-log(1 - h/D)) bounds every node's
-    sum of |terms| for f, and F = sum of m / (D - h) for g.  The third is the
-    barycentric evaluation's rounding (Higham 2004, first form), with R the
-    largest node value less the chord.  far_bound and slope_bound return E
-    and E' at points; near_points and node_points count the value terms
+    D = |c - a|.  Interpolation reproduces lines, so M may bound f less its
+    tangent at c: M = sum of m (-log(1 - r/D) - r/D), below the
+    sum of m (-log(1 - r/D) + arcsin(r/D)) that bounds f itself.  The second
+    term is the node sums' rounding (each term within 13 u, node and point
+    positions rounded) times Lambda: F = sum of m (-log(1 - h/D)) bounds
+    every node's sum of |terms|.  The third is the barycentric evaluation's
+    rounding (Higham 2004, first form), with R the largest node value less
+    the chord.  E' is stated from the same M, F and R:
+
+        E' = 2 M sum over k >= p of rho**-k (k**2 + (p - 1)**2) / h
+             + u Lambda (23 (p - 1)**2 F + 6 p ||D|| R) / h.
+
+    The first term follows from the same coefficient decay (see
+    _truncation_bounds).  The second is the node values' rounding through
+    Markov's factor (p - 1)**2 for a polynomial's derivative, and that of
+    the product with _DIFF, ||D|| = _DIFF_NORM its largest absolute row
+    sum, and of its interpolation.  far_bound and slope_bound return E and
+    E' at points; near_points and node_points count the value terms
     evaluated.
     """
 
@@ -661,7 +673,6 @@ class _RealAxis:
         self._near = np.stack([np.searchsorted(self._re, self._centres - reach, side="right"),
                                np.searchsorted(self._re, self._centres + reach, side="left")], 1)
         self._value_fits: dict = {}
-        self._slope_fits: dict = {}
         self.near_points = 0
         self.node_points = 0
 
@@ -670,22 +681,17 @@ class _RealAxis:
             raise ValueError(f"points must lie in [{self.lo}, {self.hi}]")
         return np.clip(np.searchsorted(self._edges, xs, side="right") - 1, 0, self.cells - 1)
 
-    def _far(self, k: int):
-        """Positions, multiplicities and base logs of cell k's far zeros, and
-        their distances from its centre."""
-        i, j = self._near[k]
-        re, im, m, log_b = (np.concatenate([v[:i], v[j:]])
-                            for v in (self._re, self._im, self._mult, self._log_b))
-        return re, im, m, log_b, np.hypot(self._centres[k] - re, im)
-
     def _value_fit(self, k: int):
-        """K, the chord slope, the node values less the chord, and E of cell
-        k's far values."""
+        """K, the chord slope, the node values less the chord and their
+        derivatives at the nodes, and E and E' of cell k's far sums."""
         fit = self._value_fits.get(k)
         if fit is None:
-            re, im, m, log_b, dist = self._far(k)
+            i, j = self._near[k]
+            re, im, m, log_b = (np.concatenate([v[:i], v[j:]])
+                                for v in (self._re, self._im, self._mult, self._log_b))
             h = float(self._halves[k])
             two_dc = 2.0 * (self._centres[k] - re)
+            dist = np.hypot(self._centres[k] - re, im)
             d2 = dist * dist
             half_m = 0.5 * m
             s = (h * _CHEB)[:, None]
@@ -693,29 +699,16 @@ class _RealAxis:
                 half_m * np.log1p(s[j] * (two_dc + s[j]) / d2)))
             self.node_points += _NODES * re.size
             const = float(_accurate_sums((m * (np.log(dist) - log_b))[None, :])[0])
-            fit = (const, *_chord_fit(nodes, h, dist, m, lambda r, d: -np.log1p(-r / d) - r / d,
-                                      float((m * -np.log1p(-h / dist)).sum())))
+            slope = (nodes[0] - nodes[-1]) / (_CHEB[0] - _CHEB[-1])
+            rest = nodes - slope * _CHEB
+            spread = float((m * -np.log1p(-h / dist)).sum())
+            top = float(np.abs(rest).max())
+            values, slopes = _truncation_bounds(h, dist, m)
+            fit = (const, slope, rest, _DIFF @ rest,
+                   values + _LEBESGUE * _U * (20.0 * spread + 5.0 * _NODES * top),
+                   slopes + _LEBESGUE * _U * ((_NODES - 1) ** 2 * 23.0 * spread
+                                              + 6.0 * _NODES * _DIFF_NORM * top) / h)
             self._value_fits[k] = fit
-        return fit
-
-    def _slope_fit(self, k: int):
-        """The chord slope, the node values less the chord, and E' of cell
-        k's far slopes."""
-        fit = self._slope_fits.get(k)
-        if fit is None:
-            re, im, m, _, dist = self._far(k)
-            h = float(self._halves[k])
-            im2 = im * im
-            x = (self._centres[k] + h * _CHEB)[:, None]
-
-            def block(j):
-                dx = x[j] - re
-                return _accurate_sums(m * dx / (dx * dx + im2))
-
-            nodes = _by_rows(_NODES, re.size, block)
-            fit = _chord_fit(nodes, h, dist, m, lambda r, d: (r / d) ** 2 / (d - r),
-                             float((m / (dist - h)).sum()))
-            self._slope_fits[k] = fit
         return fit
 
     def _by_cell(self, xs, per_cell) -> np.ndarray:
@@ -740,7 +733,7 @@ class _RealAxis:
             _potential_sums(self._pos[i:j], self._mult[i:j], self._log_b[i:j], x,
                             self.t_lo, math.inf, self.threads, near)
             self.near_points += x.size * int(j - i)
-            const, slope, rest, _ = self._value_fit(k)
+            const, slope, rest = self._value_fit(k)[:3]
             return near + (const + (slope * s + _interpolate(rest, s)))
         return self._by_cell(xs, per_cell)
 
@@ -751,17 +744,17 @@ class _RealAxis:
             near = np.empty(x.size)
             _slope_sums(self._re[i:j], self._im2[i:j], self._mult[i:j], x, self.t_lo,
                         self.threads, near)
-            slope, rest, _ = self._slope_fit(k)
-            return near + (slope * s + _interpolate(rest, s))
+            _, slope, _, diff = self._value_fit(k)[:4]
+            return near + (slope + _interpolate(diff, s)) / self._halves[k]
         return self._by_cell(xs, per_cell)
 
     def far_bound(self, xs) -> np.ndarray:
         """E of the cell of every x of xs."""
-        return self._by_cell(xs, lambda k, x, s: self._value_fit(k)[3])
+        return self._by_cell(xs, lambda k, x, s: self._value_fit(k)[4])
 
     def slope_bound(self, xs) -> np.ndarray:
         """E' of the cell of every x of xs."""
-        return self._by_cell(xs, lambda k, x, s: self._slope_fit(k)[2])
+        return self._by_cell(xs, lambda k, x, s: self._value_fit(k)[5])
 
     def diagnostics(self) -> dict:
         """cells, the value terms summed densely and at nodes (and their
@@ -771,5 +764,5 @@ class _RealAxis:
             "cells": self.cells,
             "near_points": self.near_points,
             "node_points": self.node_points,
-            "far_error_bound": float(max((fit[3] for fit in self._value_fits.values()), default=0.0)),
+            "far_error_bound": float(max((fit[4] for fit in self._value_fits.values()), default=0.0)),
         }

@@ -155,18 +155,13 @@ def phi_profile(seq: ZeroSequence, b: float, xs) -> PhiProfile:
 
 # --- grid machinery ----------------------------------------------------------
 
-def _real_zeros(seq: ZeroSequence) -> np.ndarray:
-    """The real zeros' positions in ascending order, each once (positions
-    are merged)."""
-    return np.sort(seq.positions.real[seq.positions.imag == 0.0])
-
-
 def _gap_bounds(axis: _RealAxis, kap2: float, za, zb, ga, gb, c, value_at,
                 target) -> tuple[np.ndarray, int]:
     """Upper bounds, rounding allowance included, of a B or D objective on
     the gaps [ga, gb] between the real zeros za < zb, from the judged values
     value_at(points) and anchors c in the gaps; and the number of slope
-    points they cost.  axis is the check's evaluator, for seq, b and t_lo.
+    points they cost.  axis is the check's evaluator, for seq, b and t_lo,
+    and its zeros sorted by Re a.
 
     The objective is h(x) = sum of m (log clamp|x - a| - log clamp|b - a|)
     - kap2 x^2 / 2 with clamp(d) = max(d, t_lo), judged as h (B: t_lo = 0)
@@ -187,8 +182,9 @@ def _gap_bounds(axis: _RealAxis, kap2: float, za, zb, ga, gb, c, value_at,
 
     and the bound of the judged value is the first line for B and the larger
     line for D, each with judged values in place of h, which only loosens
-    them.  S'(c) is h'(c) (the evaluator's slope) less the near terms'
-    slopes.  A gap with more than _NEAR_MAX near zeros is given no bound.
+    them.  S'(c) is h'(c) (the derivative of the evaluator's values, near
+    sums and far interpolant alike) less the near terms' slopes.  A gap with
+    more than _NEAR_MAX near zeros is given no bound.
     Each bound carries an allowance for rounding: the evaluator's stated
     80 u * sum m (1 + |L_p| + |L_b|) per value, with the same form for the
     slope (times r) and the near sums, taken 4 + (near zeros) times, plus
@@ -196,10 +192,13 @@ def _gap_bounds(axis: _RealAxis, kap2: float, za, zb, ga, gb, c, value_at,
     Where the part without the slope term already reaches target, that part
     is returned and no slope is computed.
     """
-    seq, b, t = axis.seq, axis.b, axis.t_lo
-    pos, mult = seq.positions, seq.multiplicities
-    off_axis = pos.imag != 0.0
-    beta = np.abs(pos.imag[off_axis])
+    seq, t = axis.seq, axis.t_lo
+    # by Re a; where hypot tells them apart, a real zero comes before
+    # complex zeros of equal Re, since positions are stored in hypot order
+    # and the evaluator's sort is stable
+    re, im, mult, log_b = axis._re, axis._im, axis._mult, axis._log_b
+    off_axis = im != 0.0
+    beta = np.abs(im[off_axis])
     curv = float((mult[off_axis] / np.maximum(beta, t) ** 2).sum())
     r = np.maximum(c - ga, gb - c)
     vc = value_at(c)
@@ -207,10 +206,8 @@ def _gap_bounds(axis: _RealAxis, kap2: float, za, zb, ga, gb, c, value_at,
     neg = np.full(c.size, -math.inf)
     count = 0
     if t > 0.0:
-        # the near zeros by Re a, a real zero before complex ones of equal Re
-        near = np.abs(pos.imag) < t
-        order = np.lexsort((off_axis[near], pos.real[near]))
-        re, im, m = pos.real[near][order], pos.imag[near][order], mult[near][order]
+        near = np.abs(im) < t
+        re, im, m = re[near], im[near], mult[near]
         i0 = np.searchsorted(re, ga - t, side="right")
         count = np.searchsorted(re, gb + t, side="left") - i0
         fits = count <= _NEAR_MAX
@@ -240,9 +237,8 @@ def _gap_bounds(axis: _RealAxis, kap2: float, za, zb, ga, gb, c, value_at,
     reach = max(float(np.abs(ga).max()), float(np.abs(gb).max()))
     d = np.maximum(np.minimum(np.minimum(c - za, zb - c), beta.min(initial=math.inf)), t)
     with np.errstate(divide="ignore"):
-        log_b = np.abs(np.log(np.maximum(np.hypot(pos.real - b, pos.imag), t)))
         lam = np.maximum(abs(math.log(max(reach + seq.max_abs, t))), np.abs(np.log(d)))
-        tol = (4.0 + count) * 80.0 * _U * (float((mult * log_b).sum()) + 0.5 * kap2 * reach ** 2
+        tol = (4.0 + count) * 80.0 * _U * (float((mult * np.abs(log_b)).sum()) + 0.5 * kap2 * reach ** 2
                                            + mass * (1.0 + lam + r / d)) + far
     out = np.maximum(vc + up, neg) + tol
     todo = np.flatnonzero(out < target)
@@ -253,12 +249,12 @@ def _gap_bounds(axis: _RealAxis, kap2: float, za, zb, ga, gb, c, value_at,
     return out, int(todo.size)
 
 
-def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective,
+def _augment_grid(real: np.ndarray, xs: np.ndarray, objective,
                   bound) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Add the midpoint of every gap between consecutive real zeros inside
-    the grid range, then search gaps by three golden-section passes
-    (maximizing `objective`).  Uniform grids miss the local maxima that sit
-    strictly inside the gaps.
+    """Add the midpoint of every gap between consecutive real zeros (real,
+    ascending, each once) inside the grid range, then search gaps by three
+    golden-section passes (maximizing `objective`).  Uniform grids miss the
+    local maxima that sit strictly inside the gaps.
 
     The base grid and the midpoints are evaluated first; they give each
     dyadic |x| window's running sup.  A gap is searched only when it reaches
@@ -282,7 +278,6 @@ def _augment_grid(seq: ZeroSequence, xs: np.ndarray, objective,
     # and np.unique keeps whichever its sort puts first
     xs = np.unique(np.asarray(xs, dtype=float) + 0.0)
     lo, hi = float(xs[0]), float(xs[-1])
-    real = _real_zeros(seq)
     first = int(np.searchsorted(real, lo, side="left"))
     last = int(np.searchsorted(real, hi, side="right"))
     rz = real[max(first - 1, 0):last + 1]   # the zeros in range and one each side
@@ -498,13 +493,13 @@ def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
         return np.abs(h) if t_lo > 0.0 else h
 
     grid = base
+    real = axis._re[axis._im == 0.0]
     if t_lo > 0.0:
         # D is finite at the real zeros, and its bounds need the gap ends
-        real = _real_zeros(seq)
         grid = np.concatenate([base, real[(real >= base[0]) & (real <= base[-1])]])
     counted = _Counted(objective)
     bound = functools.partial(_gap_bounds, axis, kap2)
-    xs, vals, counts = _augment_grid(seq, grid, counted, bound)
+    xs, vals, counts = _augment_grid(real, grid, counted, bound)
     diagnostics = counted.diagnostics(seq, base.size, xs.size, axis) | counts
     desc = (
         f"{base.size}-point grid on [{base.min():g}, {base.max():g}], "

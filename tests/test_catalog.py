@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -184,6 +185,45 @@ class TestIntDecomposition:
         assert d3.first > d2.first > 0.0
         ratio = d3.first / d2.first
         assert abs(ratio - 2.25) <= 0.15 * 2.25
+
+    @pytest.mark.filterwarnings("error")
+    def test_smooth_pieces_converge_at_large_x(self):
+        # at this x the far integrand as defined, 2 alpha(t) - alpha(t - x)
+        # - alpha(t + x) over t, loses its digits to cancellation, and quad
+        # over [x, 4x] in t reports no convergence
+        x = 2.5e6
+        dec = int_decomposition(self.SPEC, x, 20 * x)
+        assert -self.SPEC.c * math.pi ** 2 / 4.0 <= dec.second < 0.0
+        assert dec.third >= 0.0
+
+    def test_smooth_pieces_against_mpmath(self):
+        # the integrands as defined, (alpha(x - t) - alpha(x + t) + 2t) / t and
+        # (2 alpha(t) - alpha(t - x) - alpha(t + x)) / t, at 30 digits
+        spec, x, t_max = AlphaSpec(1.3), 3000.0, 1e5
+        dec = int_decomposition(spec, x, t_max)
+        with mpmath.workdps(30):
+            X = mpmath.mpf(x)
+
+            def alpha(t):
+                return t + spec.c * mpmath.log1p(t)
+
+            second = mpmath.quad(lambda t: (alpha(X - t) - alpha(X + t) + 2 * t) / t,
+                                 [1, 10, 100, 1000, X - 1])
+            third = mpmath.quad(lambda t: (2 * alpha(t) - alpha(t - X) - alpha(t + X)) / t,
+                                [X, 2 * X, 4 * X, 16 * X, t_max])
+        assert abs(dec.second - float(second)) <= 1e-11
+        assert abs(dec.third - float(third)) <= 1e-11
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        from scipy import integrate
+        quad = integrate.quad
+
+        def unconverged(*args, **kwargs):
+            return (*quad(*args, **kwargs), "The maximum number of subdivisions has been achieved.")
+
+        monkeypatch.setattr(integrate, "quad", unconverged)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            int_decomposition(self.SPEC, 100.0, 1e5)
 
     def test_level_blocks_keep_the_bits_of_first(self, monkeypatch):
         # the x values of this class, each walked in one block at the

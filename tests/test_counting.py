@@ -551,11 +551,71 @@ class TestRealAxis:
         assert axis.diagnostics()["far_error_bound"] <= 1e-9
 
     def test_interpolation_is_exact_at_the_nodes(self):
-        f = np.random.default_rng(5).standard_normal(counting._NODES)
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal(counting._NODES)
         assert counting._interpolate(f, counting._CHEB).tobytes() == f.tobytes()
         s = np.linspace(-1.0, 1.0, 101)
         line = counting._interpolate(3.0 - 2.0 * counting._CHEB, s)
         assert np.all(np.abs(line - (3.0 - 2.0 * s)) <= 1e-13)
+        # _DIFF takes a polynomial of degree p - 1 at the nodes to its
+        # derivative there, to within the rounding that E' allows for it
+        cheb = np.polynomial.chebyshev
+        for _ in range(20):
+            coef = rng.standard_normal(counting._NODES) * 10.0 ** rng.integers(-3, 4)
+            values = cheb.chebval(counting._CHEB, coef)
+            got = counting._interpolate(counting._DIFF @ values, s)
+            allowed = (6 * counting._NODES * counting._LEBESGUE * U * counting._DIFF_NORM
+                       * np.abs(values).max())
+            assert np.all(np.abs(got - cheb.chebval(s, cheb.chebder(coef))) <= allowed)
+
+    @pytest.mark.parametrize("t_lo", [0.0, 1.0])
+    def test_truncation_terms_bound_the_exact_interpolants(self, t_lo):
+        # one cell's far sum f and its slope f', and the interpolant through
+        # f at the exact Chebyshev nodes, all at 40 digits: the interpolation
+        # errors are what the truncation terms of E and E' bound, free of
+        # the rounding terms that dominate a float comparison.  The nearest
+        # far zeros sit just past the cell's near window |Re a - c| < 3h + t_lo.
+        edge = 3.0 + t_lo
+        pos = np.concatenate([[1.0 + edge + 1e-3, 1.0 - edge - 0.05, 1.3 + edge + 0.2j,
+                               1.3 + edge - 0.2j, 20.0 + 5.0j, 20.0 - 5.0j],
+                              np.arange(8.0, 60.0), -np.arange(6.0, 50.0, 1.5)])
+        seq = ZeroSequence.from_arrays(pos, np.arange(pos.size) % 3 + 1)
+        axis = counting._RealAxis(seq, 0.5, t_lo, -10.0, 10.0, 2000)
+        k = 5
+        c, h = float(axis._centres[k]), float(axis._halves[k])
+        assert (c, h) == (1.0, 1.0)
+        i, j = axis._near[k]
+        assert i == j   # every zero is far from this cell
+        values, slopes = counting._truncation_bounds(h, np.hypot(c - axis._re, axis._im),
+                                                     axis._mult)
+        p = counting._NODES
+        with mpmath.workdps(40):
+            zeros = [(mpmath.mpc(a), m) for a, m in zip(seq.positions, seq.multiplicities)]
+
+            def f(s):
+                return mpmath.fsum(m * mpmath.log(abs(c + h * s - a)) for a, m in zeros)
+
+            def slope(s):
+                return mpmath.fsum(m * mpmath.re(1 / (c + h * s - a)) for a, m in zeros)
+
+            # the interpolant in the Chebyshev basis, from the values at the
+            # nodes cos(theta_k): T_j(cos theta) = cos(j theta), and
+            # T_j' = j sin(j theta) / sin(theta)
+            nodes = [mpmath.pi * (2 * q + 1) / (2 * p) for q in range(p)]
+            at_nodes = [f(mpmath.cos(th)) for th in nodes]
+            coef = [2 * mpmath.fsum(v * mpmath.cos(n * th) for v, th in zip(at_nodes, nodes)) / p
+                    for n in range(p)]
+            coef[0] /= 2
+            value_err = slope_err = 0
+            for q in range(80):
+                th = mpmath.pi * (q + 0.5) / 80
+                s = mpmath.cos(th)
+                fit = mpmath.fsum(a * mpmath.cos(n * th) for n, a in enumerate(coef))
+                fit_slope = mpmath.fsum(a * n * mpmath.sin(n * th) for n, a in enumerate(coef))
+                value_err = max(value_err, abs(f(s) - fit))
+                slope_err = max(slope_err, abs(slope(s) - fit_slope / mpmath.sin(th) / h))
+        assert 0 < value_err <= values
+        assert 0 < slope_err <= slopes
 
     def test_accurate_sums_against_fsum(self):
         rng = np.random.default_rng(6)

@@ -393,13 +393,12 @@ class TestEvaluatedOnce:
         for _ in range(10):
             zeros = np.sort(rng.uniform(-30.0, 30.0, 12))
             peaks = rng.uniform(zeros[:-1], zeros[1:])
-            seq = ZeroSequence.from_arrays(zeros, np.ones(zeros.size))
 
             def objective(x):
                 return -(x - peaks[np.clip(np.searchsorted(zeros, x) - 1, 0, peaks.size - 1)]) ** 2
 
             base = np.linspace(zeros[0], zeros[-1], 7)
-            pts, vals, _ = criteria._augment_grid(seq, base, objective, _no_bound)
+            pts, vals, _ = criteria._augment_grid(zeros, base, objective, _no_bound)
             assert bits(vals) == bits(objective(pts))
             mids = 0.5 * (zeros[:-1] + zeros[1:])
             probes = pts[~np.isin(pts, np.concatenate([base, mids]))]
@@ -552,7 +551,9 @@ class TestGapPruning:
     def test_bound_covers_the_gap_maximum(self, seq, lo, hi):
         # every gap's bound, not only the pruned ones, against a dense sample
         # plus a golden search of the gap
-        rz = criteria._real_zeros(seq)
+        kap2, objectives = _gap_objectives(seq, default_base_point(seq), lo, hi, 200)
+        axis = objectives["B"][3]
+        rz = axis._re[axis._im == 0.0]
         first, last = np.searchsorted(rz, lo), np.searchsorted(rz, hi, side="right")
         rz = rz[max(first - 1, 0):last + 1]
         za, zb = rz[:-1], rz[1:]
@@ -561,7 +562,6 @@ class TestGapPruning:
         za, zb, ga, gb = za[keep], zb[keep], ga[keep], gb[keep]
         if not ga.size:
             return
-        kap2, objectives = _gap_objectives(seq, default_base_point(seq), lo, hi, 200)
         for name, (b, t_lo, objective, axis) in objectives.items():
             ub, slope_points = criteria._gap_bounds(axis, kap2, za, zb, ga, gb,
                                                     np.clip(0.5 * (za + zb), lo, hi), objective,
@@ -584,14 +584,38 @@ class TestGapPruning:
             seq = ZeroSequence.from_arrays(positions, rng.integers(1, 8, positions.size))
             if not seq.origin_excluded:
                 continue
-            rz = criteria._real_zeros(seq)
-            za, zb = rz[:-1], rz[1:]
-            kap2, objectives = _gap_objectives(seq, default_base_point(seq), rz[0], rz[-1], 200)
+            za, zb = reals[:-1], reals[1:]
+            kap2, objectives = _gap_objectives(seq, default_base_point(seq), reals[0], reals[-1],
+                                               200)
             for name, (b, t_lo, objective, axis) in objectives.items():
                 ub, _ = criteria._gap_bounds(axis, kap2, za, zb, za, zb,
                                              0.5 * (za + zb), objective, math.inf)
                 dense = objective(np.linspace(za, zb, 257)).max(axis=0)
                 assert np.all(dense <= ub), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=st.one_of(st.integers(0, 2 ** 32 - 1).map(
+               lambda seed: random_conjugate_sequence(np.random.default_rng(seed))),
+               clustered_sequences()),
+           heights=st.lists(st.floats(0.02, 1.5), max_size=6), data=st.data())
+    def test_zeros_by_real_part_put_a_real_zero_first(self, seq, heights, data):
+        # _gap_bounds takes its near zeros from the evaluator's order: Re a
+        # ascending, a real zero before complex zeros of equal Re.  Conjugate
+        # pairs at the real parts of some real zeros put such ties in.
+        real = seq.positions.real[seq.positions.imag == 0.0]
+        if real.size:
+            at = data.draw(st.lists(st.sampled_from(real.tolist()), min_size=len(heights),
+                                    max_size=len(heights)))
+            pairs = np.array(at) + 1j * np.array(heights)
+            seq = ZeroSequence.from_arrays(np.concatenate([seq.positions, pairs, pairs.conj()]),
+                                           np.concatenate([seq.multiplicities,
+                                                           np.ones(2 * pairs.size)]))
+        axis = counting._RealAxis(seq, 0.0, 1.0, -1.0, 1.0, 20)
+        re, im = axis._re, axis._im
+        assert np.all(np.diff(re) >= 0.0)
+        # positions are merged, so a real zero is first among its ties
+        # exactly when none ties with the zero before it
+        assert not np.any((re[1:] == re[:-1]) & (im[1:] == 0.0))
 
     def test_lattice_4e3_point_budget(self):
         seq = integer_lattice(4e3)
