@@ -32,28 +32,32 @@ E_SQUARED = math.exp(2.0)
 # Integer levels per block of int_decomposition's breakpoint walk: its
 # arrays stay a few MiB whatever alpha(x) is.
 _LEVEL_BLOCK = 1 << 16
+# _bisect_newton's bracket width, and the Newton steps taken after it.
+_BRACKET_WIDTH = 1e-9
+_NEWTON_STEPS = 3
 
 
-def _bisect_newton(f, fprime, targets, lo: float, hi: float,
-                   width: float = 1e-9, newton_steps: int = 3) -> np.ndarray:
+def _bisect_newton(f, fprime, targets, lo: float, hi: float) -> np.ndarray:
     """Solve f(r) = k for each k in targets; f must be increasing on [lo, hi].
 
     Every bracket is halved while the widest one still splits is wider than
-    width.  A bracket whose midpoint rounds to one of its ends (its ends are
-    adjacent floats, wider than width above about 4.5e6) stops there."""
+    _BRACKET_WIDTH = 1e-9.  A bracket whose midpoint rounds to one of its ends
+    (its ends are adjacent floats, wider than 1e-9 above about 4.5e6) stops
+    there.  Then _NEWTON_STEPS = 3 Newton steps from each bracket's midpoint,
+    each clipped to the bracket, polish the roots."""
     t = np.asarray(targets, dtype=float)
     lo_arr = np.full_like(t, lo)
     hi_arr = np.full_like(t, hi)
     while True:
         mid = 0.5 * (lo_arr + hi_arr)
         splits = (mid != lo_arr) & (mid != hi_arr)
-        if not np.any(splits & (hi_arr - lo_arr > width)):
+        if not np.any(splits & (hi_arr - lo_arr > _BRACKET_WIDTH)):
             break
         below = f(mid) < t
         lo_arr = np.where(splits & below, mid, lo_arr)
         hi_arr = np.where(splits & ~below, mid, hi_arr)
     r = 0.5 * (lo_arr + hi_arr)
-    for _ in range(newton_steps):
+    for _ in range(_NEWTON_STEPS):
         r = r - (f(r) - t) / fprime(r)
         r = np.clip(r, lo_arr, hi_arr)
     return r

@@ -154,7 +154,7 @@ def profile(seq: ZeroSequence, c: complex = 0j) -> CountingProfile:
 def count_disc(prof: CountingProfile, t: float) -> int:
     """n(center, t): zeros with distance <= t (closed disc)."""
     t = float(t)
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"disc radius must be >= 0, got {t}")
     idx = int(np.searchsorted(prof.distances, t, side="right"))
     return int(prof.cumulative[idx - 1]) if idx else 0
@@ -169,7 +169,7 @@ def _counts_at(prof: CountingProfile, ts: np.ndarray) -> np.ndarray:
 def count_square(seq: ZeroSequence, c: complex, t: float) -> int:
     """Square-window count: zeros with |Re(a-c)| <= t and |Im(a-c)| <= t."""
     t = float(t)
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"square half-side must be >= 0, got {t}")
     if not len(seq):
         return 0
@@ -207,7 +207,9 @@ def lindelof_sums(seq: ZeroSequence, radii) -> LindelofTrace:
     rs = np.asarray(radii, dtype=float)
     if rs.size == 0:
         raise ValueError("at least one radius is required")
-    if np.any(np.diff(rs) <= 0):
+    if not np.all(rs > 0):
+        raise ValueError("radii must be positive")
+    if not np.all(np.diff(rs) > 0):
         raise ValueError("radii must be strictly ascending")
     if not seq.origin_excluded:
         raise ValueError("partial sums of 1/a require 0 not in the zero set")
@@ -256,7 +258,7 @@ def growth_check(seq: ZeroSequence, radii) -> GrowthEstimate:
     rs = np.asarray(radii, dtype=float)
     if rs.size == 0:
         raise ValueError("at least one radius is required")
-    if np.any(rs <= 0):
+    if not np.all(rs > 0):
         raise ValueError("radii must be positive")
     R = seq.truncation_radius
     if R > 0 and rs.max() > R - 1:
@@ -300,7 +302,7 @@ def angular_density(seq: ZeroSequence, alpha: float, R: float) -> AngularDensity
     R = float(R)
     if not 0 < alpha <= math.pi / 2:
         raise ValueError(f"alpha must lie in (0, pi/2], got {alpha}")
-    if R <= 0:
+    if not R > 0:
         raise ValueError(f"R must be positive, got {R}")
     if seq.truncation_radius > 0 and R > seq.truncation_radius:
         raise ValueError(f"R = {R} exceeds completeness radius {seq.truncation_radius}")
@@ -534,6 +536,9 @@ _U = 2.0 ** -53
 # the largest q wins on the catalog; the others guard clusters of zeros
 # near D_min.
 _REACH = 1.0 - 2.0 ** -np.array([2.0, 4.0, 7.0, 12.0])
+# gap_bounds gives no bound to a gap with more near zeros than this, so its
+# near-zero sums cost O(gaps).
+_NEAR_MAX = 64
 
 
 def _accurate_sums(terms: np.ndarray) -> np.ndarray:
@@ -639,8 +644,10 @@ class _RealAxis:
     Markov's factor (p - 1)**2 for a polynomial's derivative, and that of
     the product with _DIFF, ||D|| = _DIFF_NORM its largest absolute row
     sum, and of its interpolation.  far_bound and slope_bound return E and
-    E' at points; near_points and node_points count the value terms
-    evaluated.
+    E' at points, and gap_bounds bounds check_B's and check_D's objectives
+    between the real zeros (real_zeros, ascending) from them.  kernel_calls
+    and kernel_points count the calls of values and the points they took;
+    near_points and node_points count the value terms evaluated.
     """
 
     def __init__(self, seq: ZeroSequence, b: float, t_lo: float, lo: float, hi: float,
@@ -672,7 +679,11 @@ class _RealAxis:
         reach = 3.0 * self._halves + self.t_lo
         self._near = np.stack([np.searchsorted(self._re, self._centres - reach, side="right"),
                                np.searchsorted(self._re, self._centres + reach, side="left")], 1)
+        # each once, ascending: positions are merged
+        self.real_zeros = self._re[self._im == 0.0]
         self._value_fits: dict = {}
+        self.kernel_calls = 0
+        self.kernel_points = 0
         self.near_points = 0
         self.node_points = 0
 
@@ -727,6 +738,9 @@ class _RealAxis:
 
     def values(self, xs) -> np.ndarray:
         """log_potential(seq, x, b, t_lo) at every x of xs."""
+        self.kernel_calls += 1
+        self.kernel_points += np.size(xs)
+
         def per_cell(k, x, s):
             i, j = self._near[k]
             near = np.empty(x.size)
@@ -756,10 +770,106 @@ class _RealAxis:
         """E' of the cell of every x of xs."""
         return self._by_cell(xs, lambda k, x, s: self._value_fit(k)[5])
 
+    def gap_bounds(self, kap2: float, za, zb, ga, gb, c, value_at,
+                   target) -> tuple[np.ndarray, int]:
+        """Upper bounds, rounding allowance included, of a B or D objective on
+        the gaps [ga, gb] between the real zeros za < zb, from the judged values
+        value_at(points) and anchors c in the gaps; and the number of slope
+        points they cost.
+
+        The objective is h(x) = sum of m (log clamp|x - a| - log clamp|b - a|)
+        - kap2 x^2 / 2 with clamp(d) = max(d, t_lo), judged as h (B: t_lo = 0)
+        or as |h| (D: b = 0, t_lo = 1).  On a gap holding no real zero in its
+        interior, a zero is near when Re a lies within t_lo of the gap and
+        |Im a| < t_lo (its clamp may act there; none is near when t_lo = 0).  A
+        near term is a nondecreasing function of |x - a|, so it lies between
+        its value at x = clip(Re a, ga, gb) and its larger end value.  The far
+        rest S is smooth on the gap and S - curv x^2 / 2 is concave: a real
+        zero's log is concave, and a complex zero's has curvature at most
+        1 / max((Im a)^2, t_lo^2), summed into curv.  With r = max(c - ga, gb - c)
+        and w = gb - ga, that gives
+
+            h <= h(c) + sum_near (larger end term - term at c)
+                 + |S'(c)| r + curv r^2 / 2,
+            -h <= max over the ends e of (-h(e) + sum_near (term at e - least
+                  term)) + curv w^2 / 8,
+
+        and the bound of the judged value is the first line for B and the
+        larger line for D, each with judged values in place of h, which only
+        loosens them.  S'(c) is h'(c) (the derivative of the values, near
+        sums and far interpolant alike) less the near terms' slopes.  A gap
+        with more than _NEAR_MAX near zeros is given no bound.
+        Each bound carries an allowance for rounding: the stated
+        80 u * sum m (1 + |L_p| + |L_b|) per value, with the same form for the
+        slope (times r) and the near sums, taken 4 + (near zeros) times, plus
+        the far-field bounds E of the values used and E' (times r) of the
+        slope.  Where the part without the slope term already reaches target,
+        that part is returned and no slope is computed.
+        """
+        t = self.t_lo
+        # by Re a; where hypot tells them apart, a real zero comes before
+        # complex zeros of equal Re, since positions are stored in hypot order
+        # and the sort is stable
+        re, im, mult, log_b = self._re, self._im, self._mult, self._log_b
+        off_axis = im != 0.0
+        beta = np.abs(im[off_axis])
+        curv = float((mult[off_axis] / np.maximum(beta, t) ** 2).sum())
+        r = np.maximum(c - ga, gb - c)
+        vc = value_at(c)
+        up, lo_a, lo_b, near_slope = np.zeros((4, c.size))
+        neg = np.full(c.size, -math.inf)
+        count = 0
+        if t > 0.0:
+            near = np.abs(im) < t
+            re, im, m = re[near], im[near], mult[near]
+            i0 = np.searchsorted(re, ga - t, side="right")
+            count = np.searchsorted(re, gb + t, side="left") - i0
+            fits = count <= _NEAR_MAX
+            # offset k into each gap's near zeros, so each sum adds its terms in order
+            for k in range(int(count[fits].max(initial=0))):
+                gaps = np.flatnonzero(fits & (count > k))
+                j = i0[gaps] + k
+
+                def term(x):
+                    return m[j] * np.log(np.maximum(np.hypot(x - re[j], im[j]), t))
+
+                t_a, t_b, t_c = term(ga[gaps]), term(gb[gaps]), term(c[gaps])
+                least = term(np.clip(re[j], ga[gaps], gb[gaps]))
+                dx = c[gaps] - re[j]
+                r2 = dx * dx + im[j] * im[j]
+                up[gaps] += np.maximum(t_a, t_b) - t_c
+                lo_a[gaps] += least - t_a
+                lo_b[gaps] += least - t_b
+                near_slope[gaps] += np.divide(m[j] * dx, r2, out=np.zeros(r2.size), where=r2 > t * t)
+            up[~fits] = math.inf
+            neg = np.maximum(value_at(ga) - lo_a, value_at(gb) - lo_b) + curv * (gb - ga) ** 2 / 8.0
+        # the far-field bound of every value used: at c, and for D at the ends
+        far = self.far_bound(np.concatenate([c, ga, gb]) if t > 0.0 else c)
+        far = far.reshape(-1, c.size).max(axis=0)
+        # rounding allowance: |L| <= lam for every log in the values used
+        mass = float(mult.sum())
+        reach = max(float(np.abs(ga).max()), float(np.abs(gb).max()))
+        d = np.maximum(np.minimum(np.minimum(c - za, zb - c), beta.min(initial=math.inf)), t)
+        with np.errstate(divide="ignore"):
+            lam = np.maximum(abs(math.log(max(reach + self.seq.max_abs, t))), np.abs(np.log(d)))
+            tol = (4.0 + count) * 80.0 * _U * (float((mult * np.abs(log_b)).sum())
+                                               + 0.5 * kap2 * reach ** 2
+                                               + mass * (1.0 + lam + r / d)) + far
+        out = np.maximum(vc + up, neg) + tol
+        todo = np.flatnonzero(out < target)
+        ct, rt = c[todo], r[todo]
+        slope = self.slopes(ct) - kap2 * ct - near_slope[todo]
+        upper = vc[todo] + up[todo] + np.abs(slope) * rt + curv * rt ** 2 / 2.0
+        out[todo] = np.maximum(upper, neg[todo]) + tol[todo] + rt * self.slope_bound(ct)
+        return out, int(todo.size)
+
     def diagnostics(self) -> dict:
-        """cells, the value terms summed densely and at nodes (and their
-        total, zero_points), and the largest E of the cells used."""
+        """The calls of values and their points, cells, the value terms
+        summed densely and at nodes (and their total, zero_points), and the
+        largest E of the cells used."""
         return {
+            "kernel_calls": self.kernel_calls,
+            "kernel_points": self.kernel_points,
             "zero_points": self.near_points + self.node_points,
             "cells": self.cells,
             "near_points": self.near_points,

@@ -14,7 +14,6 @@ so a caller can re-judge.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -71,10 +70,6 @@ RADII_COUNT = 48
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FLOOR_OCTAVE = -60
-_U = 2.0 ** -53
-# A gap with more near zeros than this is searched without a bound, so the
-# near-zero sums cost O(gaps).
-_NEAR_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -88,16 +83,17 @@ class CriterionReport:
     the work done: grid_base_points and grid_aug_points (the grid before and
     after refinement), kernel_calls and kernel_points (calls of the value
     kernel and the points they evaluated), and zero_points (the zero x point
-    terms behind those values: zeros x kernel_points for the dense
-    log_potential).  C, B and D evaluate through counting._RealAxis and add
-    cells (its cells), near_points (terms of near zeros, summed densely),
-    node_points (terms of far zeros at the cells' Chebyshev nodes), so that
-    zero_points = near_points + node_points, and far_error_bound (the
-    largest far-field bound E of the cells used).  B and D add gaps and
-    gaps_searched (real-zero gaps in the grid range, and those given
-    golden-section probes) and slope_points (points of the slope pass behind
-    the gap bounds, whose terms zero_points leaves out).  It holds counts and
-    a bound only, so a report is the same on every run.
+    terms behind those values: zeros x kernel_points for type_bound's one
+    dense log_potential call).  C, B and D take every count after the grid
+    sizes from their counting._RealAxis, its diagnostics(): the kernel is
+    its values, and it adds cells (its cells), near_points (terms of near
+    zeros, summed densely), node_points (terms of far zeros at the cells'
+    Chebyshev nodes), so that zero_points = near_points + node_points, and
+    far_error_bound (the largest far-field bound E of the cells used).  B
+    and D add gaps and gaps_searched (real-zero gaps in the grid range, and
+    those given golden-section probes) and slope_points (points of the slope
+    pass behind the gap bounds, whose terms zero_points leaves out).  It
+    holds counts and a bound only, so a report is the same on every run.
     """
 
     criterion: str
@@ -155,100 +151,6 @@ def phi_profile(seq: ZeroSequence, b: float, xs) -> PhiProfile:
 
 # --- grid machinery ----------------------------------------------------------
 
-def _gap_bounds(axis: _RealAxis, kap2: float, za, zb, ga, gb, c, value_at,
-                target) -> tuple[np.ndarray, int]:
-    """Upper bounds, rounding allowance included, of a B or D objective on
-    the gaps [ga, gb] between the real zeros za < zb, from the judged values
-    value_at(points) and anchors c in the gaps; and the number of slope
-    points they cost.  axis is the check's evaluator, for seq, b and t_lo,
-    and its zeros sorted by Re a.
-
-    The objective is h(x) = sum of m (log clamp|x - a| - log clamp|b - a|)
-    - kap2 x^2 / 2 with clamp(d) = max(d, t_lo), judged as h (B: t_lo = 0)
-    or as |h| (D: b = 0, t_lo = 1).  On a gap holding no real zero in its
-    interior, a zero is near when Re a lies within t_lo of the gap and
-    |Im a| < t_lo (its clamp may act there; none is near when t_lo = 0).  A
-    near term is a nondecreasing function of |x - a|, so it lies between its
-    value at x = clip(Re a, ga, gb) and its larger end value.  The far rest S
-    is smooth on the gap and S - curv x^2 / 2 is concave: a real zero's log
-    is concave, and a complex zero's has curvature at most
-    1 / max((Im a)^2, t_lo^2), summed into curv.  With r = max(c - ga, gb - c)
-    and w = gb - ga, that gives
-
-        h <= h(c) + sum_near (larger end term - term at c)
-             + |S'(c)| r + curv r^2 / 2,
-        -h <= max over the ends e of (-h(e) + sum_near (term at e - least
-              term)) + curv w^2 / 8,
-
-    and the bound of the judged value is the first line for B and the larger
-    line for D, each with judged values in place of h, which only loosens
-    them.  S'(c) is h'(c) (the derivative of the evaluator's values, near
-    sums and far interpolant alike) less the near terms' slopes.  A gap with
-    more than _NEAR_MAX near zeros is given no bound.
-    Each bound carries an allowance for rounding: the evaluator's stated
-    80 u * sum m (1 + |L_p| + |L_b|) per value, with the same form for the
-    slope (times r) and the near sums, taken 4 + (near zeros) times, plus
-    the far-field bounds E of the values used and E' (times r) of the slope.
-    Where the part without the slope term already reaches target, that part
-    is returned and no slope is computed.
-    """
-    seq, t = axis.seq, axis.t_lo
-    # by Re a; where hypot tells them apart, a real zero comes before
-    # complex zeros of equal Re, since positions are stored in hypot order
-    # and the evaluator's sort is stable
-    re, im, mult, log_b = axis._re, axis._im, axis._mult, axis._log_b
-    off_axis = im != 0.0
-    beta = np.abs(im[off_axis])
-    curv = float((mult[off_axis] / np.maximum(beta, t) ** 2).sum())
-    r = np.maximum(c - ga, gb - c)
-    vc = value_at(c)
-    up, lo_a, lo_b, near_slope = np.zeros((4, c.size))
-    neg = np.full(c.size, -math.inf)
-    count = 0
-    if t > 0.0:
-        near = np.abs(im) < t
-        re, im, m = re[near], im[near], mult[near]
-        i0 = np.searchsorted(re, ga - t, side="right")
-        count = np.searchsorted(re, gb + t, side="left") - i0
-        fits = count <= _NEAR_MAX
-        # offset k into each gap's near zeros, so each sum adds its terms in order
-        for k in range(int(count[fits].max(initial=0))):
-            gaps = np.flatnonzero(fits & (count > k))
-            j = i0[gaps] + k
-
-            def term(x):
-                return m[j] * np.log(np.maximum(np.hypot(x - re[j], im[j]), t))
-
-            t_a, t_b, t_c = term(ga[gaps]), term(gb[gaps]), term(c[gaps])
-            least = term(np.clip(re[j], ga[gaps], gb[gaps]))
-            dx = c[gaps] - re[j]
-            r2 = dx * dx + im[j] * im[j]
-            up[gaps] += np.maximum(t_a, t_b) - t_c
-            lo_a[gaps] += least - t_a
-            lo_b[gaps] += least - t_b
-            near_slope[gaps] += np.divide(m[j] * dx, r2, out=np.zeros(r2.size), where=r2 > t * t)
-        up[~fits] = math.inf
-        neg = np.maximum(value_at(ga) - lo_a, value_at(gb) - lo_b) + curv * (gb - ga) ** 2 / 8.0
-    # the far-field bound of every value used: at c, and for D at the ends
-    far = axis.far_bound(np.concatenate([c, ga, gb]) if t > 0.0 else c)
-    far = far.reshape(-1, c.size).max(axis=0)
-    # rounding allowance: |L| <= lam for every log in the values used
-    mass = float(mult.sum())
-    reach = max(float(np.abs(ga).max()), float(np.abs(gb).max()))
-    d = np.maximum(np.minimum(np.minimum(c - za, zb - c), beta.min(initial=math.inf)), t)
-    with np.errstate(divide="ignore"):
-        lam = np.maximum(abs(math.log(max(reach + seq.max_abs, t))), np.abs(np.log(d)))
-        tol = (4.0 + count) * 80.0 * _U * (float((mult * np.abs(log_b)).sum()) + 0.5 * kap2 * reach ** 2
-                                           + mass * (1.0 + lam + r / d)) + far
-    out = np.maximum(vc + up, neg) + tol
-    todo = np.flatnonzero(out < target)
-    ct, rt = c[todo], r[todo]
-    slope = axis.slopes(ct) - kap2 * ct - near_slope[todo]
-    upper = vc[todo] + up[todo] + np.abs(slope) * rt + curv * rt ** 2 / 2.0
-    out[todo] = np.maximum(upper, neg[todo]) + tol[todo] + rt * axis.slope_bound(ct)
-    return out, int(todo.size)
-
-
 def _augment_grid(real: np.ndarray, xs: np.ndarray, objective,
                   bound) -> tuple[np.ndarray, np.ndarray, dict]:
     """Add the midpoint of every gap between consecutive real zeros (real,
@@ -258,11 +160,11 @@ def _augment_grid(real: np.ndarray, xs: np.ndarray, objective,
 
     The base grid and the midpoints are evaluated first; they give each
     dyadic |x| window's running sup.  A gap is searched only when it reaches
-    into an octave that holds no finite value yet, or when its bound (see
-    _gap_bounds, less its leading arguments) reaches the running sup of the
-    lowest window it touches.  A probe below that sup moves no window's
-    running sup and not the extremum, so the judged values keep every result
-    of searching all gaps.
+    into an octave that holds no finite value yet, or when its bound (bound
+    takes _RealAxis.gap_bounds's arguments after kap2) reaches the running
+    sup of the lowest window it touches.  A probe below that sup moves no
+    window's running sup and not the extremum, so the judged values keep
+    every result of searching all gaps.
 
     Returns the sorted judged points, the objective's values there, and the
     counts gaps, gaps_searched (real-zero gaps in the grid range, and those
@@ -336,32 +238,6 @@ def _augment_grid(real: np.ndarray, xs: np.ndarray, objective,
         f1, f2 = np.where(move_lo, f2, f_new), np.where(move_lo, f_new, f1)
     pts = np.unique(np.concatenate([rest, *probes]))
     return pts, values_at(pts), counts
-
-
-class _Counted:
-    """A criterion's kernel, tallying its calls and the points it evaluated."""
-
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self.calls = 0
-        self.points = 0
-
-    def __call__(self, arr: np.ndarray) -> np.ndarray:
-        self.calls += 1
-        self.points += arr.size
-        return self.kernel(arr)
-
-    def diagnostics(self, seq: ZeroSequence, base_points: int, aug_points: int,
-                    axis: _RealAxis | None = None) -> dict:
-        """The counts, with axis's cells and terms where the kernel is one."""
-        counts = {
-            "grid_base_points": int(base_points),
-            "grid_aug_points": int(aug_points),
-            "kernel_calls": self.calls,
-            "kernel_points": self.points,
-            "zero_points": len(seq) * self.points,
-        }
-        return counts | axis.diagnostics() if axis is not None else counts
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -493,14 +369,14 @@ def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
         return np.abs(h) if t_lo > 0.0 else h
 
     grid = base
-    real = axis._re[axis._im == 0.0]
+    real = axis.real_zeros
     if t_lo > 0.0:
         # D is finite at the real zeros, and its bounds need the gap ends
         grid = np.concatenate([base, real[(real >= base[0]) & (real <= base[-1])]])
-    counted = _Counted(objective)
-    bound = functools.partial(_gap_bounds, axis, kap2)
-    xs, vals, counts = _augment_grid(real, grid, counted, bound)
-    diagnostics = counted.diagnostics(seq, base.size, xs.size, axis) | counts
+    xs, vals, counts = _augment_grid(real, grid, objective,
+                                     lambda *gap: axis.gap_bounds(kap2, *gap))
+    diagnostics = ({"grid_base_points": base.size, "grid_aug_points": xs.size}
+                   | axis.diagnostics() | counts)
     desc = (
         f"{base.size}-point grid on [{base.min():g}, {base.max():g}], "
         f"augmented to {xs.size} points{grid_note}; "
@@ -570,10 +446,9 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
     edges = _dyadic_edges(x_max)
     base_points = 2 * (grid + 1) * (len(edges) - 1)
     axis = _RealAxis(seq, b, 0.0, -x_max, x_max, base_points, threads=threads)
-    kernel = _Counted(axis.values)
 
     def both_sides(xs: np.ndarray) -> np.ndarray:
-        return kernel(np.concatenate([xs, -xs])).reshape(2, -1)
+        return axis.values(np.concatenate([xs, -xs])).reshape(2, -1)
 
     def window_value(lo: float, hi: float) -> tuple[float, int]:
         nonlocal best_x, best_val
@@ -647,8 +522,9 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
         trend_slope=slope,
         tail_error_bound=_tail_allowance(seq, x_max),
         notes=f"base point b = {b}; truncated weighted integral = {total:.6g}",
-        diagnostics=kernel.diagnostics(seq, base_points, sum(2 * (w[3] + 1) for w in windows),
-                                       axis),
+        diagnostics={"grid_base_points": base_points,
+                     "grid_aug_points": sum(2 * (w[3] + 1) for w in windows),
+                     **axis.diagnostics()},
     )
 
 
@@ -682,8 +558,7 @@ def type_bound(seq: ZeroSequence, b: float, y_values, sigma: float) -> Criterion
         raise ValueError("y values must include both signs")
     b = float(b)
     sigma = float(sigma)
-    kernel = _Counted(lambda arr: log_potential(seq, arr, b))
-    vals = kernel(1j * ys) / mags
+    vals = log_potential(seq, 1j * ys, b) / mags
     plateau = mags >= mags[-1] / 2.0
     pv = vals[plateau]
     py = ys[plateau]
@@ -708,7 +583,8 @@ def type_bound(seq: ZeroSequence, b: float, y_values, sigma: float) -> Criterion
         window_values=tuple(float(v) for v in vals),
         trend_slope=None,
         notes=f"sigma = {sigma}; plateau variation = {variation:.3g}",
-        diagnostics=kernel.diagnostics(seq, ys.size, ys.size),
+        diagnostics={"grid_base_points": ys.size, "grid_aug_points": ys.size, "kernel_calls": 1,
+                     "kernel_points": ys.size, "zero_points": len(seq) * ys.size},
     )
 
 

@@ -112,6 +112,8 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     if R is None:
         R = R0 if R0 > 0 else math.inf
     R = float(R)
+    if not R > 0:
+        raise ValueError(f"evaluation radius must be positive, got {R}")
     if R0 > 0 and R > R0:
         raise ValueError(f"evaluation radius {R} exceeds completeness radius {R0}")
     # positions are sorted by |a| (np.hypot = Python's abs), so the zeros
@@ -207,7 +209,7 @@ def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 40
     """
     z = complex(z)
     radius = float(radius)
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     nodes = int(nodes)
     if nodes < 16:
@@ -286,7 +288,7 @@ class TailCorrection:
 def tail_correction(seq: ZeroSequence, z: complex, R: float) -> TailCorrection:
     z = complex(z)
     R = float(R)
-    if R <= 0:
+    if not R > 0:
         raise ValueError(f"R must be positive, got {R}")
     if not seq.origin_excluded:
         raise ValueError("tail correction requires 0 not in the zero set")

@@ -139,7 +139,9 @@ class ZeroSequence:
 
     @property
     def max_abs(self) -> float:
-        return float(np.hypot(self.positions.real, self.positions.imag).max(initial=0.0))
+        """The largest |a| (np.hypot): the last position's, by the stored order."""
+        last = self.positions[-1:]
+        return float(np.hypot(last.real, last.imag).max(initial=0.0))
 
     def __len__(self) -> int:
         return len(self.positions)

@@ -25,8 +25,10 @@ from expozeros import (
     Zero,
     ZeroSequence,
     angular_density,
+    circle_average,
     count_disc,
     count_square,
+    evaluate_product,
     growth_check,
     imaginary_inverse_sum,
     integer_lattice,
@@ -35,6 +37,7 @@ from expozeros import (
     profile,
     shift_origin,
     step_integral,
+    tail_correction,
 )
 from expozeros.criteria import default_base_point
 
@@ -254,6 +257,33 @@ class TestAngularDensity:
 
 
 _points = st.complex_numbers(max_magnitude=2e3, allow_nan=False, allow_infinity=False)
+
+
+LATTICE_10 = integer_lattice(10.0)
+NAN = math.nan
+BAD_RADII = {
+    "evaluate_product-nan": lambda: evaluate_product(LATTICE_10, 0.5, NAN),
+    "evaluate_product-zero": lambda: evaluate_product(LATTICE_10, 0.5, 0.0),
+    "evaluate_product-negative": lambda: evaluate_product(LATTICE_10, 0.5, -3.0),
+    "count_disc-nan": lambda: count_disc(profile(LATTICE_10, 0j), NAN),
+    "count_square-nan": lambda: count_square(LATTICE_10, 0j, NAN),
+    "angular_density-nan": lambda: angular_density(LATTICE_10, math.pi / 4, NAN),
+    "lindelof_sums-nan": lambda: lindelof_sums(LATTICE_10, [2.0, NAN]),
+    "lindelof_sums-lone-nan": lambda: lindelof_sums(LATTICE_10, [NAN]),
+    "lindelof_sums-zero": lambda: lindelof_sums(LATTICE_10, [0.0, 2.0]),
+    "growth_check-nan": lambda: growth_check(LATTICE_10, [2.0, NAN]),
+    "circle_average-nan": lambda: circle_average(LATTICE_10, 0.5, NAN, 64),
+    "tail_correction-nan": lambda: tail_correction(LATTICE_10, 0.5, NAN),
+}
+
+
+@pytest.mark.parametrize("call", BAD_RADII.values(), ids=BAD_RADII.keys())
+def test_nan_and_nonpositive_radii_raise(call):
+    # each used to return a silent result: the empty product, every zero
+    # counted, no zero counted, nan densities, converged sums, nan ratios,
+    # a nan average, a nan correction
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestStepIntegral:

@@ -268,6 +268,17 @@ class TestTypeBound:
         rep = type_bound(seq, 0.25, ys, 2.0 * math.pi)
         assert abs(rep.extremum_value - 2.0 * math.pi) <= 0.05 * 2.0 * math.pi
 
+    def test_diagnostics_count_the_one_kernel_call(self):
+        seq = integer_lattice(200.0)
+        ys = [10.0, -10.0, 20.0, -20.0, 40.0, -40.0]
+        diag = type_bound(seq, 0.5, ys, math.pi).diagnostics
+        c_keys = list(check_C(seq, 0.5, 20.0, grid=8).diagnostics)
+        assert list(diag) == c_keys[:5]
+        assert diag["kernel_calls"] == 1
+        assert (diag["kernel_points"] == diag["grid_base_points"] == diag["grid_aug_points"]
+                == len(ys))
+        assert diag["zero_points"] == len(seq) * len(ys)
+
     def test_empty_below_any_sigma(self):
         rep = type_bound(ZeroSequence(()), 0.0, [1.0, -1.0, 2.0, -2.0], 0.0)
         assert rep.verdict == SATISFIED
@@ -482,7 +493,7 @@ def _report_bits(rep):
 
 def _unpruned(check, *args):
     """The check with every gap searched."""
-    with mock.patch.object(criteria, "_gap_bounds", lambda *args: _no_bound(*args[2:])):
+    with mock.patch.object(counting._RealAxis, "gap_bounds", lambda *args: _no_bound(*args[2:])):
         return check(*args)
 
 
@@ -553,7 +564,7 @@ class TestGapPruning:
         # plus a golden search of the gap
         kap2, objectives = _gap_objectives(seq, default_base_point(seq), lo, hi, 200)
         axis = objectives["B"][3]
-        rz = axis._re[axis._im == 0.0]
+        rz = axis.real_zeros
         first, last = np.searchsorted(rz, lo), np.searchsorted(rz, hi, side="right")
         rz = rz[max(first - 1, 0):last + 1]
         za, zb = rz[:-1], rz[1:]
@@ -563,9 +574,9 @@ class TestGapPruning:
         if not ga.size:
             return
         for name, (b, t_lo, objective, axis) in objectives.items():
-            ub, slope_points = criteria._gap_bounds(axis, kap2, za, zb, ga, gb,
-                                                    np.clip(0.5 * (za + zb), lo, hi), objective,
-                                                    math.inf)
+            ub, slope_points = axis.gap_bounds(kap2, za, zb, ga, gb,
+                                               np.clip(0.5 * (za + zb), lo, hi), objective,
+                                               math.inf)
             assert slope_points == ga.size
             assert_within_bound(axis, np.linspace(ga, gb, 257).ravel())
             dense = objective(np.linspace(ga, gb, 257)).max(axis=0)
@@ -588,8 +599,8 @@ class TestGapPruning:
             kap2, objectives = _gap_objectives(seq, default_base_point(seq), reals[0], reals[-1],
                                                200)
             for name, (b, t_lo, objective, axis) in objectives.items():
-                ub, _ = criteria._gap_bounds(axis, kap2, za, zb, za, zb,
-                                             0.5 * (za + zb), objective, math.inf)
+                ub, _ = axis.gap_bounds(kap2, za, zb, za, zb, 0.5 * (za + zb), objective,
+                                        math.inf)
                 dense = objective(np.linspace(za, zb, 257)).max(axis=0)
                 assert np.all(dense <= ub), name
 
@@ -599,7 +610,7 @@ class TestGapPruning:
                clustered_sequences()),
            heights=st.lists(st.floats(0.02, 1.5), max_size=6), data=st.data())
     def test_zeros_by_real_part_put_a_real_zero_first(self, seq, heights, data):
-        # _gap_bounds takes its near zeros from the evaluator's order: Re a
+        # gap_bounds takes its near zeros from the evaluator's order: Re a
         # ascending, a real zero before complex zeros of equal Re.  Conjugate
         # pairs at the real parts of some real zeros put such ties in.
         real = seq.positions.real[seq.positions.imag == 0.0]

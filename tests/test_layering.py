@@ -1,0 +1,42 @@
+"""Layering: no module of the package reads another object's private names.
+
+A read of obj._name is allowed only on self or cls; dunders are exempt.
+What one module needs from another's object goes through a public method
+or attribute, so the terms a method relies on change in one place.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "expozeros"
+
+
+def private_reads(path: Path) -> list[str]:
+    """file:line of every load of obj._name with obj not self or cls."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            continue
+        name = node.attr
+        if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            continue
+        hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_private_reads_stay_on_self():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    hits = [hit for path in files for hit in private_reads(path)]
+    assert hits == []
+
+
+def test_a_reach_in_is_found(tmp_path):
+    path = tmp_path / "reach.py"
+    path.write_text("def f(axis, self):\n"
+                    "    axis._re = 1\n"          # a write, not a read
+                    "    a = self._re + axis.__dict__\n"
+                    "    return axis._re[axis._im == 0.0]\n")
+    assert private_reads(path) == ["reach.py:4", "reach.py:4"]

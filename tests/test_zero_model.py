@@ -101,6 +101,8 @@ class TestArrayStorage:
             assert seq.multiplicities.tolist() == [float(m) for _, m in items]
             assert seq.duplicate_merges == merges
             assert seq.zeros == tuple(Zero(p, m) for p, m in items)
+            # positions are sorted by hypot, so max_abs reads the last one
+            assert seq.max_abs == np.hypot(seq.positions.real, seq.positions.imag).max(initial=0.0)
 
     def test_sort_key_is_python_abs(self):
         # |p| ties with q under Python's abs (so Re orders them), while
