@@ -122,10 +122,25 @@ class PhiProfile:
     clipped: tuple[float, ...]
 
 
+def _require_finite(**args) -> None:
+    """Raise ValueError naming the first argument with a NaN or infinite
+    entry; None (a default still to be chosen) passes.  NaN fails no < or >
+    test, so unchecked it reaches the evaluator or a verdict."""
+    for name, value in args.items():
+        if value is None:
+            continue
+        arr = np.asarray(value, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            where = f" at index {bad[0]}" if arr.ndim else ""
+            raise ValueError(f"{name} must be finite, got {arr.flat[bad[0]]}{where}")
+
+
 def phi(seq: ZeroSequence, b: float, x: float) -> float:
     """Full-range integral of [n(b,t) - n(x,t)]/t: the closed form
     sum of m * (log|a - x| - log|a - b|).  Returns -inf exactly when x is a
     stored zero position; raises if b is one."""
+    _require_finite(b=b, x=x)
     b = float(b)
     x = float(x)
     if len(seq) and np.any(seq.positions == complex(b)):
@@ -140,6 +155,7 @@ def phi(seq: ZeroSequence, b: float, x: float) -> float:
 def phi_profile(seq: ZeroSequence, b: float, xs) -> PhiProfile:
     """phi(seq, b, x) at every x through log_potential, whose docstring
     states the error bound; points on zeros are listed in clipped."""
+    _require_finite(b=b, xs=xs)
     xs = np.asarray(xs, dtype=float)
     vals = log_potential(seq, xs, float(b))
     samples = tuple(
@@ -411,6 +427,7 @@ def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
 def check_B(seq: ZeroSequence, b: float, x_grid, *, threads: int = 1) -> CriterionReport:
     """Real-axis boundedness evidence: sup of phi over the augmented grid,
     with a running-sup trend over dyadic |x| windows."""
+    _require_finite(b=b, x_grid=x_grid)
     b = float(b)
     return _sup_check(seq, "B", x_grid, b, 0.0, " (zero-gap midpoints + golden refinement)",
                       f"base point b = {b}", threads)
@@ -421,6 +438,7 @@ def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1) -> CriterionReport:
     augmented grid (base point fixed at 0; the integration range starts at
     t = 1, so the value is finite at zeros, and the real zeros in the grid
     range join the grid)."""
+    _require_finite(x_grid=x_grid)
     if not seq.origin_excluded:
         raise ValueError("base-1 criterion requires 0 not in the zero set")
     return _sup_check(seq, "D", x_grid, 0.0, 1.0, "; base point fixed at 0", "", threads)
@@ -432,6 +450,7 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
     [phi(x)]^+ / (1+x^2) over dyadic windows up to x_max, with a decay-rate
     verdict on the window contributions.  phi comes from one _RealAxis over
     [-x_max, x_max], with cells sized by the base sample count."""
+    _require_finite(b=b, x_max=x_max)
     b = float(b)
     if x_max is None:
         x_max = default_x_max(seq)
@@ -546,6 +565,7 @@ def type_bound(seq: ZeroSequence, b: float, y_values, sigma: float) -> Criterion
     """Directional growth estimate along the imaginary axis: per-y values of
     the full-range step integral divided by |y|, compared with sigma on the
     largest-|y| plateau."""
+    _require_finite(b=b, y_values=y_values, sigma=sigma)
     ys = np.asarray(y_values, dtype=float)
     if ys.size < 2:
         raise ValueError("need at least two y values")
@@ -670,6 +690,7 @@ def classify(seq: ZeroSequence, *, b: float | None = None, x_max: float | None =
     grids, then close the verdict set under the inclusion chain D within B
     within C (a satisfied inner verdict cannot coexist with a violated outer
     one; such pairs are numerical artifacts and the inner one is downgraded)."""
+    _require_finite(b=b, x_max=x_max, sigma=sigma)
     if not seq.origin_excluded:
         raise ValueError(
             "classification requires 0 not in the zero set; shift the origin first"

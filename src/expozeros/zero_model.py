@@ -9,10 +9,13 @@ Every producer builds through ZeroSequence.from_arrays.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -155,6 +158,9 @@ class ValidationReport:
     duplicate_merges: int
 
 
+_TOO_LARGE = "must be a finite number, got an integer too large for a double"
+
+
 def _parse_float(token: str, line: int, what: str) -> float:
     try:
         value = float(token)
@@ -172,6 +178,10 @@ def _parse_mult(token: str, line: int) -> int:
         raise SequenceFormatError(f"cannot parse multiplicity {token!r}", line) from None
     if mult < 1:
         raise SequenceFormatError(f"multiplicity must be >= 1, got {mult}", line)
+    try:
+        float(mult)
+    except OverflowError:
+        raise SequenceFormatError(f"multiplicity {_TOO_LARGE}", line) from None
     return mult
 
 
@@ -186,20 +196,35 @@ def _from_records(records, radius: float, provenance: str) -> ZeroSequence:
         raise SequenceFormatError(str(exc)) from exc
 
 
-def _load_text(source: str, provenance: str) -> ZeroSequence:
+def _radius_header(line: str, lineno: int) -> float:
+    """The value of a comment-stripped `@` line, which must read `@radius <R>`."""
+    parts = line.split()
+    if parts[0] != "@radius":
+        raise SequenceFormatError(f"unknown directive {parts[0]!r}; the only one is '@radius <R>'",
+                                  lineno)
+    if len(parts) != 2:
+        raise SequenceFormatError("expected '@radius <R>'", lineno)
+    radius = _parse_float(parts[1], lineno, "radius")
+    if radius < 0:
+        raise SequenceFormatError(f"radius must be >= 0, got {radius}", lineno)
+    return radius
+
+
+def _text_records(source: str) -> tuple[float, list[tuple[float, float, int]]]:
+    """Line-by-line parse: the reference that names the first bad line."""
     radius = 0.0
+    header = None
     records: list[tuple[float, float, int]] = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("@radius"):
-            parts = line.split()
-            if len(parts) != 2:
-                raise SequenceFormatError("expected '@radius <R>'", lineno)
-            radius = _parse_float(parts[1], lineno, "radius")
-            if radius < 0:
-                raise SequenceFormatError(f"radius must be >= 0, got {radius}", lineno)
+        if line.startswith("@"):
+            radius = _radius_header(line, lineno)
+            if header is not None:
+                raise SequenceFormatError(f"second '@radius' header; the first is on line {header}",
+                                          lineno)
+            header = lineno
             continue
         fields = line.split()
         if len(fields) != 3:
@@ -209,7 +234,107 @@ def _load_text(source: str, provenance: str) -> ZeroSequence:
         records.append((_parse_float(fields[0], lineno, "real part"),
                         _parse_float(fields[1], lineno, "imaginary part"),
                         _parse_mult(fields[2], lineno)))
+    return radius, records
+
+
+# Line breaks of str.splitlines that np.loadtxt reads as field separators
+# (a lone \r it rejects); text holding any of them goes to the line loop.
+_LOADTXT_MISSES = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# a line whose first non-blank character starts a record
+_RECORD_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.MULTILINE)
+_TEXT_DTYPE = [("re", "f8"), ("im", "f8"), ("m", "i8")]
+
+
+def _text_table(source: str) -> tuple[float, np.ndarray] | None:
+    """(radius, [re, im, mult] table) of well-formed text, parsed in
+    whole-array passes; None when the text needs the line loop, to name its
+    bad line or to parse what np.loadtxt refuses (1_0, 20-digit
+    multiplicities, non-ASCII digits).  np.loadtxt rounds floats as float()
+    does, so the two paths agree bit for bit."""
+    if (any(c in source for c in _LOADTXT_MISSES)
+            or source.count("\r") != source.count("\r\n")):
+        return None
+    # `@` lines are few: find each, parse it and cut it from the body
+    radius = None
+    pieces = []
+    start = 0
+    at = source.find("@")
+    while at >= 0:
+        lo = source.rfind("\n", 0, at) + 1
+        hi = source.find("\n", at)
+        hi = len(source) if hi < 0 else hi
+        line = source[lo:hi].split("#", 1)[0].strip()
+        if line.startswith("@"):
+            if radius is not None:
+                return None
+            try:
+                radius = _radius_header(line, 0)
+            except SequenceFormatError:  # the loop names the header's line
+                return None
+            pieces.append(source[start:lo])
+            start = hi
+        at = source.find("@", hi)
+    body = "".join(pieces) + source[start:] if pieces else source
+    radius = 0.0 if radius is None else radius
+    if not _RECORD_LINE.search(body):
+        # np.loadtxt warns on input with no records
+        return radius, np.empty((0, 3))
+    try:
+        table = np.loadtxt(io.StringIO(body), dtype=_TEXT_DTYPE, comments="#", ndmin=1)
+    except ValueError:
+        return None
+    columns = table["re"], table["im"], table["m"]
+    if not (np.isfinite(columns[:2]).all() and (columns[2] >= 1).all()):
+        return None
+    return radius, np.column_stack(columns)
+
+
+def _load_text(source: str, provenance: str) -> ZeroSequence:
+    parsed = _text_table(source)
+    radius, records = _text_records(source) if parsed is None else parsed
     return _from_records(records, radius, provenance)
+
+
+def _check_json_number(value, what: str) -> None:
+    """Raise unless value is a JSON number (not a bool) a double holds finitely."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return
+        except OverflowError:
+            raise SequenceFormatError(f"{what} {_TOO_LARGE}") from None
+    raise SequenceFormatError(f"{what} must be a finite number, got {value!r}")
+
+
+def _json_records(records: list) -> list:
+    """Record-by-record check: the reference that names the first bad zeros[i]."""
+    for i, rec in enumerate(records):
+        if not (isinstance(rec, list) and len(rec) == 3):
+            raise SequenceFormatError(f"zeros[{i}] must be a [re, im, mult] triple")
+        for label, v in zip(("re", "im", "multiplicity"), rec):
+            _check_json_number(v, f"zeros[{i}].{label}")
+        if int(rec[2]) != rec[2] or rec[2] < 1:
+            raise SequenceFormatError(f"zeros[{i}] multiplicity must be a positive integer, got {rec[2]!r}")
+    return records
+
+
+def _json_table(records: list) -> np.ndarray | None:
+    """The records as an (n, 3) float table, checked in C-level passes; None
+    when a record needs the loop to name its fault.  type() is exact, so
+    bools (type bool) fail the number check."""
+    if not (set(map(type, records)) <= {list} and set(map(len, records)) <= {3}):
+        return None
+    flat = list(chain.from_iterable(records))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        table = np.array(flat, dtype=np.float64).reshape(-1, 3)
+    except OverflowError:
+        return None
+    mult = table[:, 2]
+    if not (np.isfinite(table).all() and (mult >= 1).all() and (mult == np.floor(mult)).all()):
+        return None
+    return table
 
 
 def _load_json(source: str, provenance: str) -> ZeroSequence:
@@ -220,29 +345,24 @@ def _load_json(source: str, provenance: str) -> ZeroSequence:
     if not isinstance(payload, dict):
         raise SequenceFormatError("top-level JSON value must be an object")
     radius = payload.get("radius", 0.0)
-    if not isinstance(radius, (int, float)) or isinstance(radius, bool) or not math.isfinite(radius):
-        raise SequenceFormatError(f"radius must be a finite number, got {radius!r}")
+    _check_json_number(radius, "radius")
     records = payload.get("zeros", [])
     if not isinstance(records, list):
         raise SequenceFormatError("'zeros' must be an array of [re, im, mult] triples")
-    for i, rec in enumerate(records):
-        if not (isinstance(rec, list) and len(rec) == 3):
-            raise SequenceFormatError(f"zeros[{i}] must be a [re, im, mult] triple")
-        for label, v in zip(("re", "im", "multiplicity"), rec):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise SequenceFormatError(f"zeros[{i}].{label} must be a finite number, got {v!r}")
-        if int(rec[2]) != rec[2] or rec[2] < 1:
-            raise SequenceFormatError(f"zeros[{i}] multiplicity must be a positive integer, got {rec[2]!r}")
-    return _from_records(records, float(radius), provenance)
+    table = _json_table(records)
+    return _from_records(_json_records(records) if table is None else table, float(radius),
+                         provenance)
 
 
 def load_sequence(source: str, provenance: str = "") -> ZeroSequence:
     """Parse sequence-file content (text or JSON form) into a ZeroSequence.
 
-    Text form: one `re im multiplicity` record per line, `#` comments, and an
-    optional `@radius <R>` header.  JSON form: an object with fields `radius`
-    and `zeros` (array of [re, im, mult]).  Equal positions are merged with
-    summed multiplicities.
+    Text form: one `re im multiplicity` record per line (lines end where
+    str.splitlines ends them), `#` comments, and at most one `@radius <R>`
+    header.  JSON form: an object with fields `radius` and `zeros` (array of
+    [re, im, mult]).  Equal positions are merged with summed multiplicities.
+    Valid input is parsed in whole-array passes; a SequenceFormatError names
+    the first bad 1-based line or zeros[i], found by a per-line loop.
     """
     if source.lstrip().startswith("{"):
         return _load_json(source, provenance)

@@ -123,6 +123,14 @@ class TestSources:
         assert code == 2
         assert "line 2" in err
 
+    def test_huge_json_integer(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"zeros": [[1%s, 0, 1]]}' % ("0" * 400))
+        code, out, err = run_cli(capsys, "classify", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "zeros[0].re" in err
+        assert "Traceback" not in err
+
 
 class TestClassify:
     def test_lattice_json(self, capsys):

@@ -293,6 +293,31 @@ class TestTypeBound:
             type_bound(ZeroSequence(()), 0.0, [2.0, -1.0], 1.0)
 
 
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("call, name", [
+        (lambda s: type_bound(s, 0.5, [1, -1, math.nan, -4], math.pi), "y_values"),
+        (lambda s: type_bound(s, 0.5, [1, -1, 2, -4], math.nan), "sigma"),
+        (lambda s: type_bound(s, math.inf, [1, -1, 2, -4], math.pi), "b"),
+        (lambda s: check_B(s, math.nan, default_grid(16.0)), "b"),
+        (lambda s: check_B(s, 0.5, [0.0, math.nan, 1.0]), "x_grid"),
+        (lambda s: check_D(s, [-math.inf, 1.0]), "x_grid"),
+        (lambda s: check_C(s, math.nan), "b"),
+        (lambda s: check_C(s, 0.5, math.nan), "x_max"),
+        (lambda s: check_C(s, 0.5, math.inf), "x_max"),
+        (lambda s: phi(s, math.nan, 1.0), "b"),
+        (lambda s: phi(s, 0.5, math.nan), "x"),
+        (lambda s: phi_profile(s, 0.5, [1.0, math.inf]), "xs"),
+        (lambda s: classify(s, b=math.nan), "b"),
+        (lambda s: classify(s, x_max=math.nan), "x_max"),
+        (lambda s: classify(s, sigma=math.nan), "sigma"),
+    ], ids=["type-y", "type-sigma", "type-b", "B-b", "B-grid", "D-grid", "C-b", "C-x_max",
+            "C-x_max-inf", "phi-b", "phi-x", "profile-xs", "classify-b", "classify-x_max",
+            "classify-sigma"])
+    def test_raises_naming_the_argument(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call(integer_lattice(50))
+
+
 class TestClassify:
     def test_empty_all_satisfied(self):
         rep = classify(ZeroSequence(()))

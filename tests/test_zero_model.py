@@ -1,4 +1,6 @@
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from expozeros import (
     shift_origin,
     validate,
 )
+from expozeros import zero_model
 
 
 class TestZero:
@@ -193,6 +196,45 @@ class TestLoadText:
         assert len(load_sequence("")) == 0
 
 
+    def test_radius_keyword_is_exact(self):
+        with pytest.raises(SequenceFormatError, match="unknown directive '@radiusfoo'") as err:
+            load_sequence("1 0 1\n@radiusfoo 5\n")
+        assert err.value.line == 2
+
+    def test_unknown_directive(self):
+        with pytest.raises(SequenceFormatError, match="unknown directive '@other'") as err:
+            load_sequence("@other 5\n1 0 1")
+        assert err.value.line == 1
+
+    def test_second_header(self):
+        with pytest.raises(SequenceFormatError, match="first is on line 1") as err:
+            load_sequence("@radius 5\n1 0 1\n  @radius 7  # again\n")
+        assert err.value.line == 3
+
+    def test_header_with_comment_and_indent(self):
+        assert load_sequence("  @radius 5 # complete\n1 0 1").truncation_radius == 5.0
+
+    def test_huge_multiplicity(self):
+        with pytest.raises(SequenceFormatError, match="multiplicity .* too large") as err:
+            load_sequence("1 0 1\n1 0 1" + "0" * 400)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_splitlines_breaks_end_a_line(self, brk):
+        # np.loadtxt reads these as blanks inside one line; the file format
+        # ends a line at each of them, as str.splitlines does
+        with pytest.raises(SequenceFormatError) as err:
+            load_sequence(f"1 0 1\n1 0{brk}1\n")
+        assert err.value.line == 2
+        assert len(load_sequence(f"1 0 1{brk}-1 0 1{brk}")) == 2
+
+    def test_loop_parses_what_loadtxt_refuses(self):
+        seq = load_sequence("1_0 0 1\n2 0 12345678901234567890\n")
+        assert seq.positions.tolist() == [2 + 0j, 10 + 0j]
+        assert seq.multiplicities.tolist() == [12345678901234567890.0, 1.0]
+
+
 class TestLoadJson:
     def test_basic(self):
         seq = load_sequence('{"radius": 5.0, "zeros": [[1, 0, 1], [0.5, -0.25, 2]]}')
@@ -218,6 +260,21 @@ class TestLoadJson:
     def test_nonfinite_multiplicity(self, mult):
         with pytest.raises(SequenceFormatError):
             load_sequence('{"zeros": [[1, 0, %s]]}' % mult)
+
+    @pytest.mark.parametrize("payload, field", [
+        ('{"zeros": [[1%s, 0, 1]]}', "zeros[0].re"),
+        ('{"zeros": [[1, 0, 1], [0, -1%s, 1]]}', "zeros[1].im"),
+        ('{"zeros": [[1, 0, 1%s]]}', "zeros[0].multiplicity"),
+        ('{"radius": 1%s, "zeros": [[1, 0, 1]]}', "radius"),
+    ], ids=["re", "im", "multiplicity", "radius"])
+    def test_huge_integer(self, payload, field):
+        with pytest.raises(SequenceFormatError, match="too large for a double") as err:
+            load_sequence(payload % ("0" * 400))
+        assert str(err.value).startswith(field + " ")
+
+    def test_bool_is_not_a_number(self):
+        with pytest.raises(SequenceFormatError, match=r"zeros\[1\]\.multiplicity .* got True"):
+            load_sequence('{"zeros": [[1, 0, 1], [2, 0, true]]}')
 
 
 class TestRoundTrip:
@@ -272,6 +329,121 @@ class TestRoundTripProperties:
                 if truncated else slice(None))
         expect = ZeroSequence.from_arrays(seq.positions[keep], seq.multiplicities[keep])
         assert _same_arrays(back, expect)
+
+
+def _outcome(source):
+    """What load_sequence gives: the sequence's bits and counts, or the
+    exception's type, message and line."""
+    try:
+        seq = load_sequence(source)
+    except Exception as exc:  # noqa: BLE001 - the failure itself is compared
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (seq.positions.tobytes(), seq.multiplicities.tobytes(),
+            seq.truncation_radius.hex(), seq.duplicate_merges)
+
+
+def _loop_outcome(source):
+    """_outcome with the whole-array parse refusing every input, so the
+    per-line and per-record loops do all the work."""
+    with mock.patch.object(zero_model, "_text_table", lambda source: None), \
+            mock.patch.object(zero_model, "_json_table", lambda records: None):
+        return _outcome(source)
+
+
+_float_tokens = st.one_of(
+    st.sampled_from(["0", "-0.0", "1", "-2.5", "1e-320", ".5", "1E3", "+7", "1_0", "nan",
+                     "inf", "-Infinity", "1e400", "0x10", "\u0663", "1.5.2", "abc"]),
+    st.floats(-1e3, 1e3).map(repr),
+)
+_mult_tokens = st.sampled_from(["1", "2", "+3", "01", "0", "-1", "1.0", "1e0", "1_0", "\u0663",
+                                "12345678901234567890", "9223372036854775807", "9" * 400])
+_record_lines = (st.lists(st.one_of(_float_tokens, _mult_tokens), min_size=2, max_size=4)
+                 | st.tuples(_float_tokens, _float_tokens, _mult_tokens).map(list))
+_blanks = st.sampled_from([" ", "  ", "\t", "\xa0", "\u3000", "\x1f"])
+_other_lines = st.sampled_from([
+    "", "   ", "# comment", "#", "  # @radius 3", "@radius 1e3", "@radius 50 # complete",
+    "  @radius 1e3", "@radius -1", "@radius nan", "@radius", "@radius 1 2", "@radiusfoo 5",
+    "@other 5", "@", "1 @ 2",
+])
+_breaks = st.sampled_from(["\n"] * 12 + ["\r\n"] * 4
+                          + ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                             "\u2028", "\u2029"])
+
+
+@st.composite
+def _texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            fields = draw(_record_lines)
+            sep = draw(_blanks)
+            line = sep.join(fields) + draw(st.sampled_from(["", " ", " # note", "\t#"]))
+        else:
+            line = draw(_other_lines)
+        lines.append(line + draw(_breaks))
+    return "".join(lines) + draw(st.sampled_from(["", "1 0 1", "-0.0 -0.0 2"]))
+
+
+_json_values = st.one_of(
+    st.integers(-3, 3), st.floats(-1e3, 1e3), st.just(-0.0), st.booleans(), st.just("1"),
+    st.just([1]), st.none(), st.sampled_from([2 ** 64 + 1, 2 ** 1000, 10 ** 400, -(10 ** 400)]),
+    st.sampled_from([math.nan, math.inf, 1.5, 1e308]),
+)
+_json_records = st.one_of(
+    st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(1, 3)).map(list),
+    st.lists(_json_values, min_size=3, max_size=3),
+    st.lists(_json_values, max_size=4),
+    _json_values,
+)
+
+
+@st.composite
+def _jsons(draw):
+    payload = {}
+    if draw(st.booleans()):
+        payload["radius"] = draw(_json_values) if draw(st.booleans()) else 1e4
+    # mostly a list of records, to reach the record checks
+    payload["zeros"] = (draw(st.lists(_json_records, max_size=6)) if draw(st.integers(0, 5))
+                        else draw(_json_values))
+    return json.dumps(payload)
+
+
+class TestFastPathMatchesLoop:
+    """The whole-array parse either gives the loop's own result or refuses."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_texts())
+    def test_text(self, source):
+        assert _outcome(source) == _loop_outcome(source)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_jsons())
+    def test_json(self, source):
+        assert _outcome(source) == _loop_outcome(source)
+
+    def test_valid_input_never_reaches_the_loop(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        n = 10_000
+        positions = np.empty(n, dtype=np.complex128)
+        positions.real = rng.standard_normal(n) * 1e3
+        positions.imag = rng.standard_normal(n)
+        positions.real[::97] = -0.0
+        positions.imag[::89] = -0.0
+        seq = ZeroSequence.from_arrays(positions, rng.integers(1, 4, n), 1e5, "fast")
+        assert np.signbit(seq.positions.real[seq.positions.real == 0.0]).any()
+
+        def refuse(*args):
+            raise AssertionError("valid input fell back to the loop")
+
+        monkeypatch.setattr(zero_model, "_text_records", refuse)
+        monkeypatch.setattr(zero_model, "_json_records", refuse)
+        text = dump_sequence(seq)
+        crlf = "# note\r\n\r\n" + text.replace("\n", "  # c\r\n")
+        for source in (text, crlf, dump_sequence_json(seq)):
+            back = load_sequence(source)
+            assert _same_arrays(back, seq)
+            assert back.truncation_radius == seq.truncation_radius
+        assert len(load_sequence("# nothing\n@radius 2\n\n")) == 0
 
 
 class TestShiftOrigin:
