@@ -342,6 +342,8 @@ def _load_json(source: str, provenance: str) -> ZeroSequence:
         payload = json.loads(source)
     except json.JSONDecodeError as exc:
         raise SequenceFormatError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+    except ValueError as exc:  # an integer literal past int()'s digit limit
+        raise SequenceFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise SequenceFormatError("top-level JSON value must be an object")
     radius = payload.get("radius", 0.0)
