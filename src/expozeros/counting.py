@@ -44,9 +44,6 @@ _BLOCK_CELLS = 1 << 18
 # at 3 ns a cell in blocks of this size and at 10 ns in blocks of
 # _BLOCK_CELLS.
 _SMALL_BLOCK_CELLS = 1 << 16
-# log_potential sums each point's terms in floating point over runs of this
-# many zeros, then the run sums exactly; the run length enters its error bound.
-_RUN = 64
 # exact_parts hands arrays of at most this many terms to math.fsum as they
 # are: one split level costs a few numpy passes, about what fsum takes over
 # 500 floats on a 2-core VM.
@@ -156,11 +153,11 @@ def count_disc(prof: CountingProfile, t: float) -> int:
     t = float(t)
     if not t >= 0:
         raise ValueError(f"disc radius must be >= 0, got {t}")
-    idx = int(np.searchsorted(prof.distances, t, side="right"))
-    return int(prof.cumulative[idx - 1]) if idx else 0
+    return int(_counts_at(prof, t))
 
 
-def _counts_at(prof: CountingProfile, ts: np.ndarray) -> np.ndarray:
+def _counts_at(prof: CountingProfile, ts) -> np.ndarray:
+    """n(center, t) at every t of ts."""
     idx = np.searchsorted(prof.distances, ts, side="right")
     padded = np.concatenate([[0], prof.cumulative])
     return padded[idx]
@@ -171,8 +168,6 @@ def count_square(seq: ZeroSequence, c: complex, t: float) -> int:
     t = float(t)
     if not t >= 0:
         raise ValueError(f"square half-side must be >= 0, got {t}")
-    if not len(seq):
-        return 0
     rel = seq.positions - complex(c)
     inside = (np.abs(rel.real) <= t) & (np.abs(rel.imag) <= t)
     return int(seq.multiplicities[inside].sum())
@@ -182,8 +177,6 @@ def imaginary_inverse_sum(seq: ZeroSequence) -> float:
     """Sum of multiplicity * |Im(1/a)| over the stored zeros."""
     if not seq.origin_excluded:
         raise ValueError("sum of |Im(1/a)| requires 0 not in the zero set")
-    if not len(seq):
-        return 0.0
     inv = 1.0 / seq.positions
     return exact_sum(seq.multiplicities * np.abs(inv.imag))
 
@@ -271,8 +264,8 @@ def growth_check(seq: ZeroSequence, radii) -> GrowthEstimate:
     ratios = n_t / rs
     increments = (n_t1 - n_t) / rs
     return GrowthEstimate(
-        linear_ratio_sup=float(ratios.max()) if rs.size else 0.0,
-        annulus_increment_max_ratio=float(increments.max()) if rs.size else 0.0,
+        linear_ratio_sup=float(ratios.max()),
+        annulus_increment_max_ratio=float(increments.max()),
         sample_radii=tuple(float(r) for r in rs),
         ratio_trend_slope=_decade_slope(rs, ratios),
         increment_trend_slope=_decade_slope(rs, increments),
@@ -306,8 +299,6 @@ def angular_density(seq: ZeroSequence, alpha: float, R: float) -> AngularDensity
         raise ValueError(f"R must be positive, got {R}")
     if seq.truncation_radius > 0 and R > seq.truncation_radius:
         raise ValueError(f"R = {R} exceeds completeness radius {seq.truncation_radius}")
-    if not len(seq):
-        return AngularDensity(0.0, 0.0, 0)
     dists = np.hypot(seq.positions.real, seq.positions.imag)
     inside = (dists > 0) & (dists < R)
     args = np.angle(seq.positions[inside])
@@ -316,6 +307,22 @@ def angular_density(seq: ZeroSequence, alpha: float, R: float) -> AngularDensity
     left = float(mult[(math.pi - np.abs(args)) <= alpha].sum()) / R
     ties = int(seq.multiplicities[dists == R].sum())
     return AngularDensity(right, left, ties)
+
+
+def _require_finite(**args) -> None:
+    """Raise ValueError naming the first argument with a NaN or infinite
+    entry (real or complex); None (a default still to be chosen) passes.
+    NaN fails no < or > test, so unchecked it reaches a sum or a verdict."""
+    for name, value in args.items():
+        if value is None:
+            continue
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "fc":
+            arr = arr.astype(float)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            where = f" at index {bad[0]}" if arr.ndim else ""
+            raise ValueError(f"{name} must be finite, got {arr.flat[bad[0]]}{where}")
 
 
 def _check_range(seq: ZeroSequence, t_lo: float, t_hi: float, reach: float) -> None:
@@ -375,32 +382,32 @@ def step_integral(seq: ZeroSequence, b: complex, x: complex, t_lo: float, t_hi: 
     antisymmetry in (b, x) and reflection symmetries therefore hold
     bit-exactly.  The error bound is the one stated in log_potential.
     """
+    _require_finite(b=b, x=x)
     b = complex(b)
     x = complex(x)
     t_lo = float(t_lo)
     t_hi = float(t_hi)
     _check_range(seq, t_lo, t_hi, max(abs(b), abs(x)))
-    if not len(seq):
-        return 0.0
     log_b = _center_logs(seq, b, "b", t_lo, t_hi)
     log_x = _center_logs(seq, x, "x", t_lo, t_hi)
     return exact_sum(seq.multiplicities * (log_x - log_b))
 
 
-def _blocked(n_points: int, n_zeros: int, threads: int, block,
-             cells: int | None = None) -> None:
-    """Call block(start, stop) over runs of points holding about cells
-    (default _BLOCK_CELLS) zero x point cells each, on
-    min(threads, cpu count, blocks) threads."""
-    step = max(1, (cells or _BLOCK_CELLS) // n_zeros)
-    starts = range(0, n_points, step)
-    workers = min(threads, os.cpu_count() or 1, len(starts))
+def _row_sums(rows: int, cols: int, block: int, sums, threads: int) -> np.ndarray:
+    """The row sums of a rows x cols array of terms, never made at once:
+    sums(slice) gives those of a run of rows, over runs of about block cells
+    each, on min(threads, cpu count, runs) threads; zeros when there are no
+    columns.  A row's sum depends on that row alone, so neither block nor
+    threads changes a value."""
+    if not (rows and cols):
+        return np.zeros(rows)
+    step = max(1, block // cols)
+    runs = [slice(start, start + step) for start in range(0, rows, step)]
+    workers = min(threads, os.cpu_count() or 1, len(runs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda start: block(start, start + step), starts))
-    else:
-        for start in starts:
-            block(start, start + step)
+            return np.concatenate(list(pool.map(sums, runs)))
+    return np.concatenate([sums(part) for part in runs])
 
 
 def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
@@ -412,16 +419,22 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
     point on a zero then raises DivergentIntegralError.
 
     Each zero's log clamp|a - b| is subtracted cell by cell before the sum
-    over zeros, so no two large sums are differenced.  A point's terms are
-    summed in floating point over runs of 64 zeros and the run sums with
-    fsum.  Error bound, to first order in u = 2**-53, with
+    over zeros, so no two large sums are differenced.  A point's n terms lie
+    along the contiguous axis of its block, and numpy sums that axis
+    pairwise: a piece of at most 128 terms goes into 8 accumulators of up
+    to 16 terms, joined in 3 more additions, and at most 7 leftover terms
+    follow one by one; a longer row is halved, at a multiple of 8, until
+    its pieces are that short.  So each term passes through at most
+    25 + ceil(log2(n / 128)) rounded additions (56 at n = 2**45), and the
+    sum is within that many u times the sum of |terms|.  Error bound, to
+    first order in u = 2**-53, with
     L_p = log clamp|a - p|, L_b = log clamp|a - b| and log and |.| faithful
     to one ulp:
 
         |log_potential - exact| <= 70 u * sum of m * (1 + |L_p| + |L_b|),
 
     and step_integral meets the same bound.  The two share every term and
-    differ only in the reduction:
+    differ only in the reduction, step_integral's being correctly rounded:
 
         |log_potential - step_integral| <= 64 u * sum of m * |L_p - L_b|
                                            + 2 u * |value|.
@@ -433,6 +446,7 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
     threads = int(threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    _require_finite(b=b, points=points)
     b = complex(b)
     t_lo = float(t_lo)
     t_hi = float(t_hi)
@@ -440,28 +454,21 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
     flat = pts.ravel()
     reach = max(abs(b), float(np.abs(flat).max())) if flat.size else abs(b)
     _check_range(seq, t_lo, t_hi, reach)
-    out = np.zeros(flat.shape)
-    if not len(seq) or not flat.size:
-        return out.reshape(pts.shape)
     log_b = _center_logs(seq, b, "b", t_lo, t_hi)
-    _potential_sums(seq.positions, seq.multiplicities, log_b, flat, t_lo, t_hi, threads, out)
-    return out.reshape(pts.shape)
+    sums = _potential_sums(seq.positions, seq.multiplicities, log_b, flat, t_lo, t_hi, threads)
+    return sums.reshape(pts.shape)
 
 
 def _potential_sums(pos: np.ndarray, mult: np.ndarray, log_b: np.ndarray, points: np.ndarray,
-                    t_lo: float, t_hi: float, threads: int, out: np.ndarray) -> None:
-    """out[i] = sum over the zeros of m (log clamp|a - points[i]| - log_b),
-    in blocks, each point's terms summed over runs of _RUN zeros and the run
-    sums with fsum: the kernel of log_potential and of _RealAxis's near sums.
-    pos may be real when every zero is."""
-    if not pos.size:
-        out[:] = 0.0
-        return
-    runs = np.arange(0, pos.size, _RUN)
+                    t_lo: float, t_hi: float, threads: int) -> np.ndarray:
+    """The sum over the zeros of m (log clamp|a - p| - log_b) at every p of
+    points, each point's row of terms summed pairwise (_row_sums in blocks
+    of _BLOCK_CELLS): the kernel of log_potential and of _RealAxis's near
+    sums.  pos may be real when every zero is."""
     ones = bool(np.all(mult == 1.0))   # multiplying by 1 changes no value
 
-    def block(start: int, stop: int) -> None:
-        cells = pos - points[start:stop, None]
+    def sums(rows: slice) -> np.ndarray:
+        cells = pos - points[rows, None]
         # distances in place when both are real: a fresh 2 MiB array per
         # operation costs more than the operation
         cells = np.abs(cells, out=cells) if cells.dtype.kind == "f" else np.abs(cells)
@@ -469,26 +476,23 @@ def _potential_sums(pos: np.ndarray, mult: np.ndarray, log_b: np.ndarray, points
         cells -= log_b
         if not ones:
             cells *= mult
-        sums = np.add.reduceat(cells, runs, axis=1)
-        out[start:stop] = sums[:, 0] if runs.size == 1 else [math.fsum(r) for r in sums.tolist()]
+        return cells.sum(axis=1)
 
-    _blocked(points.size, pos.size, threads, block)
+    return _row_sums(points.size, pos.size, _BLOCK_CELLS, sums, threads)
 
 
 def _slope_sums(re: np.ndarray, im2: np.ndarray, mult: np.ndarray, xs: np.ndarray,
-                t_lo: float, threads: int, out: np.ndarray) -> None:
-    """out[i] = sum of m (x - Re a) / |x - a|**2 at x = xs[i] over the zeros
-    with |x - a| > t_lo, blocked like _potential_sums: the kernel of
-    _log_potential_slope and of _RealAxis's near slopes."""
-    if not re.size:
-        out[:] = 0.0
-        return
+                t_lo: float, threads: int) -> np.ndarray:
+    """The sum of m (x - Re a) / |x - a|**2 over the zeros with
+    |x - a| > t_lo at every x of xs, each row summed pairwise (_row_sums in
+    blocks of _SMALL_BLOCK_CELLS): the kernel of _log_potential_slope and
+    of _RealAxis's near slopes."""
     # adding 0 and multiplying by 1 change no value
     real = not im2.any()
     ones = bool(np.all(mult == 1.0))
 
-    def block(start: int, stop: int) -> None:
-        dx = xs[start:stop, None] - re
+    def sums(rows: slice) -> np.ndarray:
+        dx = xs[rows, None] - re
         r2 = dx * dx
         if not real:
             r2 += im2
@@ -497,9 +501,9 @@ def _slope_sums(re: np.ndarray, im2: np.ndarray, mult: np.ndarray, xs: np.ndarra
             dx[r2 <= t_lo * t_lo] = 0.0
         if not ones:
             dx *= mult
-        out[start:stop] = dx.sum(axis=1)
+        return dx.sum(axis=1)
 
-    _blocked(xs.size, re.size, threads, block, _SMALL_BLOCK_CELLS)
+    return _row_sums(xs.size, re.size, _SMALL_BLOCK_CELLS, sums, threads)
 
 
 def _log_potential_slope(seq: ZeroSequence, xs: np.ndarray, t_lo: float = 0.0, *,
@@ -508,12 +512,10 @@ def _log_potential_slope(seq: ZeroSequence, xs: np.ndarray, t_lo: float = 0.0, *
     the sum of m (x - Re a) / |x - a|**2 over the zeros with |x - a| > t_lo
     (the clamp holds the other terms constant).  Each term is within a few
     ulps (while |x - a|**2 stays a normal float) and the row sum is
-    pairwise, so the error is at most
+    pairwise, as in log_potential, so the error is at most
     70 u * sum of m / max(|x - a|, t_lo).  Blocked like log_potential."""
-    out = np.zeros(xs.size)
     pos = seq.positions
-    _slope_sums(pos.real, pos.imag ** 2, seq.multiplicities, xs, t_lo, threads, out)
-    return out
+    return _slope_sums(pos.real, pos.imag ** 2, seq.multiplicities, xs, t_lo, threads)
 
 
 # Nodes per cell of _RealAxis: first-kind Chebyshev points on [-1, 1], the
@@ -550,13 +552,6 @@ def _accurate_sums(terms: np.ndarray) -> np.ndarray:
     return high_sums + low.sum(axis=1)
 
 
-def _by_rows(rows: int, cols: int, block) -> np.ndarray:
-    """block(slice) over runs of rows of about _SMALL_BLOCK_CELLS cells in
-    all, concatenated: a rows x cols array is never made at once."""
-    step = max(1, _SMALL_BLOCK_CELLS // max(cols, 1))
-    return np.concatenate([block(slice(i, i + step)) for i in range(0, rows, step)])
-
-
 def _interpolate(values: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The polynomial through values at _CHEB, at the points s in [-1, 1]:
     the first barycentric form prod(s - x_k) * sum of w_j f_j / (s - x_j),
@@ -583,8 +578,8 @@ def _truncation_bounds(h: float, dist: np.ndarray, mult: np.ndarray) -> tuple[fl
         return 0.0, 0.0
     r = float(dist.min()) * _REACH
     rho = r / h + np.sqrt((r / h) ** 2 - 1.0)
-    size = _by_rows(r.size, dist.size, lambda rows: (
-        mult * (-np.log1p(-r[rows, None] / dist) - r[rows, None] / dist)).sum(axis=1))
+    size = _row_sums(r.size, dist.size, _SMALL_BLOCK_CELLS, lambda rows: (
+        mult * (-np.log1p(-r[rows, None] / dist) - r[rows, None] / dist)).sum(axis=1), 1)
     # the slope's sum in closed form, q = 1/rho
     p, q = _NODES, 1.0 / rho
     tail = q ** p * (q * (1.0 + q) / (1.0 - q) ** 3 + 2.0 * p * q / (1.0 - q) ** 2
@@ -601,18 +596,19 @@ class _RealAxis:
     [lo, hi] is split into round(sqrt(samples / p)) equal cells, p = 20, with
     samples the caller's base sample count.  For a point x in the cell of
     centre c and half-width h, the zeros with |Re a - c| < 3h + t_lo are
-    near: their terms are summed densely, by log_potential's and
-    _log_potential_slope's kernels, so a point on a zero gives exactly -inf
-    when t_lo = 0.  Every other zero is far: |x - a| >= 2h + t_lo on the
-    cell, so the clamp never acts on it.  The far sums are computed once per
-    cell, on first use, at the cell's p first-kind Chebyshev nodes, as the
-    constant K = sum of m (log|c - a| - L_b) plus the centred sums
+    near: their terms are summed densely and pairwise, by log_potential's
+    and _log_potential_slope's kernels (_potential_sums and _slope_sums),
+    so a point on a zero gives exactly -inf when t_lo = 0.  Every other zero
+    is far: |x - a| >= 2h + t_lo on the cell, so the clamp never acts on it.
+    The far sums are computed once per cell, on first use, at the cell's p
+    first-kind Chebyshev nodes, as the constant
+    K = sum of m (log|c - a| - L_b) plus the centred sums
     f(x) = sum of m log(|x - a| / |c - a|) (each term by log1p), every node
-    sum within u |sum| of its rounded terms.  The chord through the end
-    nodes is taken off f, and the rest is interpolated to the cell's
-    points; the far slope is the derivative of that interpolant, the chord's
-    slope plus the rest's derivative values at the nodes (_DIFF) again
-    interpolated, over h.  Each value depends on x alone, on any number of
+    sum within u |sum| of its rounded terms (_accurate_sums, by rows through
+    _row_sums).  The chord through the end nodes is taken off f, and the
+    rest is interpolated to the cell's points; the far slope is the
+    derivative of that interpolant, the chord's slope plus the rest's
+    derivative values at the nodes (_DIFF) again interpolated, over h.  Each value depends on x alone, on any number of
     threads.
 
     Error bound, u = 2**-53, L_x = log clamp|a - x|, L_b = log clamp|a - b|
@@ -706,8 +702,8 @@ class _RealAxis:
             d2 = dist * dist
             half_m = 0.5 * m
             s = (h * _CHEB)[:, None]
-            nodes = _by_rows(_NODES, re.size, lambda j: _accurate_sums(
-                half_m * np.log1p(s[j] * (two_dc + s[j]) / d2)))
+            nodes = _row_sums(_NODES, re.size, _SMALL_BLOCK_CELLS, lambda rows: (
+                _accurate_sums(half_m * np.log1p(s[rows] * (two_dc + s[rows]) / d2))), 1)
             self.node_points += _NODES * re.size
             const = float(_accurate_sums((m * (np.log(dist) - log_b))[None, :])[0])
             slope = (nodes[0] - nodes[-1]) / (_CHEB[0] - _CHEB[-1])
@@ -743,9 +739,8 @@ class _RealAxis:
 
         def per_cell(k, x, s):
             i, j = self._near[k]
-            near = np.empty(x.size)
-            _potential_sums(self._pos[i:j], self._mult[i:j], self._log_b[i:j], x,
-                            self.t_lo, math.inf, self.threads, near)
+            near = _potential_sums(self._pos[i:j], self._mult[i:j], self._log_b[i:j], x,
+                                   self.t_lo, math.inf, self.threads)
             self.near_points += x.size * int(j - i)
             const, slope, rest = self._value_fit(k)[:3]
             return near + (const + (slope * s + _interpolate(rest, s)))
@@ -755,9 +750,8 @@ class _RealAxis:
         """_log_potential_slope(seq, x, t_lo) at every x of xs (off the zeros)."""
         def per_cell(k, x, s):
             i, j = self._near[k]
-            near = np.empty(x.size)
-            _slope_sums(self._re[i:j], self._im2[i:j], self._mult[i:j], x, self.t_lo,
-                        self.threads, near)
+            near = _slope_sums(self._re[i:j], self._im2[i:j], self._mult[i:j], x, self.t_lo,
+                               self.threads)
             _, slope, _, diff = self._value_fit(k)[:4]
             return near + (slope + _interpolate(diff, s)) / self._halves[k]
         return self._by_cell(xs, per_cell)

@@ -24,6 +24,7 @@ from .counting import (
     GrowthEstimate,
     LindelofTrace,
     _RealAxis,
+    _require_finite,
     angular_density,
     growth_check,
     lindelof_sums,
@@ -120,20 +121,6 @@ class PhiProfile:
     base_point: float
     samples: tuple[tuple[float, float], ...]
     clipped: tuple[float, ...]
-
-
-def _require_finite(**args) -> None:
-    """Raise ValueError naming the first argument with a NaN or infinite
-    entry; None (a default still to be chosen) passes.  NaN fails no < or >
-    test, so unchecked it reaches the evaluator or a verdict."""
-    for name, value in args.items():
-        if value is None:
-            continue
-        arr = np.asarray(value, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            where = f" at index {bad[0]}" if arr.ndim else ""
-            raise ValueError(f"{name} must be finite, got {arr.flat[bad[0]]}{where}")
 
 
 def phi(seq: ZeroSequence, b: float, x: float) -> float:
@@ -609,9 +596,6 @@ def type_bound(seq: ZeroSequence, b: float, y_values, sigma: float) -> Criterion
 
 
 # --- combined classification --------------------------------------------------
-
-_RANK = {SATISFIED: 2, INCONCLUSIVE: 1, VIOLATED: 0}
-
 
 @dataclass(frozen=True, eq=False)
 class ClassifyReport:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import exact_parts, exact_sum, log_potential, step_integral
+from .counting import _require_finite, exact_parts, exact_sum, log_potential, step_integral
 from .zero_model import ZeroSequence
 
 __all__ = [
@@ -105,6 +105,7 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     rounded sum of all its terms (the bits fsum gives over them), so the
     value does not depend on the block size.
     """
+    _require_finite(z=z)
     z = complex(z)
     if not seq.origin_excluded:
         raise ValueError("canonical product requires 0 not in the zero set")
@@ -286,6 +287,7 @@ class TailCorrection:
 
 
 def tail_correction(seq: ZeroSequence, z: complex, R: float) -> TailCorrection:
+    _require_finite(z=z)
     z = complex(z)
     R = float(R)
     if not R > 0:

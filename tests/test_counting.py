@@ -32,7 +32,10 @@ from expozeros import (
     growth_check,
     imaginary_inverse_sum,
     integer_lattice,
+    jensen_counting_side,
+    jensen_identity_check,
     lindelof_sums,
+    log_modulus_via_counting,
     log_potential,
     profile,
     shift_origin,
@@ -111,11 +114,15 @@ class TestCountSquare:
                 sq = count_square(seq, c, t)
                 assert sq >= count_disc(prof, t)
                 assert sq <= count_disc(prof, t * math.sqrt(2.0))
+        # the empty sequence, where both sides of the sandwich are 0
+        empty = ZeroSequence(())
+        assert count_square(empty, 1 + 1j, 5.0) == count_disc(profile(empty, 1 + 1j), 5.0) == 0
 
 
 class TestImaginaryInverseSum:
     def test_real_zeros(self):
         assert imaginary_inverse_sum(ZeroSequence((Zero(1 + 0j), Zero(-1 + 0j)))) == 0.0
+        assert imaginary_inverse_sum(ZeroSequence(())) == 0.0
 
     def test_unit_imaginary(self):
         assert imaginary_inverse_sum(ZeroSequence((Zero(1j),))) == pytest.approx(1.0, abs=1e-15)
@@ -286,6 +293,33 @@ def test_nan_and_nonpositive_radii_raise(call):
         call()
 
 
+BAD_POINTS = {
+    "evaluate_product-nan": lambda: evaluate_product(LATTICE_10, NAN),
+    "evaluate_product-inf": lambda: evaluate_product(LATTICE_10, math.inf),
+    "log_modulus_via_counting-nan": lambda: log_modulus_via_counting(LATTICE_10, NAN),
+    "step_integral-x-nan": lambda: step_integral(LATTICE_10, 0.5, NAN, 0.0, math.inf),
+    "step_integral-x-nan-finite-range": lambda: step_integral(LATTICE_10, 0.5, NAN, 0.0, 5.0),
+    "step_integral-b-nan": lambda: step_integral(LATTICE_10, NAN, 0.5, 0.0, math.inf),
+    "step_integral-x-complex-inf":
+        lambda: step_integral(LATTICE_10, 0.5, complex(1, math.inf), 1.0, math.inf),
+    "log_potential-points-nan": lambda: log_potential(LATTICE_10, [NAN], 0.5),
+    "log_potential-points-complex-nan": lambda: log_potential(LATTICE_10, [0.5, NAN + 1j], 0.5),
+    "log_potential-b-nan": lambda: log_potential(LATTICE_10, [0.5], NAN),
+    "jensen_counting_side-nan": lambda: jensen_counting_side(LATTICE_10, NAN),
+    "circle_average-z-nan": lambda: circle_average(LATTICE_10, NAN, 1.0, 64),
+    "jensen_identity_check-nan": lambda: jensen_identity_check(LATTICE_10, NAN, 64),
+    "tail_correction-z-nan": lambda: tail_correction(LATTICE_10, NAN, 5.0),
+}
+
+
+@pytest.mark.parametrize("call", BAD_POINTS.values(), ids=BAD_POINTS.keys())
+def test_non_finite_points_raise(call):
+    # each used to return nan (evaluate_product at inf also warned), and
+    # step_integral with a nan x skipped its completeness check
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
+
+
 class TestStepIntegral:
     @settings(max_examples=80, deadline=None)
     @given(seq=axis_sequences(), b=_points, x=_points, t_lo=st.floats(0.0, 10.0),
@@ -371,6 +405,9 @@ class TestStepIntegral:
             )
             got = step_integral(seq, b, x, 0.0, math.inf)
             assert got == pytest.approx(closed, rel=1e-12, abs=1e-12)
+        # the empty sum, over the full range and over a checked finite one
+        assert step_integral(ZeroSequence(()), 0.5, 2j, 0.0, math.inf) == 0.0
+        assert step_integral(ZeroSequence((), truncation_radius=10.0), 0.5, 2.0, 0.0, 5.0) == 0.0
 
     def test_against_riemann_oracle_spot(self):
         rng = np.random.default_rng(9)
@@ -421,6 +458,32 @@ def _lattice_log_abs(K, x):
     x = mpmath.mpf(x)
     lg = mpmath.loggamma
     return mpmath.re(lg(K + 1 - x) + lg(K + 1 + x) - lg(1 - x) - lg(1 + x))
+
+
+def _numpy_pairwise(terms: list, lo: int = 0, n: int | None = None) -> float:
+    """numpy's pairwise sum of terms[lo:lo + n] along a contiguous axis:
+    fewer than 8 terms one by one from 0.0; up to 128 in 8 accumulators,
+    joined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    leftover terms one by one; a longer run halved at a multiple of 8."""
+    n = len(terms) if n is None else n
+    if n < 8:
+        total = 0.0
+        for term in terms[lo:lo + n]:
+            total += term
+        return total
+    if n <= 128:
+        acc = terms[lo:lo + 8]
+        whole = n - n % 8
+        for i in range(lo + 8, lo + whole, 8):
+            for j in range(8):
+                acc[j] += terms[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for term in terms[lo + whole:lo + n]:
+            total += term
+        return total
+    half = n // 2
+    half -= half % 8
+    return _numpy_pairwise(terms, lo, half) + _numpy_pairwise(terms, lo + half, n - half)
 
 
 zero_lists = st.lists(
@@ -755,6 +818,31 @@ class TestLogPotential:
         with pytest.raises(DivergentIntegralError) as err:
             log_potential(seq, [0.5, 1.5j], seq.positions[k])
         assert err.value.zero == seq.positions[k]
+
+    def test_pairwise_reduction_bit_for_bit(self):
+        # the stated bounds rest on each point's row being summed pairwise:
+        # a linear or chunked sum of the same terms gives other bits
+        rng = np.random.default_rng(61)
+        lattice = integer_lattice(1.5e4)
+        pos = rng.uniform(-1e4, 1e4, 25000) + 1j * rng.uniform(-50.0, 50.0, 25000)
+        scattered = ZeroSequence.from_arrays(pos, rng.integers(1, 4, pos.size))
+        assert len(lattice) >= 2e4 and len(scattered) >= 2e4
+        cases = ((lattice, rng.uniform(-1e4, 1e4, 4) + 0.5, 0.25),
+                 (scattered, rng.uniform(-1e4, 1e4, 4) + 1j * rng.uniform(-60, 60, 4), 3.5 + 1j))
+        for seq, points, b in cases:
+            got = log_potential(seq, points, b)
+            log_b = np.log(np.abs(seq.positions - b))
+            for p, value in zip(points, got):
+                terms = (np.log(np.abs(seq.positions - p)) - log_b) * seq.multiplicities
+                assert value == _numpy_pairwise(terms.tolist())
+        xs = rng.uniform(-1e4, 1e4, 4) + 0.5
+        for seq in (lattice, scattered):
+            got = counting._log_potential_slope(seq, xs)
+            re, im = seq.positions.real, seq.positions.imag
+            for x, value in zip(xs, got):
+                dx = x - re
+                terms = dx / (dx * dx + im * im) * seq.multiplicities
+                assert value == _numpy_pairwise(terms.tolist())
 
     def test_shape_and_empty(self):
         grid = np.linspace(-3, 3, 12).reshape(3, 4) + 0.5j
