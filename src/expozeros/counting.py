@@ -157,10 +157,11 @@ def count_disc(prof: CountingProfile, t: float) -> int:
 
 
 def _counts_at(prof: CountingProfile, ts) -> np.ndarray:
-    """n(center, t) at every t of ts."""
+    """n(center, t) at every t of ts, without copying the profile."""
     idx = np.searchsorted(prof.distances, ts, side="right")
-    padded = np.concatenate([[0], prof.cumulative])
-    return padded[idx]
+    if not prof.total:
+        return np.zeros_like(idx)
+    return np.where(idx > 0, prof.cumulative[idx - 1], 0)
 
 
 def count_square(seq: ZeroSequence, c: complex, t: float) -> int:
@@ -446,11 +447,11 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
     threads = int(threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    _require_finite(b=b, points=points)
+    pts = np.asarray(points)
+    _require_finite(b=b, points=pts)
     b = complex(b)
     t_lo = float(t_lo)
     t_hi = float(t_hi)
-    pts = np.asarray(points)
     flat = pts.ravel()
     reach = max(abs(b), float(np.abs(flat).max())) if flat.size else abs(b)
     _check_range(seq, t_lo, t_hi, reach)
@@ -608,8 +609,8 @@ class _RealAxis:
     _row_sums).  The chord through the end nodes is taken off f, and the
     rest is interpolated to the cell's points; the far slope is the
     derivative of that interpolant, the chord's slope plus the rest's
-    derivative values at the nodes (_DIFF) again interpolated, over h.  Each value depends on x alone, on any number of
-    threads.
+    derivative values at the nodes (_DIFF) again interpolated, over h.  Each
+    value depends on x alone, on any number of threads.
 
     Error bound, u = 2**-53, L_x = log clamp|a - x|, L_b = log clamp|a - b|
     and Lambda = (2/pi) log p + 1 the nodes' Lebesgue bound: a value is
