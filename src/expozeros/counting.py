@@ -44,6 +44,10 @@ _BLOCK_CELLS = 1 << 18
 # at 3 ns a cell in blocks of this size and at 10 ns in blocks of
 # _BLOCK_CELLS.
 _SMALL_BLOCK_CELLS = 1 << 16
+# Off the real axis a log term is 1/2 log(fl(dx**2 + dy**2)) while that
+# square lies in [_R2_MIN, inf): there its components' subnormal rounding is
+# under 2**-115 relative.  Other cells take log(hypot(dx, dy)).
+_R2_MIN = 2.0 ** -960
 # exact_parts hands arrays of at most this many terms to math.fsum as they
 # are: one split level costs a few numpy passes, about what fsum takes over
 # 500 floats on a 2-core VM.
@@ -133,6 +137,7 @@ class CountingProfile:
 
 def profile(seq: ZeroSequence, c: complex = 0j) -> CountingProfile:
     """Distance profile of seq about c."""
+    _require_finite(c=c)
     c = complex(c)
     rel = seq.positions - c
     uniq, inverse = np.unique(np.hypot(rel.real, rel.imag), return_inverse=True)
@@ -169,6 +174,7 @@ def count_square(seq: ZeroSequence, c: complex, t: float) -> int:
     t = float(t)
     if not t >= 0:
         raise ValueError(f"square half-side must be >= 0, got {t}")
+    _require_finite(c=c)
     rel = seq.positions - complex(c)
     inside = (np.abs(rel.real) <= t) & (np.abs(rel.imag) <= t)
     return int(seq.multiplicities[inside].sum())
@@ -352,20 +358,80 @@ def _log_clamp(dist: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
         return np.log(dist, out=dist)
 
 
+def _in_square_range(r2):
+    """Whether squared distances r2 are at least _R2_MIN and finite."""
+    return (r2 >= _R2_MIN) & (r2 < math.inf)
+
+
+def _doubled_logs(dx: np.ndarray, dy: np.ndarray, t_lo: float, t_hi: float,
+                  check: bool) -> np.ndarray:
+    """The off-axis rule: 2 log clamp|a - p| of every cell, from its
+    dx = Re a - Re p and dy = Im a - Im p (dy may be one column a row), as
+    log clamp2(fl(dx**2 + dy**2)), clamp2 clipping to [t_lo**2, t_hi**2].
+    A cell whose fl(dx**2 + dy**2) lies outside [_R2_MIN, inf) takes
+    2 log clamp(hypot(dx, dy)) instead, and so does every cell when t_lo**2
+    or t_hi**2 (where it clips) lies outside that range.  check=False
+    promises that no cell does; dx and dy are then overwritten."""
+    if not all(_in_square_range(t * t) for t in (t_lo, t_hi) if 0.0 < t < math.inf):
+        return 2.0 * _log_clamp(np.hypot(dx, dy), t_lo, t_hi)
+    if check:
+        r2 = dx * dx
+        r2 += dy * dy
+        bad = ~_in_square_range(r2)
+    else:
+        r2 = np.multiply(dx, dx, out=dx)
+        r2 += np.multiply(dy, dy, out=dy)
+    _log_clamp(r2, t_lo * t_lo, t_hi * t_hi)
+    if check and bad.any():
+        hypot = np.hypot(dx[bad], np.broadcast_to(dy, r2.shape)[bad])
+        r2[bad] = 2.0 * _log_clamp(hypot, t_lo, t_hi)
+    return r2
+
+
+def _clear_rows(re: np.ndarray, im: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Which points x + iy have no cell outside _doubled_logs' range,
+    proved without a pass over the cells: |a - p| >= ||a| - |p||, so a gap
+    above 2**-470 + 2**-48 (|p| + max|a|) between |p| and the nearest zero
+    modulus (or |Im p| above 2**-470 when every zero is real) keeps each
+    squared distance above 2**-941 after its roundings, and
+    |a| + |p| < 2**500 keeps it finite."""
+    if not re.size:
+        return np.ones(x.size, dtype=bool)
+    mods = np.sort(np.hypot(re, im))
+    with np.errstate(over="ignore"):
+        pm = np.hypot(x, y)
+        reach = pm + mods[-1]
+        i = np.searchsorted(mods, pm)
+        gap = np.minimum(np.abs(pm - mods[np.maximum(i - 1, 0)]),
+                         np.abs(mods[np.minimum(i, mods.size - 1)] - pm))
+        if not im.any():
+            gap = np.maximum(gap, np.abs(y))
+        return (gap >= 2.0 ** -470 + 2.0 ** -48 * reach) & (reach < 2.0 ** 500)
+
+
 def _center_logs(seq: ZeroSequence, center: complex, name: str,
                  t_lo: float, t_hi: float) -> np.ndarray:
-    """Per-zero log clamp|a - center|; a center on a zero makes the range
-    from t = 0 diverge."""
-    dist = np.abs(seq.positions - center)
-    hit = np.nonzero(dist == 0.0)[0] if t_lo == 0.0 else ()
+    """Per-zero log clamp|a - center| by the one term rule of log_potential's
+    kernel (_potential_sums): log |Re a - center| when every zero and the
+    center are real, else half of _doubled_logs.  A center on a zero makes
+    the range from t = 0 diverge."""
+    pos = seq.positions
+    if center.imag == 0.0 and not pos.imag.any():
+        logs = _log_clamp(np.abs(pos.real - center.real), t_lo, t_hi)
+    else:
+        with np.errstate(over="ignore"):
+            logs = _doubled_logs(pos.real - center.real, pos.imag - center.imag,
+                                 t_lo, t_hi, True)
+        logs *= 0.5
+    hit = np.nonzero(logs == -math.inf)[0] if t_lo == 0.0 else ()
     if len(hit):
-        z = complex(seq.positions[hit[0]])
+        z = complex(pos[hit[0]])
         raise DivergentIntegralError(
             f"integral from t = 0 diverges: center {name} = {center} "
             f"coincides with the zero at {z}",
             zero=z,
         )
-    return _log_clamp(dist, t_lo, t_hi)
+    return logs
 
 
 def step_integral(seq: ZeroSequence, b: complex, x: complex, t_lo: float, t_hi: float) -> float:
@@ -377,9 +443,12 @@ def step_integral(seq: ZeroSequence, b: complex, x: complex, t_lo: float, t_hi: 
     full range (every clamp is then max(d, t_lo); the result is the closed
     form over the stored zeros and the completeness precondition is waived).
 
-    The pairwise log differences are totalled by exact_sum: correctly
-    rounded, with the same bits as fsum, in a few numpy passes a split
-    level.  That makes the value independent of event order; the
+    Each log clamp(d) is the term log_potential's kernel uses for the same
+    zero and center (see there: log|x - a| on the real axis, else
+    1/2 log(fl(dx**2 + dy**2)), with its guard), so the two share every
+    term.  The pairwise log differences are totalled by exact_sum:
+    correctly rounded, with the same bits as fsum, in a few numpy passes a
+    split level.  That makes the value independent of event order; the
     antisymmetry in (b, x) and reflection symmetries therefore hold
     bit-exactly.  The error bound is the one stated in log_potential.
     """
@@ -419,18 +488,36 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
     A point on a stored zero gives exactly -inf when t_lo = 0, and a base
     point on a zero then raises DivergentIntegralError.
 
-    Each zero's log clamp|a - b| is subtracted cell by cell before the sum
-    over zeros, so no two large sums are differenced.  A point's n terms lie
-    along the contiguous axis of its block, and numpy sums that axis
-    pairwise: a piece of at most 128 terms goes into 8 accumulators of up
-    to 16 terms, joined in 3 more additions, and at most 7 leftover terms
-    follow one by one; a longer row is halved, at a multiple of 8, until
-    its pieces are that short.  So each term passes through at most
+    Terms.  L_p = log clamp|a - p| is taken by one of two rules, chosen by
+    the sequence and the point alone, and L_b = log clamp|a - b| by the same
+    rules (_center_logs), as in step_integral.  On the axis, when every
+    zero and p are real, L_p is log clamp|fl(a - p)|.  Off the axis it is
+    1/2 log clamp2(fl(dx**2 + dy**2)) in real arithmetic, dx and dy the
+    rounded differences of the real and imaginary parts and clamp2 the
+    clamp on squares.  A cell whose fl(dx**2 + dy**2) lies outside
+    [2**-960, inf), and every cell when t_lo**2 or t_hi**2 does, takes
+    log clamp(hypot(dx, dy)) instead: below 2**-960 a square may have lost
+    bits to subnormal parts, above it their rounding is under 2**-115
+    relative.  To first order in u = 2**-53, with a faithful log (within
+    2u |log|), each L is within 3u + 2u |L| of its exact value: on the
+    axis the difference is within u; off it fl(dx**2 + dy**2) is within 4u
+    (2u from dx and dy, 2u from squaring and adding), so its log is within
+    4u + 4u |L| and the exact halving leaves 2u + 2u |L|; a guarded cell's
+    hypot is within 3u.  With the subtraction and the product, each term
+    m (L_p - L_b) is within m (6u + 4u (|L_p| + |L_b|)) of its exact value.
+
+    Each zero's L_b is subtracted cell by cell before the sum over zeros,
+    so no two large sums are differenced.  A point's n terms lie along the
+    contiguous axis of its block, and numpy sums that axis pairwise: a
+    piece of at most 128 terms goes into 8 accumulators of up to 16 terms,
+    joined in 3 more additions, and at most 7 leftover terms follow one by
+    one; a longer row is halved, at a multiple of 8, until its pieces are
+    that short.  So each term passes through at most
     25 + ceil(log2(n / 128)) rounded additions (56 at n = 2**45), and the
-    sum is within that many u times the sum of |terms|.  Error bound, to
-    first order in u = 2**-53, with
-    L_p = log clamp|a - p|, L_b = log clamp|a - b| and log and |.| faithful
-    to one ulp:
+    sum is within that many u times the sum of |terms|.  Off the axis a row
+    sums m (2 L_p - 2 L_b) and is halved: every term and partial sum is
+    exactly twice its counterpart, so the value is the pairwise sum of
+    m (L_p - L_b) itself.  Error bound, with the terms above:
 
         |log_potential - exact| <= 70 u * sum of m * (1 + |L_p| + |L_b|),
 
@@ -440,9 +527,9 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
         |log_potential - step_integral| <= 64 u * sum of m * |L_p - L_b|
                                            + 2 u * |value|.
 
-    Work runs in blocks of about _BLOCK_CELLS zero x point cells; threads > 1
-    spreads the blocks over min(threads, cpu count, blocks) threads and does
-    not change any value.
+    Work runs in blocks of about _BLOCK_CELLS zero x point cells on the
+    axis and _SMALL_BLOCK_CELLS off it; threads > 1 spreads the blocks over
+    min(threads, cpu count, blocks) threads and does not change any value.
     """
     threads = int(threads)
     if threads < 1:
@@ -456,30 +543,61 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
     reach = max(abs(b), float(np.abs(flat).max())) if flat.size else abs(b)
     _check_range(seq, t_lo, t_hi, reach)
     log_b = _center_logs(seq, b, "b", t_lo, t_hi)
-    sums = _potential_sums(seq.positions, seq.multiplicities, log_b, flat, t_lo, t_hi, threads)
+    pos = seq.positions
+    sums = _potential_sums(np.ascontiguousarray(pos.real), np.ascontiguousarray(pos.imag),
+                           seq.multiplicities, log_b, flat, t_lo, t_hi, threads)
     return sums.reshape(pts.shape)
 
 
-def _potential_sums(pos: np.ndarray, mult: np.ndarray, log_b: np.ndarray, points: np.ndarray,
-                    t_lo: float, t_hi: float, threads: int) -> np.ndarray:
-    """The sum over the zeros of m (log clamp|a - p| - log_b) at every p of
-    points, each point's row of terms summed pairwise (_row_sums in blocks
-    of _BLOCK_CELLS): the kernel of log_potential and of _RealAxis's near
-    sums.  pos may be real when every zero is."""
+def _potential_sums(re: np.ndarray, im: np.ndarray, mult: np.ndarray, log_b: np.ndarray,
+                    points: np.ndarray, t_lo: float, t_hi: float, threads: int) -> np.ndarray:
+    """The sum over the zeros re + i im of m (log clamp|a - p| - log_b) at
+    every p of points, each point's row of terms summed pairwise by
+    _row_sums, with log_potential's term rules: on the axis in place, in
+    blocks of _BLOCK_CELLS; off it by _doubled_logs, in blocks of
+    _SMALL_BLOCK_CELLS, checking cells only in the blocks holding a point
+    _clear_rows cannot clear.  The kernel of log_potential and of
+    _RealAxis's near sums."""
     ones = bool(np.all(mult == 1.0))   # multiplying by 1 changes no value
+    real = not im.any()
+    x = np.ascontiguousarray(points.real, dtype=float)
+    y = points.imag if points.dtype.kind == "c" else np.zeros(points.size)
 
-    def sums(rows: slice) -> np.ndarray:
-        cells = pos - points[rows, None]
-        # distances in place when both are real: a fresh 2 MiB array per
-        # operation costs more than the operation
-        cells = np.abs(cells, out=cells) if cells.dtype.kind == "f" else np.abs(cells)
-        _log_clamp(cells, t_lo, t_hi)
-        cells -= log_b
-        if not ones:
-            cells *= mult
-        return cells.sum(axis=1)
+    def axis_sums(xs: np.ndarray) -> np.ndarray:
+        def sums(rows: slice) -> np.ndarray:
+            # distances in place: a fresh 2 MiB array per operation costs
+            # more than the operation
+            cells = re - xs[rows, None]
+            _log_clamp(np.abs(cells, out=cells), t_lo, t_hi)
+            cells -= log_b
+            if not ones:
+                cells *= mult
+            return cells.sum(axis=1)
+        return _row_sums(xs.size, re.size, _BLOCK_CELLS, sums, threads)
 
-    return _row_sums(points.size, pos.size, _BLOCK_CELLS, sums, threads)
+    def off_axis_sums(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        clear = _clear_rows(re, im, xs, ys)
+        two_log_b = 2.0 * log_b
+
+        def sums(rows: slice) -> np.ndarray:
+            with np.errstate(over="ignore"):
+                dx = re - xs[rows, None]
+                dy = -ys[rows, None] if real else im - ys[rows, None]
+                cells = _doubled_logs(dx, dy, t_lo, t_hi, not clear[rows].all())
+            cells -= two_log_b
+            if not ones:
+                cells *= mult
+            return cells.sum(axis=1) * 0.5
+        return _row_sums(xs.size, re.size, _SMALL_BLOCK_CELLS, sums, threads)
+
+    on_axis = (y == 0.0) if real else np.zeros(points.size, dtype=bool)
+    if on_axis.all():
+        return axis_sums(x)
+    out = np.empty(points.size)
+    out[on_axis] = axis_sums(x[on_axis])
+    off = ~on_axis
+    out[off] = off_axis_sums(x[off], y[off])
+    return out
 
 
 def _slope_sums(re: np.ndarray, im2: np.ndarray, mult: np.ndarray, xs: np.ndarray,
@@ -671,7 +789,6 @@ class _RealAxis:
         self._im = pos.imag[order]
         self._im2 = self._im ** 2
         self._mult = seq.multiplicities[order].astype(float)
-        self._pos = self._re if not self._im.any() else pos[order]
         self._log_b = _center_logs(seq, complex(self.b), "b", self.t_lo, math.inf)[order]
         reach = 3.0 * self._halves + self.t_lo
         self._near = np.stack([np.searchsorted(self._re, self._centres - reach, side="right"),
@@ -740,8 +857,8 @@ class _RealAxis:
 
         def per_cell(k, x, s):
             i, j = self._near[k]
-            near = _potential_sums(self._pos[i:j], self._mult[i:j], self._log_b[i:j], x,
-                                   self.t_lo, math.inf, self.threads)
+            near = _potential_sums(self._re[i:j], self._im[i:j], self._mult[i:j],
+                                   self._log_b[i:j], x, self.t_lo, math.inf, self.threads)
             self.near_points += x.size * int(j - i)
             const, slope, rest = self._value_fit(k)[:3]
             return near + (const + (slope * s + _interpolate(rest, s)))

@@ -309,6 +309,8 @@ BAD_POINTS = {
     "circle_average-z-nan": lambda: circle_average(LATTICE_10, NAN, 1.0, 64),
     "jensen_identity_check-nan": lambda: jensen_identity_check(LATTICE_10, NAN, 64),
     "tail_correction-z-nan": lambda: tail_correction(LATTICE_10, NAN, 5.0),
+    "profile-c-nan": lambda: profile(LATTICE_10, NAN),
+    "count_square-c-nan": lambda: count_square(LATTICE_10, NAN, 10.0),
 }
 
 
@@ -454,8 +456,9 @@ def _reduction_bound(seq, p, b, value, t_lo=0.0, t_hi=math.inf):
 
 def _lattice_log_abs(K, x):
     """log of prod_{k=1..K} |k - x| |k + x| at 30 digits, in closed form:
-    log |Gamma(K+1-x) Gamma(K+1+x) / (Gamma(1-x) Gamma(1+x))|."""
-    x = mpmath.mpf(x)
+    log |Gamma(K+1-x) Gamma(K+1+x) / (Gamma(1-x) Gamma(1+x))|, for real or
+    complex x (the real part of any branch of log Gamma is log |Gamma|)."""
+    x = mpmath.mpmathify(x)
     lg = mpmath.loggamma
     return mpmath.re(lg(K + 1 - x) + lg(K + 1 + x) - lg(1 - x) - lg(1 + x))
 
@@ -494,6 +497,26 @@ zero_lists = st.lists(
 
 def _sequence(raw):
     return ZeroSequence(tuple(Zero(complex(re, im), m) for re, im, m in raw))
+
+
+@st.composite
+def guard_cases(draw):
+    """A sequence, points and a base point for the off-axis guard: zeros at
+    Re a up to 1 or up to 1e200, with Im a zero or 1e-300 to 1e-155; points
+    on zeros, 1e-300 to 1e-155 above or below them, on the real axis under
+    them, and at random; b off the zeros, real or complex."""
+    scale = draw(st.sampled_from((1.0, 1e200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    tiny = lambda size: 10.0 ** rng.uniform(-300, -155, size) * rng.choice((-1.0, 1.0), size)
+    im = np.where(rng.random(n) < draw(st.sampled_from((0.0, 0.5))), tiny(n), 0.0)
+    seq = ZeroSequence.from_arrays(scale * rng.uniform(-1.0, 1.0, n) + 1j * im,
+                                   rng.integers(1, 4, n))
+    pos = seq.positions[rng.integers(0, len(seq), 12)]
+    points = np.concatenate([pos[:3], pos[3:9] + 1j * tiny(6), pos[9:].real,
+                             scale * (rng.uniform(-1.0, 1.0, 4) + 1j * rng.uniform(-1.0, 1.0, 4))])
+    b = scale * (2.0 + draw(st.sampled_from((0.0, 1.0))) * 1j)
+    return seq, rng.permutation(points), b
 
 
 @st.composite
@@ -783,6 +806,26 @@ class TestLogPotential:
             assert abs(scalar - want) <= bound
             assert abs(got - scalar) <= _reduction_bound(seq, x, b, scalar)
 
+    def test_mpmath_reference_off_the_axis(self):
+        # complex points, where every term is 1/2 log(dx**2 + dy**2): eight
+        # scattered ones and the nodes of one Jensen circle
+        seq = integer_lattice(5e4)
+        K = len(seq) // 2
+        rng = np.random.default_rng(34)
+        b = 0.25
+        points = np.concatenate([rng.uniform(-1.25e4, 1.25e4, 8) + 1j * rng.uniform(-3.0, 3.0, 8),
+                                 1.3 + 2.1j + np.exp(2j * np.pi * np.arange(64) / 64)])
+        with mpmath.workdps(30):
+            ref_b = _lattice_log_abs(K, b)
+            exact = [float(_lattice_log_abs(K, p) - ref_b) for p in points]
+        batch = log_potential(seq, points, b)
+        for p, want, got in zip(points, exact, batch):
+            scalar = step_integral(seq, b, p, 0.0, math.inf)
+            bound = _exact_bound(seq, p, b)
+            assert abs(got - want) <= bound
+            assert abs(scalar - want) <= bound
+            assert abs(got - scalar) <= _reduction_bound(seq, p, b, scalar)
+
     @settings(max_examples=60, deadline=None)
     @given(zero_lists, st.lists(st.complex_numbers(max_magnitude=40, allow_nan=False,
                                                    allow_infinity=False), min_size=1, max_size=20),
@@ -796,6 +839,32 @@ class TestLogPotential:
         for p, got in zip(points, batch):
             scalar = step_integral(seq, b, p, t_lo, t_hi)
             assert abs(got - scalar) <= _reduction_bound(seq, p, b, scalar, t_lo, t_hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(guard_cases(), st.sampled_from([(0.0, math.inf), (1e-200, math.inf), (0.0, 1e250),
+                                           (0.5, math.inf)]))
+    def test_guard_near_zeros_and_far_out(self, case, t_range):
+        # squared distances that underflow (points 1e-300 to 1e-155 from a
+        # zero) or overflow (positions near 1e200), and squared clamp
+        # limits out of range, all take the hypot fallback
+        seq, points, b = case
+        t_lo, t_hi = t_range
+        batch = log_potential(seq, points, b, t_lo, t_hi)
+        on_zero = np.isin(points, seq.positions)
+        if t_lo == 0.0:
+            assert np.array_equal(batch == -math.inf, on_zero)
+        assert np.all(np.isfinite(batch[~on_zero if t_lo == 0.0 else slice(None)]))
+        for p, got, hit in zip(points, batch, on_zero):
+            if not (hit and t_lo == 0.0):
+                scalar = step_integral(seq, b, p, t_lo, t_hi)
+                assert abs(got - scalar) <= _reduction_bound(seq, p, b, scalar, t_lo, t_hi)
+        alone = np.concatenate([log_potential(seq, points[i:i + 1], b, t_lo, t_hi)
+                                for i in range(points.size)])
+        assert alone.tobytes() == batch.tobytes()
+        with mock.patch.object(counting, "_BLOCK_CELLS", 3 * len(seq)), \
+                mock.patch.object(counting, "_SMALL_BLOCK_CELLS", 3 * len(seq)):
+            two = log_potential(seq, points, b, t_lo, t_hi, threads=2)
+        assert two.tobytes() == batch.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(zero_lists, st.floats(-5, 5))
@@ -829,11 +898,20 @@ class TestLogPotential:
         assert len(lattice) >= 2e4 and len(scattered) >= 2e4
         cases = ((lattice, rng.uniform(-1e4, 1e4, 4) + 0.5, 0.25),
                  (scattered, rng.uniform(-1e4, 1e4, 4) + 1j * rng.uniform(-60, 60, 4), 3.5 + 1j))
+
+        def term_logs(seq, p):
+            # the lattice at real points is on the axis: log|a - p|; the
+            # scattered zeros are off it: 1/2 log(dx**2 + dy**2)
+            if seq is lattice:
+                return np.log(np.abs(seq.positions - p))
+            dx, dy = seq.positions.real - p.real, seq.positions.imag - p.imag
+            return 0.5 * np.log(dx * dx + dy * dy)
+
         for seq, points, b in cases:
             got = log_potential(seq, points, b)
-            log_b = np.log(np.abs(seq.positions - b))
+            log_b = term_logs(seq, b)
             for p, value in zip(points, got):
-                terms = (np.log(np.abs(seq.positions - p)) - log_b) * seq.multiplicities
+                terms = (term_logs(seq, p) - log_b) * seq.multiplicities
                 assert value == _numpy_pairwise(terms.tolist())
         xs = rng.uniform(-1e4, 1e4, 4) + 0.5
         for seq in (lattice, scattered):
