@@ -508,7 +508,10 @@ def guard_cases(draw):
     scale = draw(st.sampled_from((1.0, 1e200)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 40))
-    tiny = lambda size: 10.0 ** rng.uniform(-300, -155, size) * rng.choice((-1.0, 1.0), size)
+
+    def tiny(size):
+        return 10.0 ** rng.uniform(-300, -155, size) * rng.choice((-1.0, 1.0), size)
+
     im = np.where(rng.random(n) < draw(st.sampled_from((0.0, 0.5))), tiny(n), 0.0)
     seq = ZeroSequence.from_arrays(scale * rng.uniform(-1.0, 1.0, n) + 1j * im,
                                    rng.integers(1, 4, n))
@@ -850,12 +853,12 @@ class TestLogPotential:
         seq, points, b = case
         t_lo, t_hi = t_range
         batch = log_potential(seq, points, b, t_lo, t_hi)
-        on_zero = np.isin(points, seq.positions)
-        if t_lo == 0.0:
-            assert np.array_equal(batch == -math.inf, on_zero)
-        assert np.all(np.isfinite(batch[~on_zero if t_lo == 0.0 else slice(None)]))
+        # exactly -inf on the zeros when t_lo = 0, finite everywhere else
+        on_zero = np.isin(points, seq.positions) & (t_lo == 0.0)
+        assert np.array_equal(batch == -math.inf, on_zero)
+        assert np.all(np.isfinite(batch[~on_zero]))
         for p, got, hit in zip(points, batch, on_zero):
-            if not (hit and t_lo == 0.0):
+            if not hit:
                 scalar = step_integral(seq, b, p, t_lo, t_hi)
                 assert abs(got - scalar) <= _reduction_bound(seq, p, b, scalar, t_lo, t_hi)
         alone = np.concatenate([log_potential(seq, points[i:i + 1], b, t_lo, t_hi)
