@@ -363,48 +363,53 @@ def _in_square_range(r2):
     return (r2 >= _R2_MIN) & (r2 < math.inf)
 
 
-def _doubled_logs(dx: np.ndarray, dy: np.ndarray, t_lo: float, t_hi: float,
-                  check: bool) -> np.ndarray:
-    """The off-axis rule: 2 log clamp|a - p| of every cell, from its
-    dx = Re a - Re p and dy = Im a - Im p (dy may be one column a row), as
-    log clamp2(fl(dx**2 + dy**2)), clamp2 clipping to [t_lo**2, t_hi**2].
-    A cell whose fl(dx**2 + dy**2) lies outside [_R2_MIN, inf) takes
-    2 log clamp(hypot(dx, dy)) instead, and so does every cell when t_lo**2
-    or t_hi**2 (where it clips) lies outside that range.  check=False
-    promises that no cell does; dx and dy are then overwritten."""
-    if not all(_in_square_range(t * t) for t in (t_lo, t_hi) if 0.0 < t < math.inf):
-        return 2.0 * _log_clamp(np.hypot(dx, dy), t_lo, t_hi)
-    if check:
-        r2 = dx * dx
-        r2 += dy * dy
-        bad = ~_in_square_range(r2)
-    else:
+def _doubled_logs(re, im, x, y, t_lo: float, t_hi: float, check: bool = True) -> np.ndarray:
+    """The off-axis rule: 2 log clamp|a - p| of every cell, a = re + i im
+    and p = x + i y broadcast to the cells, as log clamp2(fl(dx**2 + dy**2))
+    with dx = fl(re - x), dy = fl(im - y) and clamp2 clipping to
+    [t_lo**2, t_hi**2].  A cell whose fl(dx**2 + dy**2) lies outside
+    [_R2_MIN, inf) takes 2 log clamp(hypot(dx, dy)) instead, and so does
+    every cell when t_lo**2 or t_hi**2 (where it clips) lies outside that
+    range.  check=False promises that no cell's square does (_clear_rows)
+    and skips the test of each cell."""
+    with np.errstate(over="ignore"):
+        dx = re - x
+        dy = im - y
+        if not all(_in_square_range(t * t) for t in (t_lo, t_hi) if 0.0 < t < math.inf):
+            return 2.0 * _log_clamp(np.hypot(dx, dy), t_lo, t_hi)
         r2 = np.multiply(dx, dx, out=dx)
         r2 += np.multiply(dy, dy, out=dy)
+        hypot = None
+        if check:
+            bad = ~_in_square_range(r2)
+            if bad.any():
+                def cells(v):
+                    return np.broadcast_to(v, r2.shape)[bad]
+                hypot = np.hypot(cells(re) - cells(x), cells(im) - cells(y))
     _log_clamp(r2, t_lo * t_lo, t_hi * t_hi)
-    if check and bad.any():
-        hypot = np.hypot(dx[bad], np.broadcast_to(dy, r2.shape)[bad])
+    if hypot is not None:
         r2[bad] = 2.0 * _log_clamp(hypot, t_lo, t_hi)
     return r2
 
 
-def _clear_rows(re: np.ndarray, im: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _clear_rows(re: np.ndarray, im: np.ndarray | None, x: np.ndarray,
+                y: np.ndarray) -> np.ndarray:
     """Which points x + iy have no cell outside _doubled_logs' range,
     proved without a pass over the cells: |a - p| >= ||a| - |p||, so a gap
     above 2**-470 + 2**-48 (|p| + max|a|) between |p| and the nearest zero
-    modulus (or |Im p| above 2**-470 when every zero is real) keeps each
-    squared distance above 2**-941 after its roundings, and
+    modulus (or |Im p| above 2**-470 when every zero is real, im None)
+    keeps each squared distance above 2**-941 after its roundings, and
     |a| + |p| < 2**500 keeps it finite."""
     if not re.size:
         return np.ones(x.size, dtype=bool)
-    mods = np.sort(np.hypot(re, im))
+    mods = np.sort(np.abs(re) if im is None else np.hypot(re, im))
     with np.errstate(over="ignore"):
         pm = np.hypot(x, y)
         reach = pm + mods[-1]
         i = np.searchsorted(mods, pm)
         gap = np.minimum(np.abs(pm - mods[np.maximum(i - 1, 0)]),
                          np.abs(mods[np.minimum(i, mods.size - 1)] - pm))
-        if not im.any():
+        if im is None:
             gap = np.maximum(gap, np.abs(y))
         return (gap >= 2.0 ** -470 + 2.0 ** -48 * reach) & (reach < 2.0 ** 500)
 
@@ -419,9 +424,7 @@ def _center_logs(seq: ZeroSequence, center: complex, name: str,
     if center.imag == 0.0 and not pos.imag.any():
         logs = _log_clamp(np.abs(pos.real - center.real), t_lo, t_hi)
     else:
-        with np.errstate(over="ignore"):
-            logs = _doubled_logs(pos.real - center.real, pos.imag - center.imag,
-                                 t_lo, t_hi, True)
+        logs = _doubled_logs(pos.real, pos.imag, center.real, center.imag, t_lo, t_hi)
         logs *= 0.5
     hit = np.nonzero(logs == -math.inf)[0] if t_lo == 0.0 else ()
     if len(hit):
@@ -544,22 +547,25 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
     _check_range(seq, t_lo, t_hi, reach)
     log_b = _center_logs(seq, b, "b", t_lo, t_hi)
     pos = seq.positions
-    sums = _potential_sums(np.ascontiguousarray(pos.real), np.ascontiguousarray(pos.imag),
-                           seq.multiplicities, log_b, flat, t_lo, t_hi, threads)
+    im = np.ascontiguousarray(pos.imag) if pos.imag.any() else None
+    sums = _potential_sums(np.ascontiguousarray(pos.real), im, seq.multiplicities, log_b,
+                           flat, t_lo, t_hi, threads)
     return sums.reshape(pts.shape)
 
 
-def _potential_sums(re: np.ndarray, im: np.ndarray, mult: np.ndarray, log_b: np.ndarray,
-                    points: np.ndarray, t_lo: float, t_hi: float, threads: int) -> np.ndarray:
+def _potential_sums(re: np.ndarray, im: np.ndarray | None, mult: np.ndarray,
+                    log_b: np.ndarray, points: np.ndarray, t_lo: float, t_hi: float,
+                    threads: int) -> np.ndarray:
     """The sum over the zeros re + i im of m (log clamp|a - p| - log_b) at
     every p of points, each point's row of terms summed pairwise by
     _row_sums, with log_potential's term rules: on the axis in place, in
     blocks of _BLOCK_CELLS; off it by _doubled_logs, in blocks of
-    _SMALL_BLOCK_CELLS, checking cells only in the blocks holding a point
-    _clear_rows cannot clear.  The kernel of log_potential and of
-    _RealAxis's near sums."""
+    _SMALL_BLOCK_CELLS, testing cells only in the blocks holding a point
+    _clear_rows cannot clear.  im is None when every zero of the sequence is
+    real, so a slice of the zeros takes the rule of the whole sequence.
+    The kernel of log_potential and of _RealAxis's near sums."""
     ones = bool(np.all(mult == 1.0))   # multiplying by 1 changes no value
-    real = not im.any()
+    real = im is None
     x = np.ascontiguousarray(points.real, dtype=float)
     y = points.imag if points.dtype.kind == "c" else np.zeros(points.size)
 
@@ -580,10 +586,8 @@ def _potential_sums(re: np.ndarray, im: np.ndarray, mult: np.ndarray, log_b: np.
         two_log_b = 2.0 * log_b
 
         def sums(rows: slice) -> np.ndarray:
-            with np.errstate(over="ignore"):
-                dx = re - xs[rows, None]
-                dy = -ys[rows, None] if real else im - ys[rows, None]
-                cells = _doubled_logs(dx, dy, t_lo, t_hi, not clear[rows].all())
+            cells = _doubled_logs(re, 0.0 if real else im, xs[rows, None], ys[rows, None],
+                                  t_lo, t_hi, not clear[rows].all())
             cells -= two_log_b
             if not ones:
                 cells *= mult
@@ -788,6 +792,7 @@ class _RealAxis:
         self._re = pos.real[order]
         self._im = pos.imag[order]
         self._im2 = self._im ** 2
+        self._real = not self._im.any()
         self._mult = seq.multiplicities[order].astype(float)
         self._log_b = _center_logs(seq, complex(self.b), "b", self.t_lo, math.inf)[order]
         reach = 3.0 * self._halves + self.t_lo
@@ -857,7 +862,8 @@ class _RealAxis:
 
         def per_cell(k, x, s):
             i, j = self._near[k]
-            near = _potential_sums(self._re[i:j], self._im[i:j], self._mult[i:j],
+            near = _potential_sums(self._re[i:j], None if self._real else self._im[i:j],
+                                   self._mult[i:j],
                                    self._log_b[i:j], x, self.t_lo, math.inf, self.threads)
             self.near_points += x.size * int(j - i)
             const, slope, rest = self._value_fit(k)[:3]

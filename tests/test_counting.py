@@ -645,6 +645,27 @@ class TestRealAxis:
             assert two.values(xs).tobytes() == got.tobytes()
             assert two.slopes(xs[off]).tobytes() == slopes.tobytes()
 
+    def test_near_sums_take_the_rule_of_the_whole_sequence(self):
+        # a near slice holding only real zeros takes the off-axis rule when
+        # the sequence has complex zeros, as the base point's logs do
+        real = np.arange(-12.0, 13.0) + 0.5
+        mixed = ZeroSequence.from_arrays(np.concatenate([real, [40.0 + 5.0j, 40.0 - 5.0j]]),
+                                         np.ones(real.size + 2))
+        xs = np.linspace(-9.9, 9.9, 50)
+        for seq, want_real in ((ZeroSequence.from_arrays(real, np.ones(real.size)), True),
+                               (mixed, False)):
+            axis = counting._RealAxis(seq, 0.25, 0.0, -10.0, 10.0, 200)
+            with mock.patch.object(counting, "_potential_sums",
+                                   wraps=counting._potential_sums) as kernel:
+                got = axis.values(xs)
+            ims = [call.args[1] for call in kernel.call_args_list]
+            assert ims and all((im is None) == want_real for im in ims)
+            if not want_real:
+                assert any(not im.any() for im in ims)   # all-real slices occur
+            dense = log_potential(seq, xs, 0.25)
+            bound = 150 * U * value_scale(seq, xs, 0.25, 0.0) + axis.far_bound(xs)
+            assert np.all(np.abs(got - dense) <= bound)
+
     def test_mpmath_reference_at_1e5_zeros(self):
         seq = integer_lattice(5e4)
         K = len(seq) // 2
