@@ -59,6 +59,7 @@ _SPLIT_LIMIT = 2.0 ** 1020
 # A split level's high sums are exact for up to about 2**26 terms
 # (n (n + 4) u <= 4); exact_parts halves longer arrays first.
 _SPLIT_MAX = 1 << 26
+_U = 2.0 ** -53
 
 
 class DivergentIntegralError(ValueError):
@@ -75,11 +76,11 @@ def _split(terms: np.ndarray, big):
     of two above (n + 4) big, each term is high + low, high = (term + sigma)
     - sigma.  The highs are multiples of u sigma whose partial sums stay
     below sigma, so they sum exactly in any order; the lows are exact and
-    at most u sigma.  Returns (the highs' sums, the lows)."""
+    at most u sigma.  Returns (the highs' sums, the lows, sigma)."""
     sigma = np.ldexp(1.0, np.frexp((terms.shape[-1] + 4) * big)[1])
     high = terms + sigma
     high -= sigma
-    return high.sum(axis=-1), np.subtract(terms, high, out=high)
+    return high.sum(axis=-1), np.subtract(terms, high, out=high), sigma
 
 
 def exact_parts(terms: np.ndarray) -> list[float]:
@@ -103,7 +104,7 @@ def exact_parts(terms: np.ndarray) -> list[float]:
         big = float(max(terms.max(), -terms.min()))   # nan if a term is nan
         if not (terms.size + 4) * big < _SPLIT_LIMIT:
             break
-        high_sum, low = _split(terms, big)
+        high_sum, low, _ = _split(terms, big)
         parts.append(float(high_sum))
         nonzero = low != 0.0
         terms = low if nonzero.all() else low[nonzero]
@@ -113,8 +114,41 @@ def exact_parts(terms: np.ndarray) -> list[float]:
 def exact_sum(terms) -> float:
     """math.fsum(terms) of a 1-D float array or sequence, bit for bit,
     exceptions included, in a few numpy passes a level of exact_parts where
-    fsum converts every term to a Python float."""
-    return math.fsum(exact_parts(np.asarray(terms, dtype=float)))
+    fsum converts every term to a Python float.
+
+    Most totals are certified after one level.  Split the n terms once
+    (_split): the highs' sum H is exact, and each of the n lows is exact and
+    at most u sigma, u = 2**-53.  numpy sums the lows pairwise, as in
+    log_potential, so each passes through at most
+    k = 25 + ceil(log2(n / 128)) rounded additions and their sum S is
+    within gamma_k n u sigma < 2 k n u**2 sigma = bound of their exact sum
+    L.  Let r = fl(H + S) and e its TwoSum residual, so H + S = r + e
+    exactly; then the exact total H + L is within |e| + bound of r.  When
+    fl(|e| + bound) is below half the smaller gap from r to its neighbouring
+    doubles, so is |e| + bound (rounding is monotone and the half gap a
+    double), and the total rounds to r with no tie: r is fsum's value.
+    bound is exact, an integer times powers of two, while sigma >= 2**-900
+    keeps it a normal float.  Otherwise (r is 0 or subnormal, the total lies
+    within about |e| + bound of a rounding midpoint, or sigma is smaller)
+    the lows go on through exact_parts' levels and fsum totals the parts.
+    Arrays that exact_parts does not split go to fsum as it leaves them.
+    """
+    terms = np.asarray(terms, dtype=float)
+    n = terms.size
+    if _FSUM_CUT < n <= _SPLIT_MAX:
+        big = float(max(terms.max(), -terms.min()))   # nan if a term is nan
+        if (n + 4) * big < _SPLIT_LIMIT:
+            high_sum, low, sigma = _split(terms, big)
+            high_sum, low_sum, sigma = float(high_sum), float(low.sum()), float(sigma)
+            r = high_sum + low_sum
+            v = r - high_sum
+            e = (high_sum - (r - v)) + (low_sum - v)
+            bound = 2.0 * (18 + (n - 1).bit_length()) * n * _U * _U * sigma
+            gap = min(math.nextafter(r, math.inf) - r, r - math.nextafter(r, -math.inf))
+            if sigma >= 2.0 ** -900 and abs(e) + bound < 0.5 * gap:
+                return r
+            return math.fsum([high_sum] + exact_parts(low[low != 0.0]))
+    return math.fsum(exact_parts(terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,11 +451,11 @@ def _clear_rows(re: np.ndarray, im: np.ndarray | None, x: np.ndarray,
 def _center_logs(seq: ZeroSequence, center: complex, name: str,
                  t_lo: float, t_hi: float) -> np.ndarray:
     """Per-zero log clamp|a - center| by the one term rule of log_potential's
-    kernel (_potential_sums): log |Re a - center| when every zero and the
-    center are real, else half of _doubled_logs.  A center on a zero makes
-    the range from t = 0 diverge."""
+    kernel (_potential_sums): log |Re a - center| when every zero is real
+    (seq.all_real) and so is the center, else half of _doubled_logs.  A
+    center on a zero makes the range from t = 0 diverge."""
     pos = seq.positions
-    if center.imag == 0.0 and not pos.imag.any():
+    if center.imag == 0.0 and seq.all_real:
         logs = _log_clamp(np.abs(pos.real - center.real), t_lo, t_hi)
     else:
         logs = _doubled_logs(pos.real, pos.imag, center.real, center.imag, t_lo, t_hi)
@@ -447,13 +481,16 @@ def step_integral(seq: ZeroSequence, b: complex, x: complex, t_lo: float, t_hi: 
     form over the stored zeros and the completeness precondition is waived).
 
     Each log clamp(d) is the term log_potential's kernel uses for the same
-    zero and center (see there: log|x - a| on the real axis, else
+    zero and center, by the rule that the sequence's all_real flag and the
+    center choose (see there: log|x - a| when both are real, else
     1/2 log(fl(dx**2 + dy**2)), with its guard), so the two share every
-    term.  The pairwise log differences are totalled by exact_sum:
-    correctly rounded, with the same bits as fsum, in a few numpy passes a
-    split level.  That makes the value independent of event order; the
-    antisymmetry in (b, x) and reflection symmetries therefore hold
-    bit-exactly.  The error bound is the one stated in log_potential.
+    term.  A center on a zero gives that zero the term -inf, which is how
+    the range from t = 0 is found to diverge.  The pairwise log differences
+    are totalled by exact_sum: correctly rounded, with the same bits as
+    fsum, mostly after one split level.  That makes the value independent
+    of event order; the antisymmetry in (b, x) and reflection symmetries
+    therefore hold bit-exactly.  The error bound is the one stated in
+    log_potential.
     """
     _require_finite(b=b, x=x)
     b = complex(b)
@@ -462,8 +499,11 @@ def step_integral(seq: ZeroSequence, b: complex, x: complex, t_lo: float, t_hi: 
     t_hi = float(t_hi)
     _check_range(seq, t_lo, t_hi, max(abs(b), abs(x)))
     log_b = _center_logs(seq, b, "b", t_lo, t_hi)
-    log_x = _center_logs(seq, x, "x", t_lo, t_hi)
-    return exact_sum(seq.multiplicities * (log_x - log_b))
+    terms = _center_logs(seq, x, "x", t_lo, t_hi)
+    terms -= log_b
+    if not seq.all_simple:   # multiplying by 1 changes no value
+        terms *= seq.multiplicities
+    return exact_sum(terms)
 
 
 def _row_sums(rows: int, cols: int, block: int, sums, threads: int) -> np.ndarray:
@@ -492,9 +532,10 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
     point on a zero then raises DivergentIntegralError.
 
     Terms.  L_p = log clamp|a - p| is taken by one of two rules, chosen by
-    the sequence and the point alone, and L_b = log clamp|a - b| by the same
-    rules (_center_logs), as in step_integral.  On the axis, when every
-    zero and p are real, L_p is log clamp|fl(a - p)|.  Off the axis it is
+    the sequence's all_real flag and the point alone, and
+    L_b = log clamp|a - b| by the same rules (_center_logs), as in
+    step_integral.  On the axis, when every zero (all_real) and p are real,
+    L_p is log clamp|fl(a - p)|.  Off the axis it is
     1/2 log clamp2(fl(dx**2 + dy**2)) in real arithmetic, dx and dy the
     rounded differences of the real and imaginary parts and clamp2 the
     clamp on squares.  A cell whose fl(dx**2 + dy**2) lies outside
@@ -547,13 +588,14 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
     _check_range(seq, t_lo, t_hi, reach)
     log_b = _center_logs(seq, b, "b", t_lo, t_hi)
     pos = seq.positions
-    im = np.ascontiguousarray(pos.imag) if pos.imag.any() else None
-    sums = _potential_sums(np.ascontiguousarray(pos.real), im, seq.multiplicities, log_b,
+    sums = _potential_sums(np.ascontiguousarray(pos.real),
+                           None if seq.all_real else np.ascontiguousarray(pos.imag),
+                           None if seq.all_simple else seq.multiplicities, log_b,
                            flat, t_lo, t_hi, threads)
     return sums.reshape(pts.shape)
 
 
-def _potential_sums(re: np.ndarray, im: np.ndarray | None, mult: np.ndarray,
+def _potential_sums(re: np.ndarray, im: np.ndarray | None, mult: np.ndarray | None,
                     log_b: np.ndarray, points: np.ndarray, t_lo: float, t_hi: float,
                     threads: int) -> np.ndarray:
     """The sum over the zeros re + i im of m (log clamp|a - p| - log_b) at
@@ -562,9 +604,10 @@ def _potential_sums(re: np.ndarray, im: np.ndarray | None, mult: np.ndarray,
     blocks of _BLOCK_CELLS; off it by _doubled_logs, in blocks of
     _SMALL_BLOCK_CELLS, testing cells only in the blocks holding a point
     _clear_rows cannot clear.  im is None when every zero of the sequence is
-    real, so a slice of the zeros takes the rule of the whole sequence.
-    The kernel of log_potential and of _RealAxis's near sums."""
-    ones = bool(np.all(mult == 1.0))   # multiplying by 1 changes no value
+    real (ZeroSequence.all_real), so a slice of the zeros takes the rule of
+    the whole sequence; mult is None when every multiplicity is 1
+    (all_simple), and multiplying by 1 would change no value.  The kernel of
+    log_potential and of _RealAxis's near sums."""
     real = im is None
     x = np.ascontiguousarray(points.real, dtype=float)
     y = points.imag if points.dtype.kind == "c" else np.zeros(points.size)
@@ -576,7 +619,7 @@ def _potential_sums(re: np.ndarray, im: np.ndarray | None, mult: np.ndarray,
             cells = re - xs[rows, None]
             _log_clamp(np.abs(cells, out=cells), t_lo, t_hi)
             cells -= log_b
-            if not ones:
+            if mult is not None:
                 cells *= mult
             return cells.sum(axis=1)
         return _row_sums(xs.size, re.size, _BLOCK_CELLS, sums, threads)
@@ -589,7 +632,7 @@ def _potential_sums(re: np.ndarray, im: np.ndarray | None, mult: np.ndarray,
             cells = _doubled_logs(re, 0.0 if real else im, xs[rows, None], ys[rows, None],
                                   t_lo, t_hi, not clear[rows].all())
             cells -= two_log_b
-            if not ones:
+            if mult is not None:
                 cells *= mult
             return cells.sum(axis=1) * 0.5
         return _row_sums(xs.size, re.size, _SMALL_BLOCK_CELLS, sums, threads)
@@ -604,25 +647,24 @@ def _potential_sums(re: np.ndarray, im: np.ndarray | None, mult: np.ndarray,
     return out
 
 
-def _slope_sums(re: np.ndarray, im2: np.ndarray, mult: np.ndarray, xs: np.ndarray,
-                t_lo: float, threads: int) -> np.ndarray:
+def _slope_sums(re: np.ndarray, im2: np.ndarray | None, mult: np.ndarray | None,
+                xs: np.ndarray, t_lo: float, threads: int) -> np.ndarray:
     """The sum of m (x - Re a) / |x - a|**2 over the zeros with
     |x - a| > t_lo at every x of xs, each row summed pairwise (_row_sums in
     blocks of _SMALL_BLOCK_CELLS): the kernel of _log_potential_slope and
-    of _RealAxis's near slopes."""
-    # adding 0 and multiplying by 1 change no value
-    real = not im2.any()
-    ones = bool(np.all(mult == 1.0))
+    of _RealAxis's near slopes.  im2, the squared imaginary parts, is None
+    when every zero of the sequence is real, and mult None when every
+    multiplicity is 1: adding 0 and multiplying by 1 change no value."""
 
     def sums(rows: slice) -> np.ndarray:
         dx = xs[rows, None] - re
         r2 = dx * dx
-        if not real:
+        if im2 is not None:
             r2 += im2
         np.divide(dx, r2, out=dx)
         if t_lo > 0.0:
             dx[r2 <= t_lo * t_lo] = 0.0
-        if not ones:
+        if mult is not None:
             dx *= mult
         return dx.sum(axis=1)
 
@@ -638,7 +680,8 @@ def _log_potential_slope(seq: ZeroSequence, xs: np.ndarray, t_lo: float = 0.0, *
     pairwise, as in log_potential, so the error is at most
     70 u * sum of m / max(|x - a|, t_lo).  Blocked like log_potential."""
     pos = seq.positions
-    return _slope_sums(pos.real, pos.imag ** 2, seq.multiplicities, xs, t_lo, threads)
+    return _slope_sums(pos.real, None if seq.all_real else pos.imag ** 2,
+                       None if seq.all_simple else seq.multiplicities, xs, t_lo, threads)
 
 
 # Nodes per cell of _RealAxis: first-kind Chebyshev points on [-1, 1], the
@@ -654,7 +697,6 @@ _LEBESGUE = 2.0 / math.pi * math.log(_NODES) + 1.0
 _DIFF = np.where(np.eye(_NODES, dtype=bool), 0.0, _WEIGHTS / _WEIGHTS[:, None] / _GAPS)
 _DIFF -= np.diag(_DIFF.sum(axis=1))
 _DIFF_NORM = float(np.abs(_DIFF).sum(axis=1).max())
-_U = 2.0 ** -53
 # Bernstein ellipses tried for a cell's bound: semi-major axis r = q D_min,
 # D_min the least distance from the cell's centre to a far zero.  M grows
 # like log(1 / (1 - q)) as q nears 1 while rho**(1 - p) keeps falling, so
@@ -671,7 +713,7 @@ def _accurate_sums(terms: np.ndarray) -> np.ndarray:
     u |sum| + 32 n**2 u**2 max|term| for n terms a row: one _split level at
     each row's max|term|, the highs summed exactly and the lows in floating
     point.  A row's sum depends on that row alone."""
-    high_sums, low = _split(terms, np.abs(terms).max(axis=1, initial=0.0)[:, None])
+    high_sums, low, _ = _split(terms, np.abs(terms).max(axis=1, initial=0.0)[:, None])
     return high_sums + low.sum(axis=1)
 
 
@@ -792,7 +834,6 @@ class _RealAxis:
         self._re = pos.real[order]
         self._im = pos.imag[order]
         self._im2 = self._im ** 2
-        self._real = not self._im.any()
         self._mult = seq.multiplicities[order].astype(float)
         self._log_b = _center_logs(seq, complex(self.b), "b", self.t_lo, math.inf)[order]
         reach = 3.0 * self._halves + self.t_lo
@@ -862,8 +903,8 @@ class _RealAxis:
 
         def per_cell(k, x, s):
             i, j = self._near[k]
-            near = _potential_sums(self._re[i:j], None if self._real else self._im[i:j],
-                                   self._mult[i:j],
+            near = _potential_sums(self._re[i:j], None if self.seq.all_real else self._im[i:j],
+                                   None if self.seq.all_simple else self._mult[i:j],
                                    self._log_b[i:j], x, self.t_lo, math.inf, self.threads)
             self.near_points += x.size * int(j - i)
             const, slope, rest = self._value_fit(k)[:3]
@@ -874,7 +915,8 @@ class _RealAxis:
         """_log_potential_slope(seq, x, t_lo) at every x of xs (off the zeros)."""
         def per_cell(k, x, s):
             i, j = self._near[k]
-            near = _slope_sums(self._re[i:j], self._im2[i:j], self._mult[i:j], x, self.t_lo,
+            near = _slope_sums(self._re[i:j], None if self.seq.all_real else self._im2[i:j],
+                               None if self.seq.all_simple else self._mult[i:j], x, self.t_lo,
                                self.threads)
             _, slope, _, diff = self._value_fit(k)[:4]
             return near + (slope + _interpolate(diff, s)) / self._halves[k]

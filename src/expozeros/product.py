@@ -2,10 +2,9 @@
 
 A product over millions of factors (1 - z/a) over/underflows long before it
 finishes, so values are carried as (log-magnitude, argument).  Log-magnitudes
-and raw argument radians are totalled by counting's exact-sum kernel
-(exact_parts / exact_sum): correctly rounded, with the same bits as fsum, in
-a few numpy passes a split level; arguments are normalized to (-pi, pi] once
-at the end.  Factors that are exactly real contribute their pi's through an
+and raw argument radians are totalled by counting's exact_sum: correctly
+rounded, with the same bits as fsum, in a few numpy passes a split level;
+arguments are normalized to (-pi, pi] once at the end.  Factors that are exactly real contribute their pi's through an
 integer counter, so conjugate-symmetric sequences evaluated at real points
 come out with argument exactly 0 or pi.
 """
@@ -19,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import _require_finite, exact_parts, exact_sum, log_potential, step_integral
+from .counting import (DivergentIntegralError, _require_finite, exact_sum, log_potential,
+                       step_integral)
 from .zero_model import ZeroSequence
 
 __all__ = [
@@ -42,6 +42,11 @@ TAIL_TRUNCATED = "truncated"
 # Zeros per evaluate_product block: its temporaries stay cache-sized (512 KiB
 # per complex array) instead of growing with the sequence.
 _PRODUCT_BLOCK = 1 << 15
+# At z = a, numpy's complex division gives z / a within 2u + u**2 of 1 in
+# its real part and 2u (1 + 2u) in its imaginary part (u = 2**-53), so the
+# computed |1 - z/a| is below 3u; a block whose least |1 - z/a| exceeds this
+# bound holds no zero equal to z.
+_NEAR_ONE = 2.0 ** -50
 
 
 def wrap_angle(theta: float) -> float:
@@ -100,10 +105,14 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     np.hypot, the modulus the completeness radius is checked with.  If z is
     exactly a stored position inside R the value is an exact zero.
 
-    Per-zero log and argument terms are computed in blocks of _PRODUCT_BLOCK
-    zeros, each block split by exact_parts; each total is the correctly
-    rounded sum of all its terms (the bits fsum gives over them), so the
-    value does not depend on the block size.
+    Per-zero log and argument terms are filled in blocks of _PRODUCT_BLOCK
+    zeros, which bound the temporaries, and each array is totalled by one
+    exact_sum: the correctly rounded sum of all its terms (the bits fsum
+    gives over them), so the value does not depend on the block size.  A
+    factor is 1 - z/a, except where |1 - z/a| <= _NEAR_ONE: there z is
+    compared with the block's zeros for an exact zero, and a factor of z
+    within a few ulps of its zero is (a - z)/a, whose rounded difference
+    is nonzero for z != a where 1 - z/a may round to 0.
     """
     _require_finite(z=z)
     z = complex(z)
@@ -123,33 +132,40 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     pos = seq.positions[:n]
     mult = seq.multiplicities[:n]
     count = int(mult.sum())
-    flag = TAIL_COMPLETE if (R0 == 0.0 and count == seq.total_multiplicity) else TAIL_TRUNCATED
+    # every zero lies inside R exactly when the prefix is the whole sequence
+    flag = TAIL_COMPLETE if (R0 == 0.0 and n == len(seq)) else TAIL_TRUNCATED
     if n == 0:
         return ProductEvaluation(LogComplex(0.0, 0.0), R, 0, flag)
-    log_parts: list[float] = []
-    arg_parts: list[float] = []
+    logs = np.empty(n)
+    args = np.empty(n)
     pi_count = 0
     min_abs = math.inf
     for start in range(0, n, _PRODUCT_BLOCK):
         block = slice(start, start + _PRODUCT_BLOCK)
         p = pos[block]
-        m = mult[block]
-        if np.any(p == z):
-            return ProductEvaluation(LogComplex(-math.inf, 0.0), R, count, flag, -math.inf)
         w = 1.0 - z / p
         absw = np.abs(w)
+        if not absw.min() > _NEAR_ONE:   # z near a zero of this block, or a nan factor
+            if np.any(p == z):
+                return ProductEvaluation(LogComplex(-math.inf, 0.0), R, count, flag, -math.inf)
+            near = absw <= _NEAR_ONE
+            w[near] = (p[near] - z) / p[near]
+            absw[near] = np.abs(w[near])
         min_abs = min(min_abs, float(absw.min()))
+        log_terms, arg_terms = logs[block], args[block]
         with np.errstate(divide="ignore"):
-            logs = np.log(absw, out=absw)
-        log_parts += exact_parts(np.multiply(m, logs, out=logs))
+            np.log(absw, out=log_terms)
+        np.arctan2(w.imag, w.real, out=arg_terms)
         is_real = w.imag == 0.0
+        arg_terms[is_real] = 0.0  # a real factor's pi goes to pi_count
+        m = mult[block]
         pi_count += int(m[is_real & (w.real < 0.0)].sum())
-        args = m * np.arctan2(w.imag, w.real)
-        args[is_real] = 0.0  # a real factor's pi goes to pi_count
-        arg_parts += exact_parts(args)
-    theta = exact_sum(arg_parts) + (pi_count & 1) * math.pi
+        if not seq.all_simple:   # multiplying by 1 changes no value
+            log_terms *= m
+            arg_terms *= m
+    theta = exact_sum(args) + (pi_count & 1) * math.pi
     return ProductEvaluation(
-        LogComplex(exact_sum(log_parts), wrap_angle(theta)),
+        LogComplex(exact_sum(logs), wrap_angle(theta)),
         R,
         count,
         flag,
@@ -160,15 +176,17 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
 def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
     """log|product| via the counting side: the full-range step integral of
     [n(0,t) - n(z,t)]/t, i.e. sum of m * (log|a - z| - log|a|).  Returns -inf
-    exactly when z is a stored zero position."""
+    exactly when z is a stored zero position: there the integral diverges
+    (its term for that zero is exactly -inf, and only there)."""
     z = complex(z)
     if not seq.origin_excluded:
         raise ValueError("counting-side log-modulus requires 0 not in the zero set")
     if not len(seq):
         return 0.0
-    if np.any(seq.positions == z):
+    try:
+        return step_integral(seq, 0.0, z, 0.0, math.inf)
+    except DivergentIntegralError:   # the centre 0 is no zero, so z is one
         return -math.inf
-    return step_integral(seq, 0.0, z, 0.0, math.inf)
 
 
 def jensen_counting_side(seq: ZeroSequence, z: complex) -> float:

@@ -76,7 +76,8 @@ class ZeroSequence:
     """Finite multiset of zeros plus completeness metadata.
 
     positions (complex128) and multiplicities (float64) are merged, sorted
-    and read-only; `zeros` views them as Zero objects, built on first access.
+    and read-only; `zeros` views them as Zero objects, and the flags
+    all_real and all_simple are computed, on first access.
     truncation_radius > 0 claims the stored list is complete inside
     |z| < truncation_radius; 0 means the sequence is exactly this finite set
     on all of the plane.  Instances are immutable and safe to share across
@@ -134,7 +135,19 @@ class ZeroSequence:
 
     @property
     def origin_excluded(self) -> bool:
-        return not np.any(self.positions == 0)
+        """Whether 0 is not a stored zero: by the (|a|, Re, Im) order, a
+        stored origin (however its zero parts are signed) is positions[0]."""
+        return not (len(self) and self.positions[0] == 0)
+
+    @cached_property
+    def all_real(self) -> bool:
+        """Whether every stored zero lies on the real axis (Im a == 0)."""
+        return not self.positions.imag.any()
+
+    @cached_property
+    def all_simple(self) -> bool:
+        """Whether every stored multiplicity is 1."""
+        return bool(np.all(self.multiplicities == 1.0))
 
     @property
     def total_multiplicity(self) -> int:

@@ -562,6 +562,46 @@ def term_arrays(draw):
     return rng.permutation(np.concatenate([terms, *triples[:draw(st.integers(0, 5))]]))
 
 
+def _exact_negation(values) -> list[float]:
+    """Non-overlapping floats whose exact sum is -sum(values): the partials
+    of Shewchuk's summation (math.fsum's), negated."""
+    partials: list[float] = []
+    for x in np.asarray(values, dtype=float).tolist():
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+    return [-p for p in partials]
+
+
+@st.composite
+def midpoint_arrays(draw):
+    """More than 512 floats whose exact total is the midpoint between a
+    drawn double r0 (at times a power of two, whose gaps differ) and its
+    neighbour on a drawn side, exactly or off by 2**-k of the half gap:
+    terms within 2**-60 to 2**10 of |r0|, their exact negation, r0, the half
+    gap and the offset, shuffled.  Offsets of 2**-30 and less of the half
+    gap lie inside the certificate's bound, so those totals must fall back;
+    larger ones are certified after one split."""
+    n = draw(st.integers(510, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    e0 = draw(st.integers(-900, 900))
+    sign = float(rng.choice((-1.0, 1.0)))
+    r0 = math.ldexp(sign if draw(st.booleans()) else sign * rng.uniform(0.5, 1.0), e0)
+    half_gap = (math.nextafter(r0, draw(st.sampled_from((-math.inf, math.inf)))) - r0) / 2.0
+    k = draw(st.sampled_from((None, 5, 12, 30, 60, 90)))
+    offset = 0.0 if k is None else math.ldexp(half_gap, -k) * float(rng.choice((-1.0, 1.0)))
+    terms = np.ldexp(rng.uniform(-1.0, 1.0, n), e0 + rng.integers(-60, 11, n))
+    return rng.permutation(np.concatenate([terms, _exact_negation(terms), [r0, half_gap, offset]]))
+
+
 class TestExactSum:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(term_arrays(),
@@ -602,6 +642,73 @@ class TestExactSum:
         terms = rng.standard_normal(20000) * 10.0 ** rng.integers(-12, 12, 20000)
         parts = [p for i in range(0, terms.size, 777) for p in counting.exact_parts(terms[i:i + 777])]
         assert math.fsum(parts).hex() == math.fsum(terms).hex()
+
+    # The one-level certificate: its edges are totals near a rounding
+    # midpoint (where the TwoSum residual must send it to the fallback),
+    # zero totals and subnormal totals.
+
+    @settings(max_examples=300, deadline=None)
+    @given(midpoint_arrays())
+    def test_bits_of_fsum_near_a_midpoint(self, terms):
+        assert _outcome(counting.exact_sum, terms) == _outcome(math.fsum, terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(513, 3000), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(("cancel", "zeros", "subnormal")))
+    def test_bits_of_fsum_at_zero_and_subnormal_totals(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "zeros":
+            terms = rng.choice((0.0, -0.0), n, p=rng.dirichlet((1.0, 1.0)))
+        else:
+            lo, hi = (-60, 60) if kind == "cancel" else (-1074, -900)
+            terms = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, hi, n))
+            # the exact total: 0, or a few of the least subnormal
+            extra = [] if kind == "cancel" else [math.ldexp(float(rng.integers(-9, 10)), -1074)]
+            terms = rng.permutation(np.concatenate([terms, _exact_negation(terms), extra]))
+        assert _outcome(counting.exact_sum, terms) == _outcome(math.fsum, terms)
+        total = counting.exact_sum(terms)
+        if kind != "subnormal":
+            assert total == 0.0
+        else:
+            assert abs(total) < 2.0 ** -1022
+
+    def test_lattice_step_terms_certified_after_one_split(self, monkeypatch):
+        # step_integral's terms on integer_lattice(5e4) at complex points:
+        # one _split call each, and fsum's bits
+        seq = integer_lattice(5e4)
+        real_split = counting._split
+        calls = []
+
+        def counted(terms, big):
+            calls.append(terms.size)
+            return real_split(terms, big)
+
+        monkeypatch.setattr(counting, "_split", counted)
+        log_b = counting._center_logs(seq, 0j, "b", 0.0, math.inf)
+        rng = np.random.default_rng(15)
+        ties = 0
+        for _ in range(16):
+            z = complex(rng.uniform(-10.0, 10.0), rng.uniform(0.1, 10.0))
+            calls.clear()
+            got = step_integral(seq, 0.0, z, 0.0, math.inf)
+            terms = counting._center_logs(seq, z, "x", 0.0, math.inf) - log_b
+            assert got.hex() == math.fsum(terms).hex()
+            # Most terms are differences of logs near log 5e4, multiples of
+            # 2**-49, so the exact total can be a midpoint of got and a
+            # neighbour: that tie alone needs the next levels.
+            rest = math.fsum(np.append(terms, -got))   # exact: the total less got
+            tie = rest == (math.nextafter(got, math.copysign(math.inf, rest)) - got) / 2.0
+            ties += tie
+            assert calls == [len(seq)] if not tie else len(calls) > 1
+        assert ties <= 2
+
+    def test_lows_are_summed_pairwise(self):
+        # the certificate's bound counts the rounded additions of numpy's
+        # pairwise sum over the 1-D lows
+        rng = np.random.default_rng(16)
+        terms = rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 8, 5000)
+        _, low, _ = counting._split(terms, float(np.abs(terms).max()))
+        assert float(low.sum()) == _numpy_pairwise(low.tolist())
 
 
 class TestRealAxis:

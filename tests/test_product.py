@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     draw_point,
@@ -164,6 +166,80 @@ class TestLogModulusViaCounting:
             lhs = evaluate_product(seq, z).value.log_magnitude
             rhs = log_modulus_via_counting(seq, z)
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(rhs))
+
+
+@st.composite
+def wide_sequences(draw):
+    """Up to 30 zeros whose nonzero parts lie within ten decades of a drawn
+    10**e, e from -290 to 290 (so no ratio of two zeros overflows), with
+    +0.0 and -0.0 parts mixed in and, at times, every zero real; no zero at
+    the origin.  Positions are paired through a float view, which keeps the
+    sign of a zero part."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 30))
+    e = draw(st.integers(-290, 290))
+
+    def parts(zero_share):
+        v = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(e - 10, e + 11, n)
+        v *= rng.choice((-1.0, 1.0), n)
+        zero = rng.random(n) < zero_share
+        v[zero] = rng.choice((0.0, -0.0), int(zero.sum()))
+        return v
+
+    re = parts(draw(st.sampled_from((0.0, 0.3))))
+    im = parts(draw(st.sampled_from((0.3, 1.0))))
+    re[(re == 0.0) & (im == 0.0)] = 10.0 ** e
+    pos = np.column_stack([re, im]).view(np.complex128)[:, 0]
+    return ZeroSequence.from_arrays(pos, rng.integers(1, 4, n))
+
+
+def _one_ulp_away(a: complex) -> complex:
+    """a with its larger part moved one ulp away from zero."""
+    if abs(a.real) >= abs(a.imag):
+        return complex(math.nextafter(a.real, math.copysign(math.inf, a.real)), a.imag)
+    return complex(a.real, math.nextafter(a.imag, math.copysign(math.inf, a.imag)))
+
+
+class TestExactZeros:
+    """Both sides of the log-modulus identity find a stored zero by its
+    arithmetic, not by a scan: the product by |1 - z/a| within _NEAR_ONE of
+    0 and then exact equality, the counting side by its -inf term."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_sequences())
+    def test_minus_inf_on_zeros_finite_one_ulp_away(self, seq):
+        positions = seq.positions.tolist()
+        for a in positions:
+            assert evaluate_product(seq, a).value.log_magnitude == -math.inf
+            assert log_modulus_via_counting(seq, a) == -math.inf
+            z = _one_ulp_away(a)
+            if z in positions:
+                continue
+            # the difference from a is one ulp, subnormal below about 1e-292,
+            # where the counting side's square underflows and takes hypot
+            value = evaluate_product(seq, z).value
+            assert math.isfinite(value.log_magnitude) and math.isfinite(value.argument)
+            assert math.isfinite(log_modulus_via_counting(seq, z))
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_sequences(), st.sampled_from((0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                                              complex(-0.0, -0.0))))
+    def test_origin_zero_still_rejected(self, seq, origin):
+        pos = np.append(seq.positions, origin)
+        with_origin = ZeroSequence.from_arrays(pos, np.append(seq.multiplicities, 1.0))
+        z = complex(seq.positions[0])
+        for call in (evaluate_product, log_modulus_via_counting):
+            with pytest.raises(ValueError, match="0 not in the zero set"):
+                call(with_origin, z)
+
+    def test_near_factor_from_the_difference(self):
+        # numpy's complex 1 - z/3 rounds to 0 at z one ulp above 3 (z times
+        # fl(1/3) rounds to 1); (3 - z)/3 does not
+        z = math.nextafter(3.0, 4.0)
+        assert 1.0 - z / np.array([3 + 0j]) == 0.0
+        pe = evaluate_product(ZeroSequence((Zero(3 + 0j),)), z)
+        assert pe.value.log_magnitude == pytest.approx(math.log((z - 3.0) / 3.0), rel=1e-15)
+        assert pe.min_factor_log_magnitude == pe.value.log_magnitude
 
 
 class TestDerivativeAtMultipleZero:

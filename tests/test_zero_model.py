@@ -149,6 +149,52 @@ class TestArrayStorage:
             ZeroSequence.from_arrays(positions, mults, radius)
 
 
+def _flags(seq):
+    return seq.origin_excluded, seq.all_real, seq.all_simple
+
+
+def _flag_definitions(seq):
+    """The flags from the whole arrays."""
+    return (not np.any(seq.positions == 0), not np.any(seq.positions.imag != 0.0),
+            bool(np.all(seq.multiplicities == 1.0)))
+
+
+class TestSequenceFlags:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_coords, _coords, st.sampled_from((1, 1, 1, 2))), max_size=12),
+           st.tuples(_coords, _coords))
+    @example([(-0.0, -0.0, 1), (1.0, 0.0, 1)], (0.0, 0.0))
+    @example([(2.5, -0.0, 1), (-0.0, 1.0, 1)], (2.5, -0.0))
+    def test_flags_match_their_definitions(self, records, shift):
+        # pairing parts through a float view keeps the sign of a zero part
+        table = np.array([[re, im] for re, im, _ in records]).reshape(-1, 2)
+        positions = np.ascontiguousarray(table).view(np.complex128)[:, 0]
+        mults = [m for _, _, m in records]
+        seq = ZeroSequence.from_arrays(positions, mults)
+        doubled = "".join(f"{line}\n{line}\n" for line in dump_sequence(seq).splitlines()
+                          if not line.startswith(("#", "@")))
+        shifted = shift_origin(seq, complex(*shift))
+        built = [seq, load_sequence(dump_sequence(seq)), load_sequence(dump_sequence_json(seq)),
+                 ZeroSequence.from_arrays(np.concatenate([positions, positions]), mults + mults),
+                 load_sequence(doubled), shifted, shift_origin(shifted, -complex(*shift))]
+        for each in built:
+            assert _flags(each) == _flag_definitions(each)
+
+    def test_signed_origin_spellings(self):
+        for re, im in ((-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)):
+            origin = np.array([re, im]).view(np.complex128)
+            seq = ZeroSequence.from_arrays(np.append(origin, [3j, -1.0]), [1, 1, 1])
+            assert seq.positions[0] == 0 and not seq.origin_excluded
+            assert not load_sequence(f"{re!r} {im!r} 1\n2.0 0.0 1\n").origin_excluded
+        assert ZeroSequence(()).origin_excluded
+
+    def test_flags_computed_on_first_access(self):
+        seq = ZeroSequence.from_arrays([1j, -2.0], [2, 1])
+        assert "all_real" not in vars(seq) and "all_simple" not in vars(seq)
+        assert (seq.all_real, seq.all_simple) == (False, False)
+        assert "all_real" in vars(seq) and "all_simple" in vars(seq)
+
+
 class TestLoadText:
     def test_two_records(self):
         seq = load_sequence("1 0 1\n-1 0 1")
