@@ -704,9 +704,10 @@ class TestExactSum:
 
     def test_lows_are_summed_pairwise(self):
         # the certificate's bound counts the rounded additions of numpy's
-        # pairwise sum over the 1-D lows
+        # pairwise sum over the 1-D lows; past 8192 terms (numpy's buffer
+        # size) a sum in chunks would show
         rng = np.random.default_rng(16)
-        terms = rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 8, 5000)
+        terms = rng.standard_normal(40000) * 10.0 ** rng.integers(-8, 8, 40000)
         _, low, _ = counting._split(terms, float(np.abs(terms).max()))
         assert float(low.sum()) == _numpy_pairwise(low.tolist())
 
