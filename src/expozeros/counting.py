@@ -448,26 +448,29 @@ def _clear_rows(re: np.ndarray, im: np.ndarray | None, x: np.ndarray,
         return (gap >= 2.0 ** -470 + 2.0 ** -48 * reach) & (reach < 2.0 ** 500)
 
 
-def _center_logs(seq: ZeroSequence, center: complex, name: str,
-                 t_lo: float, t_hi: float) -> np.ndarray:
+def _center_logs(seq: ZeroSequence, center: complex, t_lo: float,
+                 t_hi: float) -> np.ndarray:
     """Per-zero log clamp|a - center| by the one term rule of log_potential's
     kernel (_potential_sums): log |Re a - center| when every zero is real
-    (seq.all_real) and so is the center, else half of _doubled_logs.  A
-    center on a zero makes the range from t = 0 diverge."""
+    (seq.all_real) and so is the center, else half of _doubled_logs.  A zero
+    at the center gets -inf when t_lo = 0."""
     pos = seq.positions
     if center.imag == 0.0 and seq.all_real:
-        logs = _log_clamp(np.abs(pos.real - center.real), t_lo, t_hi)
-    else:
-        logs = _doubled_logs(pos.real, pos.imag, center.real, center.imag, t_lo, t_hi)
-        logs *= 0.5
-    hit = np.nonzero(logs == -math.inf)[0] if t_lo == 0.0 else ()
+        return _log_clamp(np.abs(pos.real - center.real), t_lo, t_hi)
+    logs = _doubled_logs(pos.real, pos.imag, center.real, center.imag, t_lo, t_hi)
+    logs *= 0.5
+    return logs
+
+
+def _base_logs(seq: ZeroSequence, b: complex, t_lo: float, t_hi: float) -> np.ndarray:
+    """_center_logs of the base point b, which may not sit on a zero: from
+    t = 0 that integral diverges (DivergentIntegralError, naming the zero)."""
+    logs = _center_logs(seq, b, t_lo, t_hi)
+    hit = np.flatnonzero(logs == -math.inf) if t_lo == 0.0 else ()
     if len(hit):
-        z = complex(pos[hit[0]])
+        z = complex(seq.positions[hit[0]])
         raise DivergentIntegralError(
-            f"integral from t = 0 diverges: center {name} = {center} "
-            f"coincides with the zero at {z}",
-            zero=z,
-        )
+            f"integral from t = 0 diverges: base point b = {b} is the zero at {z}", zero=z)
     return logs
 
 
@@ -484,13 +487,13 @@ def step_integral(seq: ZeroSequence, b: complex, x: complex, t_lo: float, t_hi: 
     zero and center, by the rule that the sequence's all_real flag and the
     center choose (see there: log|x - a| when both are real, else
     1/2 log(fl(dx**2 + dy**2)), with its guard), so the two share every
-    term.  A center on a zero gives that zero the term -inf, which is how
-    the range from t = 0 is found to diverge.  The pairwise log differences
-    are totalled by exact_sum: correctly rounded, with the same bits as
-    fsum, mostly after one split level.  That makes the value independent
-    of event order; the antisymmetry in (b, x) and reflection symmetries
-    therefore hold bit-exactly.  The error bound is the one stated in
-    log_potential.
+    term.  As there, when t_lo = 0 an x on a zero gives exactly -inf, and a
+    base point b on a zero raises DivergentIntegralError naming the zero.
+    Off the zeros the pairwise log differences are totalled by exact_sum:
+    correctly rounded, with the same bits as fsum, mostly after one split
+    level.  That makes the value independent of event order; the
+    antisymmetry in (b, x) and reflection symmetries therefore hold
+    bit-exactly there.  The error bound is the one stated in log_potential.
     """
     _require_finite(b=b, x=x)
     b = complex(b)
@@ -498,8 +501,10 @@ def step_integral(seq: ZeroSequence, b: complex, x: complex, t_lo: float, t_hi: 
     t_lo = float(t_lo)
     t_hi = float(t_hi)
     _check_range(seq, t_lo, t_hi, max(abs(b), abs(x)))
-    log_b = _center_logs(seq, b, "b", t_lo, t_hi)
-    terms = _center_logs(seq, x, "x", t_lo, t_hi)
+    log_b = _base_logs(seq, b, t_lo, t_hi)
+    terms = _center_logs(seq, x, t_lo, t_hi)
+    if t_lo == 0.0 and (terms == -math.inf).any():   # x on a zero; spares fsum the -inf
+        return -math.inf
     terms -= log_b
     if not seq.all_simple:   # multiplying by 1 changes no value
         terms *= seq.multiplicities
@@ -586,7 +591,7 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
     flat = pts.ravel()
     reach = max(abs(b), float(np.abs(flat).max())) if flat.size else abs(b)
     _check_range(seq, t_lo, t_hi, reach)
-    log_b = _center_logs(seq, b, "b", t_lo, t_hi)
+    log_b = _base_logs(seq, b, t_lo, t_hi)
     pos = seq.positions
     sums = _potential_sums(np.ascontiguousarray(pos.real),
                            None if seq.all_real else np.ascontiguousarray(pos.imag),
@@ -835,7 +840,7 @@ class _RealAxis:
         self._im = pos.imag[order]
         self._im2 = self._im ** 2
         self._mult = seq.multiplicities[order].astype(float)
-        self._log_b = _center_logs(seq, complex(self.b), "b", self.t_lo, math.inf)[order]
+        self._log_b = _base_logs(seq, complex(self.b), self.t_lo, math.inf)[order]
         reach = 3.0 * self._halves + self.t_lo
         self._near = np.stack([np.searchsorted(self._re, self._centres - reach, side="right"),
                                np.searchsorted(self._re, self._centres + reach, side="left")], 1)

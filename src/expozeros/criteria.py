@@ -125,18 +125,11 @@ class PhiProfile:
 
 def phi(seq: ZeroSequence, b: float, x: float) -> float:
     """Full-range integral of [n(b,t) - n(x,t)]/t: the closed form
-    sum of m * (log|a - x| - log|a - b|).  Returns -inf exactly when x is a
-    stored zero position; raises if b is one."""
+    sum of m * (log|a - x| - log|a - b|), by step_integral.  Returns -inf
+    exactly when x is a stored zero position; raises
+    DivergentIntegralError if b is one."""
     _require_finite(b=b, x=x)
-    b = float(b)
-    x = float(x)
-    if len(seq) and np.any(seq.positions == complex(b)):
-        raise ValueError(f"base point b = {b} is a zero position")
-    if not len(seq):
-        return 0.0
-    if np.any(seq.positions == complex(x)):
-        return -math.inf
-    return step_integral(seq, b, x, 0.0, math.inf)
+    return step_integral(seq, float(b), float(x), 0.0, math.inf)
 
 
 def phi_profile(seq: ZeroSequence, b: float, xs) -> PhiProfile:

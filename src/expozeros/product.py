@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (DivergentIntegralError, _require_finite, exact_sum, log_potential,
-                       step_integral)
+from .counting import _center_logs, _require_finite, exact_sum, log_potential, step_integral
 from .zero_model import ZeroSequence
 
 __all__ = [
@@ -176,25 +175,21 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
 def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
     """log|product| via the counting side: the full-range step integral of
     [n(0,t) - n(z,t)]/t, i.e. sum of m * (log|a - z| - log|a|).  Returns -inf
-    exactly when z is a stored zero position: there the integral diverges
-    (its term for that zero is exactly -inf, and only there)."""
-    z = complex(z)
+    exactly when z is a stored zero position, as step_integral does."""
     if not seq.origin_excluded:
         raise ValueError("counting-side log-modulus requires 0 not in the zero set")
-    if not len(seq):
-        return 0.0
-    try:
-        return step_integral(seq, 0.0, z, 0.0, math.inf)
-    except DivergentIntegralError:   # the centre 0 is no zero, so z is one
-        return -math.inf
+    return step_integral(seq, 0.0, complex(z), 0.0, math.inf)
 
 
 def jensen_counting_side(seq: ZeroSequence, z: complex) -> float:
     """Counting side of Jensen's formula on the unit circle |w - z| = 1: the
     step integral of [n(0,t) - n(z,t)]/t over [1, inf) plus the integral of
-    n(0,t)/t over (0,1], which is the sum of m * max(0, -log|a|)."""
-    d0 = np.abs(seq.positions)
-    unit_disc = exact_sum(seq.multiplicities * -np.log(np.minimum(d0, 1.0)))
+    n(0,t)/t over (0,1], which is the sum of m * -log min(|a|, 1).  Both
+    take their logs by the counting kernel's term rule (_center_logs), so
+    the total is sum of m * (log max(|a - z|, 1) - log|a|)."""
+    if not seq.origin_excluded:
+        raise ValueError("Jensen's counting side requires 0 not in the zero set")
+    unit_disc = exact_sum(seq.multiplicities * -_center_logs(seq, 0j, 0.0, 1.0))
     return step_integral(seq, 0.0, complex(z), 1.0, math.inf) + unit_disc
 
 
@@ -203,18 +198,17 @@ def derivative_at_multiple_zero(seq: ZeroSequence, z0: complex) -> float:
 
     Two exact event-wise integrals: [n(0,t) - n(z0,t)]/t over [1, inf) plus
     [n(0,t) - n(z0,t) + l]/t over (0, 1]; the l zeros sitting at z0 cancel
-    the +l term so the second integrand vanishes near t = 0.
+    the +l term so the second integrand vanishes near t = 0.  Its logs are
+    the counting kernel's (_center_logs), less the l zeros at z0, whose terms
+    are -inf.  Total: sum over a != z0 of m log|1 - z0/a|, less l log|z0|.
     """
     z0 = complex(z0)
     if not seq.origin_excluded:
         raise ValueError("derivative formula requires 0 not in the zero set")
-    pos = seq.positions
-    mult = seq.multiplicities
-    self_mask = pos == z0
-    if not np.any(self_mask):
+    others = seq.positions != z0
+    if others.all():
         raise ValueError(f"z0 = {z0} is not a zero position of the sequence")
-    others = ~self_mask
-    lower_center = mult[others] * np.log(np.minimum(np.abs(pos[others] - z0), 1.0))
+    lower_center = seq.multiplicities[others] * _center_logs(seq, z0, 0.0, 1.0)[others]
     return jensen_counting_side(seq, z0) + exact_sum(lower_center)
 
 

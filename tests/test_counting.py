@@ -42,7 +42,7 @@ from expozeros import (
     step_integral,
     tail_correction,
 )
-from expozeros.criteria import default_base_point
+from expozeros.criteria import default_base_point, phi
 
 TRIO = ZeroSequence((Zero(1 + 0j), Zero(-1 + 0j), Zero(2j)))
 
@@ -454,6 +454,16 @@ def _reduction_bound(seq, p, b, value, t_lo=0.0, t_hi=math.inf):
     return 64 * U * float(np.sum(seq.multiplicities * np.abs(lp - lb))) + 2 * U * abs(value)
 
 
+def _assert_scalar_matches(seq, b, p, t_lo, t_hi, got):
+    """step_integral at p is -inf where the log_potential value got is, and
+    within the reduction bound of it elsewhere."""
+    scalar = step_integral(seq, b, p, t_lo, t_hi)
+    if got == -math.inf:
+        assert scalar == -math.inf
+    else:
+        assert abs(got - scalar) <= _reduction_bound(seq, p, b, scalar, t_lo, t_hi)
+
+
 def _lattice_log_abs(K, x):
     """log of prod_{k=1..K} |k - x| |k + x| at 30 digits, in closed form:
     log |Gamma(K+1-x) Gamma(K+1+x) / (Gamma(1-x) Gamma(1+x))|, for real or
@@ -684,14 +694,14 @@ class TestExactSum:
             return real_split(terms, big)
 
         monkeypatch.setattr(counting, "_split", counted)
-        log_b = counting._center_logs(seq, 0j, "b", 0.0, math.inf)
+        log_b = counting._center_logs(seq, 0j, 0.0, math.inf)
         rng = np.random.default_rng(15)
         ties = 0
         for _ in range(16):
             z = complex(rng.uniform(-10.0, 10.0), rng.uniform(0.1, 10.0))
             calls.clear()
             got = step_integral(seq, 0.0, z, 0.0, math.inf)
-            terms = counting._center_logs(seq, z, "x", 0.0, math.inf) - log_b
+            terms = counting._center_logs(seq, z, 0.0, math.inf) - log_b
             assert got.hex() == math.fsum(terms).hex()
             # Most terms are differences of logs near log 5e4, multiples of
             # 2**-49, so the exact total can be a midpoint of got and a
@@ -964,13 +974,14 @@ class TestLogPotential:
            st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
            st.sampled_from([0.0, 0.5, 3.0]), st.sampled_from([math.inf, 8.0, 50.0]))
     def test_batch_equals_scalar_within_bound(self, raw, points, b, t_lo, t_hi):
+        # the first two zeros join the points: the two paths agree on them too
         seq = _sequence(raw)
         if t_lo == 0.0:
-            assume(not np.isin(np.array(points + [b]), seq.positions).any())
-        batch = log_potential(seq, np.array(points), b, t_lo, t_hi)
+            assume(not np.any(seq.positions == b))
+        points = np.append(np.array(points), seq.positions[:2])
+        batch = log_potential(seq, points, b, t_lo, t_hi)
         for p, got in zip(points, batch):
-            scalar = step_integral(seq, b, p, t_lo, t_hi)
-            assert abs(got - scalar) <= _reduction_bound(seq, p, b, scalar, t_lo, t_hi)
+            _assert_scalar_matches(seq, b, p, t_lo, t_hi, got)
 
     @settings(max_examples=60, deadline=None)
     @given(guard_cases(), st.sampled_from([(0.0, math.inf), (1e-200, math.inf), (0.0, 1e250),
@@ -986,10 +997,8 @@ class TestLogPotential:
         on_zero = np.isin(points, seq.positions) & (t_lo == 0.0)
         assert np.array_equal(batch == -math.inf, on_zero)
         assert np.all(np.isfinite(batch[~on_zero]))
-        for p, got, hit in zip(points, batch, on_zero):
-            if not hit:
-                scalar = step_integral(seq, b, p, t_lo, t_hi)
-                assert abs(got - scalar) <= _reduction_bound(seq, p, b, scalar, t_lo, t_hi)
+        for p, got in zip(points, batch):
+            _assert_scalar_matches(seq, b, p, t_lo, t_hi, got)
         alone = np.concatenate([log_potential(seq, points[i:i + 1], b, t_lo, t_hi)
                                 for i in range(points.size)])
         assert alone.tobytes() == batch.tobytes()
@@ -1001,24 +1010,35 @@ class TestLogPotential:
     @settings(max_examples=40, deadline=None)
     @given(zero_lists, st.floats(-5, 5))
     def test_minus_inf_exactly_at_zeros(self, raw, b):
+        # one rule for the batch and the scalar path
         seq = _sequence(raw)
         assume(not np.any(seq.positions == b))
         points = np.concatenate([seq.positions, seq.positions + 1e-3])
         on_zero = (points[:, None] == seq.positions[None, :]).any(axis=1)
-        vals = log_potential(seq, points, b)
-        assert np.array_equal(vals == -math.inf, on_zero)
-        assert np.all(np.isfinite(vals[~on_zero]))
+        scalar = np.array([step_integral(seq, b, p, 0.0, math.inf) for p in points])
+        for vals in (log_potential(seq, points, b), scalar):
+            assert np.array_equal(vals == -math.inf, on_zero)
+            assert np.all(np.isfinite(vals[~on_zero]))
         # a range starting at t > 0 never diverges
         assert np.all(np.isfinite(log_potential(seq, seq.positions, b, 0.5)))
+        assert all(math.isfinite(step_integral(seq, b, p, 0.5, math.inf))
+                   for p in seq.positions)
 
     @settings(max_examples=40, deadline=None)
     @given(zero_lists, st.data())
     def test_base_point_on_zero_raises(self, raw, data):
         seq = _sequence(raw)
         k = data.draw(st.integers(0, len(seq) - 1))
-        with pytest.raises(DivergentIntegralError) as err:
-            log_potential(seq, [0.5, 1.5j], seq.positions[k])
-        assert err.value.zero == seq.positions[k]
+        b = complex(seq.positions[k])
+        calls = [lambda: log_potential(seq, [0.5, 1.5j], b),
+                 lambda: step_integral(seq, b, 0.5, 0.0, math.inf),
+                 lambda: step_integral(seq, b, b, 0.0, 7.0)]
+        if b.imag == 0.0:
+            calls.append(lambda: phi(seq, b.real, 0.5))
+        for call in calls:
+            with pytest.raises(DivergentIntegralError) as err:
+                call()
+            assert err.value.zero == b
 
     def test_pairwise_reduction_bit_for_bit(self):
         # the stated bounds rest on each point's row being summed pairwise:

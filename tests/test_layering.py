@@ -2,13 +2,17 @@
 
 A read of obj._name is allowed only on self or cls; dunders are exempt.
 What one module needs from another's object goes through a public method
-or attribute, so the terms a method relies on change in one place.
+or attribute, so the terms a method relies on change in one place.  The
+private names one module imports from another are pinned to a short list,
+so a new private dependency between modules shows in review.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "expozeros"
+# the private names a module may import from another
+SHARED_PRIVATE = {"_RealAxis", "_require_finite", "_center_logs"}
 
 
 def private_reads(path: Path) -> list[str]:
@@ -40,3 +44,26 @@ def test_a_reach_in_is_found(tmp_path):
                     "    a = self._re + axis.__dict__\n"
                     "    return axis._re[axis._im == 0.0]\n")
     assert private_reads(path) == ["reach.py:4", "reach.py:4"]
+
+
+def private_imports(path: Path) -> list[str]:
+    """module:name of every `from .module import _name` in path."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            hits += [f"{node.module}:{alias.name}" for alias in node.names
+                     if alias.name.startswith("_")]
+    return hits
+
+
+def test_private_imports_stay_on_the_list():
+    hits = sorted({hit for path in sorted(SRC.glob("*.py")) for hit in private_imports(path)})
+    assert hits == sorted(f"counting:{name}" for name in SHARED_PRIVATE)
+
+
+def test_a_private_import_is_found(tmp_path):
+    path = tmp_path / "imports.py"
+    path.write_text("from .counting import _split, exact_sum\n"
+                    "from . import counting\n"
+                    "from numpy import _core\n")
+    assert private_imports(path) == ["counting:_split"]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,37 @@ from expozeros import (
     evaluate_product,
     finite_difference_log_derivative,
     integer_lattice,
+    jensen_counting_side,
     jensen_identity_check,
     log_modulus_via_counting,
     tail_correction,
 )
 
 PAIR = ZeroSequence((Zero(1 + 0j), Zero(-1 + 0j)), truncation_radius=10.0)
+U = 2.0 ** -53
+
+
+def _scattered_sequence(seed: int, n: int = 300) -> ZeroSequence:
+    """n complex zeros with moduli from 0.05 to 40 (some inside the unit
+    disc) and multiplicities 1 to 3."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.05, 40.0, n) * np.exp(2j * np.pi * rng.random(n))
+    return ZeroSequence.from_arrays(pos, rng.integers(1, 4, n))
+
+
+def _oracle_sum(seq: ZeroSequence, z: complex, lp) -> tuple[float, float]:
+    """sum of m * (lp(|a - z|) - log|a|) at 30 digits, and the bound
+    70 u * sum of m * (1 + |L_p| + |L_b|) of log_potential's docstring with
+    L_p = lp(|a - z|) and L_b = log|a|."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z.real, z.imag)
+        total, weight = mpmath.mpf(0), mpmath.mpf(0)
+        for a, m in zip(seq.positions.tolist(), seq.multiplicities.tolist()):
+            a = mpmath.mpc(a.real, a.imag)
+            l_p, l_b = lp(abs(a - z)), mpmath.log(abs(a))
+            total += m * (l_p - l_b)
+            weight += m * (1 + abs(l_p) + abs(l_b))
+        return float(total), float(70 * U * weight)
 
 
 class TestLogComplex:
@@ -228,7 +254,7 @@ class TestExactZeros:
         pos = np.append(seq.positions, origin)
         with_origin = ZeroSequence.from_arrays(pos, np.append(seq.multiplicities, 1.0))
         z = complex(seq.positions[0])
-        for call in (evaluate_product, log_modulus_via_counting):
+        for call in (evaluate_product, log_modulus_via_counting, jensen_counting_side):
             with pytest.raises(ValueError, match="0 not in the zero set"):
                 call(with_origin, z)
 
@@ -243,6 +269,15 @@ class TestExactZeros:
 
 
 class TestDerivativeAtMultipleZero:
+    def test_mpmath_oracle(self):
+        # sum over a != z0 of m * log|1 - z0/a|, less l log|z0|: the terms of
+        # the l zeros at z0 are log 1 - log|z0| each
+        seq = _scattered_sequence(73)
+        for k in (0, 1, 5, 150, len(seq) - 1):
+            z0 = complex(seq.positions[k])
+            want, bound = _oracle_sum(seq, z0, lambda d: mpmath.log(d) if d else mpmath.mpf(0))
+            assert abs(derivative_at_multiple_zero(seq, z0) - want) <= bound
+
     def test_double_zero_exact(self):
         seq = ZeroSequence((Zero(1 + 0j, 2), Zero(-1 + 0j)))
         assert derivative_at_multiple_zero(seq, 1.0) == pytest.approx(math.log(2.0), abs=1e-15)
@@ -315,6 +350,16 @@ class TestCircleAverage:
 
 
 class TestJensen:
+    def test_counting_side_mpmath_oracle(self):
+        # sum of m * (log max(|a - z|, 1) - log|a|), off and on the zeros
+        seq = _scattered_sequence(71)
+        rng = np.random.default_rng(72)
+        points = np.concatenate([rng.uniform(-30.0, 30.0, 6) + 1j * rng.uniform(-30.0, 30.0, 6),
+                                 seq.positions[:3], seq.positions[-2:]])
+        for z in points.tolist():
+            want, bound = _oracle_sum(seq, z, lambda d: mpmath.log(max(d, 1)))
+            assert abs(jensen_counting_side(seq, z) - want) <= bound
+
     def test_simple_cases(self):
         assert jensen_identity_check(ZeroSequence((Zero(2 + 0j),)), 0.0, 4096) < 1e-6
         assert jensen_identity_check(ZeroSequence((Zero(0.5 + 0j),)), 0.0, 4096) < 1e-6
