@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,6 +33,7 @@ __all__ = [
     "angular_density",
     "step_integral",
     "log_potential",
+    "partial_log_potential",
     "exact_sum",
     "exact_parts",
 ]
@@ -414,12 +416,14 @@ def _doubled_logs(re, im, x, y, t_lo: float, t_hi: float, check: bool = True) ->
         r2 = np.multiply(dx, dx, out=dx)
         r2 += np.multiply(dy, dy, out=dy)
         hypot = None
-        if check:
+        # the least and greatest squares decide for every cell; only a
+        # block with one out of range builds the per-cell masks
+        if check and r2.size and not (r2.min() >= _R2_MIN and r2.max() < math.inf):
             bad = ~_in_square_range(r2)
-            if bad.any():
-                def cells(v):
-                    return np.broadcast_to(v, r2.shape)[bad]
-                hypot = np.hypot(cells(re) - cells(x), cells(im) - cells(y))
+
+            def cells(v):
+                return np.broadcast_to(v, r2.shape)[bad]
+            hypot = np.hypot(cells(re) - cells(x), cells(im) - cells(y))
     _log_clamp(r2, t_lo * t_lo, t_hi * t_hi)
     if hypot is not None:
         r2[bad] = 2.0 * _log_clamp(hypot, t_lo, t_hi)
@@ -449,12 +453,14 @@ def _clear_rows(re: np.ndarray, im: np.ndarray | None, x: np.ndarray,
 
 
 def _center_logs(seq: ZeroSequence, center: complex, t_lo: float,
-                 t_hi: float) -> np.ndarray:
-    """Per-zero log clamp|a - center| by the one term rule of log_potential's
-    kernel (_potential_sums): log |Re a - center| when every zero is real
-    (seq.all_real) and so is the center, else half of _doubled_logs.  A zero
-    at the center gets -inf when t_lo = 0."""
-    pos = seq.positions
+                 t_hi: float, part: slice = slice(None)) -> np.ndarray:
+    """Per-zero log clamp|a - center| of the zeros seq.positions[part] by the
+    one term rule of log_potential's kernel (_potential_sums): log
+    |Re a - center| when every zero of the sequence is real (seq.all_real)
+    and so is the center, else half of _doubled_logs.  A term depends on its
+    zero alone, so a part's terms are the whole sequence's, bit for bit.  A
+    zero at the center gets -inf when t_lo = 0."""
+    pos = seq.positions[part]
     if center.imag == 0.0 and seq.all_real:
         return _log_clamp(np.abs(pos.real - center.real), t_lo, t_hi)
     logs = _doubled_logs(pos.real, pos.imag, center.real, center.imag, t_lo, t_hi)
@@ -462,15 +468,30 @@ def _center_logs(seq: ZeroSequence, center: complex, t_lo: float,
     return logs
 
 
+# log|a| of every zero, the base logs of b = 0 over [0, inf) that each
+# log_modulus_via_counting call and each circle average needs: made once a
+# sequence (immutable, keyed by identity), read-only, and dropped with it.
+_ORIGIN_LOGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _base_logs(seq: ZeroSequence, b: complex, t_lo: float, t_hi: float) -> np.ndarray:
     """_center_logs of the base point b, which may not sit on a zero: from
-    t = 0 that integral diverges (DivergentIntegralError, naming the zero)."""
+    t = 0 that integral diverges (DivergentIntegralError, naming the zero).
+    The logs of b = 0 over [0, inf) come from _ORIGIN_LOGS; callers must not
+    write to the array returned."""
+    origin = b == 0 and t_lo == 0.0 and t_hi == math.inf
+    logs = _ORIGIN_LOGS.get(seq) if origin else None
+    if logs is not None:
+        return logs
     logs = _center_logs(seq, b, t_lo, t_hi)
     hit = np.flatnonzero(logs == -math.inf) if t_lo == 0.0 else ()
     if len(hit):
         z = complex(seq.positions[hit[0]])
         raise DivergentIntegralError(
             f"integral from t = 0 diverges: base point b = {b} is the zero at {z}", zero=z)
+    if origin:
+        logs.flags.writeable = False
+        _ORIGIN_LOGS[seq] = logs
     return logs
 
 
@@ -598,6 +619,24 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
                            None if seq.all_simple else seq.multiplicities, log_b,
                            flat, t_lo, t_hi, threads)
     return sums.reshape(pts.shape)
+
+
+def partial_log_potential(seq: ZeroSequence, points: np.ndarray,
+                          zeros: np.ndarray) -> np.ndarray:
+    """log_potential(seq, points, 0.0) over the zeros that the boolean mask
+    zeros selects: at each point p of the 1-D array points, the pairwise row
+    sum of m (log|a - p| - log|a|) over those zeros alone.  Each term is
+    log_potential's for the same zero and point, by the rule of the whole
+    sequence, so log_potential's bound holds with the sum taken over the
+    selected zeros.  A row with no zero is 0."""
+    pts = np.asarray(points)
+    _require_finite(points=pts)
+    log_b = _base_logs(seq, 0j, 0.0, math.inf)[zeros]
+    pos = seq.positions[zeros]
+    return _potential_sums(np.ascontiguousarray(pos.real),
+                           None if seq.all_real else np.ascontiguousarray(pos.imag),
+                           None if seq.all_simple else seq.multiplicities[zeros], log_b,
+                           pts, 0.0, math.inf, 1)
 
 
 def _potential_sums(re: np.ndarray, im: np.ndarray | None, mult: np.ndarray | None,

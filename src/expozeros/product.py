@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import _center_logs, _require_finite, exact_sum, log_potential, step_integral
+from .counting import (_center_logs, _require_finite, exact_sum, partial_log_potential,
+                       step_integral)
 from .zero_model import ZeroSequence
 
 __all__ = [
@@ -46,6 +47,11 @@ _PRODUCT_BLOCK = 1 << 15
 # computed |1 - z/a| is below 3u; a block whose least |1 - z/a| exceeds this
 # bound holds no zero equal to z.
 _NEAR_ONE = 2.0 ** -50
+# circle_average sums a zero at least _FAR_RADII radii from the centre at
+# _FAR_NODES nodes of its circle: aliasing below 8.5e-22 a unit of
+# multiplicity (see there).
+_FAR_NODES = 64
+_FAR_RADII = 2.0
 
 
 def wrap_angle(theta: float) -> float:
@@ -96,6 +102,26 @@ class ProductEvaluation:
     min_factor_log_magnitude: float = math.inf
 
 
+def _modulus_run(seq: ZeroSequence, lo: float, hi: float) -> slice:
+    """The zeros with lo <= |a| < hi: positions are sorted by |a|
+    (np.hypot = Python's abs), so they are a run, found by bisection."""
+    def key(i):
+        return abs(complex(seq.positions[i]))
+    return slice(bisect.bisect_left(range(len(seq)), lo, key=key),
+                 bisect.bisect_left(range(len(seq)), hi, key=key))
+
+
+def _unit_disc_run(seq: ZeroSequence, c: complex) -> slice:
+    """A run of zeros holding every zero whose term log min(|a - c|, 1)
+    (_center_logs over [0, 1]) is not 0.  That term's rounded distance is
+    below 1 only if |a - c| < 1 + 3u, so ||a| - |c|| < 1 + 3u, and |a| and
+    |c| (np.hypot) are each within u of their moduli: the margin
+    2**-40 (2 + |c|) covers both."""
+    mod = abs(c)
+    reach = 1.0 + 2.0 ** -40 * (2.0 + mod)
+    return _modulus_run(seq, mod - reach, mod + reach)
+
+
 def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> ProductEvaluation:
     """Product of (1 - z/a)^multiplicity over |a| < R, in log space.
 
@@ -125,9 +151,7 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
         raise ValueError(f"evaluation radius must be positive, got {R}")
     if R0 > 0 and R > R0:
         raise ValueError(f"evaluation radius {R} exceeds completeness radius {R0}")
-    # positions are sorted by |a| (np.hypot = Python's abs), so the zeros
-    # inside R are a prefix
-    n = bisect.bisect_left(range(len(seq)), R, key=lambda i: abs(complex(seq.positions[i])))
+    n = _modulus_run(seq, 0.0, R).stop
     pos = seq.positions[:n]
     mult = seq.multiplicities[:n]
     count = int(mult.sum())
@@ -186,10 +210,13 @@ def jensen_counting_side(seq: ZeroSequence, z: complex) -> float:
     step integral of [n(0,t) - n(z,t)]/t over [1, inf) plus the integral of
     n(0,t)/t over (0,1], which is the sum of m * -log min(|a|, 1).  Both
     take their logs by the counting kernel's term rule (_center_logs), so
-    the total is sum of m * (log max(|a - z|, 1) - log|a|)."""
+    the total is sum of m * (log max(|a - z|, 1) - log|a|).  The unit-disc
+    sum runs over the prefix of zeros _unit_disc_run keeps; every other
+    term is 0."""
     if not seq.origin_excluded:
         raise ValueError("Jensen's counting side requires 0 not in the zero set")
-    unit_disc = exact_sum(seq.multiplicities * -_center_logs(seq, 0j, 0.0, 1.0))
+    disc = _unit_disc_run(seq, 0j)
+    unit_disc = exact_sum(seq.multiplicities[disc] * -_center_logs(seq, 0j, 0.0, 1.0, disc))
     return step_integral(seq, 0.0, complex(z), 1.0, math.inf) + unit_disc
 
 
@@ -199,26 +226,47 @@ def derivative_at_multiple_zero(seq: ZeroSequence, z0: complex) -> float:
     Two exact event-wise integrals: [n(0,t) - n(z0,t)]/t over [1, inf) plus
     [n(0,t) - n(z0,t) + l]/t over (0, 1]; the l zeros sitting at z0 cancel
     the +l term so the second integrand vanishes near t = 0.  Its logs are
-    the counting kernel's (_center_logs), less the l zeros at z0, whose terms
-    are -inf.  Total: sum over a != z0 of m log|1 - z0/a|, less l log|z0|.
+    the counting kernel's (_center_logs) over the run of zeros that
+    _unit_disc_run keeps about z0 (every other term is 0), less the l zeros
+    at z0, whose terms are -inf.  Total: sum over a != z0 of
+    m log|1 - z0/a|, less l log|z0|.
     """
     z0 = complex(z0)
     if not seq.origin_excluded:
         raise ValueError("derivative formula requires 0 not in the zero set")
-    others = seq.positions != z0
+    disc = _unit_disc_run(seq, z0)   # z0 lies in it when it is a zero
+    others = seq.positions[disc] != z0
     if others.all():
         raise ValueError(f"z0 = {z0} is not a zero position of the sequence")
-    lower_center = seq.multiplicities[others] * _center_logs(seq, z0, 0.0, 1.0)[others]
+    logs = _center_logs(seq, z0, 0.0, 1.0, disc)
+    lower_center = seq.multiplicities[disc][others] * logs[others]
     return jensen_counting_side(seq, z0) + exact_sum(lower_center)
 
 
 def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 4096) -> float:
     """Trapezoidal average of log|product| over the circle |w - z| = radius.
 
-    The node count is rounded up to a power of two; for a periodic integrand
-    the trapezoid rule is the plain node average.  If some node lands within
-    1e-9 of a zero all nodes are rotated by half a step (the log singularity
-    is integrable; rotation keeps the rule stable).
+    The node count n is rounded up to a power of two; for a periodic
+    integrand the trapezoid rule is the plain node average.  If some node
+    lands within 1e-9 of a zero all nodes are rotated by half a step (the
+    log singularity is integrable; rotation keeps the rule stable).
+
+    Two rates.  A zero at D = |a - z| < 2 radius (np.hypot) is summed at
+    all n nodes.  A zero with D >= 2 radius is summed at every
+    (n / 64)-th node of the same set, rotation included (at all nodes when
+    n <= 64).  Every term is still log|w - a| - log|a| at a node w on the
+    circle, by log_potential's term rule (partial_log_potential), so the
+    average shares no shortcut with jensen_counting_side.  It is the
+    exact_sum of the near zeros' node rows / n and the far zeros' node rows
+    / 64 (/ n when n <= 64).
+
+    Aliasing.  With rho = radius / D, log|w - a| = log D - sum over k >= 1
+    of rho**k cos(k (t - arg(a - z))) / k, and M equispaced nodes average
+    every mode but those with M | k to 0, so the M-node average of one zero
+    of multiplicity m differs from its circle mean by at most
+    m rho**M / (M (1 - rho**M)).  For a far zero (rho <= 1/2) at M = 64
+    that is below 8.5e-22 m, under the rounding of any term; the n-node
+    sum of the same zero meets the same bound with M = n.
     """
     z = complex(z)
     radius = float(radius)
@@ -232,11 +280,13 @@ def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 40
     n = 1 << (nodes - 1).bit_length()
     step = 2.0 * math.pi / n
     offset = 0.0
-    near = seq.positions[np.abs(np.abs(seq.positions - z) - radius) <= 1e-9 + radius * 1e-12]
+    rel = seq.positions - z
+    dist = np.hypot(rel.real, rel.imag)
+    on_circle = seq.positions[np.abs(dist - radius) <= 1e-9 + radius * 1e-12]
     shift = step / 2.0
     for _ in range(50):
         collision = False
-        for p in near:
+        for p in on_circle:
             angle = cmath.phase(p - z)
             k = round((angle - offset) / step)
             node = z + radius * cmath.exp(1j * (offset + k * step))
@@ -249,7 +299,12 @@ def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 40
         shift /= 2.0
     theta = offset + step * np.arange(n)
     points = z + radius * np.exp(1j * theta)
-    return exact_sum(log_potential(seq, points, 0.0)) / n
+    far = dist >= _FAR_RADII * radius
+    stride = max(n // _FAR_NODES, 1)
+    return exact_sum(np.concatenate([
+        partial_log_potential(seq, points, ~far) / n,
+        partial_log_potential(seq, points[::stride], far) / (n // stride),
+    ]))
 
 
 def jensen_identity_check(seq: ZeroSequence, z: complex, nodes: int = 65536) -> float:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -13,6 +14,7 @@ from conftest import (
     random_sequence,
 )
 from expozeros import product
+from expozeros.counting import exact_sum, log_potential, partial_log_potential
 from expozeros import (
     LogComplex,
     Zero,
@@ -349,6 +351,50 @@ class TestCircleAverage:
             assert avg == pytest.approx(center, rel=1e-9, abs=1e-9)
 
 
+    @pytest.mark.parametrize("nodes, far_nodes", [(4096, 64), (64, 64), (32, 32)])
+    def test_far_rate_starts_at_two_radii(self, monkeypatch, nodes, far_nodes):
+        z, r = 0.3 + 0.2j, 1.5
+        inside = z + 2.0 * r * (1.0 - 2.0 ** -20) * cmath.exp(0.7j)
+        outside = z + 2.0 * r * (1.0 + 2.0 ** -20) * cmath.exp(-2.1j)
+        seq = ZeroSequence((Zero(inside), Zero(outside)))
+        calls = []
+
+        def spy(seq, points, zeros):
+            calls.append((points.size, seq.positions[zeros].tolist()))
+            return partial_log_potential(seq, points, zeros)
+
+        monkeypatch.setattr(product, "partial_log_potential", spy)
+        circle_average(seq, z, r, nodes)
+        assert calls == [(nodes, [inside]), (far_nodes, [outside])]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), real=st.booleans(),
+           nodes=st.sampled_from([128, 512, 2048]))
+    def test_two_rates_match_the_dense_average(self, seed, real, nodes):
+        # within the aliasing bound of circle_average's docstring plus
+        # log_potential's rounding bound for each of the two sums
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 60))
+        pos = rng.uniform(-30.0, 30.0, k) + (0.0 if real else 1j * rng.uniform(-30.0, 30.0, k))
+        seq = ZeroSequence.from_arrays(pos, rng.integers(1, 4, k))
+        z = complex(rng.uniform(-8.0, 8.0), 0.0 if real else rng.uniform(-8.0, 8.0))
+        r = float(rng.uniform(0.2, 6.0))
+        points = z + r * np.exp(1j * (0.0 + 2.0 * np.pi / nodes * np.arange(nodes)))
+        dense = exact_sum(log_potential(seq, points, 0.0)) / nodes
+        got = circle_average(seq, z, r, nodes)
+
+        a, m = seq.positions, seq.multiplicities
+        dist = np.hypot((a - z).real, (a - z).imag)
+        far = dist >= 2.0 * r
+        rho = r / dist[far]
+        alias = float(np.sum(m[far] * (rho ** 64 / (64 * (1 - rho ** 64))
+                                       + rho ** nodes / (nodes * (1 - rho ** nodes)))))
+        cells = m * (1.0 + np.abs(np.log(np.abs(points[:, None] - a))) + np.abs(np.log(np.abs(a))))
+        weight = (2.0 * cells[:, ~far].sum(axis=1).mean() + cells[:, far].sum(axis=1).mean()
+                  + cells[:: nodes // 64, far].sum(axis=1).mean())
+        assert abs(got - dense) <= alias + 70 * U * weight + 4 * U * abs(dense)
+
+
 class TestJensen:
     def test_counting_side_mpmath_oracle(self):
         # sum of m * (log max(|a - z|, 1) - log|a|), off and on the zeros
@@ -375,6 +421,12 @@ class TestJensen:
         r64 = jensen_identity_check(seq, z, 64)
         r128 = jensen_identity_check(seq, z, 128)
         assert r64 > 4.0 * r128 > 0.0
+
+    def test_lattice_at_the_bench_centres(self):
+        # the product_eval centres of seed 9001, at its 4096 nodes
+        seq = integer_lattice(1e4)
+        for z in (4.575647061196385 + 2.5030990098933668j, 3.9856589009128367 + 1.9907561129216815j):
+            assert jensen_identity_check(seq, z, 4096) < 1e-12
 
     def test_fifty_zeros_near_circle(self):
         # zeros in |a| < 20 kept 0.05 away from the test circle about 3 + i
