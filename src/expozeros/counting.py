@@ -471,14 +471,15 @@ def _center_logs(seq: ZeroSequence, center: complex, t_lo: float,
 # log|a| of every zero, the base logs of b = 0 over [0, inf) that each
 # log_modulus_via_counting call and each circle average needs: made once a
 # sequence (immutable, keyed by identity), read-only, and dropped with it.
+# An entry depends on its sequence alone, so callers and threads that share
+# it, or race to fill it, get the same values.
 _ORIGIN_LOGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _base_logs(seq: ZeroSequence, b: complex, t_lo: float, t_hi: float) -> np.ndarray:
     """_center_logs of the base point b, which may not sit on a zero: from
     t = 0 that integral diverges (DivergentIntegralError, naming the zero).
-    The logs of b = 0 over [0, inf) come from _ORIGIN_LOGS; callers must not
-    write to the array returned."""
+    The logs of b = 0 over [0, inf) are _ORIGIN_LOGS' read-only array."""
     origin = b == 0 and t_lo == 0.0 and t_hi == math.inf
     logs = _ORIGIN_LOGS.get(seq) if origin else None
     if logs is not None:

@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 from unittest import mock
 
 import mpmath
@@ -334,6 +338,44 @@ class TestStepIntegral:
         # + 0.0 folds -0.0 into 0.0: at b = x both calls give 0.0, so the sign
         # of a zero value cannot be antisymmetric
         assert np.float64(forward + 0.0).tobytes() == np.float64(-backward + 0.0).tobytes()
+
+    def test_origin_logs_made_once_read_only_and_dropped(self):
+        seq = random_sequence(np.random.default_rng(6), n_max=30)
+        cold = step_integral(seq, 0.0, 2 + 1j, 0.0, math.inf)
+        logs = counting._base_logs(seq, 0j, 0.0, math.inf)
+        assert counting._base_logs(seq, 0j, 0.0, math.inf) is logs
+        assert not logs.flags.writeable
+        assert step_integral(seq, 0.0, 2 + 1j, 0.0, math.inf) == cold
+        ref = weakref.ref(seq)
+        del seq, logs
+        gc.collect()
+        assert ref() is None
+
+    def test_origin_logs_shared_across_threads(self):
+        # threads racing to fill the cache for the same sequences get the
+        # values of a cold single-threaded run
+        rng = np.random.default_rng(8)
+        seqs = [random_sequence(rng, n_max=400, r_min=0.5) for _ in range(6)]
+        points = [complex(*rng.uniform(-20.0, 20.0, 2)) for _ in range(4)]
+        want = [[step_integral(ZeroSequence.from_arrays(s.positions, s.multiplicities),
+                               0.0, z, 0.0, math.inf) for z in points] for s in seqs]
+        got = [None] * 8
+
+        def work(k):
+            got[k] = [[step_integral(s, 0.0, z, 0.0, math.inf) for z in points] for s in seqs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert got == [want] * 8
 
     def test_same_centers_exact_zero(self):
         rng = np.random.default_rng(5)

@@ -14,7 +14,8 @@ from conftest import (
     random_sequence,
 )
 from expozeros import product
-from expozeros.counting import exact_sum, log_potential, partial_log_potential
+from expozeros.counting import (_center_logs, exact_sum, log_potential, partial_log_potential,
+                                step_integral)
 from expozeros import (
     LogComplex,
     Zero,
@@ -268,6 +269,44 @@ class TestExactZeros:
         pe = evaluate_product(ZeroSequence((Zero(3 + 0j),)), z)
         assert pe.value.log_magnitude == pytest.approx(math.log((z - 3.0) / 3.0), rel=1e-15)
         assert pe.min_factor_log_magnitude == pe.value.log_magnitude
+
+
+class TestUnitDiscRuns:
+    """jensen_counting_side and derivative_at_multiple_zero sum their
+    log min(|a - c|, 1) terms over a run of zeros found by modulus; the sum
+    over every zero, whose other terms are 0, is the reference."""
+
+    @staticmethod
+    def _rim_sequence(seed: int, centre: complex) -> ZeroSequence:
+        # zeros on the unit circle about centre, where np.hypot of a - centre
+        # often reads >= 1 while the term rule's square reads < 1, among
+        # zeros spread from 0.5 to 40
+        rng = np.random.default_rng(seed)
+        rim = centre + np.exp(2j * np.pi * rng.random(60))
+        spread = rng.uniform(0.5, 40.0, 200) * np.exp(2j * np.pi * rng.random(200))
+        pos = np.concatenate([rim, spread])
+        return ZeroSequence.from_arrays(pos, rng.integers(1, 4, pos.size))
+
+    def test_unit_disc_sum_keeps_its_bits(self):
+        for seed in range(5):
+            seq = self._rim_sequence(seed, 0j)
+            full = exact_sum(seq.multiplicities * -_center_logs(seq, 0j, 0.0, 1.0))
+            for z in (3.5 + 2j, -17.0 + 0.25j, complex(seq.positions[7])):
+                want = step_integral(seq, 0.0, z, 1.0, math.inf) + full
+                assert np.float64(jensen_counting_side(seq, z)).tobytes() == np.float64(want).tobytes()
+
+    def test_lower_centre_sum_keeps_its_bits(self):
+        for seed in range(5):
+            z0 = complex(12.0 + seed, -3.0)
+            rim = self._rim_sequence(seed, z0)
+            seq = ZeroSequence.from_arrays(np.append(rim.positions, z0),
+                                           np.append(rim.multiplicities, 2.0))
+            others = seq.positions != z0
+            full = exact_sum(seq.multiplicities[others]
+                             * _center_logs(seq, z0, 0.0, 1.0)[others])
+            want = jensen_counting_side(seq, z0) + full
+            got = derivative_at_multiple_zero(seq, z0)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestDerivativeAtMultipleZero:
