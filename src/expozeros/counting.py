@@ -414,7 +414,7 @@ def _doubled_logs(re, im, x, y, t_lo: float, t_hi: float, check: bool = True) ->
         if not all(_in_square_range(t * t) for t in (t_lo, t_hi) if 0.0 < t < math.inf):
             return 2.0 * _log_clamp(np.hypot(dx, dy), t_lo, t_hi)
         r2 = np.multiply(dx, dx, out=dx)
-        r2 += np.multiply(dy, dy, out=dy)
+        r2 += dy * dy if np.ndim(dy) == 0 else np.multiply(dy, dy, out=dy)
         hypot = None
         # the least and greatest squares decide for every cell; only a
         # block with one out of range builds the per-cell masks
@@ -461,9 +461,13 @@ def _center_logs(seq: ZeroSequence, center: complex, t_lo: float,
     zero alone, so a part's terms are the whole sequence's, bit for bit.  A
     zero at the center gets -inf when t_lo = 0."""
     pos = seq.positions[part]
-    if center.imag == 0.0 and seq.all_real:
-        return _log_clamp(np.abs(pos.real - center.real), t_lo, t_hi)
-    logs = _doubled_logs(pos.real, pos.imag, center.real, center.imag, t_lo, t_hi)
+    if seq.all_real:
+        if center.imag == 0.0:
+            return _log_clamp(np.abs(pos.real - center.real), t_lo, t_hi)
+        im = 0.0   # as in _potential_sums: Im a is +-0, so dy = -center.imag
+    else:
+        im = pos.imag
+    logs = _doubled_logs(pos.real, im, center.real, center.imag, t_lo, t_hi)
     logs *= 0.5
     return logs
 
@@ -479,7 +483,13 @@ _ORIGIN_LOGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _base_logs(seq: ZeroSequence, b: complex, t_lo: float, t_hi: float) -> np.ndarray:
     """_center_logs of the base point b, which may not sit on a zero: from
     t = 0 that integral diverges (DivergentIntegralError, naming the zero).
-    The logs of b = 0 over [0, inf) are _ORIGIN_LOGS' read-only array."""
+    The logs of b = 0 over [0, inf) are _ORIGIN_LOGS' read-only array, and
+    over [1, inf) (Jensen's counting side) their maximum with 0, the same
+    bits: a clamped distance below 1 has log 1 = 0 and a log below 0, and
+    every other distance keeps its log.  That needs no zero at the origin,
+    whose [0, inf) log diverges."""
+    if b == 0 and t_lo == 1.0 and t_hi == math.inf and seq.origin_excluded:
+        return np.maximum(_base_logs(seq, b, 0.0, t_hi), 0.0)
     origin = b == 0 and t_lo == 0.0 and t_hi == math.inf
     logs = _ORIGIN_LOGS.get(seq) if origin else None
     if logs is not None:

@@ -1,10 +1,15 @@
 """Canonical products accumulated in log space, and their counting-side identities.
 
 A product over millions of factors (1 - z/a) over/underflows long before it
-finishes, so values are carried as (log-magnitude, argument).  Log-magnitudes
-and raw argument radians are totalled by counting's exact_sum: correctly
-rounded, with the same bits as fsum, in a few numpy passes a split level;
-arguments are normalized to (-pi, pi] once at the end.  Factors that are exactly real contribute their pi's through an
+finishes, so values are carried as (log-magnitude, argument).  A factor's
+log-modulus is 1/2 log1p(si**2 + sr (sr - 2)) in real arithmetic on
+s = z/a, unbiased for the many factors near 1; a factor with
+|1 - z/a|**2 < 1/2 or an overflowing square takes log|1 - z/a| by a guard
+that also finds exact zeros; evaluate_product states the error bound.
+Log-magnitudes and raw argument radians are totalled by counting's
+exact_sum: correctly rounded, with the same bits as fsum, in a few numpy
+passes a split level; arguments are normalized to (-pi, pi] once at the
+end.  Factors that are exactly real contribute their pi's through an
 integer counter, so conjugate-symmetric sequences evaluated at real points
 come out with argument exactly 0 or pi.
 """
@@ -44,8 +49,9 @@ TAIL_TRUNCATED = "truncated"
 _PRODUCT_BLOCK = 1 << 15
 # At z = a, numpy's complex division gives z / a within 2u + u**2 of 1 in
 # its real part and 2u (1 + 2u) in its imaginary part (u = 2**-53), so the
-# computed |1 - z/a| is below 3u; a block whose least |1 - z/a| exceeds this
-# bound holds no zero equal to z.
+# computed |1 - z/a| is below 3u (and q = |1 - z/a|**2 - 1 is near -1, so
+# the cell is the guard's); a zero equal to z lies among the guard's cells
+# whose |1 - z/a| is at most this bound.
 _NEAR_ONE = 2.0 ** -50
 # circle_average sums a zero at least _FAR_RADII radii from the centre at
 # _FAR_NODES nodes of its circle: aliasing below 8.5e-22 a unit of
@@ -133,11 +139,34 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     Per-zero log and argument terms are filled in blocks of _PRODUCT_BLOCK
     zeros, which bound the temporaries, and each array is totalled by one
     exact_sum: the correctly rounded sum of all its terms (the bits fsum
-    gives over them), so the value does not depend on the block size.  A
-    factor is 1 - z/a, except where |1 - z/a| <= _NEAR_ONE: there z is
-    compared with the block's zeros for an exact zero, and a factor of z
-    within a few ulps of its zero is (a - z)/a, whose rounded difference
-    is nonzero for z != a where 1 - z/a may round to 0.
+    gives over them), so the value does not depend on the block size.
+
+    Terms, in real arithmetic on s = z/a.  For a real sequence (all_real)
+    sr = zr * fl(1 / Re a) and si = zi * fl(1 / Re a), the parts numpy's
+    complex z / a gives for a real a; otherwise the parts of that complex
+    quotient.  The log term is L = 1/2 log1p(q), q = si**2 + sr (sr - 2)
+    = |1 - s|**2 - 1, where every cell of the block has -1/2 <= q < inf
+    (one least and one greatest q decide).  A block with a cell outside
+    takes that cell by the guard: w = 1 - z/a, and where |w| <= _NEAR_ONE,
+    z is compared with those zeros for an exact zero, and w = (a - z)/a,
+    whose rounded difference is nonzero for z != a where 1 - z/a may round
+    to 0; then L = log|w|.  The argument term is arctan2(-si, 1 - sr), or
+    arctan2(Im w, Re w) in a guard cell: the bits of 1 - z/a's argument.
+    min_factor_log_magnitude is the least L.
+
+    Error bound, to first order in u = 2**-53.  The rounded quotient is
+    within c u |s| of s, with c = 2 for a real sequence (two roundings a
+    part) and c = 10 otherwise (Smith's division, as numpy does it).  The
+    computed q is within u (2 si**2 + 3 |sr| |sr - 2|) of |1 - s'|**2 - 1
+    for the rounded s', log1p is within one ulp (2u |L|), and 1 + q >= 1/2
+    makes |1 - s| >= 1/sqrt 2, so a log1p term is within
+
+        E = u (8 (si**2 + |sr| |sr - 2|) + 2 |L| + 2c |s|)
+
+    of log|1 - z/a|.  A guard cell is within u (c |s| / |1 - s| + 3 + 2 |L|)
+    by 1 - z/a, and within u (c + 3 + 2 |L|) by (a - z)/a.  The value is
+    within the sum of m (E + u |L|) over the zeros (u |L| for the product
+    by m, none when every m is 1), plus u |value| for exact_sum's rounding.
     """
     _require_finite(z=z)
     z = complex(z)
@@ -161,39 +190,63 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
         return ProductEvaluation(LogComplex(0.0, 0.0), R, 0, flag)
     logs = np.empty(n)
     args = np.empty(n)
+    if seq.all_real:   # the quotient's parts, reused by every block
+        buf_r, buf_i = np.empty((2, min(n, _PRODUCT_BLOCK)))
     pi_count = 0
-    min_abs = math.inf
+    least = math.inf
     for start in range(0, n, _PRODUCT_BLOCK):
         block = slice(start, start + _PRODUCT_BLOCK)
         p = pos[block]
-        w = 1.0 - z / p
-        absw = np.abs(w)
-        if not absw.min() > _NEAR_ONE:   # z near a zero of this block, or a nan factor
-            if np.any(p == z):
-                return ProductEvaluation(LogComplex(-math.inf, 0.0), R, count, flag, -math.inf)
-            near = absw <= _NEAR_ONE
-            w[near] = (p[near] - z) / p[near]
-            absw[near] = np.abs(w[near])
-        min_abs = min(min_abs, float(absw.min()))
+        k = p.size
+        # log_terms holds q until log1p replaces it; arg_terms is scratch
+        # until arctan2 fills it
         log_terms, arg_terms = logs[block], args[block]
-        with np.errstate(divide="ignore"):
-            np.log(absw, out=log_terms)
-        np.arctan2(w.imag, w.real, out=arg_terms)
-        is_real = w.imag == 0.0
-        arg_terms[is_real] = 0.0  # a real factor's pi goes to pi_count
+        with np.errstate(over="ignore"):   # an overflowing q is the guard's
+            if seq.all_real:
+                inv = np.divide(1.0, p.real, out=arg_terms)
+                sr = np.multiply(inv, z.real, out=buf_r[:k])
+                si = np.multiply(inv, z.imag, out=buf_i[:k])
+            else:
+                s = z / p
+                sr, si = s.real, s.imag
+            q = np.subtract(sr, 2.0, out=log_terms)
+            q *= sr
+            q += np.multiply(si, si, out=arg_terms)
+        # the guard's cells, found before log1p overwrites q
+        in_range = q.min() >= -0.5 and q.max() < math.inf
+        guard = None if in_range else ~((q >= -0.5) & (q < math.inf))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log1p(q, out=log_terms)
+        log_terms *= 0.5
+        wr = np.subtract(1.0, sr, out=sr)
+        wi = np.negative(si, out=si)
+        if guard is not None:
+            a = p[guard]
+            w = 1.0 - z / a
+            absw = np.abs(w)
+            near = absw <= _NEAR_ONE
+            if near.any():
+                if np.any(a[near] == z):
+                    return ProductEvaluation(LogComplex(-math.inf, 0.0), R, count, flag, -math.inf)
+                w[near] = (a[near] - z) / a[near]
+                absw[near] = np.abs(w[near])
+            with np.errstate(divide="ignore"):
+                log_terms[guard] = np.log(absw)
+            wr[guard] = w.real
+            wi[guard] = w.imag
+        least = min(least, float(log_terms.min()))
+        np.arctan2(wi, wr, out=arg_terms)
         m = mult[block]
-        pi_count += int(m[is_real & (w.real < 0.0)].sum())
+        is_real = wi == 0.0
+        if is_real.any():
+            arg_terms[is_real] = 0.0  # a real factor's pi goes to pi_count
+            pi_count += int(m[is_real & (wr < 0.0)].sum())
         if not seq.all_simple:   # multiplying by 1 changes no value
             log_terms *= m
             arg_terms *= m
     theta = exact_sum(args) + (pi_count & 1) * math.pi
     return ProductEvaluation(
-        LogComplex(exact_sum(logs), wrap_angle(theta)),
-        R,
-        count,
-        flag,
-        float(np.log(min_abs)) if min_abs > 0 else -math.inf,
-    )
+        LogComplex(exact_sum(logs), wrap_angle(theta)), R, count, flag, least)
 
 
 def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:

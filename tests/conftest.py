@@ -3,6 +3,7 @@ brute-force oracles the closed forms are checked against."""
 
 import math
 
+import mpmath
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -161,3 +162,12 @@ def slope_scale(seq, xs, t_lo):
     """sum of m / max(|x - a|, t_lo) at every x of xs, the scale of the
     slope kernel's stated error bound."""
     return (seq.multiplicities / np.maximum(np.abs(seq.positions - xs[:, None]), t_lo)).sum(axis=1)
+
+
+def lattice_log_abs(K, x):
+    """log of prod_{k=1..K} |k - x| |k + x| at 30 digits, in closed form:
+    log |Gamma(K+1-x) Gamma(K+1+x) / (Gamma(1-x) Gamma(1+x))|, for real or
+    complex x (the real part of any branch of log Gamma is log |Gamma|)."""
+    x = mpmath.mpmathify(x)
+    lg = mpmath.loggamma
+    return mpmath.re(lg(K + 1 - x) + lg(K + 1 + x) - lg(1 - x) - lg(1 + x))

@@ -15,6 +15,7 @@ from conftest import (
     axis_sequences,
     clustered_sequences,
     draw_point,
+    lattice_log_abs,
     outer_zero_above_hypot,
     random_conjugate_sequence,
     random_sequence,
@@ -506,15 +507,6 @@ def _assert_scalar_matches(seq, b, p, t_lo, t_hi, got):
         assert abs(got - scalar) <= _reduction_bound(seq, p, b, scalar, t_lo, t_hi)
 
 
-def _lattice_log_abs(K, x):
-    """log of prod_{k=1..K} |k - x| |k + x| at 30 digits, in closed form:
-    log |Gamma(K+1-x) Gamma(K+1+x) / (Gamma(1-x) Gamma(1+x))|, for real or
-    complex x (the real part of any branch of log Gamma is log |Gamma|)."""
-    x = mpmath.mpmathify(x)
-    lg = mpmath.loggamma
-    return mpmath.re(lg(K + 1 - x) + lg(K + 1 + x) - lg(1 - x) - lg(1 + x))
-
-
 def _numpy_pairwise(terms: list, lo: int = 0, n: int | None = None) -> float:
     """numpy's pairwise sum of terms[lo:lo + n] along a contiguous axis:
     fewer than 8 terms one by one from 0.0; up to 128 in 8 accumulators,
@@ -652,6 +644,81 @@ def midpoint_arrays(draw):
     offset = 0.0 if k is None else math.ldexp(half_gap, -k) * float(rng.choice((-1.0, 1.0)))
     terms = np.ldexp(rng.uniform(-1.0, 1.0, n), e0 + rng.integers(-60, 11, n))
     return rng.permutation(np.concatenate([terms, _exact_negation(terms), [r0, half_gap, offset]]))
+
+
+def _real_with_signed_zero_parts(seed: int) -> ZeroSequence:
+    """Real zeros with +0.0 and -0.0 imaginary parts, among them zeros
+    whose squares overflow (|a| 1e200) and ones at 1 and near it."""
+    rng = np.random.default_rng(seed)
+    re = np.concatenate([rng.uniform(-50.0, 50.0, 200) * 10.0 ** rng.integers(-2, 2, 200),
+                         [1e200, -3e180, 2.5, -7.0, 1.0, math.nextafter(1.0, 0.0), -1.0]])
+    im = rng.choice((0.0, -0.0), re.size)
+    pos = np.column_stack([re, im]).view(np.complex128)[:, 0]
+    seq = ZeroSequence.from_arrays(pos, rng.integers(1, 3, re.size))
+    signs = np.signbit(seq.positions.imag)
+    assert seq.all_real and signs.any() and not signs.all()
+    return seq
+
+
+class TestCenterLogs:
+    """The counting kernel's per-zero term rule, taken once a sequence."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_real_sequence_off_the_axis_keeps_the_per_cell_bits(self, seed):
+        # a real sequence squares -Im c once for every zero; the per-cell
+        # form squares Im a - Im c cell by cell, Im a = +0.0 or -0.0.  The
+        # centres put cells outside the square range: dy**2 underflows on
+        # the zero at 2.5 and overflows for every zero, t_lo**2 underflows
+        seq = _real_with_signed_zero_parts(seed)
+        pos = seq.positions
+        for c in (2.5 + 1e-200j, -7.0 - 3e-170j, 0.3 + 2e170j, 3.1 + 0.7j, -4.0 - 1e-3j):
+            for t_lo, t_hi in ((0.0, math.inf), (1.0, math.inf), (0.0, 1.0), (0.5, 40.0),
+                               (1e-200, math.inf)):
+                got = counting._center_logs(seq, c, t_lo, t_hi)
+                cells = 0.5 * counting._doubled_logs(pos.real, pos.imag, c.real, c.imag,
+                                                     t_lo, t_hi)
+                assert got.tobytes() == cells.tobytes()
+
+    def test_jensen_base_logs_from_the_origin_logs(self):
+        # b = 0 over [1, inf): the cached log|a| raised to 0 has the bits of
+        # the term rule's log max(|a|, 1), on and off the axis, guard cells
+        # (squares out of range) included
+        rng = np.random.default_rng(37)
+        odd = np.array([1e-200, 3e-170j, 1e200, -2e180j, 1.0, 1j, math.nextafter(1.0, 2.0),
+                        complex(0.6, 0.8), complex(math.nextafter(0.6, 0.0), 0.8)])
+        seqs = [integer_lattice(50.0), _real_with_signed_zero_parts(4),
+                random_sequence(rng, n_max=300, r_min=0.05, r_max=3.0),
+                random_conjugate_sequence(rng, r_min=0.5),
+                ZeroSequence.from_arrays(np.concatenate([odd, rng.uniform(0.2, 5.0, 50)
+                                                         * np.exp(2j * np.pi * rng.random(50))]),
+                                         rng.integers(1, 3, odd.size + 50))]
+        for seq in seqs:
+            got = counting._base_logs(seq, 0j, 1.0, math.inf)
+            want = counting._center_logs(seq, 0j, 1.0, math.inf)
+            assert got.tobytes() == want.tobytes()
+            assert counting._base_logs(seq, 0j, 0.0, math.inf) is counting._ORIGIN_LOGS[seq]
+            mult = seq.multiplicities
+            for x in (2.5 + 0.25j, -0.3, complex(seq.positions[3])):
+                if np.all(seq.positions != x):
+                    terms = mult * (counting._center_logs(seq, complex(x), 1.0, math.inf) - want)
+                    assert (np.float64(step_integral(seq, 0.0, x, 1.0, math.inf)).tobytes()
+                            == np.float64(counting.exact_sum(terms)).tobytes())
+
+    @pytest.mark.parametrize("positions", [[0j, 2.0, -3.0, 0.5], [0j, 2.0, -3.0 + 1.0j, 0.5j]])
+    def test_zero_at_the_origin_over_one_to_inf(self, positions):
+        # the origin's [0, inf) logs diverge there; over [1, inf) its term is
+        # log 1 = 0, and step_integral sums the term rule as before
+        seq = ZeroSequence.from_arrays(np.array(positions, dtype=complex),
+                                       np.arange(1.0, len(positions) + 1.0))
+        assert not seq.origin_excluded
+        base = counting._center_logs(seq, 0j, 1.0, math.inf)
+        for x in (2.5 + 0.25j, -0.3, 4.0):
+            terms = seq.multiplicities * (counting._center_logs(seq, complex(x), 1.0, math.inf) - base)
+            assert (np.float64(step_integral(seq, 0.0, x, 1.0, math.inf)).tobytes()
+                    == np.float64(counting.exact_sum(terms)).tobytes())
+        with pytest.raises(DivergentIntegralError):
+            step_integral(seq, 0.0, 4.0, 0.0, math.inf)
+        assert seq not in counting._ORIGIN_LOGS
 
 
 class TestExactSum:
@@ -834,8 +901,8 @@ class TestRealAxis:
         xs = rng.uniform(-1.25e4, 1.25e4, 16)
         assert float(np.abs(seq.positions.real[:, None] - xs).min()) > 1e-3
         with mpmath.workdps(30):
-            ref_b = _lattice_log_abs(K, b)
-            exact = [float(_lattice_log_abs(K, x) - ref_b) for x in xs]
+            ref_b = lattice_log_abs(K, b)
+            exact = [float(lattice_log_abs(K, x) - ref_b) for x in xs]
             psi = mpmath.digamma
             exact_slopes = [float(psi(K + 1 + mpmath.mpf(x)) - psi(K + 1 - mpmath.mpf(x))
                                   + psi(1 - mpmath.mpf(x)) - psi(1 + mpmath.mpf(x))) for x in xs]
@@ -972,7 +1039,7 @@ class TestLogPotential:
             # the closed form agrees with a direct 30-digit sum on a small lattice
             direct = mpmath.fsum(mpmath.log(abs(k - mpmath.mpf(2.5)) * abs(k + mpmath.mpf(2.5)))
                                  for k in range(1, 21))
-            assert abs(_lattice_log_abs(20, 2.5) - direct) < mpmath.mpf(10) ** -25
+            assert abs(lattice_log_abs(20, 2.5) - direct) < mpmath.mpf(10) ** -25
 
             seq = integer_lattice(5e4)
             K = len(seq) // 2
@@ -980,8 +1047,8 @@ class TestLogPotential:
             b = 0.25
             xs = rng.uniform(-1.25e4, 1.25e4, 16)
             assert float(np.abs(seq.positions.real[:, None] - xs).min()) > 1e-3
-            ref_b = _lattice_log_abs(K, b)
-            exact = [float(_lattice_log_abs(K, x) - ref_b) for x in xs]
+            ref_b = lattice_log_abs(K, b)
+            exact = [float(lattice_log_abs(K, x) - ref_b) for x in xs]
         batch = log_potential(seq, xs, b)
         for x, want, got in zip(xs, exact, batch):
             scalar = step_integral(seq, b, x, 0.0, math.inf)
@@ -1000,8 +1067,8 @@ class TestLogPotential:
         points = np.concatenate([rng.uniform(-1.25e4, 1.25e4, 8) + 1j * rng.uniform(-3.0, 3.0, 8),
                                  1.3 + 2.1j + np.exp(2j * np.pi * np.arange(64) / 64)])
         with mpmath.workdps(30):
-            ref_b = _lattice_log_abs(K, b)
-            exact = [float(_lattice_log_abs(K, p) - ref_b) for p in points]
+            ref_b = lattice_log_abs(K, b)
+            exact = [float(lattice_log_abs(K, p) - ref_b) for p in points]
         batch = log_potential(seq, points, b)
         for p, want, got in zip(points, exact, batch):
             scalar = step_integral(seq, b, p, 0.0, math.inf)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     draw_point,
+    lattice_log_abs,
     outer_zero_above_hypot,
     random_conjugate_sequence,
     random_sequence,
@@ -56,6 +58,36 @@ def _oracle_sum(seq: ZeroSequence, z: complex, lp) -> tuple[float, float]:
             total += m * (l_p - l_b)
             weight += m * (1 + abs(l_p) + abs(l_b))
         return float(total), float(70 * U * weight)
+
+
+def _stated_bound(seq: ZeroSequence, z: complex, value: float) -> float:
+    """evaluate_product's stated error bound for its log-magnitude value at
+    z: each zero's term bound, by the rule that takes its term (the log1p
+    rule where q = si**2 + sr (sr - 2) lies in [-1/2, inf), else the guard's
+    by 1 - z/a, or by (a - z)/a where |1 - z/a| <= _NEAR_ONE), times its
+    multiplicity, plus u |L| for that product and u |value| for the final
+    rounding."""
+    pos, mult = seq.positions, seq.multiplicities
+    c = 2.0 if seq.all_real else 10.0
+    with np.errstate(all="ignore"):
+        if seq.all_real:
+            inv = 1.0 / pos.real
+            sr, si = z.real * inv, z.imag * inv
+        else:
+            s = z / pos
+            sr, si = s.real, s.imag
+        q = si * si + sr * (sr - 2.0)
+        w = 1.0 - z / pos
+        mod_w = np.abs(w)
+        near = mod_w <= product._NEAR_ONE
+        logs = np.log(np.abs(np.where(near, (pos - z) / pos, w)))
+        mod_s = np.hypot(sr, si)
+        fast = (q >= -0.5) & (q < math.inf)
+        terms = np.where(fast, 8.0 * (si * si + np.abs(sr) * np.abs(sr - 2.0)) + 2.0 * c * mod_s,
+                         np.where(near, c, c * mod_s / mod_w) + 3.0)
+    terms += 2.0 * np.abs(logs)
+    product_rounding = np.where(mult > 1.0, np.abs(logs), 0.0)
+    return U * (float((mult * terms + mult * product_rounding).sum()) + abs(value))
 
 
 class TestLogComplex:
@@ -145,22 +177,51 @@ class TestEvaluateProduct:
 
     def test_bits_of_one_fsum_at_1e5_zeros(self):
         # the block-wise exact totals against math.fsum over every per-zero
-        # term at once, on integer_lattice(5e4): 99998 zeros, four blocks
+        # term at once, on integer_lattice(5e4): 99998 zeros, four blocks.
+        # A log term is 1/2 log1p(q) with s = z * fl(1 / a) and
+        # q = si**2 + sr (sr - 2), and log|1 - z/a| where q < -1/2 (the
+        # guard's cells); an argument term is that of 1 - z/a
         seq = integer_lattice(5e4)
         pos, mult = seq.positions, seq.multiplicities
         rng = np.random.default_rng(33)
+        guard_cells = 0
         for i in range(12):
             z = complex(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0) if i % 2 else 0.0)
+            inv = 1.0 / pos.real
+            sr, si = z.real * inv, z.imag * inv
+            q = si * si + sr * (sr - 2.0)
             w = 1.0 - z / pos
+            fast = (q >= -0.5) & (q < math.inf)
+            guard_cells += int((~fast).sum())
+            logs = np.log(np.abs(w))
+            logs[fast] = 0.5 * np.log1p(q[fast])
             is_real = w.imag == 0.0
             args = mult * np.arctan2(w.imag, w.real)
             args[is_real] = 0.0
             pi_count = int(mult[is_real & (w.real < 0.0)].sum())
-            expect = LogComplex(math.fsum(mult * np.log(np.abs(w))),
+            expect = LogComplex(math.fsum(mult * logs),
                                 product.wrap_angle(math.fsum(args) + (pi_count & 1) * math.pi))
             got = evaluate_product(seq, z).value
             assert got.log_magnitude.hex() == expect.log_magnitude.hex()
             assert got.argument.hex() == expect.argument.hex()
+        assert guard_cells   # the guard's terms are among those summed
+
+    def test_mpmath_oracle_off_the_axis(self):
+        # prod over 0 < |k| < 5e4 of (1 - z/k) in closed form, at 16 seeded
+        # points with 0.3 <= |Im z| <= 5, within the docstring's bound
+        seq = integer_lattice(5e4)
+        K = len(seq) // 2
+        rng = np.random.default_rng(35)
+        points = (rng.uniform(-8.0, 8.0, 16)
+                  + 1j * rng.choice((-1.0, 1.0), 16) * rng.uniform(0.3, 5.0, 16))
+        with mpmath.workdps(30):
+            at_zero = lattice_log_abs(K, 0)
+            for z in points:
+                got = evaluate_product(seq, z).value.log_magnitude
+                err = abs(mpmath.mpf(got) - (lattice_log_abs(K, z) - at_zero))
+                bound = _stated_bound(seq, z, got)
+                assert bound < 1e-12
+                assert err <= bound
 
     def test_conjugate_symmetric_argument_exact(self):
         rng = np.random.default_rng(12)
@@ -269,6 +330,84 @@ class TestExactZeros:
         pe = evaluate_product(ZeroSequence((Zero(3 + 0j),)), z)
         assert pe.value.log_magnitude == pytest.approx(math.log((z - 3.0) / 3.0), rel=1e-15)
         assert pe.min_factor_log_magnitude == pe.value.log_magnitude
+
+
+@st.composite
+def guard_cases(draw):
+    """A point z, a block size and up to 40 zeros about z, every one real at
+    times: zeros at |1 - z/a|**2 = (1 +- d)/2, with d from 1e-12 down to a
+    few ulps, so that q = |1 - z/a|**2 - 1 falls on either side of the log1p
+    rule's edge -1/2; zeros within a few ulps of z (at times on it); zeros
+    with |z/a| > 1e155, whose squares overflow; and ordinary zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    real = draw(st.booleans())
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    z = complex(rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0)),
+                rng.uniform(-2.0, 2.0) if draw(st.booleans()) else 0.0) * scale
+    zeros = []
+    for d in draw(st.lists(st.sampled_from((1e-12, 1e-15, 4 * U, 2 * U, 0.0, -2 * U, -4 * U,
+                                            -1e-15, -1e-12)), min_size=1, max_size=12)):
+        r = math.sqrt(0.5 * (1.0 + d))
+        if real:
+            # the real t = 1/a with |1 - z t| = r
+            disc = z.real ** 2 - abs(z) ** 2 * (1.0 - r * r)
+            if disc >= 0.0:
+                zeros.append(abs(z) ** 2 / (z.real + rng.choice((-1.0, 1.0)) * math.sqrt(disc)))
+        else:
+            zeros.append(z / (1.0 + r * cmath.exp(2j * math.pi * rng.random())))
+    if not real or z.imag == 0.0:
+        for k in draw(st.lists(st.integers(-3, 3), max_size=4)):
+            part = z.real
+            for _ in range(abs(k)):
+                part = math.nextafter(part, math.copysign(math.inf, k))
+            zeros.append(complex(part, z.imag))
+    for e in draw(st.lists(st.integers(156, 200), max_size=4)):
+        turn = 1.0 if real else cmath.exp(2j * math.pi * rng.random())
+        zeros.append(abs(z) * 10.0 ** -e * turn * rng.choice((-1.0, 1.0)))
+    n = draw(st.integers(0, 20))
+    turns = rng.choice((-1.0, 1.0), n) if real else np.exp(2j * np.pi * rng.random(n))
+    zeros.extend(abs(z) * rng.uniform(0.1, 10.0, n) * turns)
+    pos = np.array(zeros, dtype=complex)
+    if real:
+        pos = pos.real + 0j
+    seq = ZeroSequence.from_arrays(pos, rng.integers(1, 4, pos.size))
+    assert seq.all_real == real
+    return seq, z, draw(st.sampled_from((1, 2, 3, 5, 1 << 15)))
+
+
+class TestGuard:
+    """The log1p rule's guard in evaluate_product: cells with q off
+    [-1/2, inf) go the complex route, next to cells that do not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(guard_cases())
+    def test_values_bounds_and_argument_bits(self, case):
+        seq, z, block = case
+        pos, mult = seq.positions, seq.multiplicities
+        with mock.patch.object(product, "_PRODUCT_BLOCK", block):
+            value = evaluate_product(seq, z).value
+        assert value == evaluate_product(seq, z).value
+        if np.any(pos == z):
+            assert value.log_magnitude == -math.inf
+            return
+        assert math.isfinite(value.log_magnitude) and math.isfinite(value.argument)
+        with mpmath.workdps(60):
+            zm = mpmath.mpc(z.real, z.imag)
+            exact = mpmath.fsum(m * mpmath.log(abs(1 - zm / mpmath.mpc(a.real, a.imag)))
+                                for a, m in zip(pos.tolist(), mult.tolist()))
+            err = abs(mpmath.mpf(value.log_magnitude) - exact)
+        assert err <= _stated_bound(seq, z, value.log_magnitude)
+        # the argument is the parent formula's: the terms of 1 - z/a, or of
+        # (a - z)/a where |1 - z/a| <= _NEAR_ONE, summed by fsum
+        w = 1.0 - z / pos
+        near = np.abs(w) <= product._NEAR_ONE
+        w[near] = (pos[near] - z) / pos[near]
+        is_real = w.imag == 0.0
+        args = mult * np.arctan2(w.imag, w.real)
+        args[is_real] = 0.0
+        pi_count = int(mult[is_real & (w.real < 0.0)].sum())
+        expect = product.wrap_angle(math.fsum(args) + (pi_count & 1) * math.pi)
+        assert value.argument.hex() == LogComplex(0.0, expect).argument.hex()
 
 
 class TestUnitDiscRuns:
