@@ -485,9 +485,9 @@ def _base_logs(seq: ZeroSequence, b: complex, t_lo: float, t_hi: float) -> np.nd
     t = 0 that integral diverges (DivergentIntegralError, naming the zero).
     The logs of b = 0 over [0, inf) are _ORIGIN_LOGS' read-only array, and
     over [1, inf) (Jensen's counting side) their maximum with 0, the same
-    bits: a clamped distance below 1 has log 1 = 0 and a log below 0, and
-    every other distance keeps its log.  That needs no zero at the origin,
-    whose [0, inf) log diverges."""
+    bits: the clamp takes a distance below 1, whose own log is negative, to
+    1, whose log is 0, and leaves every other distance and its log alone.
+    That needs no zero at the origin, whose [0, inf) log diverges."""
     if b == 0 and t_lo == 1.0 and t_hi == math.inf and seq.origin_excluded:
         return np.maximum(_base_logs(seq, b, 0.0, t_hi), 0.0)
     origin = b == 0 and t_lo == 0.0 and t_hi == math.inf
