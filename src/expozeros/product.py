@@ -198,8 +198,8 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
         block = slice(start, start + _PRODUCT_BLOCK)
         p = pos[block]
         k = p.size
-        # log_terms holds q until log1p replaces it; arg_terms is scratch
-        # until arctan2 fills it
+        # log_terms holds q until log1p replaces it; arg_terms holds 1/a (for
+        # a real sequence) and si**2 until arctan2 fills it
         log_terms, arg_terms = logs[block], args[block]
         with np.errstate(over="ignore"):   # an overflowing q is the guard's
             if seq.all_real:
