@@ -15,7 +15,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -63,12 +62,30 @@ def _merge(positions: np.ndarray, multiplicities: np.ndarray) -> tuple[np.ndarra
     |a| is np.hypot: it matches Python's abs(complex) bit for bit, np.abs does
     not and would reorder near ties.  The sort is stable, so a run of equal
     positions keeps its first spelling (0.0 or -0.0), as a dict would."""
-    order = np.lexsort((positions.imag, positions.real, np.hypot(positions.real, positions.imag)))
-    pos = positions[order]
+    real, imag = positions.real, positions.imag
+    key = np.hypot(real, imag)
+    if _ordered(key, real, imag):
+        # a stable sort of ordered keys is the identity
+        pos, mult = positions, multiplicities
+    else:
+        order = np.lexsort((imag, real, key))
+        pos, mult = positions[order], multiplicities[order]
     # a run starts wherever a position differs from its left neighbour; the
-    # slice drops the lone start that an empty input would otherwise get
+    # slice drops the lone start that an empty input would otherwise get.
+    # Indexing and reduceat give new arrays, never views of the input.
     starts = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))[: pos.size]
-    return pos[starts], np.add.reduceat(multiplicities[order], starts)
+    return pos[starts], np.add.reduceat(mult, starts)
+
+
+def _ordered(key: np.ndarray, real: np.ndarray, imag: np.ndarray) -> bool:
+    """Whether (key, real, imag) is non-decreasing, lexicographically, along
+    the arrays: every neighbour pair by key, and pairs of equal key by
+    (real, imag)."""
+    if not np.all(key[:-1] <= key[1:]):
+        return False
+    tie = np.flatnonzero(key[:-1] == key[1:])
+    left, right = real[tie], real[tie + 1]
+    return bool(np.all((left < right) | ((left == right) & (imag[tie] <= imag[tie + 1]))))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -331,26 +348,66 @@ def _json_records(records: list) -> list:
     return records
 
 
-def _json_table(records: list) -> np.ndarray | None:
-    """The records as an (n, 3) float table, checked in C-level passes; None
-    when a record needs the loop to name its fault.  type() is exact, so
-    bools (type bool) fail the number check."""
-    if not (set(map(type, records)) <= {list} and set(map(len, records)) <= {3}):
-        return None
-    flat = list(chain.from_iterable(records))
-    if not set(map(type, flat)) <= {int, float}:
+_JSON_BLANKS = b" \t\n\r"
+# the bytes of JSON number tokens; json.loads reads text made of these,
+# commas and blanks as ints and floats or not at all
+_JSON_NUMBER_BYTES = b"0123456789+-.eE"
+_BRACKETS_TO_BLANKS = bytes.maketrans(b"[]", b"  ")
+
+
+def _json_table(source: str) -> tuple[float, np.ndarray] | None:
+    """(radius, [re, im, mult] table) of a JSON object whose `zeros` is an
+    array of number triples, parsed without a Python list per record; None
+    when the input needs the full json.loads and the record loop, to name
+    its fault or to read another layout.
+
+    The span from the first `[` to the last `]` must be the `zeros` array:
+    the source with that span cut to `[]` must load as an object whose
+    `zeros` is that empty list.  The span, blanks deleted, must read
+    [[n,n,n],[n,n,n],...] where each n holds only number bytes: what is
+    left after deleting them is rows of `[,,]` joined by `,`, and `],[`
+    occurs rows - 1 times.  Then json.loads reads the span with its
+    brackets blanked as one flat list, whose items are ints and floats, and
+    that list must hold 3 * rows of them.  Every number is parsed by
+    json.loads, so the bits are those of the full parse."""
+    lo, hi = source.find("["), source.rfind("]")
+    if lo < 0 or hi < lo:
         return None
     try:
-        table = np.array(flat, dtype=np.float64).reshape(-1, 3)
-    except OverflowError:
+        shell = json.loads(source[:lo] + "[]" + source[hi + 1:])
+        body = source[lo:hi + 1].encode("ascii")
+    except (ValueError, RecursionError):   # UnicodeEncodeError is a ValueError
+        return None
+    if not (isinstance(shell, dict) and isinstance(shell.get("zeros"), list)):
+        return None
+    radius = shell.get("radius", 0.0)
+    try:
+        _check_json_number(radius, "radius")
+    except SequenceFormatError:
+        return None
+    compact = body.translate(None, _JSON_BLANKS)
+    rows = compact.count(b"[") - 1
+    if compact.translate(None, _JSON_NUMBER_BYTES) != b"[" + (b"[,,]," * rows)[:-1] + b"]":
+        return None
+    if rows and not (compact.startswith(b"[[") and compact.endswith(b"]]")
+                     and compact.count(b"],[") == rows - 1):
+        return None
+    try:
+        values = json.loads(b"[" + body.translate(_BRACKETS_TO_BLANKS) + b"]")
+        table = np.array(values, dtype=np.float64).reshape(-1, 3)
+    except (ValueError, OverflowError):
         return None
     mult = table[:, 2]
-    if not (np.isfinite(table).all() and (mult >= 1).all() and (mult == np.floor(mult)).all()):
+    if not (len(values) == 3 * rows and np.isfinite(table).all() and (mult >= 1).all()
+            and (mult == np.floor(mult)).all()):
         return None
-    return table
+    return float(radius), table
 
 
 def _load_json(source: str, provenance: str) -> ZeroSequence:
+    parsed = _json_table(source)
+    if parsed is not None:
+        return _from_records(parsed[1], parsed[0], provenance)
     try:
         payload = json.loads(source)
     except json.JSONDecodeError as exc:
@@ -364,9 +421,7 @@ def _load_json(source: str, provenance: str) -> ZeroSequence:
     records = payload.get("zeros", [])
     if not isinstance(records, list):
         raise SequenceFormatError("'zeros' must be an array of [re, im, mult] triples")
-    table = _json_table(records)
-    return _from_records(_json_records(records) if table is None else table, float(radius),
-                         provenance)
+    return _from_records(_json_records(records), float(radius), provenance)
 
 
 def load_sequence(source: str, provenance: str = "") -> ZeroSequence:
@@ -376,8 +431,10 @@ def load_sequence(source: str, provenance: str = "") -> ZeroSequence:
     str.splitlines ends them), `#` comments, and at most one `@radius <R>`
     header.  JSON form: an object with fields `radius` and `zeros` (array of
     [re, im, mult]).  Equal positions are merged with summed multiplicities.
-    Valid input is parsed in whole-array passes; a SequenceFormatError names
-    the first bad 1-based line or zeros[i], found by a per-line loop.
+    Valid input is parsed in whole-array passes (JSON whose only brackets
+    are those of `zeros`); a SequenceFormatError names the first bad 1-based
+    line or zeros[i], found by a per-line or per-record loop, which also
+    reads the input those passes refuse.
     """
     if source.lstrip().startswith("{"):
         return _load_json(source, provenance)
@@ -401,8 +458,11 @@ def dump_sequence(seq: ZeroSequence) -> str:
 
 
 def dump_sequence_json(seq: ZeroSequence) -> str:
-    return json.dumps({"radius": seq.truncation_radius,
-                       "zeros": [[re, im, m] for re, im, m in _records(seq)]})
+    """Render the JSON form: the bytes json.dumps gives for {"radius": R,
+    "zeros": [[re, im, m], ...]}, written without a list per record (json
+    writes a finite float by float.__repr__ and an int by int.__repr__)."""
+    zeros = ", ".join(f"[{re!r}, {im!r}, {m}]" for re, im, m in _records(seq))
+    return f'{{"radius": {seq.truncation_radius!r}, "zeros": [{zeros}]}}'
 
 
 def shift_origin(seq: ZeroSequence, c: complex) -> ZeroSequence:

@@ -149,6 +149,59 @@ class TestArrayStorage:
             ZeroSequence.from_arrays(positions, mults, radius)
 
 
+def _lexsort_merge(positions, multiplicities):
+    """The merge with its sort always taken: np.lexsort by (hypot, Re, Im),
+    then the runs of equal positions summed."""
+    order = np.lexsort((positions.imag, positions.real, np.hypot(positions.real, positions.imag)))
+    pos = positions[order]
+    starts = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))[: pos.size]
+    return pos[starts], np.add.reduceat(multiplicities[order], starts)
+
+
+class TestOrderedMerge:
+    """_merge skips the sort on input already in (hypot, Re, Im) order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_coords, _coords), min_size=1, max_size=12),
+           st.lists(st.tuples(st.integers(0, 11), st.integers(1, 3)), max_size=40),
+           st.sampled_from(["drawn", "reversed", "sorted", "sorted_twice"]))
+    @example([(1.0, 0.0), (-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (-0.0, 0.0), (0.0, -0.0)],
+             [(i, 1 + i % 3) for i in range(6)], "sorted")
+    # ties in hypot that Re, then Im, must order
+    @example([(1.0, 0.0), (-1.0, 0.0)], [(0, 1), (1, 2)], "drawn")
+    @example([(0.0, 1.0), (0.0, -1.0)], [(0, 1), (1, 2)], "drawn")
+    def test_bits_match_the_sorting_merge(self, points, picks, arrange):
+        # pairing parts through a float view keeps the sign of a zero part
+        table = np.array([points[i % len(points)] for i, _ in picks]).reshape(-1, 2)
+        positions = np.ascontiguousarray(table).view(np.complex128)[:, 0]
+        mults = np.array([m for _, m in picks], dtype=np.float64)
+        if arrange == "reversed":
+            positions, mults = positions[::-1], mults[::-1]
+        elif arrange != "drawn":
+            order = np.lexsort((positions.imag, positions.real,
+                                np.hypot(positions.real, positions.imag)))
+            positions, mults = positions[order], mults[order]
+            if arrange == "sorted_twice":   # every position tied with its copy
+                positions, mults = np.repeat(positions, 2), np.repeat(mults, 2)
+            assert zero_model._ordered(np.hypot(positions.real, positions.imag),
+                                       positions.real, positions.imag)
+        got = zero_model._merge(positions, mults)
+        expect = _lexsort_merge(positions, mults)
+        assert got[0].tobytes() == expect[0].tobytes()
+        assert got[1].tobytes() == expect[1].tobytes()
+        # the stored arrays are made read-only, so they never alias the input
+        assert not np.shares_memory(got[0], positions)
+        assert not np.shares_memory(got[1], mults)
+
+    def test_ordered_input_stays_writeable(self):
+        source, mults = np.array([-1 + 0j, 1 + 0j, 2j]), np.array([1.0, 2.0, 1.0])
+        seq = ZeroSequence.from_arrays(source, mults)
+        source[0], mults[0] = 7.0, 5.0   # the sequence holds its own copies
+        assert seq.positions.tolist() == [-1 + 0j, 1 + 0j, 2j]
+        assert seq.multiplicities.tolist() == [1.0, 2.0, 1.0]
+        assert not (seq.positions.flags.writeable or seq.multiplicities.flags.writeable)
+
+
 def _flags(seq):
     return seq.origin_excluded, seq.all_real, seq.all_simple
 
@@ -350,6 +403,23 @@ class TestRoundTrip:
         assert dump_sequence(load_sequence(text)) == text
 
 
+_EDGE_SEQUENCE = ZeroSequence.from_arrays(
+    [complex(-0.0, -0.0), complex(5e-324, 0.0), complex(-2.5, -0.0), complex(1e308, 1.0)],
+    [1, 2 ** 60, 3, 1], 1.5e308)
+
+
+class TestJsonDump:
+    @settings(max_examples=100, deadline=None)
+    @given(seq=st.one_of(axis_sequences(), axis_sequences(radius=True)))
+    @example(seq=_EDGE_SEQUENCE)
+    @example(seq=ZeroSequence(()))
+    def test_bytes_of_json_dumps(self, seq):
+        records = [[p.real, p.imag, int(m)]
+                   for p, m in zip(seq.positions.tolist(), seq.multiplicities.tolist())]
+        assert dump_sequence_json(seq) == json.dumps({"radius": seq.truncation_radius,
+                                                      "zeros": records})
+
+
 def _same_arrays(a, b):
     return (a.positions.tobytes() == b.positions.tobytes()
             and a.multiplicities.tobytes() == b.multiplicities.tobytes())
@@ -393,7 +463,7 @@ def _loop_outcome(source):
     """_outcome with the whole-array parse refusing every input, so the
     per-line and per-record loops do all the work."""
     with mock.patch.object(zero_model, "_text_table", lambda source: None), \
-            mock.patch.object(zero_model, "_json_table", lambda records: None):
+            mock.patch.object(zero_model, "_json_table", lambda source: None):
         return _outcome(source)
 
 
@@ -444,13 +514,26 @@ _json_values = st.one_of(
     st.integers(-3, 3), st.floats(-1e3, 1e3), st.just(-0.0), st.booleans(), st.just("1"),
     st.just([1]), st.none(), st.sampled_from([2 ** 64 + 1, 2 ** 1000, 10 ** 400, -(10 ** 400)]),
     st.sampled_from([math.nan, math.inf, 1.5, 1e308]),
+    st.sampled_from([2 ** 53 + 1, -(2 ** 60) - 1, 2 ** 63 + 1]),
+)
+_valid_json_records = st.one_of(
+    st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(1, 3)).map(list),
+    st.tuples(st.sampled_from([-0.0, 0, 2 ** 53 + 1, -(2 ** 63) - 1]), st.floats(-1e3, 1e3),
+              st.sampled_from([1, 2 ** 53 + 1, 2 ** 60])).map(list),
 )
 _json_records = st.one_of(
-    st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(1, 3)).map(list),
+    _valid_json_records,
     st.lists(_json_values, min_size=3, max_size=3),
     st.lists(_json_values, max_size=4),
     _json_values,
 )
+# keys beside `zeros`, most of whose values hold brackets, in arrays or in
+# strings
+_json_extras = st.sampled_from([{}, {"name": "lattice"}, {"note": [1, 2]}, {"s": "], ["},
+                                {"meta": {"zeros": [[1, 0, 1]]}}, {"t": "[[0, 0, 1]]"},
+                                {"u": [[2, 0, 1]]}])
+_json_layouts = st.sampled_from([{}, {"indent": 2}, {"indent": 0}, {"separators": (",", ":")},
+                                 {"indent": "\t", "separators": (" ,", " : ")}])
 
 
 @st.composite
@@ -458,10 +541,26 @@ def _jsons(draw):
     payload = {}
     if draw(st.booleans()):
         payload["radius"] = draw(_json_values) if draw(st.booleans()) else 1e4
-    # mostly a list of records, to reach the record checks
-    payload["zeros"] = (draw(st.lists(_json_records, max_size=6)) if draw(st.integers(0, 5))
+    extras = draw(_json_extras)
+    if draw(st.booleans()):
+        payload.update(extras)
+    # mostly a list of records, to reach the record checks, and half of
+    # those valid, to reach the flat-list parse
+    records = _valid_json_records if draw(st.booleans()) else _json_records
+    payload["zeros"] = (draw(st.lists(records, max_size=6)) if draw(st.integers(0, 5))
                         else draw(_json_values))
-    return json.dumps(payload)
+    payload.update(extras)
+    text = json.dumps(payload, **draw(_json_layouts))
+    if draw(st.booleans()):   # json.dumps writes no bare -0
+        text = text.replace("-0.0", "-0")
+    # a second `zeros` key, before or after the first
+    other = json.dumps(draw(st.lists(_json_records, max_size=3)))
+    where = draw(st.sampled_from(["none"] * 4 + ["before", "after"]))
+    if where == "before":
+        text = '{"zeros": %s, %s' % (other, text[1:])
+    elif where == "after":
+        text = '%s, "zeros": %s}' % (text[:-1], other)
+    return text
 
 
 class TestFastPathMatchesLoop:
@@ -482,7 +581,7 @@ class TestFastPathMatchesLoop:
     def test_text(self, source):
         assert _outcome(source) == _loop_outcome(source)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(_jsons())
     @example('{"zeros": [[1, 0, true]]}')
     @example('{"zeros": [[1, 0, 1.5]]}')
@@ -491,6 +590,24 @@ class TestFastPathMatchesLoop:
     @example('{"zeros": [[1, 0, 1], [1, 0]]}')
     @example('{"zeros": [[1, 0, 1], 5]}')
     @example('{"zeros": [[-0.0, 0, 2.0]], "radius": 3}')
+    # brackets out of place that the adjacency check of `],[` refuses:
+    # blanked, each would read as three numbers
+    @example('{"zeros": [[1, 2, 3], 4[, 5, 6]]}')
+    @example('{"zeros": [1[, 2, 3]]}')
+    @example('{"zeros": [0]}')
+    @example('{"zeros": [[1, 2, 3] [4, 5, 6]]}')
+    @example('{"zeros": [[-0, 0, 1], [9007199254740993, 0, 1152921504606846976]]}')
+    @example('{"zeros": [[1, 0, 1]], "zeros": [[2, 0, 1]]}')
+    @example('{"zeros": 5, "zeros": [[2, 0, 1]]}')
+    @example('{"s": "], [", "zeros": [[1, 0, 1]]}')
+    @example('{"zeros": [[1, 0, 1]], "u": [[2, 0, 1]]}')
+    @example('{"meta": {"zeros": [[1, 0, 1]]}}')
+    @example('{"radius": true, "zeros": [[1, 0, 1]]}')
+    @example('{"zeros": [[1, 0, 1]]} ]')
+    @example('{"zeros": [[1e400, 0, 1]]}')
+    @example('{"zeros": [[1, 0, 1]\u00a0, [2, 0, 1]]}')
+    @example('{"zeros": [[1 2, 0, 1]]}')
+    @example('{"zeros": [[1, 0, 1]], "radius": 1e4}')
     def test_json(self, source):
         assert _outcome(source) == _loop_outcome(source)
 
@@ -512,7 +629,10 @@ class TestFastPathMatchesLoop:
         monkeypatch.setattr(zero_model, "_json_records", refuse)
         text = dump_sequence(seq)
         crlf = "# note\r\n\r\n" + text.replace("\n", "  # c\r\n")
-        for source in (text, crlf, dump_sequence_json(seq)):
+        dumped = dump_sequence_json(seq)
+        layouts = [json.dumps(json.loads(dumped), indent=2),
+                   json.dumps(json.loads(dumped), separators=(",", ":"))]
+        for source in (text, crlf, dumped, *layouts):
             back = load_sequence(source)
             assert _same_arrays(back, seq)
             assert back.truncation_radius == seq.truncation_radius
