@@ -193,7 +193,7 @@ class TestOrderedMerge:
         assert not np.shares_memory(got[0], positions)
         assert not np.shares_memory(got[1], mults)
 
-    def test_ordered_input_stays_writeable(self):
+    def test_ordered_input_is_copied(self):
         source, mults = np.array([-1 + 0j, 1 + 0j, 2j]), np.array([1.0, 2.0, 1.0])
         seq = ZeroSequence.from_arrays(source, mults)
         source[0], mults[0] = 7.0, 5.0   # the sequence holds its own copies
@@ -590,8 +590,9 @@ class TestFastPathMatchesLoop:
     @example('{"zeros": [[1, 0, 1], [1, 0]]}')
     @example('{"zeros": [[1, 0, 1], 5]}')
     @example('{"zeros": [[-0.0, 0, 2.0]], "radius": 3}')
-    # brackets out of place that the adjacency check of `],[` refuses:
-    # blanked, each would read as three numbers
+    # brackets out of place: blanked, the first two read as 3 * rows
+    # numbers, which the `],[` adjacency check refuses; the third has
+    # rows = 0 and one number
     @example('{"zeros": [[1, 2, 3], 4[, 5, 6]]}')
     @example('{"zeros": [1[, 2, 3]]}')
     @example('{"zeros": [0]}')
