@@ -64,10 +64,8 @@ def _bisect_newton(f, fprime, targets, lo: float, hi: float) -> np.ndarray:
 
 
 def _symmetric(values: np.ndarray, R: float, provenance: str) -> ZeroSequence:
-    """Simple real zeros at +-v for each v in values, complete inside R.
-    They are passed as -v, v pairs: for ascending positive values that is
-    the stored (|a|, Re, Im) order, which the merge then need not sort."""
-    return ZeroSequence.from_arrays(np.column_stack([-values, values]).ravel(),
+    """Simple real zeros at +-v for each v in values, complete inside R."""
+    return ZeroSequence.from_arrays(np.concatenate([values, -values]),
                                     np.ones(2 * values.size), R, provenance)
 
 

@@ -152,9 +152,6 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     whose rounded difference is nonzero for z != a where 1 - z/a may round
     to 0; then L = log|w|.  The argument term is arctan2(-si, 1 - sr), or
     arctan2(Im w, Re w) in a guard cell: the bits of 1 - z/a's argument.
-    A real sequence at a real point, with 1/a finite, has real factors
-    only: the argument is 0 or pi by the count of negative factors, with
-    no arctan2 and no argument sum.
     min_factor_log_magnitude is the least L.
 
     Error bound, to first order in u = 2**-53.  The rounded quotient is
@@ -197,10 +194,6 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
         buf_r, buf_i = np.empty((2, min(n, _PRODUCT_BLOCK)))
     pi_count = 0
     least = math.inf
-    # a real sequence at a real point has real factors, whose arguments are
-    # 0 or pi, when 1/a is finite (checked on the least |a|): where it
-    # overflows, numpy's complex z / a has a NaN imaginary part
-    real_point = seq.all_real and z.imag == 0.0 and math.isfinite(1.0 / float(pos[0].real))
     for start in range(0, n, _PRODUCT_BLOCK):
         block = slice(start, start + _PRODUCT_BLOCK)
         p = pos[block]
@@ -242,13 +235,8 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
             wr[guard] = w.real
             wi[guard] = w.imag
         least = min(least, float(log_terms.min()))
-        m = mult[block]
-        if real_point:
-            pi_count += int(m[wr < 0.0].sum())
-            if not seq.all_simple:
-                log_terms *= m
-            continue
         np.arctan2(wi, wr, out=arg_terms)
+        m = mult[block]
         is_real = wi == 0.0
         if is_real.any():
             arg_terms[is_real] = 0.0  # a real factor's pi goes to pi_count
@@ -256,8 +244,7 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
         if not seq.all_simple:   # multiplying by 1 changes no value
             log_terms *= m
             arg_terms *= m
-    # at a real point every argument term is 0.0, whose exact sum is 0.0
-    theta = (0.0 if real_point else exact_sum(args)) + (pi_count & 1) * math.pi
+    theta = exact_sum(args) + (pi_count & 1) * math.pi
     return ProductEvaluation(
         LogComplex(exact_sum(logs), wrap_angle(theta)), R, count, flag, least)
 

@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -358,8 +359,8 @@ _BRACKETS_TO_BLANKS = bytes.maketrans(b"[]", b"  ")
 def _json_table(source: str) -> tuple[float, np.ndarray] | None:
     """(radius, [re, im, mult] table) of a JSON object whose `zeros` is an
     array of number triples, parsed without a Python list per record; None
-    when the input needs the full json.loads and the record loop, to name
-    its fault or to read another layout.
+    when the input needs the full json.loads, to name its fault or to read
+    another layout.
 
     The span from the first `[` to the last `]` must be the `zeros` array:
     the source with that span cut to `[]` must load as an object whose
@@ -404,6 +405,27 @@ def _json_table(source: str) -> tuple[float, np.ndarray] | None:
     return float(radius), table
 
 
+def _json_record_table(records: list) -> np.ndarray | None:
+    """The parsed records as an (n, 3) float table, checked in C-level
+    passes: the tier for JSON that _json_table refuses, such as an object
+    with other arrays beside `zeros`; None when a record needs the loop to
+    name its fault.  type() is exact, so bools (type bool) fail the number
+    check."""
+    if not (set(map(type, records)) <= {list} and set(map(len, records)) <= {3}):
+        return None
+    flat = list(chain.from_iterable(records))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        table = np.array(flat, dtype=np.float64).reshape(-1, 3)
+    except OverflowError:
+        return None
+    mult = table[:, 2]
+    if not (np.isfinite(table).all() and (mult >= 1).all() and (mult == np.floor(mult)).all()):
+        return None
+    return table
+
+
 def _load_json(source: str, provenance: str) -> ZeroSequence:
     parsed = _json_table(source)
     if parsed is not None:
@@ -421,7 +443,9 @@ def _load_json(source: str, provenance: str) -> ZeroSequence:
     records = payload.get("zeros", [])
     if not isinstance(records, list):
         raise SequenceFormatError("'zeros' must be an array of [re, im, mult] triples")
-    return _from_records(_json_records(records), float(radius), provenance)
+    table = _json_record_table(records)
+    return _from_records(_json_records(records) if table is None else table, float(radius),
+                         provenance)
 
 
 def load_sequence(source: str, provenance: str = "") -> ZeroSequence:
@@ -431,10 +455,10 @@ def load_sequence(source: str, provenance: str = "") -> ZeroSequence:
     str.splitlines ends them), `#` comments, and at most one `@radius <R>`
     header.  JSON form: an object with fields `radius` and `zeros` (array of
     [re, im, mult]).  Equal positions are merged with summed multiplicities.
-    Valid input is parsed in whole-array passes (JSON whose only brackets
-    are those of `zeros`); a SequenceFormatError names the first bad 1-based
-    line or zeros[i], found by a per-line or per-record loop, which also
-    reads the input those passes refuse.
+    Valid input is parsed in whole-array passes: JSON whose only brackets
+    are those of `zeros` without a Python list per record, other JSON from
+    the lists of a full json.loads.  A SequenceFormatError names the first
+    bad 1-based line or zeros[i], found by a per-line or per-record loop.
     """
     if source.lstrip().startswith("{"):
         return _load_json(source, provenance)

@@ -333,18 +333,17 @@ class TestExactZeros:
 
 
 @st.composite
-def guard_cases(draw, real_point=False):
+def guard_cases(draw):
     """A point z, a block size and up to 40 zeros about z, every one real at
     times: zeros at |1 - z/a|**2 = (1 +- d)/2, with d from 1e-12 down to a
     few ulps, so that q = |1 - z/a|**2 - 1 falls on either side of the log1p
     rule's edge -1/2; zeros within a few ulps of z (at times on it); zeros
-    with |z/a| > 1e155, whose squares overflow; and ordinary zeros.
-    real_point=True makes every zero and z real."""
+    with |z/a| > 1e155, whose squares overflow; and ordinary zeros."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    real = real_point or draw(st.booleans())
+    real = draw(st.booleans())
     scale = 10.0 ** draw(st.integers(-100, 100))
     z = complex(rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0)),
-                rng.uniform(-2.0, 2.0) if not real_point and draw(st.booleans()) else 0.0) * scale
+                rng.uniform(-2.0, 2.0) if draw(st.booleans()) else 0.0) * scale
     zeros = []
     for d in draw(st.lists(st.sampled_from((1e-12, 1e-15, 4 * U, 2 * U, 0.0, -2 * U, -4 * U,
                                             -1e-15, -1e-12)), min_size=1, max_size=12)):
@@ -409,78 +408,6 @@ class TestGuard:
         pi_count = int(mult[is_real & (w.real < 0.0)].sum())
         expect = product.wrap_angle(math.fsum(args) + (pi_count & 1) * math.pi)
         assert value.argument.hex() == LogComplex(0.0, expect).argument.hex()
-
-
-def _former_value(seq: ZeroSequence, z: complex) -> tuple[LogComplex, float]:
-    """evaluate_product's value and least log term at z for a real
-    sequence, with every argument term taken by arctan2, as at a point off
-    the axis: log terms 1/2 log1p(q) or, in the guard's cells, log|w| with
-    w = 1 - z/a or (a - z)/a, each array totalled by fsum."""
-    pos, mult = seq.positions, seq.multiplicities
-    with np.errstate(all="ignore"):
-        inv = 1.0 / pos.real
-        sr, si = z.real * inv, z.imag * inv
-        q = si * si + sr * (sr - 2.0)
-        w = 1.0 - z / pos
-        near = np.abs(w) <= product._NEAR_ONE
-        if np.any(pos[near] == z):
-            return LogComplex(-math.inf, 0.0), -math.inf
-        w[near] = (pos[near] - z) / pos[near]
-        fast = (q >= -0.5) & (q < math.inf)
-        logs = np.where(fast, 0.5 * np.log1p(q), np.log(np.abs(w)))
-    wr, wi = np.where(fast, 1.0 - sr, w.real), np.where(fast, -si, w.imag)
-    is_real = wi == 0.0
-    args = mult * np.arctan2(wi, wr)
-    args[is_real] = 0.0
-    pi_count = int(mult[is_real & (wr < 0.0)].sum())
-    theta = product.wrap_angle(math.fsum(args) + (pi_count & 1) * math.pi)
-    return LogComplex(math.fsum(mult * logs), theta), float(logs.min())
-
-
-class TestRealPoint:
-    """A real sequence at a real point: the argument from the count of
-    negative factors alone, with no arctan2 and no argument sum."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(guard_cases(real_point=True))
-    def test_bits_of_the_arctan2_path(self, case):
-        seq, z, block = case
-        with mock.patch.object(product, "_PRODUCT_BLOCK", block):
-            got = evaluate_product(seq, z)
-        value, least = _former_value(seq, z)
-        assert got.value.log_magnitude.hex() == value.log_magnitude.hex()
-        assert got.value.argument.hex() == value.argument.hex()
-        assert got.min_factor_log_magnitude == least
-
-    @pytest.mark.parametrize("x", [0.5, -2.75, 3.0, -49.0, 49.999, 1e-300, 1e300])
-    def test_lattice_with_multiplicities(self, x):
-        # multiplicities 1 to 3, in blocks of 3 zeros or in one block; 3.0
-        # and -49.0 are zeros, and zeros a with |1 - x/a| < 1/sqrt 2 are
-        # the guard's cells
-        ks = np.arange(1.0, 51.0)
-        rng = np.random.default_rng(37)
-        seq = ZeroSequence.from_arrays(np.concatenate([ks, -ks]), rng.integers(1, 4, 100))
-        value, least = _former_value(seq, complex(x))
-        for block in (3, 1 << 15):
-            with mock.patch.object(product, "_PRODUCT_BLOCK", block):
-                got = evaluate_product(seq, x)
-            assert got.value.log_magnitude.hex() == value.log_magnitude.hex()
-            assert got.value.argument.hex() == value.argument.hex()
-            assert got.min_factor_log_magnitude == least
-        assert (value.log_magnitude == -math.inf) == (x in (3.0, -49.0))
-
-    @pytest.mark.parametrize("positions", [[5e-324, 2.0], [-1e-310, -3.0, 4.0]])
-    def test_overflowing_reciprocal_takes_arctan2(self, positions):
-        # where 1/a overflows, numpy's complex z / a has a NaN imaginary
-        # part, and the arctan2 path's value (a NaN argument) is kept
-        seq = ZeroSequence.from_arrays(positions, [2] * len(positions))
-        for x in (3.0, -1.0, 1e-300):
-            with np.errstate(all="ignore"):
-                got = evaluate_product(seq, x)
-                value, least = _former_value(seq, complex(x))
-            assert got.value.log_magnitude.hex() == value.log_magnitude.hex()
-            assert got.value.argument.hex() == value.argument.hex()
-            assert got.min_factor_log_magnitude == least
 
 
 class TestUnitDiscRuns:

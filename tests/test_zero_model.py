@@ -460,10 +460,11 @@ def _outcome(source):
 
 
 def _loop_outcome(source):
-    """_outcome with the whole-array parse refusing every input, so the
+    """_outcome with the whole-array parses refusing every input, so the
     per-line and per-record loops do all the work."""
     with mock.patch.object(zero_model, "_text_table", lambda source: None), \
-            mock.patch.object(zero_model, "_json_table", lambda source: None):
+            mock.patch.object(zero_model, "_json_table", lambda source: None), \
+            mock.patch.object(zero_model, "_json_record_table", lambda records: None):
         return _outcome(source)
 
 
@@ -633,7 +634,15 @@ class TestFastPathMatchesLoop:
         dumped = dump_sequence_json(seq)
         layouts = [json.dumps(json.loads(dumped), indent=2),
                    json.dumps(json.loads(dumped), separators=(",", ":"))]
-        for source in (text, crlf, dumped, *layouts):
+        # other arrays in the object, or a second `zeros` key, leave the
+        # flat parse to the parsed records' table
+        listed = ['{"note": [1], "meta": {"k": [2]}, ' + dumped[1:],
+                  '{"zeros": [[1, 0, 1]], ' + dumped[1:]]
+        for source in (dumped, *layouts):
+            assert zero_model._json_table(source) is not None
+        for source in listed:
+            assert zero_model._json_table(source) is None
+        for source in (text, crlf, dumped, *layouts, *listed):
             back = load_sequence(source)
             assert _same_arrays(back, seq)
             assert back.truncation_radius == seq.truncation_radius
