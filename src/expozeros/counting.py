@@ -553,7 +553,7 @@ def _row_sums(rows: int, cols: int, block: int, sums, threads: int) -> np.ndarra
         return np.zeros(rows)
     step = max(1, block // cols)
     runs = [slice(start, start + step) for start in range(0, rows, step)]
-    workers = min(threads, os.cpu_count() or 1, len(runs))
+    workers = min(threads, os.cpu_count() or 1, len(runs)) if threads > 1 else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return np.concatenate(list(pool.map(sums, runs)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,11 @@ TAIL_TRUNCATED = "truncated"
 # Zeros per evaluate_product block: its temporaries stay cache-sized (512 KiB
 # per complex array) instead of growing with the sequence.
 _PRODUCT_BLOCK = 1 << 15
+# evaluate_product sums a zero with |a| >= A, A the least power of two at or
+# above 2**_FAR_SHIFT |z|, by _SERIES_TERMS terms of log(1 - z/a)'s series
+# when its dyadic shell lies whole inside R (see there).
+_FAR_SHIFT = 4
+_SERIES_TERMS = 14
 # At z = a, numpy's complex division gives z / a within 2u + u**2 of 1 in
 # its real part and 2u (1 + 2u) in its imaginary part (u = 2**-53), so the
 # computed |1 - z/a| is below 3u (and q = |1 - z/a|**2 - 1 is near -1, so
@@ -103,9 +109,13 @@ class ProductEvaluation:
     radius_used: float
     factor_count: int
     tail_flag: str
-    # smallest log|1 - z/a| seen; near-zeros show up here instead of being
+    # smallest log|1 - z/a| over the dense factors; a far factor's is at
+    # least log(15/16), so near-zeros still show up here instead of being
     # special-cased (exact zeros use exact coordinate equality)
     min_factor_log_magnitude: float = math.inf
+    # stored zeros summed term by term, and far shells summed by the series
+    dense_zeros: int = 0
+    far_shells: int = 0
 
 
 def _modulus_run(seq: ZeroSequence, lo: float, hi: float) -> slice:
@@ -128,69 +138,137 @@ def _unit_disc_run(seq: ZeroSequence, c: complex) -> slice:
     return _modulus_run(seq, mod - reach, mod + reach)
 
 
-def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> ProductEvaluation:
-    """Product of (1 - z/a)^multiplicity over |a| < R, in log space.
+def _far_exponent(z: complex) -> int | None:
+    """j with 2**j the least power of two at or above 2**_FAR_SHIFT |z| (|z|
+    by hypot), or None when z = 0 or 2**j would pass every finite modulus:
+    then no zero is far."""
+    mag = abs(z)
+    if not 0.0 < mag < math.inf:
+        return None
+    frac, e = math.frexp(mag)
+    j = e + _FAR_SHIFT - (frac == 0.5)
+    return j if j < 1024 else None
 
-    Truncation is by ascending |a| with strict |a| < R; that ordering is what
-    makes symmetric (conditionally convergent) truncations behave.  |a| is
-    np.hypot, the modulus the completeness radius is checked with.  If z is
-    exactly a stored position inside R the value is an exact zero.
 
-    Per-zero log and argument terms are filled in blocks of _PRODUCT_BLOCK
-    zeros, which bound the temporaries, and each array is totalled by one
-    exact_sum: the correctly rounded sum of all its terms (the bits fsum
-    gives over them), so the value does not depend on the block size.
+@dataclass(frozen=True, eq=False)
+class _ShellTable:
+    """A sequence's zeros in dyadic shells 2**j <= |a| < 2**(j + 1)
+    (|a| = np.hypot, the stored order's modulus, so each shell is a run),
+    with the shells' power sums q[j, k] = sum of m (2**j / a)**k,
+    k = 1.._SERIES_TERMS, as real and imaginary parts."""
 
-    Terms, in real arithmetic on s = z/a.  For a real sequence (all_real)
-    sr = zr * fl(1 / Re a) and si = zi * fl(1 / Re a), the parts numpy's
-    complex z / a gives for a real a; otherwise the parts of that complex
-    quotient.  The log term is L = 1/2 log1p(q), q = si**2 + sr (sr - 2)
-    = |1 - s|**2 - 1, where every cell of the block has -1/2 <= q < inf
-    (one least and one greatest q decide).  A block with a cell outside
-    takes that cell by the guard: w = 1 - z/a, and where |w| <= _NEAR_ONE,
-    z is compared with those zeros for an exact zero, and w = (a - z)/a,
-    whose rounded difference is nonzero for z != a where 1 - z/a may round
-    to 0; then L = log|w|.  The argument term is arctan2(-si, 1 - sr), or
-    arctan2(Im w, Re w) in a guard cell: the bits of 1 - z/a's argument.
-    min_factor_log_magnitude is the least L.
+    exponents: np.ndarray   # j of each nonempty shell, ascending
+    starts: np.ndarray      # shell i is positions[starts[i]:starts[i + 1]]
+    real: np.ndarray        # (shells, _SERIES_TERMS)
+    imag: np.ndarray
 
-    Error bound, to first order in u = 2**-53.  The rounded quotient is
-    within c u |s| of s, with c = 2 for a real sequence (two roundings a
-    part) and c = 10 otherwise (Smith's division, as numpy does it).  The
-    computed q is within u (2 si**2 + 3 |sr| |sr - 2|) of |1 - s'|**2 - 1
-    for the rounded s', log1p is within one ulp (2u |L|), and 1 + q >= 1/2
-    makes |1 - s| >= 1/sqrt 2, so a log1p term is within
 
-        E = u (8 (si**2 + |sr| |sr - 2|) + 2 |L| + 2c |s|)
+# One _ShellTable a sequence (immutable, keyed by identity), made on the
+# first evaluate_product call that has far zeros and dropped with the
+# sequence; an entry depends on its sequence alone, like counting's
+# _ORIGIN_LOGS.
+_SHELL_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    of log|1 - z/a|.  A guard cell is within u (c |s| / |1 - s| + 3 + 2 |L|)
-    by 1 - z/a, and within u (c + 3 + 2 |L|) by (a - z)/a.  The value is
-    within the sum of m (E + u |L|) over the zeros (u |L| for the product
-    by m, none when every m is 1), plus u |value| for exact_sum's rounding.
-    """
-    _require_finite(z=z)
-    z = complex(z)
-    if not seq.origin_excluded:
-        raise ValueError("canonical product requires 0 not in the zero set")
-    R0 = seq.truncation_radius
-    if R is None:
-        R = R0 if R0 > 0 else math.inf
-    R = float(R)
-    if not R > 0:
-        raise ValueError(f"evaluation radius must be positive, got {R}")
-    if R0 > 0 and R > R0:
-        raise ValueError(f"evaluation radius {R} exceeds completeness radius {R0}")
-    n = _modulus_run(seq, 0.0, R).stop
-    pos = seq.positions[:n]
-    mult = seq.multiplicities[:n]
-    count = int(mult.sum())
-    # every zero lies inside R exactly when the prefix is the whole sequence
-    flag = TAIL_COMPLETE if (R0 == 0.0 and n == len(seq)) else TAIL_TRUNCATED
-    if n == 0:
-        return ProductEvaluation(LogComplex(0.0, 0.0), R, 0, flag)
+
+def _shell_table(seq: ZeroSequence) -> _ShellTable:
+    """seq's _ShellTable, built once.  A shell's t = 2**j / a comes from
+    b = a 2**-j (exact, |b| in [1, 2)): t = 1 / b for a real sequence, else
+    t = (Re b - i Im b) / (Re b**2 + Im b**2) in real arithmetic; t**k is
+    the running product t**(k - 1) t, and q[j, k] is the exact_sum of the
+    real and of the imaginary parts of m t**k over the shell (correctly
+    rounded, so a conjugate-symmetric shell's imaginary sums are exactly
+    0).  Temporaries are a few real arrays of one shell's length."""
+    table = _SHELL_TABLES.get(seq)
+    if table is not None:
+        return table
+    pos, mult = seq.positions, seq.multiplicities
+    exps = np.frexp(np.hypot(pos.real, pos.imag))[1] - 1
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(exps)) + 1, [len(seq)]))
+    shells = starts.size - 1
+    real = np.zeros((shells, _SERIES_TERMS))
+    imag = np.zeros((shells, _SERIES_TERMS))
+    for i in range(shells):
+        run = slice(starts[i], starts[i + 1])
+        j = int(exps[starts[i]])
+        m = None if seq.all_simple else mult[run]
+        br = np.ldexp(pos.real[run], -j)
+        if seq.all_real:
+            tr = np.divide(1.0, br, out=br)
+            pr = tr.copy()
+            for k in range(_SERIES_TERMS):
+                if k:
+                    pr *= tr
+                real[i, k] = exact_sum(pr if m is None else pr * m)
+            continue
+        bi = np.ldexp(pos.imag[run], -j)
+        d = br * br
+        d += bi * bi
+        tr = np.divide(br, d, out=br)
+        ti = np.negative(bi, out=bi)
+        ti /= d
+        pr, pi = tr.copy(), ti.copy()
+        for k in range(_SERIES_TERMS):
+            if k:
+                pr, pi = pr * tr - pi * ti, pr * ti + pi * tr
+            real[i, k] = exact_sum(pr if m is None else pr * m)
+            imag[i, k] = exact_sum(pi if m is None else pi * m)
+    table = _ShellTable(exps[starts[:-1]], starts, real, imag)
+    _SHELL_TABLES[seq] = table
+    return table
+
+
+def _far_terms(table: _ShellTable, shells: slice, j: int, z: complex):
+    """The series' log and argument terms over the given shells, j as
+    _far_exponent gives it: -(z / 2**i)**k q[i, k] / k for each shell i and
+    k = 1.._SERIES_TERMS, real part and imaginary part.  v**k, v = z 2**-j,
+    is the running product v**(k - 1) v in real arithmetic, and
+    (z / 2**i)**k = v**k 2**((j - i) k) exactly, barring underflow."""
+    vr, vi = math.ldexp(z.real, -j), math.ldexp(z.imag, -j)
+    powers = [(vr, vi)]
+    for _ in range(_SERIES_TERMS - 1):
+        pr, pi = powers[-1]
+        powers.append((pr * vr - pi * vi, pr * vi + pi * vr))
+    k = np.arange(1, _SERIES_TERMS + 1)
+    shift = (j - table.exponents[shells])[:, None] * k
+    pr, pi = np.array(powers).T
+    ur, ui = np.ldexp(pr, shift), np.ldexp(pi, shift)
+    qr, qi = table.real[shells], table.imag[shells]
+    logs = ur * qr
+    logs -= ui * qi
+    logs /= -k
+    args = ur * qi
+    args += ui * qr
+    args /= -k
+    return logs.ravel(), args.ravel()
+
+
+def _wide_factors(a: np.ndarray, z: complex):
+    """log|1 - z/a| and (Re, Im) of a vector along 1 - z/a for guard cells
+    where numpy's z / a overflows (1 / |a| or |z / a| beyond the largest
+    double), z not in a.  With 2**ea the power of two that scales a to
+    a'' = a 2**-ea with larger part in [1/2, 1), and 2**e the larger of
+    that and z's, d = a 2**-e - z 2**-e (scalings exact or, for the smaller
+    of a and z, below 2**-1074 of d) is (a - z) 2**-e, so
+    L = log|d| - log|a''| + (e - ea) log 2 and d conj(a'') lies along
+    (a - z)/a = 1 - z/a."""
+    ea = np.frexp(np.maximum(np.abs(a.real), np.abs(a.imag)))[1]
+    e = np.maximum(ea, math.frexp(max(abs(z.real), abs(z.imag)))[1])
+    dr = np.ldexp(a.real, -e) - np.ldexp(z.real, -e)
+    di = np.ldexp(a.imag, -e) - np.ldexp(z.imag, -e)
+    ar, ai = np.ldexp(a.real, -ea), np.ldexp(a.imag, -ea)
+    logs = np.log(np.hypot(dr, di)) - np.log(np.hypot(ar, ai)) + (e - ea) * math.log(2.0)
+    return logs, dr * ar + di * ai, di * ar - dr * ai
+
+
+def _dense_terms(pos: np.ndarray, mult: np.ndarray, z: complex, all_real: bool,
+                 all_simple: bool):
+    """Each zero's log term and argument term by the block kernel (see
+    evaluate_product), the count of real factors 1 - z/a < 0 (their pi's)
+    and the least log term; None when z is a zero."""
+    n = pos.size
     logs = np.empty(n)
     args = np.empty(n)
-    if seq.all_real:   # the quotient's parts, reused by every block
+    if all_real:   # the quotient's parts, reused by every block
         buf_r, buf_i = np.empty((2, min(n, _PRODUCT_BLOCK)))
     pi_count = 0
     least = math.inf
@@ -201,8 +279,9 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
         # log_terms holds q until log1p replaces it; arg_terms holds 1/a (for
         # a real sequence) and si**2 until arctan2 fills it
         log_terms, arg_terms = logs[block], args[block]
-        with np.errstate(over="ignore"):   # an overflowing q is the guard's
-            if seq.all_real:
+        # an overflowing 1/a, z/a or q is the guard's
+        with np.errstate(over="ignore", invalid="ignore"):
+            if all_real:
                 inv = np.divide(1.0, p.real, out=arg_terms)
                 sr = np.multiply(inv, z.real, out=buf_r[:k])
                 si = np.multiply(inv, z.imag, out=buf_i[:k])
@@ -222,18 +301,24 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
         wi = np.negative(si, out=si)
         if guard is not None:
             a = p[guard]
-            w = 1.0 - z / a
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = 1.0 - z / a
             absw = np.abs(w)
             near = absw <= _NEAR_ONE
+            wide = ~np.isfinite(absw)
+            if np.any(a[near | wide] == z):
+                return None
             if near.any():
-                if np.any(a[near] == z):
-                    return ProductEvaluation(LogComplex(-math.inf, 0.0), R, count, flag, -math.inf)
                 w[near] = (a[near] - z) / a[near]
                 absw[near] = np.abs(w[near])
-            with np.errstate(divide="ignore"):
-                log_terms[guard] = np.log(absw)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cell_logs = np.log(absw)
             wr[guard] = w.real
             wi[guard] = w.imag
+            if wide.any():
+                cells = np.flatnonzero(guard)[wide]
+                cell_logs[wide], wr[cells], wi[cells] = _wide_factors(a[wide], z)
+            log_terms[guard] = cell_logs
         least = min(least, float(log_terms.min()))
         np.arctan2(wi, wr, out=arg_terms)
         m = mult[block]
@@ -241,12 +326,128 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
         if is_real.any():
             arg_terms[is_real] = 0.0  # a real factor's pi goes to pi_count
             pi_count += int(m[is_real & (wr < 0.0)].sum())
-        if not seq.all_simple:   # multiplying by 1 changes no value
+        if not all_simple:   # multiplying by 1 changes no value
             log_terms *= m
             arg_terms *= m
+    return logs, args, pi_count, least
+
+
+def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> ProductEvaluation:
+    """Product of (1 - z/a)^multiplicity over |a| < R, in log space.
+
+    Truncation is by ascending |a| with strict |a| < R; that ordering is what
+    makes symmetric (conditionally convergent) truncations behave.  |a| is
+    np.hypot, the modulus the completeness radius is checked with.  If z is
+    exactly a stored position inside R the value is an exact zero.
+
+    Near and far zeros.  With A the least power of two at or above 16 |z|,
+    the zeros with |a| < A (a prefix of the stored order) are near, and so
+    are those of a dyadic shell 2**j <= |a| < 2**(j + 1) that R cuts (the
+    top shell when R lies inside it): each of them is a dense term of the
+    block kernel below.  The whole shells in [A, R) are far: there
+    |z/a| <= 1/16 and log(1 - z/a) = -sum over k of (z/a)**k / k, a
+    principal log, so its real part is the factor's log-modulus and its
+    imaginary part the factor's argument, with no 2 pi ambiguity.  A far
+    shell adds the terms -(z / 2**j)**k q[j, k] / k, k = 1..K (K =
+    _SERIES_TERMS = 14), from the sequence's table of shell power sums
+    q[j, k] = sum of m (2**j / a)**k, built once a sequence with correctly
+    rounded sums (_shell_table; the terms are _far_terms').  At z = 0 every
+    zero is near.
+
+    Dense terms, in blocks of _PRODUCT_BLOCK zeros, which bound the
+    temporaries, in real arithmetic on s = z/a.  For a real sequence
+    (all_real) sr = zr * fl(1 / Re a) and si = zi * fl(1 / Re a), the parts
+    numpy's complex z / a gives for a real a; otherwise the parts of that
+    complex quotient.  The log term is L = 1/2 log1p(q),
+    q = si**2 + sr (sr - 2) = |1 - s|**2 - 1, where every cell of the block
+    has -1/2 <= q < inf (one least and one greatest q decide).  A block
+    with a cell outside takes that cell by the guard: w = 1 - z/a, and
+    where |w| <= _NEAR_ONE, z is compared with those zeros for an exact
+    zero, and w = (a - z)/a, whose rounded difference is nonzero for z != a
+    where 1 - z/a may round to 0; then L = log|w|.  Where w overflows (1/a
+    or z/a beyond the largest double), z is compared with those zeros too,
+    and L = log|a - z| - log|a| in scaled parts (_wide_factors).  The
+    argument term is arctan2(-si, 1 - sr), or that of w in a guard cell:
+    the bits of 1 - z/a's argument.  min_factor_log_magnitude is the least
+    dense L; a far factor's is at least log(15/16).
+
+    Totals.  The dense log terms and the far series' real parts are
+    totalled by one exact_sum: the correctly rounded sum of all of them
+    (the bits fsum gives), so the value does not depend on the block size;
+    likewise the dense argument terms and the series' imaginary parts.  An
+    exactly real dense factor contributes its pi through an integer count.
+
+    Error bound, to first order in u = 2**-53.  The rounded quotient is
+    within c u |s| of s, with c = 2 for a real sequence (two roundings a
+    part) and c = 10 otherwise (Smith's division, as numpy does it).  The
+    computed q is within u (2 si**2 + 3 |sr| |sr - 2|) of |1 - s'|**2 - 1
+    for the rounded s', log1p is within one ulp (2u |L|), and 1 + q >= 1/2
+    makes |1 - s| >= 1/sqrt 2, so a log1p term is within
+
+        E = u (8 (si**2 + |sr| |sr - 2|) + 2 |L| + 2c |s|)
+
+    of log|1 - z/a|.  A guard cell is within u (c |s| / |1 - s| + 3 + 2 |L|)
+    by 1 - z/a, within u (c + 3 + 2 |L|) by (a - z)/a, and within
+    u (6 + 4 |L| + 5 |D|) by the scaled parts, D = (e - ea) log 2 as in
+    _wide_factors.  A far zero's share of the series is within
+
+        F = (9u + (16/15) 16**-K / (K + 1)) |z/a|
+
+    of log|1 - z/a|: the second part is the truncation, the tail of
+    |z/a|**k / k past K; the first is the series' rounding, from t = 2**j/a
+    (3u), the k - 1 products in t**k and in (z / 2**j)**k (each within
+    sqrt 5 u), the multiplicity, the shell's sum, the product by q and the
+    division by k, summed over k with |z/a| <= 1/16.  The value is within
+    the sum of m (E + u |L|) over the dense zeros (u |L| for the product
+    by m, none when every m is 1) and of m F over the far zeros, plus
+    u |value| for exact_sum's rounding.
+    """
+    _require_finite(z=z)
+    z = complex(z)
+    if not seq.origin_excluded:
+        raise ValueError("canonical product requires 0 not in the zero set")
+    R0 = seq.truncation_radius
+    if R is None:
+        R = R0 if R0 > 0 else math.inf
+    R = float(R)
+    if not R > 0:
+        raise ValueError(f"evaluation radius must be positive, got {R}")
+    if R0 > 0 and R > R0:
+        raise ValueError(f"evaluation radius {R} exceeds completeness radius {R0}")
+    n = _modulus_run(seq, 0.0, R).stop
+    count = int(seq.multiplicities[:n].sum())
+    # every zero lies inside R exactly when the prefix is the whole sequence
+    flag = TAIL_COMPLETE if (R0 == 0.0 and n == len(seq)) else TAIL_TRUNCATED
+    if n == 0:
+        return ProductEvaluation(LogComplex(0.0, 0.0), R, 0, flag)
+    # dense zeros: the prefix [0, near) and the top run [top, n)
+    near, top, shells = n, n, slice(0, 0)
+    j = _far_exponent(z)
+    if j is not None and seq.max_abs >= 2.0 ** j:
+        table = _shell_table(seq)
+        lo = int(np.searchsorted(table.exponents, j))
+        if n > table.starts[lo]:
+            hi = int(np.searchsorted(table.starts, n, side="right")) - 1
+            near, top, shells = int(table.starts[lo]), int(table.starts[hi]), slice(lo, hi)
+    pos, mult = seq.positions, seq.multiplicities
+    if 0 < near < top < n:
+        pos = np.concatenate((pos[:near], pos[top:n]))
+        mult = np.concatenate((mult[:near], mult[top:n]))
+    else:   # one run: no far shell, no top run or no near zero
+        dense = slice(0, n) if near == top else slice(0, near) if top == n else slice(top, n)
+        pos, mult = pos[dense], mult[dense]
+    terms = _dense_terms(pos, mult, z, seq.all_real, seq.all_simple)
+    if terms is None:
+        return ProductEvaluation(LogComplex(-math.inf, 0.0), R, count, flag, -math.inf,
+                                 pos.size, shells.stop - shells.start)
+    logs, args, pi_count, least = terms
+    if shells.stop > shells.start:
+        far_logs, far_args = _far_terms(table, shells, j, z)
+        logs = np.concatenate((logs, far_logs))
+        args = np.concatenate((args, far_args))
     theta = exact_sum(args) + (pi_count & 1) * math.pi
-    return ProductEvaluation(
-        LogComplex(exact_sum(logs), wrap_angle(theta)), R, count, flag, least)
+    return ProductEvaluation(LogComplex(exact_sum(logs), wrap_angle(theta)), R, count, flag,
+                             least, pos.size, shells.stop - shells.start)
 
 
 def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:

@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import weakref
 from unittest import mock
 
 import mpmath
@@ -60,15 +62,26 @@ def _oracle_sum(seq: ZeroSequence, z: complex, lp) -> tuple[float, float]:
         return float(total), float(70 * U * weight)
 
 
-def _stated_bound(seq: ZeroSequence, z: complex, value: float) -> float:
+def _stated_bound(seq: ZeroSequence, z: complex, value: float, R: float = math.inf) -> float:
     """evaluate_product's stated error bound for its log-magnitude value at
-    z: each zero's term bound, by the rule that takes its term (the log1p
-    rule where q = si**2 + sr (sr - 2) lies in [-1/2, inf), else the guard's
-    by 1 - z/a, or by (a - z)/a where |1 - z/a| <= _NEAR_ONE), times its
-    multiplicity, plus u |L| for that product and u |value| for the final
-    rounding."""
+    z over |a| < R.  A far zero, in a dyadic shell 2**j <= |a| < 2**(j + 1)
+    at or beyond A (the least power of two at or above 16 |z|) that lies
+    whole inside R, is bounded by F = (9u + (16/15) 16**-14 / 15) |z/a|
+    times its multiplicity.  Each other zero's term is bounded by the rule
+    that takes it (the log1p rule where q = si**2 + sr (sr - 2) lies in
+    [-1/2, inf), else the guard's by 1 - z/a, by (a - z)/a where
+    |1 - z/a| <= _NEAR_ONE, or by the scaled parts where 1 - z/a
+    overflows), times its multiplicity, plus u |L| for that product; and
+    u |value| for the final rounding."""
     pos, mult = seq.positions, seq.multiplicities
     c = 2.0 if seq.all_real else 10.0
+    mod = np.hypot(pos.real, pos.imag)
+    inside = mod < R
+    shell = np.frexp(mod)[1]
+    whole = ~np.isin(shell, shell[~inside])
+    frac, e = math.frexp(16.0 * abs(z))
+    A = math.inf if z == 0 else 2.0 ** (e - 1 if frac == 0.5 else e)
+    far = inside & whole & (mod >= A)
     with np.errstate(all="ignore"):
         if seq.all_real:
             inv = 1.0 / pos.real
@@ -80,14 +93,22 @@ def _stated_bound(seq: ZeroSequence, z: complex, value: float) -> float:
         w = 1.0 - z / pos
         mod_w = np.abs(w)
         near = mod_w <= product._NEAR_ONE
-        logs = np.log(np.abs(np.where(near, (pos - z) / pos, w)))
+        wide = ~np.isfinite(mod_w)
+        logs = np.where(wide, np.log(np.abs(pos - z)) - np.log(mod),
+                        np.log(np.abs(np.where(near, (pos - z) / pos, w))))
         mod_s = np.hypot(sr, si)
         fast = (q >= -0.5) & (q < math.inf)
+        # the scaled parts' D = (e - ea) log 2, 2**ea scaling a's larger part
+        # into [1/2, 1) and 2**e the larger of that and z's
+        ea = np.frexp(np.maximum(np.abs(pos.real), np.abs(pos.imag)))[1]
+        D = (np.maximum(ea, math.frexp(max(abs(z.real), abs(z.imag)))[1]) - ea) * math.log(2.0)
         terms = np.where(fast, 8.0 * (si * si + np.abs(sr) * np.abs(sr - 2.0)) + 2.0 * c * mod_s,
                          np.where(near, c, c * mod_s / mod_w) + 3.0)
-    terms += 2.0 * np.abs(logs)
-    product_rounding = np.where(mult > 1.0, np.abs(logs), 0.0)
-    return U * (float((mult * terms + mult * product_rounding).sum()) + abs(value))
+        terms = np.where(wide, 6.0 + 2.0 * np.abs(logs) + 5.0 * np.abs(D), terms)
+        terms += 2.0 * np.abs(logs)
+        terms += np.where(mult > 1.0, np.abs(logs), 0.0)
+        terms = np.where(far, (9.0 + 16.0 / 15.0 * 16.0 ** -14 / 15.0 / U) * np.abs(z) / mod, terms)
+    return U * (float((mult * terms)[inside].sum()) + abs(value))
 
 
 class TestLogComplex:
@@ -176,34 +197,59 @@ class TestEvaluateProduct:
         assert at_zero.value.is_zero and at_zero.factor_count == hit.total_multiplicity
 
     def test_bits_of_one_fsum_at_1e5_zeros(self):
-        # the block-wise exact totals against math.fsum over every per-zero
-        # term at once, on integer_lattice(5e4): 99998 zeros, four blocks.
-        # A log term is 1/2 log1p(q) with s = z * fl(1 / a) and
+        # the exact totals against math.fsum over every term at once, on
+        # integer_lattice(5e4): 99998 simple zeros.  A zero with |a| < A,
+        # the least power of two at or above 16 |z|, is a dense term: a log
+        # term 1/2 log1p(q) with s = z * fl(1 / a) and
         # q = si**2 + sr (sr - 2), and log|1 - z/a| where q < -1/2 (the
-        # guard's cells); an argument term is that of 1 - z/a
+        # guard's cells); an argument term that of 1 - z/a.  Each dyadic
+        # shell 2**j <= |a| < 2**(j + 1) from A on adds the real and the
+        # imaginary part of -(z / 2**j)**k q_k / k, k = 1..14, q_k the fsum
+        # of (2**j / a)**k over the shell, both powers by running products
         seq = integer_lattice(5e4)
-        pos, mult = seq.positions, seq.multiplicities
+        pos = seq.positions.real
+        assert seq.all_real and seq.all_simple
         rng = np.random.default_rng(33)
         guard_cells = 0
         for i in range(12):
             z = complex(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0) if i % 2 else 0.0)
-            inv = 1.0 / pos.real
+            frac, e = math.frexp(16.0 * abs(z))
+            A = 2.0 ** (e - 1 if frac == 0.5 else e)
+            p = pos[np.abs(pos) < A]
+            inv = 1.0 / p
             sr, si = z.real * inv, z.imag * inv
             q = si * si + sr * (sr - 2.0)
-            w = 1.0 - z / pos
+            w = 1.0 - z / (p + 0j)
             fast = (q >= -0.5) & (q < math.inf)
             guard_cells += int((~fast).sum())
             logs = np.log(np.abs(w))
             logs[fast] = 0.5 * np.log1p(q[fast])
             is_real = w.imag == 0.0
-            args = mult * np.arctan2(w.imag, w.real)
+            args = np.arctan2(w.imag, w.real)
             args[is_real] = 0.0
-            pi_count = int(mult[is_real & (w.real < 0.0)].sum())
-            expect = LogComplex(math.fsum(mult * logs),
+            pi_count = int((is_real & (w.real < 0.0)).sum())
+            logs, args = logs.tolist(), args.tolist()
+            shell, shells = A, 0
+            while shell <= np.abs(pos).max():
+                t = shell / pos[(np.abs(pos) >= shell) & (np.abs(pos) < 2.0 * shell)]
+                tk = t
+                ur, ui = z.real / shell, z.imag / shell
+                pr, pi = ur, ui
+                for k in range(1, 15):
+                    if k > 1:
+                        tk = tk * t
+                        pr, pi = pr * ur - pi * ui, pr * ui + pi * ur
+                    q_k = math.fsum(tk)
+                    logs.append(-(pr * q_k) / k)
+                    args.append(-(pi * q_k) / k)
+                shell *= 2.0
+                shells += 1
+            expect = LogComplex(math.fsum(logs),
                                 product.wrap_angle(math.fsum(args) + (pi_count & 1) * math.pi))
-            got = evaluate_product(seq, z).value
-            assert got.log_magnitude.hex() == expect.log_magnitude.hex()
-            assert got.argument.hex() == expect.argument.hex()
+            pe = evaluate_product(seq, z)
+            assert (pe.dense_zeros, pe.far_shells) == (p.size, shells) and shells
+            assert pe.value.log_magnitude.hex() == expect.log_magnitude.hex()
+            assert pe.value.argument.hex() == expect.argument.hex()
         assert guard_cells   # the guard's terms are among those summed
 
     def test_mpmath_oracle_off_the_axis(self):
@@ -408,6 +454,107 @@ class TestGuard:
         pi_count = int(mult[is_real & (w.real < 0.0)].sum())
         expect = product.wrap_angle(math.fsum(args) + (pi_count & 1) * math.pi)
         assert value.argument.hex() == LogComplex(0.0, expect).argument.hex()
+
+
+def _spread_sequence(seed: int, n: int = 300) -> ZeroSequence:
+    """n complex zeros with moduli log-uniform from 0.5 to 4000 (thirteen
+    dyadic shells), in no symmetry, with multiplicities 1 to 3."""
+    rng = np.random.default_rng(seed)
+    pos = np.exp(rng.uniform(math.log(0.5), math.log(4000.0), n)) * np.exp(2j * np.pi * rng.random(n))
+    return ZeroSequence.from_arrays(pos, rng.integers(1, 4, n))
+
+
+def _mp_log_product(seq: ZeroSequence, z: complex, R: float = math.inf):
+    """sum of m log(1 - z/a) over |a| < R at 40 digits: the log-modulus, and
+    the argument reduced to (-pi, pi]."""
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z.real, z.imag)
+        total = mpmath.fsum(m * mpmath.log(1 - zm / mpmath.mpc(a.real, a.imag))
+                            for a, m in zip(seq.positions.tolist(), seq.multiplicities.tolist())
+                            if abs(a) < R)
+        return total.real, total.imag
+
+
+def _check_against_mpmath(seq: ZeroSequence, z: complex, R: float | None = None):
+    pe = evaluate_product(seq, z, R)
+    log_mod, arg = _mp_log_product(seq, z, math.inf if R is None else R)
+    value = pe.value
+    bound = _stated_bound(seq, z, value.log_magnitude, math.inf if R is None else R)
+    assert abs(mpmath.mpf(value.log_magnitude) - log_mod) <= bound
+    with mpmath.workdps(40):
+        turn = abs(mpmath.mpf(value.argument) - arg) / (2 * mpmath.pi)
+        assert abs(turn - mpmath.nint(turn)) * 2 * mpmath.pi <= 1e-12
+    return pe
+
+
+class TestFarZeros:
+    """evaluate_product's far shells: the zeros of whole dyadic shells at or
+    beyond A, the least power of two at or above 16 |z|, summed from the
+    sequence's table of shell power sums."""
+
+    def test_mpmath_oracle_on_a_complex_sequence(self):
+        seq = _spread_sequence(81)
+        rng = np.random.default_rng(82)
+        for _ in range(12):
+            z = draw_point(rng, seq, 20.0, min_dist=1e-3)
+            pe = _check_against_mpmath(seq, z)
+            assert pe.far_shells > 0
+
+    def test_edge_of_a_power_of_two(self):
+        # |z| = 4 makes A = 64; one ulp above, A = 128 and the shell
+        # [64, 128) turns dense; one ulp below, A stays 64
+        seq = _spread_sequence(83)
+        mod = np.hypot(seq.positions.real, seq.positions.imag)
+        split = {}
+        for y in (math.nextafter(4.0, 0.0), 4.0, math.nextafter(4.0, 5.0)):
+            pe = _check_against_mpmath(seq, complex(0.0, y))
+            split[y] = (pe.dense_zeros, pe.far_shells)
+        edge = (int((mod < 64.0).sum()), 6)
+        assert split[math.nextafter(4.0, 0.0)] == split[4.0] == edge
+        assert split[math.nextafter(4.0, 5.0)] == (int((mod < 128.0).sum()), 5)
+
+    def test_radius_inside_a_shell(self):
+        # R = 700 lies in the shell [512, 1024): its zeros below R are
+        # dense terms, after the near zeros; R = 2048 ends a shell; R = 40
+        # cuts the first shell at or beyond A
+        seq = _spread_sequence(84)
+        mod = np.hypot(seq.positions.real, seq.positions.imag)
+        z = 1.3 - 0.6j   # A = 32
+        pe = _check_against_mpmath(seq, z, 700.0)
+        assert (pe.dense_zeros, pe.far_shells) == (
+            int((mod < 32.0).sum() + ((mod >= 512.0) & (mod < 700.0)).sum()), 4)
+        pe = _check_against_mpmath(seq, z, 2048.0)
+        assert (pe.dense_zeros, pe.far_shells) == (int((mod < 32.0).sum()), 6)
+        for R in (20.0, 40.0):   # before A, and inside A's own shell
+            pe = _check_against_mpmath(seq, z, R)
+            assert (pe.dense_zeros, pe.far_shells) == (int((mod < R).sum()), 0)
+
+    def test_table_built_once_and_dropped_with_its_sequence(self, monkeypatch):
+        seq = _spread_sequence(85)
+        built = []
+        table_type = product._ShellTable
+        monkeypatch.setattr(product, "_ShellTable", lambda *parts: built.append(parts)
+                            or table_type(*parts))
+        for z in (0.7 + 0.2j, -3.0 + 1.0j, 11.0j):
+            assert evaluate_product(seq, z).far_shells > 0
+        assert len(built) == 1
+        table = weakref.ref(product._SHELL_TABLES[seq])
+        del seq
+        gc.collect()
+        assert table() is None
+
+    @pytest.mark.parametrize("zeros, z", [
+        ([5e-324, 2.0], 3.0),                          # 1/a overflows
+        ([1.5e-323 + 1e-323j, 2.0], 2e-323),           # z/a = 4/(3 + 2i) by subnormals
+        ([3e-310j, -4e-310, 7.0], 1e300 + 1e300j),     # |z/a| beyond 1e308
+        ([-2.5e-318, 0.5 + 0.5j], math.nextafter(-2.5e-318, 0.0)),
+    ])
+    def test_overflowing_quotient_takes_the_guard(self, zeros, z):
+        # these cells once gave log-modulus inf and a nan argument with
+        # RuntimeWarnings (pytest turns a warning into an error)
+        seq = ZeroSequence.from_arrays(zeros, np.ones(len(zeros)))
+        _check_against_mpmath(seq, z)
+        assert evaluate_product(seq, complex(seq.positions[0])).value.is_zero
 
 
 class TestUnitDiscRuns:
