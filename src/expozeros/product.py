@@ -6,12 +6,19 @@ log-modulus is 1/2 log1p(si**2 + sr (sr - 2)) in real arithmetic on
 s = z/a, unbiased for the many factors near 1; a factor with
 |1 - z/a|**2 < 1/2 or an overflowing square takes log|1 - z/a| by a guard
 that also finds exact zeros; evaluate_product states the error bound.
-Log-magnitudes and raw argument radians are totalled by counting's
-exact_sum: correctly rounded, with the same bits as fsum, in a few numpy
-passes a split level; arguments are normalized to (-pi, pi] once at the
-end.  Factors that are exactly real contribute their pi's through an
-integer counter, so conjugate-symmetric sequences evaluated at real points
-come out with argument exactly 0 or pi.
+Those are the dense factors: the zeros below A, the least power of two at
+or above 16 |z|, and those of a dyadic shell that the radius cuts.  The
+zeros of the whole shells 2**j <= |a| < 2**(j + 1) beyond A are far: each
+shell adds 14 terms of log(1 - z/a)'s series, -(z / 2**j)**k q[j, k] / k,
+from a table of shell power sums built once a sequence (the far-field step
+of the fast multipole method, Greengard & Rokhlin 1987).  Log-magnitudes
+and raw argument radians, dense terms and series terms together, are
+totalled by counting's exact_sum: correctly rounded, with the same bits as
+fsum, in a few numpy passes a split level; arguments are normalized to
+(-pi, pi] once at the end.  Dense factors that are exactly real contribute
+their pi's through an integer counter, and a conjugate-symmetric shell's
+power sums are exactly real, so conjugate-symmetric sequences evaluated at
+real points come out with argument exactly 0 or pi.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import cmath
 import math
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,9 +147,9 @@ def _unit_disc_run(seq: ZeroSequence, c: complex) -> slice:
 
 
 def _far_exponent(z: complex) -> int | None:
-    """j with 2**j the least power of two at or above 2**_FAR_SHIFT |z| (|z|
-    by hypot), or None when z = 0 or 2**j would pass every finite modulus:
-    then no zero is far."""
+    """The j with 2**j = A, the least power of two at or above
+    2**_FAR_SHIFT |z| (|z| by hypot), or None when z = 0 or 2**j would pass
+    every finite modulus: then no zero is far."""
     mag = abs(z)
     if not 0.0 < mag < math.inf:
         return None
@@ -150,8 +158,7 @@ def _far_exponent(z: complex) -> int | None:
     return j if j < 1024 else None
 
 
-@dataclass(frozen=True, eq=False)
-class _ShellTable:
+class _ShellTable(NamedTuple):
     """A sequence's zeros in dyadic shells 2**j <= |a| < 2**(j + 1)
     (|a| = np.hypot, the stored order's modulus, so each shell is a run),
     with the shells' power sums q[j, k] = sum of m (2**j / a)**k,
@@ -217,19 +224,20 @@ def _shell_table(seq: ZeroSequence) -> _ShellTable:
     return table
 
 
-def _far_terms(table: _ShellTable, shells: slice, j: int, z: complex):
-    """The series' log and argument terms over the given shells, j as
-    _far_exponent gives it: -(z / 2**i)**k q[i, k] / k for each shell i and
-    k = 1.._SERIES_TERMS, real part and imaginary part.  v**k, v = z 2**-j,
-    is the running product v**(k - 1) v in real arithmetic, and
-    (z / 2**i)**k = v**k 2**((j - i) k) exactly, barring underflow."""
-    vr, vi = math.ldexp(z.real, -j), math.ldexp(z.imag, -j)
+def _far_terms(table: _ShellTable, shells: slice, near_exp: int, z: complex):
+    """The series' log and argument terms over the given shells, with
+    2**near_exp = A as _far_exponent gives it: the real and the imaginary
+    part of -(z / 2**j)**k q[j, k] / k for each shell j and
+    k = 1.._SERIES_TERMS.  v**k, v = z / A, is the running product
+    v**(k - 1) v in real arithmetic, and
+    (z / 2**j)**k = v**k 2**((near_exp - j) k) exactly, barring underflow."""
+    vr, vi = math.ldexp(z.real, -near_exp), math.ldexp(z.imag, -near_exp)
     powers = [(vr, vi)]
     for _ in range(_SERIES_TERMS - 1):
         pr, pi = powers[-1]
         powers.append((pr * vr - pi * vi, pr * vi + pi * vr))
     k = np.arange(1, _SERIES_TERMS + 1)
-    shift = (j - table.exponents[shells])[:, None] * k
+    shift = (near_exp - table.exponents[shells])[:, None] * k
     pr, pi = np.array(powers).T
     ur, ui = np.ldexp(pr, shift), np.ldexp(pi, shift)
     qr, qi = table.real[shells], table.imag[shells]
@@ -420,15 +428,17 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     flag = TAIL_COMPLETE if (R0 == 0.0 and n == len(seq)) else TAIL_TRUNCATED
     if n == 0:
         return ProductEvaluation(LogComplex(0.0, 0.0), R, 0, flag)
-    # dense zeros: the prefix [0, near) and the top run [top, n)
-    near, top, shells = n, n, slice(0, 0)
-    j = _far_exponent(z)
-    if j is not None and seq.max_abs >= 2.0 ** j:
+    # dense zeros: the prefix [0, near) and the top run [top, n); far: the
+    # table's shells lo..hi - 1
+    near = top = n
+    lo = hi = 0
+    near_exp = _far_exponent(z)
+    if near_exp is not None and seq.max_abs >= 2.0 ** near_exp:
         table = _shell_table(seq)
-        lo = int(np.searchsorted(table.exponents, j))
-        if n > table.starts[lo]:
-            hi = int(np.searchsorted(table.starts, n, side="right")) - 1
-            near, top, shells = int(table.starts[lo]), int(table.starts[hi]), slice(lo, hi)
+        first = int(np.searchsorted(table.exponents, near_exp))
+        if n > table.starts[first]:
+            lo, hi = first, int(np.searchsorted(table.starts, n, side="right")) - 1
+            near, top = int(table.starts[lo]), int(table.starts[hi])
     pos, mult = seq.positions, seq.multiplicities
     if 0 < near < top < n:
         pos = np.concatenate((pos[:near], pos[top:n]))
@@ -439,15 +449,15 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     terms = _dense_terms(pos, mult, z, seq.all_real, seq.all_simple)
     if terms is None:
         return ProductEvaluation(LogComplex(-math.inf, 0.0), R, count, flag, -math.inf,
-                                 pos.size, shells.stop - shells.start)
+                                 pos.size, hi - lo)
     logs, args, pi_count, least = terms
-    if shells.stop > shells.start:
-        far_logs, far_args = _far_terms(table, shells, j, z)
+    if hi > lo:
+        far_logs, far_args = _far_terms(table, slice(lo, hi), near_exp, z)
         logs = np.concatenate((logs, far_logs))
         args = np.concatenate((args, far_args))
     theta = exact_sum(args) + (pi_count & 1) * math.pi
     return ProductEvaluation(LogComplex(exact_sum(logs), wrap_angle(theta)), R, count, flag,
-                             least, pos.size, shells.stop - shells.start)
+                             least, pos.size, hi - lo)
 
 
 def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
