@@ -359,8 +359,8 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     shell adds the terms -(z / 2**j)**k q[j, k] / k, k = 1..K (K =
     _SERIES_TERMS = 14), from the sequence's table of shell power sums
     q[j, k] = sum of m (2**j / a)**k, built once a sequence with correctly
-    rounded sums (_shell_table; the terms are _far_terms').  At z = 0 every
-    zero is near.
+    rounded sums (_shell_table and _far_terms give the arithmetic).  At
+    z = 0 every zero is near.
 
     Dense terms, in blocks of _PRODUCT_BLOCK zeros, which bound the
     temporaries, in real arithmetic on s = z/a.  For a real sequence
