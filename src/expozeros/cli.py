@@ -230,6 +230,7 @@ def run_eval(args) -> int:
             "factor_count": pe.factor_count, "tail_flag": pe.tail_flag,
             "tail_log_re": tail_re, "tail_log_im": tail_im,
             "tail_second_order_bound": tail_bound,
+            "dense_zeros": pe.dense_zeros, "far_shells": pe.far_shells,
         })
     payload = {"command": "eval", "config": _config_dict(args), "rows": rows}
     _emit(args, payload, rows, list(rows[0].keys()))
@@ -252,6 +253,7 @@ def run_identity_check(args) -> int:
         rows.append({
             "kind": "log_modulus", "re": z.real, "im": z.imag,
             "lhs": pe.value.log_magnitude, "rhs": cs, "residual": resid, "note": "",
+            "dense_zeros": pe.dense_zeros, "far_shells": pe.far_shells,
         })
 
     first_zeros = seq.positions[:3]
@@ -263,6 +265,7 @@ def run_identity_check(args) -> int:
             "kind": "log_modulus", "re": z.real, "im": z.imag,
             "lhs": pe.value.log_magnitude, "rhs": cs, "residual": 0.0,
             "note": "exact-match-at-zero" if exact else "mismatch-at-zero",
+            "dense_zeros": pe.dense_zeros, "far_shells": pe.far_shells,
         })
 
     for z in _draw_points(rng, seq, args.jensen_count, min(scale, 3.0), min_dist=0.0):
@@ -273,6 +276,7 @@ def run_identity_check(args) -> int:
         rows.append({
             "kind": "jensen", "re": z.real, "im": z.imag,
             "lhs": left, "rhs": right, "residual": resid, "note": f"nodes={args.nodes}",
+            "dense_zeros": None, "far_shells": None,
         })
 
     multi = seq.multiplicities >= 2
@@ -285,6 +289,7 @@ def run_identity_check(args) -> int:
             "kind": "multiple_zero", "re": z.real, "im": z.imag,
             "lhs": counting, "rhs": oracle, "residual": resid,
             "note": f"multiplicity={int(m)}",
+            "dense_zeros": None, "far_shells": None,
         })
 
     max_residual = max(residuals) if residuals else 0.0

@@ -19,6 +19,14 @@ fsum, in a few numpy passes a split level; arguments are normalized to
 their pi's through an integer counter, and a conjugate-symmetric shell's
 power sums are exactly real, so conjugate-symmetric sequences evaluated at
 real points come out with argument exactly 0 or pi.
+
+The counting side, log_modulus_via_counting, takes the zeros below 2**J,
+the least power of two at or above 32 |z|, by the counting kernel's terms,
+and each whole dyadic shell beyond by a local expansion of its potential:
+15 Fourier coefficients of the potential sampled by the same kernel at 32
+nodes a shell, in a second table built once a sequence.  It shares no
+split, term or sum with the product's power sums, so the identity check
+compares two independent computations.
 """
 
 from __future__ import annotations
@@ -72,6 +80,16 @@ _NEAR_ONE = 2.0 ** -50
 # multiplicity (see there).
 _FAR_NODES = 64
 _FAR_RADII = 2.0
+# log_modulus_via_counting sums a zero with |a| >= 2**J, 2**J the least power
+# of two at or above 2**_COUNT_SHIFT |z|, by its dyadic shell's local
+# expansion: the shell's potential sampled at _COUNT_NODES equispaced nodes
+# of |w| = 2**(j - _COUNT_SHIFT), of whose Fourier coefficients
+# k = 1 .. _COUNT_NODES/2 - 1 are kept (see there).  Shells below
+# 2**_COUNT_MIN_EXP, whose circles near the subnormals, are never sampled.
+_COUNT_SHIFT = 5
+_COUNT_NODES = 32
+_COUNT_MIN_EXP = -1000
+_COUNT_UNIT = np.exp(2j * np.pi * np.arange(_COUNT_NODES) / _COUNT_NODES)
 
 
 def wrap_angle(theta: float) -> float:
@@ -146,15 +164,15 @@ def _unit_disc_run(seq: ZeroSequence, c: complex) -> slice:
     return _modulus_run(seq, mod - reach, mod + reach)
 
 
-def _far_exponent(z: complex) -> int | None:
+def _far_exponent(z: complex, shift: int = _FAR_SHIFT) -> int | None:
     """The j with 2**j = A, the least power of two at or above
-    2**_FAR_SHIFT |z| (|z| by hypot), or None when z = 0 or 2**j would pass
+    2**shift |z| (|z| by hypot), or None when z = 0 or 2**j would pass
     every finite modulus: then no zero is far."""
     mag = abs(z)
     if not 0.0 < mag < math.inf:
         return None
     frac, e = math.frexp(mag)
-    j = e + _FAR_SHIFT - (frac == 0.5)
+    j = e + shift - (frac == 0.5)
     return j if j < 1024 else None
 
 
@@ -460,13 +478,122 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
                              least, pos.size, hi - lo)
 
 
+class _CountingTable(NamedTuple):
+    """A sequence's dyadic shells 2**j <= |a| < 2**(j + 1) at or above
+    2**_COUNT_MIN_EXP (|a| = np.hypot, so each shell is a run), with the
+    local expansion of each shell's potential
+    u_j(w) = sum of m (log|w - a| - log|a|) = Re sum of C[j, k] (w / rho_j)**k,
+    rho_j = 2**(j - _COUNT_SHIFT), k = 1 .. _COUNT_NODES/2 - 1."""
+
+    exponents: np.ndarray      # j of each nonempty shell, ascending
+    starts: np.ndarray         # shell i is positions[starts[i]:starts[i + 1]]
+    coefficients: np.ndarray   # (shells, _COUNT_NODES // 2 - 1), complex
+
+
+# One _CountingTable a sequence, made on the first log_modulus_via_counting
+# call that has far zeros and dropped with the sequence.  It is built from
+# the counting kernel alone and shares nothing with _SHELL_TABLES.
+_COUNTING_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _counting_table(seq: ZeroSequence) -> _CountingTable:
+    """seq's _CountingTable, built once: shell j's potential sampled by
+    partial_log_potential (the counting kernel, blocked at
+    _SMALL_BLOCK_CELLS cells) at the nodes rho_j exp(2 pi i n / M),
+    n = 0 .. M - 1, M = _COUNT_NODES, and C[j, k] = (2/M) times the k-th
+    bin of the samples' real FFT."""
+    table = _COUNTING_TABLES.get(seq)
+    if table is not None:
+        return table
+    pos = seq.positions
+    exps = np.frexp(np.hypot(pos.real, pos.imag))[1] - 1
+    first = int(np.searchsorted(exps, _COUNT_MIN_EXP))
+    starts = np.concatenate(([first], first + 1 + np.flatnonzero(np.diff(exps[first:])),
+                             [len(seq)]))
+    shell_exps = exps[starts[:-1]]
+    samples = np.empty((shell_exps.size, _COUNT_NODES))
+    for i, j in enumerate(shell_exps.tolist()):
+        nodes = _COUNT_UNIT * 2.0 ** (j - _COUNT_SHIFT)
+        samples[i] = partial_log_potential(seq, nodes, slice(starts[i], starts[i + 1]))
+    coefficients = np.fft.rfft(samples)[:, 1:_COUNT_NODES // 2] * (2.0 / _COUNT_NODES)
+    table = _CountingTable(shell_exps, starts, coefficients)
+    _COUNTING_TABLES[seq] = table
+    return table
+
+
 def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
     """log|product| via the counting side: the full-range step integral of
     [n(0,t) - n(z,t)]/t, i.e. sum of m * (log|a - z| - log|a|).  Returns -inf
-    exactly when z is a stored zero position, as step_integral does."""
+    exactly when z is a stored zero position, as step_integral does, and
+    exactly 0.0 at z = 0.
+
+    Near and far zeros.  With 2**J the least power of two at or above
+    32 |z|, a zero with |a| < 2**J, or below 2**_COUNT_MIN_EXP, is near: its
+    term m (L_z - L_a), L_c = log|a - c|, is step_integral's, by the
+    counting kernel's term rule (_center_logs).  A dyadic shell
+    2**j <= |a| < 2**(j + 1) at or beyond 2**J is far.  Its potential
+    u_j(w) = sum of m (L_w - L_a) over the shell is harmonic in |w| < 2**j
+    with u_j(0) = 0, so u_j(w) = Re sum over k >= 1 of c_k (w / rho_j)**k
+    with rho_j = 2**(j - 5) and c_k = -(rho_j**k / k) sum of m a**-k.  The
+    sequence's table (_counting_table) holds C_1 .. C_15: (2/M) times the
+    real FFT of u_j sampled by the counting kernel at M = 32 equispaced
+    nodes of |w| = rho_j (the local expansion of Ying, Biros & Zorin 2004,
+    in two dimensions).  A point adds Re sum of C_k v**k, v = z / rho_j
+    (exact, |v| <= 1; v**k by running products), for each far shell.  The
+    near terms and the shells' terms are totalled by one exact_sum.  C_0 is
+    dropped: u_j(0) = 0, so the exact C_0 is the aliases' Re(c_M + c_2M +
+    ...), below mu_j 32**-32, and the computed one lies within the sample
+    bound below.  The table shares no split, term or sum with
+    evaluate_product's power sums.
+
+    Error bound, to first order in u = 2**-53.  A near term is within
+    m (6u + 4u (|L_z| + |L_a|)) (log_potential's term bound).  A far shell
+    with multiplicity mu_j is within
+
+        B_j = (2 E_j + 4u mu_j) S_j + mu_j (u / 10 + 32**-16 / 14)
+
+    of its exact sum, S_j = sum of |v|**k over k = 1..15 (at most 15), and
+    E_j = u sum over the shell of m (74 + 140 |L_a|) the bound on each
+    sample.  The parts:
+      * samples: log_potential's 70u sum of m (1 + |L_w| + |L_a|) with
+        |L_w| <= |L_a| + log(32/31) at every node, plus mu_j u / 2 for the
+        nodes' rounding (within 14u rho_j of the exact node, where u_j's
+        gradient is at most mu_j / (31 rho_j)); M samples within E_j put
+        each C_k within 2 E_j;
+      * the FFT: within 4u mu_j a coefficient (Cooley-Tukey's
+        34u sqrt(M) |samples|_2 a bin, Higham 2002 thm 24.2, with every
+        sample below mu_j / 31 + E_j);
+      * truncation plus aliasing: |c_k| <= mu_j 32**-k / k, the tail past
+        k = 15 is below mu_j 32**-16 / 15, and a real function's bin k
+        aliases c_(M-k), below mu_j 32**-16 / 480 over k = 1..15;
+      * the evaluation, below 3k u |C_k| |v|**k a term: mu_j u / 10.
+    The value is within the near terms' bounds plus the far shells' B_j,
+    plus u |value| for exact_sum's rounding.
+    """
+    _require_finite(z=z)
     if not seq.origin_excluded:
         raise ValueError("counting-side log-modulus requires 0 not in the zero set")
-    return step_integral(seq, 0.0, complex(z), 0.0, math.inf)
+    z = complex(z)
+    near = len(seq)
+    split = _far_exponent(z, _COUNT_SHIFT)
+    if split is not None:
+        split = max(split, _COUNT_MIN_EXP)
+    if split is not None and seq.max_abs >= 2.0 ** split:
+        table = _counting_table(seq)
+        first = int(np.searchsorted(table.exponents, split))
+        near = int(table.starts[first])
+    dense = slice(0, near)
+    terms = _center_logs(seq, z, 0.0, math.inf, dense)
+    if (terms == -math.inf).any():   # z on a zero; spares fsum the -inf
+        return -math.inf
+    terms -= _center_logs(seq, 0j, 0.0, math.inf, dense)
+    if not seq.all_simple:   # multiplying by 1 changes no value
+        terms *= seq.multiplicities[dense]
+    if near < len(seq):
+        v = z * np.ldexp(1.0, _COUNT_SHIFT - table.exponents[first:])
+        powers = np.cumprod(np.repeat(v[:, None], _COUNT_NODES // 2 - 1, axis=1), axis=1)
+        terms = np.concatenate((terms, (table.coefficients[first:] * powers).real.ravel()))
+    return exact_sum(terms)
 
 
 def jensen_counting_side(seq: ZeroSequence, z: complex) -> float:
@@ -532,6 +659,7 @@ def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 40
     that is below 8.5e-22 m, under the rounding of any term; the n-node
     sum of the same zero meets the same bound with M = n.
     """
+    _require_finite(z=z, radius=radius)
     z = complex(z)
     radius = float(radius)
     if not radius > 0:
@@ -582,7 +710,11 @@ def finite_difference_log_derivative(seq: ZeroSequence, z0: complex,
     """Diagnostic oracle for derivative_at_multiple_zero that never touches
     the counting side: log of |l-th derivative / l!| at an l-fold zero,
     estimated from product values by an l-th central finite difference with
-    one Richardson extrapolation step."""
+    one Richardson extrapolation step.  h, the step, must be positive and
+    finite when given."""
+    _require_finite(h=h)
+    if h is not None and not h > 0:
+        raise ValueError(f"h must be positive, got {h}")
     z0 = complex(z0)
     match = seq.multiplicities[seq.positions == z0]
     if not match.size:

@@ -242,6 +242,19 @@ class TestIdentityCheck:
         assert rows
         assert abs(rows[0]["lhs"] - rows[0]["rhs"]) < 1e-5
 
+    def test_rows_report_the_product_split(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "identity-check", "--gen", "lattice,R=300",
+            "--count", "4", "--jensen-count", "1", "--nodes", "64",
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        for row in rows:
+            assert list(row)[-2:] == ["dense_zeros", "far_shells"]
+        products = [r for r in rows if r["kind"] == "log_modulus"]
+        assert products and all(r["dense_zeros"] > 0 and r["far_shells"] > 0 for r in products)
+        assert all(r["dense_zeros"] is None for r in rows if r["kind"] != "log_modulus")
+
     def test_deterministic_for_seed(self, capsys):
         args = ("identity-check", "--gen", "lattice,R=100", "--count", "10",
                 "--jensen-count", "1", "--nodes", "256", "--seed", "7")
@@ -306,6 +319,16 @@ class TestEval:
         assert len(rows) == 2
         assert all(r["tail_flag"] == "truncated" for r in rows)
         assert rows[1]["tail_second_order_bound"] > 0.0
+
+    def test_rows_report_the_product_split(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--gen", "lattice,R=100",
+                               "--points", "0.5,0;2.5,1")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [list(r)[-2:] for r in rows] == [["dense_zeros", "far_shells"]] * 2
+        # A, the least power of two at or above 16 |z|, is 8 at 0.5 and 64 at
+        # 2.5 + i: the zeros below A are dense, the shells [A, 128) far
+        assert [(r["dense_zeros"], r["far_shells"]) for r in rows] == [(14, 4), (126, 1)]
 
     def test_tail_correct_changes_value(self, capsys):
         base = ("eval", "--gen", "lattice,R=100", "--points", "3.3,0.7",

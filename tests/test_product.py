@@ -557,6 +557,196 @@ class TestFarZeros:
         # RuntimeWarnings (pytest turns a warning into an error)
         seq = ZeroSequence.from_arrays(zeros, np.ones(len(zeros)))
         _check_against_mpmath(seq, z)
+
+
+def _counting_split(z: complex) -> float:
+    """2**J, the least power of two at or above 32 |z|, held at or above
+    2**-1000; inf where no zero is far (z = 0 or 2**J past the doubles)."""
+    if z == 0:
+        return math.inf
+    frac, e = math.frexp(32.0 * abs(z))
+    J = max(e - 1 if frac == 0.5 else e, -1000)
+    return 2.0 ** J if J < 1024 else math.inf
+
+
+def _counting_bound(seq: ZeroSequence, z: complex, value: float) -> float:
+    """log_modulus_via_counting's stated error bound at z: a near term
+    m (L_z - L_a) within m (6u + 4u (|L_z| + |L_a|)); a far shell
+    2**j <= |a| < 2**(j + 1) (at or beyond the split) of multiplicity mu
+    within (2 E + 4u mu) S + mu (u/10 + 32**-16/14), with
+    E = u sum of m (74 + 140 |L_a|) over the shell and S the sum of
+    |z / 2**(j - 5)|**k over k = 1..15; and u |value|."""
+    pos, mult = seq.positions, seq.multiplicities
+    mod = np.hypot(pos.real, pos.imag)
+    log_a = np.abs(np.log(mod))
+    far = mod >= _counting_split(z)
+    log_z = np.abs(np.log(np.abs(pos[~far] - z)))
+    total = float(np.sum(mult[~far] * (6.0 + 4.0 * (log_z + log_a[~far]))))
+    shells = np.frexp(mod)[1] - 1
+    for j in np.unique(shells[far]).tolist():
+        cell = far & (shells == j)
+        mu = float(mult[cell].sum())
+        E = float(np.sum(mult[cell] * (74.0 + 140.0 * log_a[cell])))
+        v = abs(z) / 2.0 ** (j - 5)
+        S = sum(v ** k for k in range(1, 16))
+        total += (2.0 * E + 4.0 * mu) * S + mu * (0.1 + 32.0 ** -16 / 14.0 / U)
+    return U * (total + abs(value))
+
+
+def _dense_bound(seq: ZeroSequence, z: complex) -> float:
+    """log_potential's stated bound for the dense step integral from 0 to z:
+    70 u * sum of m * (1 + |L_z| + |L_a|)."""
+    pos, mult = seq.positions, seq.multiplicities
+    with np.errstate(divide="ignore"):
+        terms = 1.0 + np.abs(np.log(np.abs(pos - z))) + np.abs(np.log(np.abs(pos)))
+    return 70.0 * U * float(np.sum(mult * terms))
+
+
+@st.composite
+def points_below_zeros(draw):
+    """A wide sequence and a point whose modulus is a zero's divided by
+    10**d, d from 0 to 40 decades, at a drawn angle: the zeros beyond
+    32 |z| are far shells."""
+    seq = draw(wide_sequences())
+    a = abs(complex(seq.positions[draw(st.integers(0, len(seq) - 1))]))
+    d = draw(st.sampled_from((0.0, 0.5, 1.0, 2.0, 5.0, 12.0, 40.0)))
+    return seq, complex(cmath.rect(a * 10.0 ** -d, draw(st.floats(-math.pi, math.pi))))
+
+
+class TestCountingFarShells:
+    """log_modulus_via_counting's far shells: the dyadic shells at or beyond
+    2**J, the least power of two at or above 32 |z|, summed from each
+    shell's local expansion, sampled by the counting kernel."""
+
+    def test_mpmath_oracle_on_the_lattice(self):
+        # sum over 0 < n < 5e4 of log|1 - z**2/n**2| in closed form, at 16
+        # seeded complex points with |z| <= 10, and at |z| = 4 with one ulp
+        # either side, where 2**J flips from 128 to 256
+        seq = integer_lattice(5e4)
+        K = len(seq) // 2
+        rng = np.random.default_rng(36)
+        points = [draw_point(rng, seq, 10.0, min_dist=1e-3) for _ in range(16)]
+        points += [complex(0.0, y) for y in (math.nextafter(4.0, 0.0), 4.0,
+                                             math.nextafter(4.0, 5.0))]
+        with mpmath.workdps(30):
+            at_zero = lattice_log_abs(K, 0)
+            for z in points:
+                got = log_modulus_via_counting(seq, z)
+                err = abs(mpmath.mpf(got) - (lattice_log_abs(K, z) - at_zero))
+                bound = _counting_bound(seq, z, got)
+                assert bound < 1e-8
+                assert err <= bound
+
+    def test_mpmath_oracle_with_complex_zeros_and_multiplicities(self):
+        seq = _spread_sequence(86)
+        assert not seq.all_real and not seq.all_simple
+        rng = np.random.default_rng(87)
+        for _ in range(12):
+            z = draw_point(rng, seq, 20.0, min_dist=1e-3)
+            assert _counting_split(z) < seq.max_abs   # far shells are used
+            got = log_modulus_via_counting(seq, z)
+            want, _ = _mp_log_product(seq, z)
+            assert abs(mpmath.mpf(got) - want) <= _counting_bound(seq, z, got)
+
+    @pytest.mark.parametrize("zeros, z", [
+        ([1e-305, 3e-303j, -2e-302, 1.0, 5.0 - 5.0j], 1e-306 + 1e-306j),   # below 2**-1000
+        ([1e-298, 3e-296 + 1e-296j, -2e-290, 7.0], 3e-299),
+        ([1e300, -3e303j, 5e305 + 5e305j, 1.7e308], 2e299 - 1e299j),   # near the top
+    ])
+    def test_extreme_moduli(self, zeros, z):
+        seq = ZeroSequence.from_arrays(zeros, np.arange(1, len(zeros) + 1))
+        got = log_modulus_via_counting(seq, z)
+        want, _ = _mp_log_product(seq, z)
+        assert abs(mpmath.mpf(got) - want) <= _counting_bound(seq, z, got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(points_below_zeros())
+    def test_dense_step_integral_within_the_bounds(self, case):
+        seq, z = case
+        got = log_modulus_via_counting(seq, z)
+        dense = step_integral(seq, 0.0, z, 0.0, math.inf)
+        if dense == -math.inf:
+            assert got == -math.inf
+            return
+        assert abs(got - dense) <= _counting_bound(seq, z, got) + _dense_bound(seq, z)
+
+    def test_origin_gives_exact_zero(self):
+        for seq in (integer_lattice(1e3), _spread_sequence(88)):
+            for origin in (0j, complex(-0.0, 0.0), complex(0.0, -0.0)):
+                assert log_modulus_via_counting(seq, origin) == 0.0
+
+    def test_coefficients_against_power_sums(self):
+        # c_k = -(rho**k / k) sum of m a**-k at 30 digits: each C_k within
+        # 2 E + 4u mu plus the aliasing, and the dropped C_0 (the samples'
+        # mean, rebuilt here from partial_log_potential) within E + 4u mu
+        seq = _spread_sequence(89)
+        table = product._counting_table(seq)
+        pos, mult = seq.positions, seq.multiplicities
+        log_a = np.abs(np.log(np.hypot(pos.real, pos.imag)))
+        unit = np.exp(2j * np.pi * np.arange(32) / 32)
+        for i, j in enumerate(table.exponents.tolist()):
+            run = slice(table.starts[i], table.starts[i + 1])
+            mu = float(mult[run].sum())
+            E = U * float(np.sum(mult[run] * (74.0 + 140.0 * log_a[run])))
+            samples = partial_log_potential(seq, unit * 2.0 ** (j - 5), run)
+            assert abs(samples.mean()) <= E + 4.0 * U * mu
+            with mpmath.workdps(30):
+                rho = mpmath.mpf(2) ** (j - 5)
+                for k in range(1, 16):
+                    c = -rho ** k / k * mpmath.fsum(
+                        m * mpmath.mpc(a.real, a.imag) ** -k
+                        for a, m in zip(pos[run].tolist(), mult[run].tolist()))
+                    err = abs(mpmath.mpc(table.coefficients[i, k - 1]) - c)
+                    assert err <= 2.0 * E + 4.0 * U * mu + mu * 32.0 ** -(32 - k)
+
+    def test_table_built_once_and_dropped_with_its_sequence(self, monkeypatch):
+        seq = _spread_sequence(90)
+        built = []
+        table_type = product._CountingTable
+        monkeypatch.setattr(product, "_CountingTable", lambda *parts: built.append(len(parts))
+                            or table_type(*parts))
+        for z in (0.7 + 0.2j, -3.0 + 1.0j, 11.0j):
+            log_modulus_via_counting(seq, z)
+        assert len(built) == 1
+        coefficients = weakref.ref(product._COUNTING_TABLES[seq].coefficients)
+        held = weakref.ref(seq)
+        del seq
+        gc.collect()
+        assert held() is None and coefficients() is None
+
+    def test_no_table_without_far_zeros(self):
+        seq = _spread_sequence(91)
+        log_modulus_via_counting(seq, 200.0 + 0j)   # 32 |z| beyond every zero
+        assert seq not in product._COUNTING_TABLES
+
+    @pytest.mark.parametrize("side", ["counting", "product"])
+    def test_each_side_has_its_own_table(self, monkeypatch, side):
+        # one coefficient of shell [256, 512), k = 2, moved by 1e-6
+        # relative on one side breaks the identity by more than 1e-9 at
+        # points with 3 <= |Re z| <= 8 and |Im z| <= 1 (both sides take
+        # that shell as far there): the two sides share no table
+        seq = integer_lattice(5e3)
+        rng = np.random.default_rng(37)
+        points = [complex(rng.choice((-1.0, 1.0)) * rng.uniform(3.2, 7.8), rng.uniform(-1.0, 1.0))
+                  for _ in range(8)]
+        for z in points:
+            assert abs(evaluate_product(seq, z).value.log_magnitude
+                       - log_modulus_via_counting(seq, z)) <= 1e-12
+        if side == "counting":
+            table = product._counting_table(seq)
+            shell = int(np.flatnonzero(table.exponents == 8)[0])
+            moved = table.coefficients.copy()
+            moved[shell, 1] *= 1.0 + 1e-6
+            monkeypatch.setitem(product._COUNTING_TABLES, seq, table._replace(coefficients=moved))
+        else:
+            table = product._shell_table(seq)
+            shell = int(np.flatnonzero(table.exponents == 8)[0])
+            moved = table.real.copy()
+            moved[shell, 1] *= 1.0 + 1e-6
+            monkeypatch.setitem(product._SHELL_TABLES, seq, table._replace(real=moved))
+        for z in points:
+            assert abs(evaluate_product(seq, z).value.log_magnitude
+                       - log_modulus_via_counting(seq, z)) > 1e-9
         assert evaluate_product(seq, complex(seq.positions[0])).value.is_zero
 
 
@@ -662,6 +852,12 @@ class TestCircleAverage:
     def test_node_minimum(self):
         with pytest.raises(ValueError):
             circle_average(PAIR, 0.0, 1.0, 8)
+
+    @pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan])
+    def test_non_finite_radius_named(self, radius):
+        # an infinite radius once warned and then failed on "points"
+        with pytest.raises(ValueError, match="radius must be finite"):
+            circle_average(PAIR, 0.5j, radius, 64)
 
     def test_zero_on_circle_node_avoidance(self):
         # zero exactly at a would-be node; Jensen value for |a| = radius is 0
@@ -791,3 +987,12 @@ class TestFiniteDifferenceOracle:
     def test_requires_zero_position(self):
         with pytest.raises(ValueError):
             finite_difference_log_derivative(PAIR, 0.5)
+
+    @pytest.mark.parametrize("h, text", [
+        (0.0, "h must be positive"), (-1e-3, "h must be positive"),
+        (math.inf, "h must be finite"), (math.nan, "h must be finite"),
+    ])
+    def test_bad_step_named(self, h, text):
+        # h = 0 once divided by zero
+        with pytest.raises(ValueError, match=text):
+            finite_difference_log_derivative(PAIR, 1.0, h)
