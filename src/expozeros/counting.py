@@ -473,8 +473,9 @@ def _center_logs(seq: ZeroSequence, center: complex, t_lo: float,
 
 
 # log|a| of every zero, the base logs of b = 0 over [0, inf) that each
-# log_modulus_via_counting call and each circle average needs: made once a
-# sequence (immutable, keyed by identity), read-only, and dropped with it.
+# partial_log_potential call (circle averages, the counting side's shell
+# samples) and each step integral from b = 0 needs: made once a sequence
+# (immutable, keyed by identity), read-only, and dropped with it.
 # An entry depends on its sequence alone, so callers and threads that share
 # it, or race to fill it, get the same values.
 _ORIGIN_LOGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -633,13 +634,13 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
 
 
 def partial_log_potential(seq: ZeroSequence, points: np.ndarray,
-                          zeros: np.ndarray) -> np.ndarray:
-    """log_potential(seq, points, 0.0) over the zeros that the boolean mask
-    zeros selects: at each point p of the 1-D array points, the pairwise row
-    sum of m (log|a - p| - log|a|) over those zeros alone.  Each term is
-    log_potential's for the same zero and point, by the rule of the whole
-    sequence, so log_potential's bound holds with the sum taken over the
-    selected zeros.  A row with no zero is 0."""
+                          zeros: np.ndarray | slice) -> np.ndarray:
+    """log_potential(seq, points, 0.0) over the zeros that zeros (a boolean
+    mask or a slice) selects: at each point p of the 1-D array points, the
+    pairwise row sum of m (log|a - p| - log|a|) over those zeros alone.
+    Each term is log_potential's for the same zero and point, by the rule
+    of the whole sequence, so log_potential's bound holds with the sum
+    taken over the selected zeros.  A row with no zero is 0."""
     pts = np.asarray(points)
     _require_finite(points=pts)
     log_b = _base_logs(seq, 0j, 0.0, math.inf)[zeros]

@@ -498,10 +498,9 @@ _COUNTING_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _counting_table(seq: ZeroSequence) -> _CountingTable:
     """seq's _CountingTable, built once: shell j's potential sampled by
-    partial_log_potential (the counting kernel, blocked at
-    _SMALL_BLOCK_CELLS cells) at the nodes rho_j exp(2 pi i n / M),
-    n = 0 .. M - 1, M = _COUNT_NODES, and C[j, k] = (2/M) times the k-th
-    bin of the samples' real FFT."""
+    partial_log_potential (the counting kernel, in its cache-sized blocks)
+    at the nodes rho_j exp(2 pi i n / M), n = 0 .. M - 1, M = _COUNT_NODES,
+    and C[j, k] = (2/M) times the k-th bin of the samples' real FFT."""
     table = _COUNTING_TABLES.get(seq)
     if table is not None:
         return table
@@ -576,10 +575,8 @@ def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
     z = complex(z)
     near = len(seq)
     split = _far_exponent(z, _COUNT_SHIFT)
-    if split is not None:
-        split = max(split, _COUNT_MIN_EXP)
-    if split is not None and seq.max_abs >= 2.0 ** split:
-        table = _counting_table(seq)
+    if split is not None and seq.max_abs >= 2.0 ** max(split, _COUNT_MIN_EXP):
+        table = _counting_table(seq)   # its shells all lie at or above 2**_COUNT_MIN_EXP
         first = int(np.searchsorted(table.exponents, split))
         near = int(table.starts[first])
     dense = slice(0, near)
