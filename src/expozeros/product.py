@@ -90,6 +90,11 @@ _COUNT_SHIFT = 5
 _COUNT_NODES = 32
 _COUNT_MIN_EXP = -1000
 _COUNT_UNIT = np.exp(2j * np.pi * np.arange(_COUNT_NODES) / _COUNT_NODES)
+# (2/M) conj(w**(n k)), w = exp(2 pi i / M): the samples' product with it
+# gives the DFT bins k = 1 .. M/2 - 1, times 2/M (exactly a power of two).
+_COUNT_DFT = (2.0 / _COUNT_NODES) * np.conj(
+    _COUNT_UNIT[np.outer(np.arange(_COUNT_NODES), np.arange(1, _COUNT_NODES // 2))
+                % _COUNT_NODES])
 
 
 def wrap_angle(theta: float) -> float:
@@ -500,7 +505,8 @@ def _counting_table(seq: ZeroSequence) -> _CountingTable:
     """seq's _CountingTable, built once: shell j's potential sampled by
     partial_log_potential (the counting kernel, in its cache-sized blocks)
     at the nodes rho_j exp(2 pi i n / M), n = 0 .. M - 1, M = _COUNT_NODES,
-    and C[j, k] = (2/M) times the k-th bin of the samples' real FFT."""
+    and C[j, k] = (2/M) times the k-th bin of the samples' DFT, one matrix
+    product for every shell."""
     table = _COUNTING_TABLES.get(seq)
     if table is not None:
         return table
@@ -514,7 +520,7 @@ def _counting_table(seq: ZeroSequence) -> _CountingTable:
     for i, j in enumerate(shell_exps.tolist()):
         nodes = _COUNT_UNIT * 2.0 ** (j - _COUNT_SHIFT)
         samples[i] = partial_log_potential(seq, nodes, slice(starts[i], starts[i + 1]))
-    coefficients = np.fft.rfft(samples)[:, 1:_COUNT_NODES // 2] * (2.0 / _COUNT_NODES)
+    coefficients = samples @ _COUNT_DFT
     table = _CountingTable(shell_exps, starts, coefficients)
     _COUNTING_TABLES[seq] = table
     return table
@@ -535,7 +541,7 @@ def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
     with u_j(0) = 0, so u_j(w) = Re sum over k >= 1 of c_k (w / rho_j)**k
     with rho_j = 2**(j - 5) and c_k = -(rho_j**k / k) sum of m a**-k.  The
     sequence's table (_counting_table) holds C_1 .. C_15: (2/M) times the
-    real FFT of u_j sampled by the counting kernel at M = 32 equispaced
+    DFT of u_j sampled by the counting kernel at M = 32 equispaced
     nodes of |w| = rho_j (the local expansion of Ying, Biros & Zorin 2004,
     in two dimensions).  A point adds Re sum of C_k v**k, v = z / rho_j
     (exact, |v| <= 1; v**k by running products), for each far shell.  The
@@ -559,9 +565,10 @@ def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
         nodes' rounding (within 14u rho_j of the exact node, where u_j's
         gradient is at most mu_j / (31 rho_j)); M samples within E_j put
         each C_k within 2 E_j;
-      * the FFT: within 4u mu_j a coefficient (Cooley-Tukey's
-        34u sqrt(M) |samples|_2 a bin, Higham 2002 thm 24.2, with every
-        sample below mu_j / 31 + E_j);
+      * the DFT: within 4u mu_j a coefficient (a bin sums M products
+        with the node table's roots of unity, each within 14u, so it is
+        within 48u M max |sample|, and every sample is below
+        mu_j / 31 + E_j);
       * truncation plus aliasing: |c_k| <= mu_j 32**-k / k, the tail past
         k = 15 is below mu_j 32**-16 / 15, and a real function's bin k
         aliases c_(M-k), below mu_j 32**-16 / 480 over k = 1..15;
