@@ -544,12 +544,12 @@ def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
     DFT of u_j sampled by the counting kernel at M = 32 equispaced
     nodes of |w| = rho_j (the local expansion of Ying, Biros & Zorin 2004,
     in two dimensions).  A point adds Re sum of C_k v**k, v = z / rho_j
-    (exact, |v| <= 1; v**k by running products), for each far shell.  The
-    near terms and the shells' terms are totalled by one exact_sum.  C_0 is
-    dropped: u_j(0) = 0, so the exact C_0 is the aliases' Re(c_M + c_2M +
-    ...), below mu_j 32**-32, and the computed one lies within the sample
-    bound below.  The table shares no split, term or sum with
-    evaluate_product's power sums.
+    (exact barring underflow, |v| <= 1; v**k by running products), for
+    each far shell.  The near terms and the shells' terms are totalled by
+    one exact_sum.  C_0 is dropped: u_j(0) = 0, so the exact C_0 is the
+    aliases' Re(c_M + c_2M + ...), below mu_j 32**-32, and the computed one
+    lies within the sample bound below.  The table shares no split, term or
+    sum with evaluate_product's power sums.
 
     Error bound, to first order in u = 2**-53.  A near term is within
     m (6u + 4u (|L_z| + |L_a|)) (log_potential's term bound).  A far shell
