@@ -32,6 +32,7 @@ __all__ = [
     "growth_check",
     "angular_density",
     "step_integral",
+    "step_terms",
     "log_potential",
     "partial_log_potential",
     "exact_sum",
@@ -534,14 +535,26 @@ def step_integral(seq: ZeroSequence, b: complex, x: complex, t_lo: float, t_hi: 
     t_lo = float(t_lo)
     t_hi = float(t_hi)
     _check_range(seq, t_lo, t_hi, max(abs(b), abs(x)))
-    log_b = _base_logs(seq, b, t_lo, t_hi)
-    terms = _center_logs(seq, x, t_lo, t_hi)
-    if t_lo == 0.0 and (terms == -math.inf).any():   # x on a zero; spares fsum the -inf
-        return -math.inf
+    terms = step_terms(seq, b, x, t_lo, t_hi)
+    return -math.inf if terms is None else exact_sum(terms)
+
+
+def step_terms(seq: ZeroSequence, b: complex, x: complex, t_lo: float, t_hi: float,
+               part: slice = slice(None)) -> np.ndarray | None:
+    """step_integral's terms m (log clamp|a - x| - log clamp|a - b|) over
+    the zeros seq.positions[part], unchecked and unsummed: a part's terms
+    are the whole sequence's, bit for bit.  None when t_lo = 0 and x sits
+    on one of those zeros (that part's integral is -inf; this spares
+    exact_sum the -inf); a base point b on a zero raises
+    DivergentIntegralError as in step_integral."""
+    log_b = _base_logs(seq, b, t_lo, t_hi)[part]
+    terms = _center_logs(seq, x, t_lo, t_hi, part)
+    if t_lo == 0.0 and (terms == -math.inf).any():
+        return None
     terms -= log_b
     if not seq.all_simple:   # multiplying by 1 changes no value
-        terms *= seq.multiplicities
-    return exact_sum(terms)
+        terms *= seq.multiplicities[part]
+    return terms
 
 
 def _row_sums(rows: int, cols: int, block: int, sums, threads: int) -> np.ndarray:

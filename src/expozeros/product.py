@@ -26,7 +26,9 @@ and each whole dyadic shell beyond by a local expansion of its potential:
 15 Fourier coefficients of the potential sampled by the same kernel at 32
 nodes a shell, in a second table built once a sequence.  It shares no
 split, term or sum with the product's power sums, so the identity check
-compares two independent computations.
+compares two independent computations.  The table costs 32 kernel terms a
+far zero, about as much as 15 dense calls, so it pays only on sequences
+evaluated at many points.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .counting import (_center_logs, _require_finite, exact_sum, partial_log_potential,
-                       step_integral)
+                       step_integral, step_terms)
 from .zero_model import ZeroSequence
 
 __all__ = [
@@ -534,8 +536,8 @@ def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
 
     Near and far zeros.  With 2**J the least power of two at or above
     32 |z|, a zero with |a| < 2**J, or below 2**_COUNT_MIN_EXP, is near: its
-    term m (L_z - L_a), L_c = log|a - c|, is step_integral's, by the
-    counting kernel's term rule (_center_logs).  A dyadic shell
+    term m (L_z - L_a), L_c = log|a - c|, is step_integral's (step_terms
+    over the near zeros, L_a from the cached origin logs).  A dyadic shell
     2**j <= |a| < 2**(j + 1) at or beyond 2**J is far.  Its potential
     u_j(w) = sum of m (L_w - L_a) over the shell is harmonic in |w| < 2**j
     with u_j(0) = 0, so u_j(w) = Re sum over k >= 1 of c_k (w / rho_j)**k
@@ -575,6 +577,10 @@ def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
       * the evaluation, below 3k u |C_k| |v|**k a term: mu_j u / 10.
     The value is within the near terms' bounds plus the far shells' B_j,
     plus u |value| for exact_sum's rounding.
+
+    Cost.  The first call with far zeros builds the table: 32 kernel terms
+    a far zero, about 15 calls' worth of dense terms.  Each later call
+    sums its near zeros and 15 terms a far shell.
     """
     _require_finite(z=z)
     if not seq.origin_excluded:
@@ -586,13 +592,9 @@ def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
         table = _counting_table(seq)   # its shells all lie at or above 2**_COUNT_MIN_EXP
         first = int(np.searchsorted(table.exponents, split))
         near = int(table.starts[first])
-    dense = slice(0, near)
-    terms = _center_logs(seq, z, 0.0, math.inf, dense)
-    if (terms == -math.inf).any():   # z on a zero; spares fsum the -inf
+    terms = step_terms(seq, 0j, z, 0.0, math.inf, slice(0, near))
+    if terms is None:   # z on a zero
         return -math.inf
-    terms -= _center_logs(seq, 0j, 0.0, math.inf, dense)
-    if not seq.all_simple:   # multiplying by 1 changes no value
-        terms *= seq.multiplicities[dense]
     if near < len(seq):
         v = z * np.ldexp(1.0, _COUNT_SHIFT - table.exponents[first:])
         powers = np.cumprod(np.repeat(v[:, None], _COUNT_NODES // 2 - 1, axis=1), axis=1)

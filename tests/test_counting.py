@@ -720,6 +720,27 @@ class TestCenterLogs:
             step_integral(seq, 0.0, 4.0, 0.0, math.inf)
         assert seq not in counting._ORIGIN_LOGS
 
+    def test_step_terms_of_parts_are_the_whole_terms(self):
+        # a prefix and its rest give the whole sequence's terms bit for
+        # bit; a part holding x gives None from t = 0, the rest does not
+        rng = np.random.default_rng(41)
+        seqs = [integer_lattice(50.0), _real_with_signed_zero_parts(5),
+                random_sequence(rng, n_max=300, r_min=0.05, r_max=3.0)]
+        for seq in seqs:
+            cut = len(seq) // 3
+            for b, x, t_lo, t_hi in ((0j, 2.5 + 0.25j, 0.0, math.inf), (0j, -0.3, 1.0, math.inf),
+                                     (0.7 + 0.1j, 1.9j, 0.5, 40.0)):
+                whole = counting.step_terms(seq, b, x, t_lo, t_hi)
+                parts = [counting.step_terms(seq, b, x, t_lo, t_hi, part)
+                         for part in (slice(0, cut), slice(cut, None))]
+                assert np.concatenate(parts).tobytes() == whole.tobytes()
+                assert (np.float64(step_integral(seq, b, x, t_lo, t_hi)).tobytes()
+                        == np.float64(counting.exact_sum(whole)).tobytes())
+            x = complex(seq.positions[cut - 1])
+            assert counting.step_terms(seq, 0j, x, 0.0, math.inf, slice(0, cut)) is None
+            rest = counting.step_terms(seq, 0j, x, 0.0, math.inf, slice(cut, None))
+            assert rest is not None and np.isfinite(rest).all()
+
 
 class TestExactSum:
     @settings(max_examples=300, deadline=None)
