@@ -26,7 +26,7 @@ from . import catalog, criteria, product, zero_model
 from .counting import log_potential
 from .criteria import default_base_point, default_x_max
 from .product import (
-    circle_average,
+    circle_average_terms,
     derivative_at_multiple_zero,
     evaluate_product,
     finite_difference_log_derivative,
@@ -253,7 +253,7 @@ def run_identity_check(args) -> int:
         rows.append({
             "kind": "log_modulus", "re": z.real, "im": z.imag,
             "lhs": pe.value.log_magnitude, "rhs": cs, "residual": resid, "note": "",
-            "dense_zeros": pe.dense_zeros, "far_shells": pe.far_shells,
+            "circle_terms": None, "dense_zeros": pe.dense_zeros, "far_shells": pe.far_shells,
         })
 
     first_zeros = seq.positions[:3]
@@ -265,18 +265,18 @@ def run_identity_check(args) -> int:
             "kind": "log_modulus", "re": z.real, "im": z.imag,
             "lhs": pe.value.log_magnitude, "rhs": cs, "residual": 0.0,
             "note": "exact-match-at-zero" if exact else "mismatch-at-zero",
-            "dense_zeros": pe.dense_zeros, "far_shells": pe.far_shells,
+            "circle_terms": None, "dense_zeros": pe.dense_zeros, "far_shells": pe.far_shells,
         })
 
     for z in _draw_points(rng, seq, args.jensen_count, min(scale, 3.0), min_dist=0.0):
-        left = circle_average(seq, z, 1.0, args.nodes)
+        left, terms = circle_average_terms(seq, z, 1.0, args.nodes)
         right = jensen_counting_side(seq, z)
         resid = abs(left - right)
         residuals.append(resid)
         rows.append({
             "kind": "jensen", "re": z.real, "im": z.imag,
             "lhs": left, "rhs": right, "residual": resid, "note": f"nodes={args.nodes}",
-            "dense_zeros": None, "far_shells": None,
+            "circle_terms": terms, "dense_zeros": None, "far_shells": None,
         })
 
     multi = seq.multiplicities >= 2
@@ -289,7 +289,7 @@ def run_identity_check(args) -> int:
             "kind": "multiple_zero", "re": z.real, "im": z.imag,
             "lhs": counting, "rhs": oracle, "residual": resid,
             "note": f"multiplicity={int(m)}",
-            "dense_zeros": None, "far_shells": None,
+            "circle_terms": None, "dense_zeros": None, "far_shells": None,
         })
 
     max_residual = max(residuals) if residuals else 0.0

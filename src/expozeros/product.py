@@ -55,6 +55,7 @@ __all__ = [
     "log_modulus_via_counting",
     "derivative_at_multiple_zero",
     "circle_average",
+    "circle_average_terms",
     "jensen_counting_side",
     "jensen_identity_check",
     "finite_difference_log_derivative",
@@ -71,17 +72,20 @@ _PRODUCT_BLOCK = 1 << 15
 # when its dyadic shell lies whole inside R (see there).
 _FAR_SHIFT = 4
 _SERIES_TERMS = 14
+_SERIES_K = np.arange(1, _SERIES_TERMS + 1)
+_SERIES_NEG_K = -_SERIES_K.astype(float)
 # At z = a, numpy's complex division gives z / a within 2u + u**2 of 1 in
 # its real part and 2u (1 + 2u) in its imaginary part (u = 2**-53), so the
 # computed |1 - z/a| is below 3u (and q = |1 - z/a|**2 - 1 is near -1, so
 # the cell is the guard's); a zero equal to z lies among the guard's cells
 # whose |1 - z/a| is at most this bound.
 _NEAR_ONE = 2.0 ** -50
-# circle_average sums a zero at least _FAR_RADII radii from the centre at
-# _FAR_NODES nodes of its circle: aliasing below 8.5e-22 a unit of
-# multiplicity (see there).
-_FAR_NODES = 64
-_FAR_RADII = 2.0
+# circle_average sums a zero with D / radius >= 2**_RATE_EXPONENTS[i], D its
+# distance from the centre, at _RATE_NODES[i] nodes of its circle (at most
+# the circle's own): aliasing below 2**-64 / M a unit of multiplicity at
+# M nodes (see there).
+_RATE_EXPONENTS = 1 << np.arange(7)
+_RATE_NODES = 64 >> np.arange(7)
 # log_modulus_via_counting sums a zero with |a| >= 2**J, 2**J the least power
 # of two at or above 2**_COUNT_SHIFT |z|, by its dyadic shell's local
 # expansion: the shell's potential sampled at _COUNT_NODES equispaced nodes
@@ -91,7 +95,11 @@ _FAR_RADII = 2.0
 _COUNT_SHIFT = 5
 _COUNT_NODES = 32
 _COUNT_MIN_EXP = -1000
-_COUNT_UNIT = np.exp(2j * np.pi * np.arange(_COUNT_NODES) / _COUNT_NODES)
+# The nodes' roots of unity exp(2 pi i n / M), node M - n the exact
+# conjugate of node n, so a real sequence's samples at n > M/2 are those at
+# M - n, bit for bit.
+_COUNT_UNIT = np.exp(2j * np.pi * np.arange(_COUNT_NODES // 2 + 1) / _COUNT_NODES)
+_COUNT_UNIT = np.concatenate((_COUNT_UNIT, np.conj(_COUNT_UNIT[-2:0:-1])))
 # (2/M) conj(w**(n k)), w = exp(2 pi i / M): the samples' product with it
 # gives the DFT bins k = 1 .. M/2 - 1, times 2/M (exactly a power of two).
 _COUNT_DFT = (2.0 / _COUNT_NODES) * np.conj(
@@ -257,21 +265,21 @@ def _far_terms(table: _ShellTable, shells: slice, near_exp: int, z: complex):
     v**(k - 1) v in real arithmetic, and
     (z / 2**j)**k = v**k 2**((near_exp - j) k) exactly, barring underflow."""
     vr, vi = math.ldexp(z.real, -near_exp), math.ldexp(z.imag, -near_exp)
-    powers = [(vr, vi)]
+    pr, pi = vr, vi
+    powers = [pr, pi]
     for _ in range(_SERIES_TERMS - 1):
-        pr, pi = powers[-1]
-        powers.append((pr * vr - pi * vi, pr * vi + pi * vr))
-    k = np.arange(1, _SERIES_TERMS + 1)
-    shift = (near_exp - table.exponents[shells])[:, None] * k
-    pr, pi = np.array(powers).T
-    ur, ui = np.ldexp(pr, shift), np.ldexp(pi, shift)
+        pr, pi = pr * vr - pi * vi, pr * vi + pi * vr
+        powers += (pr, pi)
+    powers = np.array(powers).reshape(_SERIES_TERMS, 2)
+    shift = (near_exp - table.exponents[shells])[:, None] * _SERIES_K
+    ur, ui = np.ldexp(powers[:, 0], shift), np.ldexp(powers[:, 1], shift)
     qr, qi = table.real[shells], table.imag[shells]
     logs = ur * qr
     logs -= ui * qi
-    logs /= -k
+    logs /= _SERIES_NEG_K
     args = ur * qi
     args += ui * qr
-    args /= -k
+    args /= _SERIES_NEG_K
     return logs.ravel(), args.ravel()
 
 
@@ -297,23 +305,27 @@ def _dense_terms(pos: np.ndarray, mult: np.ndarray, z: complex, all_real: bool,
                  all_simple: bool):
     """Each zero's log term and argument term by the block kernel (see
     evaluate_product), the count of real factors 1 - z/a < 0 (their pi's)
-    and the least log term; None when z is a zero."""
+    and the least log term; None when z is a zero.  At a real z on a real
+    sequence every factor is real, so the argument terms are None and the
+    pi's are the whole argument."""
     n = pos.size
+    real_point = all_real and z.imag == 0.0
     logs = np.empty(n)
     args = np.empty(n)
     if all_real:   # the quotient's parts, reused by every block
         buf_r, buf_i = np.empty((2, min(n, _PRODUCT_BLOCK)))
     pi_count = 0
     least = math.inf
-    for start in range(0, n, _PRODUCT_BLOCK):
-        block = slice(start, start + _PRODUCT_BLOCK)
-        p = pos[block]
-        k = p.size
-        # log_terms holds q until log1p replaces it; arg_terms holds 1/a (for
-        # a real sequence) and si**2 until arctan2 fills it
-        log_terms, arg_terms = logs[block], args[block]
-        # an overflowing 1/a, z/a or q is the guard's
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing 1/a, z/a or q is the guard's, and so is a q whose
+    # log1p is -inf or nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, n, _PRODUCT_BLOCK):
+            block = slice(start, start + _PRODUCT_BLOCK)
+            p = pos[block]
+            k = p.size
+            # log_terms holds q until log1p replaces it; arg_terms holds 1/a
+            # (for a real sequence) and si**2 until arctan2 fills it
+            log_terms, arg_terms = logs[block], args[block]
             if all_real:
                 inv = np.divide(1.0, p.real, out=arg_terms)
                 sr = np.multiply(inv, z.real, out=buf_r[:k])
@@ -324,45 +336,50 @@ def _dense_terms(pos: np.ndarray, mult: np.ndarray, z: complex, all_real: bool,
             q = np.subtract(sr, 2.0, out=log_terms)
             q *= sr
             q += np.multiply(si, si, out=arg_terms)
-        # the guard's cells, found before log1p overwrites q
-        in_range = q.min() >= -0.5 and q.max() < math.inf
-        guard = None if in_range else ~((q >= -0.5) & (q < math.inf))
-        with np.errstate(divide="ignore", invalid="ignore"):
+            # the guard's cells, found before log1p overwrites q
+            in_range = q.min() >= -0.5 and q.max() < math.inf
+            guard = None if in_range else ~((q >= -0.5) & (q < math.inf))
             np.log1p(q, out=log_terms)
-        log_terms *= 0.5
-        wr = np.subtract(1.0, sr, out=sr)
-        wi = np.negative(si, out=si)
-        if guard is not None:
-            a = p[guard]
-            with np.errstate(over="ignore", invalid="ignore"):
+            log_terms *= 0.5
+            wr = np.subtract(1.0, sr, out=sr)
+            wi = np.negative(si, out=si)
+            if guard is not None:
+                a = p[guard]
                 w = 1.0 - z / a
-            absw = np.abs(w)
-            near = absw <= _NEAR_ONE
-            wide = ~np.isfinite(absw)
-            if np.any(a[near | wide] == z):
-                return None
-            if near.any():
-                w[near] = (a[near] - z) / a[near]
-                absw[near] = np.abs(w[near])
-            with np.errstate(divide="ignore", invalid="ignore"):
+                absw = np.abs(w)
+                near = absw <= _NEAR_ONE
+                wide = ~np.isfinite(absw)
+                if np.any(a[near | wide] == z):
+                    return None
+                if near.any():
+                    w[near] = (a[near] - z) / a[near]
+                    absw[near] = np.abs(w[near])
                 cell_logs = np.log(absw)
-            wr[guard] = w.real
-            wi[guard] = w.imag
-            if wide.any():
-                cells = np.flatnonzero(guard)[wide]
-                cell_logs[wide], wr[cells], wi[cells] = _wide_factors(a[wide], z)
-            log_terms[guard] = cell_logs
-        least = min(least, float(log_terms.min()))
-        np.arctan2(wi, wr, out=arg_terms)
-        m = mult[block]
-        is_real = wi == 0.0
-        if is_real.any():
-            arg_terms[is_real] = 0.0  # a real factor's pi goes to pi_count
-            pi_count += int(m[is_real & (wr < 0.0)].sum())
-        if not all_simple:   # multiplying by 1 changes no value
-            log_terms *= m
-            arg_terms *= m
-    return logs, args, pi_count, least
+                wr[guard] = w.real
+                wi[guard] = w.imag
+                if wide.any():
+                    cells = np.flatnonzero(guard)[wide]
+                    cell_logs[wide], wr[cells], wi[cells] = _wide_factors(a[wide], z)
+                log_terms[guard] = cell_logs
+            least = min(least, float(log_terms.min()))
+            m = mult[block]
+            if real_point:
+                # wi is +-0 in every cell (si = 1/a times +-0 where q is
+                # finite, and the guard's quotients of reals), so each
+                # factor's argument is 0 or pi
+                pi_count += int(np.count_nonzero(wr < 0.0) if all_simple
+                                else m[wr < 0.0].sum())
+            else:
+                np.arctan2(wi, wr, out=arg_terms)
+                is_real = wi == 0.0
+                if is_real.any():
+                    arg_terms[is_real] = 0.0  # a real factor's pi goes to pi_count
+                    pi_count += int(m[is_real & (wr < 0.0)].sum())
+            if not all_simple:   # multiplying by 1 changes no value
+                log_terms *= m
+                if not real_point:
+                    arg_terms *= m
+    return logs, None if real_point else args, pi_count, least
 
 
 def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> ProductEvaluation:
@@ -435,7 +452,8 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     by m, none when every m is 1) and of m F over the far zeros, plus
     u |value| for exact_sum's rounding.
     """
-    _require_finite(z=z)
+    if not (isinstance(z, (float, complex)) and cmath.isfinite(z)):
+        _require_finite(z=z)
     z = complex(z)
     if not seq.origin_excluded:
         raise ValueError("canonical product requires 0 not in the zero set")
@@ -447,8 +465,12 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
         raise ValueError(f"evaluation radius must be positive, got {R}")
     if R0 > 0 and R > R0:
         raise ValueError(f"evaluation radius {R} exceeds completeness radius {R0}")
-    n = _modulus_run(seq, 0.0, R).stop
-    count = int(seq.multiplicities[:n].sum())
+    # the zeros inside R are a prefix of the stored order: all of them when
+    # R passes the largest modulus (always at R = R0, which from_arrays
+    # keeps above it), else a run found by bisection
+    max_abs = seq.max_abs
+    n = len(seq) if R > max_abs else _modulus_run(seq, 0.0, R).stop
+    count = n if seq.all_simple else int(seq.multiplicities[:n].sum())
     # every zero lies inside R exactly when the prefix is the whole sequence
     flag = TAIL_COMPLETE if (R0 == 0.0 and n == len(seq)) else TAIL_TRUNCATED
     if n == 0:
@@ -458,7 +480,7 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     near = top = n
     lo = hi = 0
     near_exp = _far_exponent(z)
-    if near_exp is not None and seq.max_abs >= 2.0 ** near_exp:
+    if near_exp is not None and max_abs >= 2.0 ** near_exp:
         table = _shell_table(seq)
         first = int(np.searchsorted(table.exponents, near_exp))
         if n > table.starts[first]:
@@ -479,8 +501,13 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     if hi > lo:
         far_logs, far_args = _far_terms(table, slice(lo, hi), near_exp, z)
         logs = np.concatenate((logs, far_logs))
-        args = np.concatenate((args, far_args))
-    theta = exact_sum(args) + (pi_count & 1) * math.pi
+        if args is not None:
+            args = np.concatenate((args, far_args))
+    # at a real point of a real sequence the dense arguments are 0 and so
+    # are the series' imaginary parts (a real shell's power sums are real)
+    theta = (pi_count & 1) * math.pi
+    if args is not None:
+        theta += exact_sum(args)
     return ProductEvaluation(LogComplex(exact_sum(logs), wrap_angle(theta)), R, count, flag,
                              least, pos.size, hi - lo)
 
@@ -519,9 +546,15 @@ def _counting_table(seq: ZeroSequence) -> _CountingTable:
                              [len(seq)]))
     shell_exps = exps[starts[:-1]]
     samples = np.empty((shell_exps.size, _COUNT_NODES))
+    # a real sequence's potential is even in Im w: sample n = 0 .. M/2 and
+    # mirror the rest
+    sampled = _COUNT_NODES // 2 + 1 if seq.all_real else _COUNT_NODES
     for i, j in enumerate(shell_exps.tolist()):
-        nodes = _COUNT_UNIT * 2.0 ** (j - _COUNT_SHIFT)
-        samples[i] = partial_log_potential(seq, nodes, slice(starts[i], starts[i + 1]))
+        nodes = _COUNT_UNIT[:sampled] * 2.0 ** (j - _COUNT_SHIFT)
+        samples[i, :sampled] = partial_log_potential(seq, nodes,
+                                                     slice(starts[i], starts[i + 1]))
+    if seq.all_real:
+        samples[:, sampled:] = samples[:, sampled - 2:0:-1]
     coefficients = samples @ _COUNT_DFT
     table = _CountingTable(shell_exps, starts, coefficients)
     _COUNTING_TABLES[seq] = table
@@ -648,23 +681,35 @@ def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 40
     lands within 1e-9 of a zero all nodes are rotated by half a step (the
     log singularity is integrable; rotation keeps the rule stable).
 
-    Two rates.  A zero at D = |a - z| < 2 radius (np.hypot) is summed at
-    all n nodes.  A zero with D >= 2 radius is summed at every
-    (n / 64)-th node of the same set, rotation included (at all nodes when
-    n <= 64).  Every term is still log|w - a| - log|a| at a node w on the
-    circle, by log_potential's term rule (partial_log_potential), so the
-    average shares no shortcut with jensen_counting_side.  It is the
-    exact_sum of the near zeros' node rows / n and the far zeros' node rows
-    / 64 (/ n when n <= 64).
+    Graded rates.  A zero at D = |a - z| < 2 radius (np.hypot) is summed at
+    all n nodes.  A zero with 2**e <= D / radius < 2**(e + 1), e >= 1, is
+    summed at M_e = min(n, 2**ceil(log2(64 / e))) nodes, every (n / M_e)-th
+    node of the same set, rotation included: 64 nodes for e = 1, 32 for
+    e = 2, 3, 16 for e = 4 .. 7, and so on down to one node for e >= 64.
+    The bands are found by exact comparisons of D with radius 2**(2**i).
+    Every term is still log|w - a| - log|a| at a node w on the circle, by
+    log_potential's term rule (partial_log_potential, one call a rate), so
+    the average shares no shortcut with jensen_counting_side.  It is the
+    exact_sum of each rate's node rows over its node count.
 
     Aliasing.  With rho = radius / D, log|w - a| = log D - sum over k >= 1
     of rho**k cos(k (t - arg(a - z))) / k, and M equispaced nodes average
     every mode but those with M | k to 0, so the M-node average of one zero
     of multiplicity m differs from its circle mean by at most
-    m rho**M / (M (1 - rho**M)).  For a far zero (rho <= 1/2) at M = 64
-    that is below 8.5e-22 m, under the rounding of any term; the n-node
-    sum of the same zero meets the same bound with M = n.
+    m rho**M / (M (1 - rho**M)).  In band e, rho <= 2**-e and e M_e >= 64
+    (below n), so that is at most m 2**-64 / M (1 + 2**-60), under the
+    rounding of any term; the computed D is within an ulp of the exact one,
+    which raises the bound by under 2**-45 of itself.  The n-node sum of a
+    zero meets the same formula with M = n.
     """
+    return circle_average_terms(seq, z, radius, nodes)[0]
+
+
+def circle_average_terms(seq: ZeroSequence, z: complex, radius: float,
+                         nodes: int = 4096) -> tuple[float, int]:
+    """circle_average and the number of zero x node terms it summed: the
+    sum over the zeros of the nodes each is summed at, n or M_e (not
+    weighted by multiplicity)."""
     _require_finite(z=z, radius=radius)
     z = complex(z)
     radius = float(radius)
@@ -697,12 +742,22 @@ def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 40
         shift /= 2.0
     theta = offset + step * np.arange(n)
     points = z + radius * np.exp(1j * theta)
-    far = dist >= _FAR_RADII * radius
-    stride = max(n // _FAR_NODES, 1)
-    return exact_sum(np.concatenate([
-        partial_log_potential(seq, points, ~far) / n,
-        partial_log_potential(seq, points[::stride], far) / (n // stride),
-    ]))
+    # a zero's level is the count of edges radius 2**(2**i) at or below D
+    # (exact comparisons): level 0 holds D < 2 radius, level i >= 1 the bands
+    # e of _RATE_NODES[i - 1] nodes
+    with np.errstate(over="ignore"):
+        edges = np.ldexp(radius, _RATE_EXPONENTS)
+    rates = np.minimum(n, np.concatenate(([n], _RATE_NODES)))
+    zero_rates = rates[np.searchsorted(edges, dist, side="right")]
+    sums = []
+    terms = 0
+    for rate in sorted(set(rates.tolist()), reverse=True):
+        zeros = zero_rates == rate
+        count = int(np.count_nonzero(zeros))
+        if count:
+            sums.append(partial_log_potential(seq, points[:: n // rate], zeros) / rate)
+            terms += count * rate
+    return exact_sum(np.concatenate(sums)) if sums else 0.0, terms
 
 
 def jensen_identity_check(seq: ZeroSequence, z: complex, nodes: int = 65536) -> float:

@@ -3,8 +3,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from expozeros import integer_lattice
 from expozeros.cli import main
 
 
@@ -254,6 +256,25 @@ class TestIdentityCheck:
         products = [r for r in rows if r["kind"] == "log_modulus"]
         assert products and all(r["dense_zeros"] > 0 and r["far_shells"] > 0 for r in products)
         assert all(r["dense_zeros"] is None for r in rows if r["kind"] != "log_modulus")
+
+    def test_jensen_rows_count_their_terms(self, capsys):
+        # circle_terms is the sum over the zeros of the nodes each is summed
+        # at: all 4096 within two radii (radius 1), else
+        # min(4096, 2**ceil(log2(64 / e))) for 2**e <= D < 2**(e + 1)
+        code, out, _ = run_cli(capsys, "identity-check", "--gen", "lattice,R=300",
+                               "--count", "2", "--jensen-count", "2", "--nodes", "4096")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        jensen = [r for r in rows if r["kind"] == "jensen"]
+        assert len(jensen) == 2
+        pos = integer_lattice(300.0).positions
+        for row in jensen:
+            dist = np.abs(pos - complex(row["re"], row["im"]))
+            e = np.floor(np.log2(dist))
+            nodes = np.where(dist < 2.0, 4096.0,
+                             2.0 ** np.ceil(np.log2(64.0 / np.maximum(e, 1.0))))
+            assert row["circle_terms"] == int(nodes.sum())
+        assert all(r["circle_terms"] is None for r in rows if r["kind"] != "jensen")
 
     def test_deterministic_for_seed(self, capsys):
         args = ("identity-check", "--gen", "lattice,R=100", "--count", "10",

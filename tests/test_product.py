@@ -1,5 +1,6 @@
 import cmath
 import gc
+import hashlib
 import math
 import weakref
 from unittest import mock
@@ -277,6 +278,84 @@ class TestEvaluateProduct:
             x = draw_point(rng, seq, 8.0, min_dist=1e-6).real
             arg = evaluate_product(seq, complex(x, 0.0)).value.argument
             assert arg == 0.0 or arg == math.pi
+
+    def test_real_points_keep_their_bits(self):
+        # at a real point of a real sequence the argument comes from the
+        # count of negative factors alone; the sha256 of these values is
+        # that of the general path (arctan2 of every factor and exact_sum),
+        # at points on zeros, one ulp and a quarter either side, their
+        # mirrors and 0, with z = x + 0i and x - 0i, at the default radius,
+        # a zero's modulus and one ulp either side, and a radius inside a
+        # shell
+        rng = np.random.default_rng(41)
+        lattice = integer_lattice(300.0)
+        mult = ZeroSequence.from_arrays(np.concatenate([rng.uniform(-500.0, 500.0, 150),
+                                                        rng.uniform(-2.0, 2.0, 50)]),
+                                        rng.integers(1, 4, 200), 600.0)
+        edges = ZeroSequence.from_arrays([0.5, -1.0, 1.0, 2.0, -4.0, 4.0 - 2.0 ** -50, 8.0,
+                                          96.0, -128.0, 1e3], np.ones(10))
+        values = []
+        for seq in (lattice, mult, edges):
+            R0 = seq.truncation_radius or math.inf
+            for a in seq.positions.real[:: max(1, len(seq) // 40)].tolist():
+                d = abs(a)
+                radii = (None, d, math.nextafter(d, 0.0), math.nextafter(d, math.inf),
+                         min(1.5 * 2.0 ** math.frexp(d)[1], R0))
+                for x in (a, math.nextafter(a, -math.inf), math.nextafter(a, math.inf),
+                          a - 0.25, a + 0.25, -a, 0.0):
+                    for R in radii:
+                        for z in (complex(x, 0.0), complex(x, -0.0)):
+                            pe = evaluate_product(seq, z, R)
+                            values += [pe.value.log_magnitude, pe.value.argument,
+                                       pe.factor_count, pe.min_factor_log_magnitude,
+                                       pe.dense_zeros, pe.far_shells]
+        digest = hashlib.sha256(np.array(values, dtype=float).tobytes()).hexdigest()
+        assert digest == "82f04c1191a9e23ed1f7ee556a7056dc90dc4f7d0e8be84b6c437e331fb7bfcd"
+
+    @pytest.mark.parametrize("multiple", [False, True])
+    def test_prefix_matches_the_bisection(self, monkeypatch, multiple):
+        # factor_count against the zeros with hypot |a| < R, and every
+        # field against the bisection over the stored order (forced by a
+        # max_abs no radius passes), at the default radius, R0, a zero's
+        # modulus and one ulp either side, the largest modulus and one ulp
+        # above, and radii inside shells
+        rng = np.random.default_rng(42)
+        pos = rng.uniform(1.0, 200.0, 300) * np.exp(2j * np.pi * rng.random(300))
+        pos[:40] = pos[:40].real   # equal moduli at a shell edge
+        pos[40:60] = 64.0 * np.exp(2j * np.pi * rng.random(20))
+        seq = ZeroSequence.from_arrays(pos, rng.integers(1, 4, 300) if multiple else np.ones(300),
+                                       250.0)
+        assert seq.all_simple is not multiple
+        mods = np.hypot(seq.positions.real, seq.positions.imag)
+        a, top = float(mods[150]), float(mods[-1])
+        radii = [None, 250.0, a, math.nextafter(a, 0.0), math.nextafter(a, math.inf), top,
+                 math.nextafter(top, math.inf), 64.0, math.nextafter(64.0, 0.0), 100.0, 3.0]
+        points = [0.3 + 0.1j, -2.0 + 5.0j, 0.01j, 7.5]
+        got = {(R, z): evaluate_product(seq, z, R) for R in radii for z in points}
+        for (R, z), pe in got.items():
+            inside = mods < (250.0 if R is None else R)
+            assert pe.factor_count == int(seq.multiplicities[inside].sum())
+        with monkeypatch.context() as patch:
+            patch.setattr(ZeroSequence, "max_abs", property(lambda self: math.inf))
+            for (R, z), pe in got.items():
+                want = evaluate_product(seq, z, R)
+                assert pe == want
+                assert pe.value.log_magnitude.hex() == want.value.log_magnitude.hex()
+                assert pe.value.argument.hex() == want.value.argument.hex()
+
+    def test_default_radius_takes_no_bisection(self, monkeypatch):
+        runs = []
+        bisect = product._modulus_run
+        monkeypatch.setattr(product, "_modulus_run", lambda *args: runs.append(args) or bisect(*args))
+        seq = integer_lattice(5e3)
+        whole = ZeroSequence.from_arrays(seq.positions, seq.multiplicities)   # R0 = 0
+        for z in (0.3 + 0.1j, 7.0, -2.5j):
+            assert evaluate_product(seq, z).factor_count == len(seq)
+            assert evaluate_product(seq, z, seq.truncation_radius).factor_count == len(seq)
+            assert evaluate_product(whole, z).factor_count == len(seq)
+        assert runs == []
+        assert evaluate_product(seq, 0.5, 100.0).factor_count == 198
+        assert len(runs) == 1
 
 
 class TestLogModulusViaCounting:
@@ -715,6 +794,31 @@ class TestCountingFarShells:
         gc.collect()
         assert held() is None and coefficients() is None
 
+    def test_real_sequences_sample_half_the_nodes(self, monkeypatch):
+        # node M - n is node n's exact conjugate, so a real sequence's
+        # shells sample nodes 0 .. 16 and mirror the rest: the coefficients
+        # are those of all 32 samples, bit for bit; a complex sequence
+        # samples all 32
+        unit = product._COUNT_UNIT
+        assert np.array_equal(unit[17:], np.conj(unit[15:0:-1]))
+        sizes = []
+
+        def spy(seq, points, zeros):
+            sizes.append(points.size)
+            return partial_log_potential(seq, points, zeros)
+
+        monkeypatch.setattr(product, "partial_log_potential", spy)
+        real = integer_lattice(2e3)
+        table = product._counting_table(real)
+        assert set(sizes) == {17}
+        full = np.array([partial_log_potential(real, unit * 2.0 ** (j - 5),
+                                               slice(table.starts[i], table.starts[i + 1]))
+                         for i, j in enumerate(table.exponents.tolist())])
+        assert np.array_equal(full @ product._COUNT_DFT, table.coefficients)
+        sizes.clear()
+        product._counting_table(_spread_sequence(92))
+        assert set(sizes) == {32}
+
     def test_no_table_without_far_zeros(self):
         seq = _spread_sequence(91)
         log_modulus_via_counting(seq, 200.0 + 0j)   # 32 |z| beyond every zero
@@ -875,12 +979,18 @@ class TestCircleAverage:
             assert avg == pytest.approx(center, rel=1e-9, abs=1e-9)
 
 
-    @pytest.mark.parametrize("nodes, far_nodes", [(4096, 64), (64, 64), (32, 32)])
-    def test_far_rate_starts_at_two_radii(self, monkeypatch, nodes, far_nodes):
+    @pytest.mark.parametrize("nodes", [4096, 64, 32, 16])
+    @pytest.mark.parametrize("e, inside_nodes, outside_nodes",
+                             [(1, 4096, 64), (2, 64, 32), (4, 32, 16), (8, 16, 8), (64, 2, 1)])
+    def test_band_edges_set_the_rates(self, monkeypatch, e, inside_nodes, outside_nodes, nodes):
+        # zeros at D = 2**e r (1 -+ 2**-20) lie in bands e - 1 (D < 2r for
+        # e = 1) and e, summed at min(n, the band's nodes): one
+        # partial_log_potential call a rate, the zeros in stored order
         z, r = 0.3 + 0.2j, 1.5
-        inside = z + 2.0 * r * (1.0 - 2.0 ** -20) * cmath.exp(0.7j)
-        outside = z + 2.0 * r * (1.0 + 2.0 ** -20) * cmath.exp(-2.1j)
+        inside = z + 2.0 ** e * r * (1.0 - 2.0 ** -20) * cmath.exp(0.7j)
+        outside = z + 2.0 ** e * r * (1.0 + 2.0 ** -20) * cmath.exp(-2.1j)
         seq = ZeroSequence((Zero(inside), Zero(outside)))
+        rate = {complex(inside): min(nodes, inside_nodes), complex(outside): min(nodes, outside_nodes)}
         calls = []
 
         def spy(seq, points, zeros):
@@ -888,34 +998,70 @@ class TestCircleAverage:
             return partial_log_potential(seq, points, zeros)
 
         monkeypatch.setattr(product, "partial_log_potential", spy)
-        circle_average(seq, z, r, nodes)
-        assert calls == [(nodes, [inside]), (far_nodes, [outside])]
+        _, terms = product.circle_average_terms(seq, z, r, nodes)
+        want = [(m, [a for a in seq.positions.tolist() if rate[a] == m])
+                for m in sorted(set(rate.values()), reverse=True)]
+        assert calls == want
+        assert terms == sum(rate.values())
+
+    def test_rate_nodes_keep_the_rotation(self, monkeypatch):
+        # a zero on a node rotates every node by half a step; a far rate's
+        # nodes are every (n / M)-th of the rotated set
+        seq = ZeroSequence((Zero(1.0 + 0j), Zero(40.0 + 0j)))
+        calls = []
+
+        def spy(seq, points, zeros):
+            calls.append(points)
+            return partial_log_potential(seq, points, zeros)
+
+        monkeypatch.setattr(product, "partial_log_potential", spy)
+        circle_average(seq, 0.0, 1.0, 64)
+        near, far = calls
+        assert near.size == 64 and far.size == 16   # D = 40: band e = 5, 16 nodes
+        assert np.array_equal(far, near[::4])
+        assert abs(cmath.phase(near[0]) - math.pi / 64) < 1e-15
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), real=st.booleans(),
            nodes=st.sampled_from([128, 512, 2048]))
     def test_two_rates_match_the_dense_average(self, seed, real, nodes):
-        # within the aliasing bound of circle_average's docstring plus
-        # log_potential's rounding bound for each of the two sums
+        # the graded-rate average against the n-node one, with zeros up to
+        # 2**10 radii away: within the aliasing bound of circle_average's
+        # docstring, per zero at its rate M and at n, plus log_potential's
+        # rounding bound for each sum of either side
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 60))
-        pos = rng.uniform(-30.0, 30.0, k) + (0.0 if real else 1j * rng.uniform(-30.0, 30.0, k))
-        seq = ZeroSequence.from_arrays(pos, rng.integers(1, 4, k))
         z = complex(rng.uniform(-8.0, 8.0), 0.0 if real else rng.uniform(-8.0, 8.0))
         r = float(rng.uniform(0.2, 6.0))
+        dist = r * 2.0 ** rng.uniform(-1.0, 10.0, k)
+        if real:
+            pos = z.real + rng.choice((-1.0, 1.0), k) * dist
+        else:
+            pos = z + dist * np.exp(2j * np.pi * rng.random(k))
+        pos = pos[np.abs(pos) > 1e-3]
+        seq = ZeroSequence.from_arrays(pos, rng.integers(1, 4, pos.size))
         points = z + r * np.exp(1j * (0.0 + 2.0 * np.pi / nodes * np.arange(nodes)))
         dense = exact_sum(log_potential(seq, points, 0.0)) / nodes
-        got = circle_average(seq, z, r, nodes)
+        got, terms = product.circle_average_terms(seq, z, r, nodes)
 
         a, m = seq.positions, seq.multiplicities
         dist = np.hypot((a - z).real, (a - z).imag)
-        far = dist >= 2.0 * r
+        rate = np.full(a.size, nodes)
+        for i, d in enumerate(dist.tolist()):
+            e = math.floor(math.log2(d / r))
+            e += (2.0 ** (e + 1) * r <= d) - (2.0 ** e * r > d)
+            if e >= 1:
+                rate[i] = min(nodes, 2 ** max(0, math.ceil(math.log2(64 / e))))
+        assert terms == int(rate.sum())
+        far = rate < nodes
         rho = r / dist[far]
-        alias = float(np.sum(m[far] * (rho ** 64 / (64 * (1 - rho ** 64))
+        M = rate[far]
+        assert np.all(rho ** M <= 2.0 ** -64 * (1 + 2.0 ** -45))
+        alias = float(np.sum(m[far] * (rho ** M / (M * (1 - rho ** M))
                                        + rho ** nodes / (nodes * (1 - rho ** nodes)))))
         cells = m * (1.0 + np.abs(np.log(np.abs(points[:, None] - a))) + np.abs(np.log(np.abs(a))))
-        weight = (2.0 * cells[:, ~far].sum(axis=1).mean() + cells[:, far].sum(axis=1).mean()
-                  + cells[:: nodes // 64, far].sum(axis=1).mean())
+        weight = cells.sum(axis=1).mean() + sum(
+            cells[:: nodes // rate_m, rate == rate_m].sum(axis=1).mean() for rate_m in set(rate))
         assert abs(got - dense) <= alias + 70 * U * weight + 4 * U * abs(dense)
 
 
