@@ -432,19 +432,19 @@ def _doubled_logs(re, im, x, y, t_lo: float, t_hi: float, check: bool = True) ->
 
 
 def _clear_rows(re: np.ndarray, im: np.ndarray | None, x: np.ndarray,
-                y: np.ndarray, ordered: bool = False) -> np.ndarray:
+                y: np.ndarray) -> np.ndarray:
     """Which points x + iy have no cell outside _doubled_logs' range,
     proved without a pass over the cells: |a - p| >= ||a| - |p||, so a gap
     above 2**-470 + 2**-48 (|p| + max|a|) between |p| and the nearest zero
     modulus (or |Im p| above 2**-470 when every zero is real, im None)
     keeps each squared distance above 2**-941 after its roundings, and
-    |a| + |p| < 2**500 keeps it finite.  ordered promises that the zeros
-    come in the stored order, by np.hypot modulus (|Re a| when every zero is
-    real), so their moduli need no sort."""
+    |a| + |p| < 2**500 keeps it finite.  Zeros in the stored order (masks
+    and slices of a sequence's positions) have ascending moduli already;
+    one pass checks that, cheaper than the sort it spares."""
     if not re.size:
         return np.ones(x.size, dtype=bool)
     mods = np.abs(re) if im is None else np.hypot(re, im)
-    if not ordered:
+    if not np.all(mods[1:] >= mods[:-1]):
         mods.sort()
     with np.errstate(over="ignore"):
         pm = np.hypot(x, y)
@@ -646,7 +646,7 @@ def log_potential(seq: ZeroSequence, points, b: complex, t_lo: float = 0.0,
     sums = _potential_sums(np.ascontiguousarray(pos.real),
                            None if seq.all_real else np.ascontiguousarray(pos.imag),
                            None if seq.all_simple else seq.multiplicities, log_b,
-                           flat, t_lo, t_hi, threads, True)
+                           flat, t_lo, t_hi, threads)
     return sums.reshape(pts.shape)
 
 
@@ -662,17 +662,15 @@ def partial_log_potential(seq: ZeroSequence, points: np.ndarray,
     _require_finite(points=pts)
     log_b = _base_logs(seq, 0j, 0.0, math.inf)[zeros]
     pos = seq.positions[zeros]
-    # a mask or a forward slice keeps the stored (modulus) order
-    ordered = not isinstance(zeros, slice) or (zeros.step or 1) > 0
     return _potential_sums(np.ascontiguousarray(pos.real),
                            None if seq.all_real else np.ascontiguousarray(pos.imag),
                            None if seq.all_simple else seq.multiplicities[zeros], log_b,
-                           pts, 0.0, math.inf, 1, ordered)
+                           pts, 0.0, math.inf, 1)
 
 
 def _potential_sums(re: np.ndarray, im: np.ndarray | None, mult: np.ndarray | None,
                     log_b: np.ndarray, points: np.ndarray, t_lo: float, t_hi: float,
-                    threads: int, ordered: bool = False) -> np.ndarray:
+                    threads: int) -> np.ndarray:
     """The sum over the zeros re + i im of m (log clamp|a - p| - log_b) at
     every p of points, each point's row of terms summed pairwise by
     _row_sums, with log_potential's term rules: on the axis in place, in
@@ -681,10 +679,8 @@ def _potential_sums(re: np.ndarray, im: np.ndarray | None, mult: np.ndarray | No
     _clear_rows cannot clear.  im is None when every zero of the sequence is
     real (ZeroSequence.all_real), so a slice of the zeros takes the rule of
     the whole sequence; mult is None when every multiplicity is 1
-    (all_simple), and multiplying by 1 would change no value.  ordered
-    says the zeros come in the stored order (see _clear_rows).  The kernel
-    of log_potential and of _RealAxis's near sums, whose zeros are sorted
-    by Re a instead."""
+    (all_simple), and multiplying by 1 would change no value.  The kernel of
+    log_potential and of _RealAxis's near sums."""
     real = im is None
     x = np.ascontiguousarray(points.real, dtype=float)
     y = points.imag if points.dtype.kind == "c" else np.zeros(points.size)
@@ -702,7 +698,7 @@ def _potential_sums(re: np.ndarray, im: np.ndarray | None, mult: np.ndarray | No
         return _row_sums(xs.size, re.size, _BLOCK_CELLS, sums, threads)
 
     def off_axis_sums(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        clear = _clear_rows(re, im, xs, ys, ordered)
+        clear = _clear_rows(re, im, xs, ys)
         two_log_b = 2.0 * log_b
 
         def sums(rows: slice) -> np.ndarray:

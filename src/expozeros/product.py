@@ -18,7 +18,9 @@ fsum, in a few numpy passes a split level; arguments are normalized to
 (-pi, pi] once at the end.  Dense factors that are exactly real contribute
 their pi's through an integer counter, and a conjugate-symmetric shell's
 power sums are exactly real, so conjugate-symmetric sequences evaluated at
-real points come out with argument exactly 0 or pi.
+real points come out with argument exactly 0 or pi (a real sequence's
+from the counter alone).  At the default radius every stored zero is
+inside, so a call costs the terms it sums, not the sequence's length.
 
 The counting side, log_modulus_via_counting, takes the zeros below 2**J,
 the least power of two at or above 32 |z|, by the counting kernel's terms,
@@ -27,8 +29,12 @@ and each whole dyadic shell beyond by a local expansion of its potential:
 nodes a shell, in a second table built once a sequence.  It shares no
 split, term or sum with the product's power sums, so the identity check
 compares two independent computations.  The table costs 32 kernel terms a
-far zero, about as much as 15 dense calls, so it pays only on sequences
-evaluated at many points.
+far zero (17 on a real sequence, whose samples mirror), about as much as
+15 (8) dense calls, so it pays only on sequences evaluated at many points.
+
+circle_average sums each zero at a node count graded by its distance from
+the centre, 64 nodes at two radii down to one node at 2**64 radii, so its
+aliasing stays below 2**-64 a unit of multiplicity.
 """
 
 from __future__ import annotations
@@ -387,8 +393,11 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
 
     Truncation is by ascending |a| with strict |a| < R; that ordering is what
     makes symmetric (conditionally convergent) truncations behave.  |a| is
-    np.hypot, the modulus the completeness radius is checked with.  If z is
-    exactly a stored position inside R the value is an exact zero.
+    np.hypot, the modulus the completeness radius is checked with.  The
+    zeros inside R are a prefix of the stored order: the whole sequence
+    when R exceeds its largest modulus, as the default R always does, else
+    a run found by bisection.  If z is exactly a stored position inside R
+    the value is an exact zero.
 
     Near and far zeros.  With A the least power of two at or above 16 |z|,
     the zeros with |a| < A (a prefix of the stored order) are near, and so
@@ -426,6 +435,10 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     (the bits fsum gives), so the value does not depend on the block size;
     likewise the dense argument terms and the series' imaginary parts.  An
     exactly real dense factor contributes its pi through an integer count.
+    At a real z on a real sequence every dense factor is exactly real and
+    every shell's power sums are real, so the argument is that count's
+    parity times pi, with no arctan2 and no argument sum: the bits of the
+    general rule, whose terms are all zero there.
 
     Error bound, to first order in u = 2**-53.  The rounded quotient is
     within c u |s| of s, with c = 2 for a real sequence (two roundings a
@@ -535,7 +548,10 @@ def _counting_table(seq: ZeroSequence) -> _CountingTable:
     partial_log_potential (the counting kernel, in its cache-sized blocks)
     at the nodes rho_j exp(2 pi i n / M), n = 0 .. M - 1, M = _COUNT_NODES,
     and C[j, k] = (2/M) times the k-th bin of the samples' DFT, one matrix
-    product for every shell."""
+    product for every shell.  On a real sequence u_j(conj w) = u_j(w), term
+    by term (the kernel squares dy = -Im w), and node M - n is node n's
+    exact conjugate, so nodes n = 0 .. M/2 are sampled and the rest are
+    their mirrors, the bits a sample there would have."""
     table = _COUNTING_TABLES.get(seq)
     if table is not None:
         return table
@@ -612,8 +628,8 @@ def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
     plus u |value| for exact_sum's rounding.
 
     Cost.  The first call with far zeros builds the table: 32 kernel terms
-    a far zero, about 15 calls' worth of dense terms.  Each later call
-    sums its near zeros and 15 terms a far shell.
+    a far zero, 17 on a real sequence, about 15 (8) calls' worth of dense
+    terms.  Each later call sums its near zeros and 15 terms a far shell.
     """
     _require_finite(z=z)
     if not seq.origin_excluded:
