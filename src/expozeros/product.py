@@ -478,9 +478,8 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
         raise ValueError(f"evaluation radius must be positive, got {R}")
     if R0 > 0 and R > R0:
         raise ValueError(f"evaluation radius {R} exceeds completeness radius {R0}")
-    # the zeros inside R are a prefix of the stored order: all of them when
-    # R passes the largest modulus (always at R = R0, which from_arrays
-    # keeps above it), else a run found by bisection
+    # from_arrays keeps R0 above every modulus, so the default R takes no
+    # bisection
     max_abs = seq.max_abs
     n = len(seq) if R > max_abs else _modulus_run(seq, 0.0, R).stop
     count = n if seq.all_simple else int(seq.multiplicities[:n].sum())
@@ -562,8 +561,6 @@ def _counting_table(seq: ZeroSequence) -> _CountingTable:
                              [len(seq)]))
     shell_exps = exps[starts[:-1]]
     samples = np.empty((shell_exps.size, _COUNT_NODES))
-    # a real sequence's potential is even in Im w: sample n = 0 .. M/2 and
-    # mirror the rest
     sampled = _COUNT_NODES // 2 + 1 if seq.all_real else _COUNT_NODES
     for i, j in enumerate(shell_exps.tolist()):
         nodes = _COUNT_UNIT[:sampled] * 2.0 ** (j - _COUNT_SHIFT)
@@ -712,11 +709,12 @@ def circle_average(seq: ZeroSequence, z: complex, radius: float, nodes: int = 40
     of rho**k cos(k (t - arg(a - z))) / k, and M equispaced nodes average
     every mode but those with M | k to 0, so the M-node average of one zero
     of multiplicity m differs from its circle mean by at most
-    m rho**M / (M (1 - rho**M)).  In band e, rho <= 2**-e and e M_e >= 64
-    (below n), so that is at most m 2**-64 / M (1 + 2**-60), under the
-    rounding of any term; the computed D is within an ulp of the exact one,
-    which raises the bound by under 2**-45 of itself.  The n-node sum of a
-    zero meets the same formula with M = n.
+    m rho**M / (M (1 - rho**M)).  In band e, rho <= 2**-e, and e M_e >= 64
+    wherever n does not cap M_e, so that is at most
+    m 2**-64 / M (1 + 2**-60), under the rounding of any term; the computed
+    D is within an ulp of the exact one, which raises the bound by under
+    2**-45 of itself.  A zero summed at all n nodes, within two radii or
+    capped, meets the same formula with M = n.
     """
     return circle_average_terms(seq, z, radius, nodes)[0]
 
