@@ -8,6 +8,7 @@ is involved anywhere in this module.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import weakref
@@ -356,9 +357,13 @@ def angular_density(seq: ZeroSequence, alpha: float, R: float) -> AngularDensity
 def _require_finite(**args) -> None:
     """Raise ValueError naming the first argument with a NaN or infinite
     entry (real or complex); None (a default still to be chosen) passes.
-    NaN fails no < or > test, so unchecked it reaches a sum or a verdict."""
+    NaN fails no < or > test, so unchecked it reaches a sum or a verdict.
+    A finite Python float or complex (numpy's float64 is a float) passes
+    without an array; any other value is checked as one."""
     for name, value in args.items():
         if value is None:
+            continue
+        if isinstance(value, (float, complex)) and cmath.isfinite(value):
             continue
         arr = np.asarray(value)
         if arr.dtype.kind not in "fc":

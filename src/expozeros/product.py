@@ -18,8 +18,7 @@ fsum, in a few numpy passes a split level; arguments are normalized to
 (-pi, pi] once at the end.  Dense factors that are exactly real contribute
 their pi's through an integer counter, and a conjugate-symmetric shell's
 power sums are exactly real, so conjugate-symmetric sequences evaluated at
-real points come out with argument exactly 0 or pi (a real sequence's
-from the counter alone).  At the default radius every stored zero is
+real points come out with argument exactly 0 or pi.  At the default radius every stored zero is
 inside, so a call costs the terms it sums, not the sequence's length.
 
 The counting side, log_modulus_via_counting, takes the zeros below 2**J,
@@ -311,11 +310,8 @@ def _dense_terms(pos: np.ndarray, mult: np.ndarray, z: complex, all_real: bool,
                  all_simple: bool):
     """Each zero's log term and argument term by the block kernel (see
     evaluate_product), the count of real factors 1 - z/a < 0 (their pi's)
-    and the least log term; None when z is a zero.  At a real z on a real
-    sequence every factor is real, so the argument terms are None and the
-    pi's are the whole argument."""
+    and the least log term; None when z is a zero."""
     n = pos.size
-    real_point = all_real and z.imag == 0.0
     logs = np.empty(n)
     args = np.empty(n)
     if all_real:   # the quotient's parts, reused by every block
@@ -368,24 +364,16 @@ def _dense_terms(pos: np.ndarray, mult: np.ndarray, z: complex, all_real: bool,
                     cell_logs[wide], wr[cells], wi[cells] = _wide_factors(a[wide], z)
                 log_terms[guard] = cell_logs
             least = min(least, float(log_terms.min()))
+            np.arctan2(wi, wr, out=arg_terms)
             m = mult[block]
-            if real_point:
-                # wi is +-0 in every cell (si = 1/a times +-0 where q is
-                # finite, and the guard's quotients of reals), so each
-                # factor's argument is 0 or pi
-                pi_count += int(np.count_nonzero(wr < 0.0) if all_simple
-                                else m[wr < 0.0].sum())
-            else:
-                np.arctan2(wi, wr, out=arg_terms)
-                is_real = wi == 0.0
-                if is_real.any():
-                    arg_terms[is_real] = 0.0  # a real factor's pi goes to pi_count
-                    pi_count += int(m[is_real & (wr < 0.0)].sum())
+            is_real = wi == 0.0
+            if is_real.any():
+                arg_terms[is_real] = 0.0  # a real factor's pi goes to pi_count
+                pi_count += int(m[is_real & (wr < 0.0)].sum())
             if not all_simple:   # multiplying by 1 changes no value
                 log_terms *= m
-                if not real_point:
-                    arg_terms *= m
-    return logs, None if real_point else args, pi_count, least
+                arg_terms *= m
+    return logs, args, pi_count, least
 
 
 def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> ProductEvaluation:
@@ -435,10 +423,6 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     (the bits fsum gives), so the value does not depend on the block size;
     likewise the dense argument terms and the series' imaginary parts.  An
     exactly real dense factor contributes its pi through an integer count.
-    At a real z on a real sequence every dense factor is exactly real and
-    every shell's power sums are real, so the argument is that count's
-    parity times pi, with no arctan2 and no argument sum: the bits of the
-    general rule, whose terms are all zero there.
 
     Error bound, to first order in u = 2**-53.  The rounded quotient is
     within c u |s| of s, with c = 2 for a real sequence (two roundings a
@@ -465,8 +449,7 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     by m, none when every m is 1) and of m F over the far zeros, plus
     u |value| for exact_sum's rounding.
     """
-    if not (isinstance(z, (float, complex)) and cmath.isfinite(z)):
-        _require_finite(z=z)
+    _require_finite(z=z)
     z = complex(z)
     if not seq.origin_excluded:
         raise ValueError("canonical product requires 0 not in the zero set")
@@ -513,13 +496,8 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     if hi > lo:
         far_logs, far_args = _far_terms(table, slice(lo, hi), near_exp, z)
         logs = np.concatenate((logs, far_logs))
-        if args is not None:
-            args = np.concatenate((args, far_args))
-    # at a real point of a real sequence the dense arguments are 0 and so
-    # are the series' imaginary parts (a real shell's power sums are real)
-    theta = (pi_count & 1) * math.pi
-    if args is not None:
-        theta += exact_sum(args)
+        args = np.concatenate((args, far_args))
+    theta = exact_sum(args) + (pi_count & 1) * math.pi
     return ProductEvaluation(LogComplex(exact_sum(logs), wrap_angle(theta)), R, count, flag,
                              least, pos.size, hi - lo)
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import sys
 import threading
 import weakref
@@ -325,6 +326,22 @@ def test_non_finite_points_raise(call):
     # step_integral with a nan x skipped its completeness check
     with pytest.raises(ValueError, match="must be finite"):
         call()
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf, complex(1.0, math.nan),
+                                   complex(math.inf, 0.0), np.float64(math.nan),
+                                   np.complex128(complex(0.0, math.inf)), np.float32(math.nan)])
+def test_require_finite_names_a_bad_scalar(value):
+    # Python floats and complexes (numpy's float64 and complex128 among
+    # them) take the scalar check, other types the array one; both name
+    # the argument and the value
+    with pytest.raises(ValueError, match=re.escape(f"z must be finite, got {np.asarray(value)}")):
+        counting._require_finite(b=0.5, z=value)
+
+
+def test_require_finite_passes_finite_values():
+    counting._require_finite(a=1.5, b=2.0 - 3.0j, c=np.float64(1.0), d=7, e=np.float32(1.0),
+                             f=[1.0, 2.0 + 1j], g=None, h=-0.0)
 
 
 class TestStepIntegral:

@@ -280,10 +280,9 @@ class TestEvaluateProduct:
             assert arg == 0.0 or arg == math.pi
 
     def test_real_points_keep_their_bits(self):
-        # at a real point of a real sequence the argument comes from the
-        # count of negative factors alone; the sha256 of these values is
-        # that of the general path (arctan2 of every factor and exact_sum),
-        # at points on zeros, one ulp and a quarter either side, their
+        # real sequences at real points: the sha256 of these values, pinned
+        # to the bits they had before the O(1) prefix and the hoisted
+        # error state, at points on zeros, one ulp and a quarter either side, their
         # mirrors and 0, with z = x + 0i and x - 0i, at the default radius,
         # a zero's modulus and one ulp either side, and a radius inside a
         # shell
@@ -1025,15 +1024,15 @@ class TestCircleAverage:
     @given(seed=st.integers(0, 2 ** 32 - 1), real=st.booleans(),
            nodes=st.sampled_from([128, 512, 2048]))
     def test_two_rates_match_the_dense_average(self, seed, real, nodes):
-        # the graded-rate average against the n-node one, with zeros up to
-        # 2**10 radii away: within the aliasing bound of circle_average's
+        # the graded-rate average against the n-node one, with zeros from
+        # 2**-6 to 2**10 radii away: within the aliasing bound of circle_average's
         # docstring, per zero at its rate M and at n, plus log_potential's
         # rounding bound for each sum of either side
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 60))
         z = complex(rng.uniform(-8.0, 8.0), 0.0 if real else rng.uniform(-8.0, 8.0))
         r = float(rng.uniform(0.2, 6.0))
-        dist = r * 2.0 ** rng.uniform(-1.0, 10.0, k)
+        dist = r * 2.0 ** rng.uniform(-6.0, 10.0, k)
         if real:
             pos = z.real + rng.choice((-1.0, 1.0), k) * dist
         else:
