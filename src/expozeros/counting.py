@@ -29,6 +29,7 @@ __all__ = [
     "count_disc",
     "count_square",
     "imaginary_inverse_sum",
+    "shell_index",
     "lindelof_sums",
     "growth_check",
     "angular_density",
@@ -196,15 +197,8 @@ def count_disc(prof: CountingProfile, t: float) -> int:
     t = float(t)
     if not t >= 0:
         raise ValueError(f"disc radius must be >= 0, got {t}")
-    return int(_counts_at(prof, t))
-
-
-def _counts_at(prof: CountingProfile, ts) -> np.ndarray:
-    """n(center, t) at every t of ts, without copying the profile."""
-    idx = np.searchsorted(prof.distances, ts, side="right")
-    if not prof.total:
-        return np.zeros_like(idx)
-    return np.where(idx > 0, prof.cumulative[idx - 1], 0)
+    idx = int(np.searchsorted(prof.distances, t, side="right"))
+    return int(prof.cumulative[idx - 1]) if idx else 0
 
 
 def count_square(seq: ZeroSequence, c: complex, t: float) -> int:
@@ -224,6 +218,33 @@ def imaginary_inverse_sum(seq: ZeroSequence) -> float:
         raise ValueError("sum of |Im(1/a)| requires 0 not in the zero set")
     inv = 1.0 / seq.positions
     return exact_sum(seq.multiplicities * np.abs(inv.imag))
+
+
+# shell_index's arrays of each sequence: made once a sequence (immutable,
+# keyed by identity), read-only, and dropped with it, as _ORIGIN_LOGS'
+# entries are, and for the same reason safe to share or race to fill.
+_SHELL_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def shell_index(seq: ZeroSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """seq's moduli and dyadic shells 2**j <= |a| < 2**(j + 1), built once,
+    as three read-only arrays: the moduli |a| (np.hypot, Python's abs bit
+    for bit and the key of the stored order, so they ascend), the j of each
+    nonempty shell (ascending), and starts, with shell i the zeros
+    positions[starts[i]:starts[i + 1]].  A shell starts wherever the
+    exponent j = frexp(|a|)[1] - 1 of a nonzero modulus changes; a stored
+    origin lies in no shell, before starts[0]."""
+    index = _SHELL_INDEX.get(seq)
+    if index is None:
+        moduli = np.hypot(seq.positions.real, seq.positions.imag)
+        origin = 0 if seq.origin_excluded else 1
+        exps = np.frexp(moduli[origin:])[1] - 1
+        runs = np.flatnonzero(np.concatenate(([True], exps[1:] != exps[:-1])))[: exps.size]
+        index = (moduli, exps[runs], np.append(runs + origin, len(seq)))
+        for array in index:
+            array.flags.writeable = False
+        _SHELL_INDEX[seq] = index
+    return index
 
 
 @dataclass(frozen=True)
@@ -251,12 +272,12 @@ def lindelof_sums(seq: ZeroSequence, radii) -> LindelofTrace:
         raise ValueError("radii must be strictly ascending")
     if not seq.origin_excluded:
         raise ValueError("partial sums of 1/a require 0 not in the zero set")
-    pos = seq.positions
-    dists = np.hypot(pos.real, pos.imag)
-    csum = np.concatenate([[0j], np.cumsum(seq.multiplicities / pos)])
-    idx = np.searchsorted(dists, rs, side="left")   # strict |a| < R
+    mult = seq.multiplicities
+    moduli = shell_index(seq)[0]
+    csum = np.concatenate([[0j], np.cumsum(mult / seq.positions)])
+    idx = np.searchsorted(moduli, rs, side="left")   # strict |a| < R
     partial = csum[idx]
-    ties = int(seq.multiplicities[np.isin(dists, rs)].sum()) if dists.size else 0
+    ties = sum(int(mult[i:j].sum()) for i, j in zip(idx, np.searchsorted(moduli, rs, "right")))
     final = complex(partial[-1])
     tail = partial[-max(2, math.ceil(rs.size / 4)):]
     spread = float(np.abs(tail[:, None] - tail[None, :]).max()) if tail.size > 1 else 0.0
@@ -303,9 +324,10 @@ def growth_check(seq: ZeroSequence, radii) -> GrowthEstimate:
         raise ValueError(
             f"radius {rs.max()} exceeds completeness guarantee {R} - 1 for annulus counts"
         )
-    prof = profile(seq, 0j)
-    n_t = _counts_at(prof, rs).astype(float)
-    n_t1 = _counts_at(prof, rs + 1.0).astype(float)
+    counts = np.concatenate(([0], np.cumsum(seq.multiplicities.astype(np.int64))))   # n(0, |a|)
+    moduli = shell_index(seq)[0]
+    n_t = counts[np.searchsorted(moduli, rs, side="right")].astype(float)
+    n_t1 = counts[np.searchsorted(moduli, rs + 1.0, side="right")].astype(float)
     ratios = n_t / rs
     increments = (n_t1 - n_t) / rs
     return GrowthEstimate(
@@ -344,13 +366,14 @@ def angular_density(seq: ZeroSequence, alpha: float, R: float) -> AngularDensity
         raise ValueError(f"R must be positive, got {R}")
     if seq.truncation_radius > 0 and R > seq.truncation_radius:
         raise ValueError(f"R = {R} exceeds completeness radius {seq.truncation_radius}")
-    dists = np.hypot(seq.positions.real, seq.positions.imag)
-    inside = (dists > 0) & (dists < R)
+    moduli, _, starts = shell_index(seq)
+    inside = slice(starts[0], np.searchsorted(moduli, R, side="left"))   # 0 < |a| < R
+    edge = slice(inside.stop, np.searchsorted(moduli, R, side="right"))
     args = np.angle(seq.positions[inside])
     mult = seq.multiplicities[inside]
     right = float(mult[np.abs(args) <= alpha].sum()) / R
     left = float(mult[(math.pi - np.abs(args)) <= alpha].sum()) / R
-    ties = int(seq.multiplicities[dists == R].sum())
+    ties = int(seq.multiplicities[edge].sum())
     return AngularDensity(right, left, ties)
 
 

@@ -29,6 +29,7 @@ from .counting import (
     growth_check,
     lindelof_sums,
     log_potential,
+    shell_index,
     step_integral,
 )
 from .zero_model import ZeroSequence
@@ -275,8 +276,7 @@ def _rim(seq: ZeroSequence) -> tuple[np.ndarray, np.ndarray]:
     empty for a complete sequence.  Positions are stored in ascending hypot
     order, so the shell is a suffix."""
     R = seq.truncation_radius
-    pos = seq.positions
-    d = np.hypot(pos.real, pos.imag)
+    d = shell_index(seq)[0]
     start = int(np.searchsorted(d, R / 2.0)) if R > 0 else d.size
     return d[start:], seq.multiplicities[start:]
 

@@ -38,17 +38,15 @@ aliasing stays below 2**-64 a unit of multiplicity.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .counting import (_center_logs, _require_finite, exact_sum, partial_log_potential,
-                       step_integral, step_terms)
+                       shell_index, step_integral, step_terms)
 from .zero_model import ZeroSequence
 
 __all__ = [
@@ -167,10 +165,7 @@ class ProductEvaluation:
 def _modulus_run(seq: ZeroSequence, lo: float, hi: float) -> slice:
     """The zeros with lo <= |a| < hi: positions are sorted by |a|
     (np.hypot = Python's abs), so they are a run, found by bisection."""
-    def key(i):
-        return abs(complex(seq.positions[i]))
-    return slice(bisect.bisect_left(range(len(seq)), lo, key=key),
-                 bisect.bisect_left(range(len(seq)), hi, key=key))
+    return slice(*np.searchsorted(shell_index(seq)[0], (lo, hi)).tolist())
 
 
 def _unit_disc_run(seq: ZeroSequence, c: complex) -> slice:
@@ -196,28 +191,19 @@ def _far_exponent(z: complex, shift: int = _FAR_SHIFT) -> int | None:
     return j if j < 1024 else None
 
 
-class _ShellTable(NamedTuple):
-    """A sequence's zeros in dyadic shells 2**j <= |a| < 2**(j + 1)
-    (|a| = np.hypot, the stored order's modulus, so each shell is a run),
-    with the shells' power sums q[j, k] = sum of m (2**j / a)**k,
-    k = 1.._SERIES_TERMS, as real and imaginary parts."""
-
-    exponents: np.ndarray   # j of each nonempty shell, ascending
-    starts: np.ndarray      # shell i is positions[starts[i]:starts[i + 1]]
-    real: np.ndarray        # (shells, _SERIES_TERMS)
-    imag: np.ndarray
-
-
-# One _ShellTable a sequence (immutable, keyed by identity), made on the
+# One shell table a sequence (immutable, keyed by identity), made on the
 # first evaluate_product call that has far zeros and dropped with the
 # sequence; an entry depends on its sequence alone, like counting's
 # _ORIGIN_LOGS.
 _SHELL_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _shell_table(seq: ZeroSequence) -> _ShellTable:
-    """seq's _ShellTable, built once.  A shell's t = 2**j / a comes from
-    b = a 2**-j (exact, |b| in [1, 2)): t = 1 / b for a real sequence, else
+def _shell_table(seq: ZeroSequence) -> np.ndarray:
+    """seq's shell table, built once: the power sums
+    q[j, k] = sum of m (2**j / a)**k, k = 1.._SERIES_TERMS, of each dyadic
+    shell 2**j <= |a| < 2**(j + 1) of the shell index, a complex row a
+    shell.  A shell's t = 2**j / a comes from b = a 2**-j (exact, |b| in
+    [1, 2)): t = 1 / b for a real sequence, else
     t = (Re b - i Im b) / (Re b**2 + Im b**2) in real arithmetic; t**k is
     the running product t**(k - 1) t, and q[j, k] is the exact_sum of the
     real and of the imaginary parts of m t**k over the shell (correctly
@@ -227,14 +213,11 @@ def _shell_table(seq: ZeroSequence) -> _ShellTable:
     if table is not None:
         return table
     pos, mult = seq.positions, seq.multiplicities
-    exps = np.frexp(np.hypot(pos.real, pos.imag))[1] - 1
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(exps)) + 1, [len(seq)]))
-    shells = starts.size - 1
-    real = np.zeros((shells, _SERIES_TERMS))
-    imag = np.zeros((shells, _SERIES_TERMS))
-    for i in range(shells):
+    exponents, starts = shell_index(seq)[1:]
+    table = np.zeros((exponents.size, _SERIES_TERMS), dtype=complex)
+    real, imag = table.real, table.imag
+    for i, j in enumerate(exponents.tolist()):
         run = slice(starts[i], starts[i + 1])
-        j = int(exps[starts[i]])
         m = None if seq.all_simple else mult[run]
         br = np.ldexp(pos.real[run], -j)
         if seq.all_real:
@@ -257,17 +240,16 @@ def _shell_table(seq: ZeroSequence) -> _ShellTable:
                 pr, pi = pr * tr - pi * ti, pr * ti + pi * tr
             real[i, k] = exact_sum(pr if m is None else pr * m)
             imag[i, k] = exact_sum(pi if m is None else pi * m)
-    table = _ShellTable(exps[starts[:-1]], starts, real, imag)
     _SHELL_TABLES[seq] = table
     return table
 
 
-def _far_terms(table: _ShellTable, shells: slice, near_exp: int, z: complex):
-    """The series' log and argument terms over the given shells, with
-    2**near_exp = A as _far_exponent gives it: the real and the imaginary
-    part of -(z / 2**j)**k q[j, k] / k for each shell j and
-    k = 1.._SERIES_TERMS.  v**k, v = z / A, is the running product
-    v**(k - 1) v in real arithmetic, and
+def _far_terms(table: np.ndarray, exps: np.ndarray, shells: slice, near_exp: int, z: complex):
+    """The series' log and argument terms over the given shells (j from
+    exps, the shell index's), with 2**near_exp = A as _far_exponent gives
+    it: the real and the imaginary part of -(z / 2**j)**k q[j, k] / k for
+    each shell j and k = 1.._SERIES_TERMS.  v**k, v = z / A, is the running
+    product v**(k - 1) v in real arithmetic, and
     (z / 2**j)**k = v**k 2**((near_exp - j) k) exactly, barring underflow."""
     vr, vi = math.ldexp(z.real, -near_exp), math.ldexp(z.imag, -near_exp)
     pr, pi = vr, vi
@@ -276,7 +258,7 @@ def _far_terms(table: _ShellTable, shells: slice, near_exp: int, z: complex):
         pr, pi = pr * vr - pi * vi, pr * vi + pi * vr
         powers += (pr, pi)
     powers = np.array(powers).reshape(_SERIES_TERMS, 2)
-    shift = (near_exp - table.exponents[shells])[:, None] * _SERIES_K
+    shift = (near_exp - exps[shells])[:, None] * _SERIES_K
     ur, ui = np.ldexp(powers[:, 0], shift), np.ldexp(powers[:, 1], shift)
     qr, qi = table.real[shells], table.imag[shells]
     logs = ur * qr
@@ -463,9 +445,8 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
         raise ValueError(f"evaluation radius {R} exceeds completeness radius {R0}")
     # from_arrays keeps R0 above every modulus, so the default R takes no
     # bisection
-    max_abs = seq.max_abs
-    n = len(seq) if R > max_abs else _modulus_run(seq, 0.0, R).stop
-    count = n if seq.all_simple else int(seq.multiplicities[:n].sum())
+    n = len(seq) if R > seq.max_abs else _modulus_run(seq, 0.0, R).stop
+    count = seq.total_multiplicity if n == len(seq) else int(seq.multiplicities[:n].sum())
     # every zero lies inside R exactly when the prefix is the whole sequence
     flag = TAIL_COMPLETE if (R0 == 0.0 and n == len(seq)) else TAIL_TRUNCATED
     if n == 0:
@@ -475,12 +456,12 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
     near = top = n
     lo = hi = 0
     near_exp = _far_exponent(z)
-    if near_exp is not None and max_abs >= 2.0 ** near_exp:
-        table = _shell_table(seq)
-        first = int(np.searchsorted(table.exponents, near_exp))
-        if n > table.starts[first]:
-            lo, hi = first, int(np.searchsorted(table.starts, n, side="right")) - 1
-            near, top = int(table.starts[lo]), int(table.starts[hi])
+    if near_exp is not None and seq.max_abs >= 2.0 ** near_exp:
+        exponents, starts = shell_index(seq)[1:]
+        first = int(np.searchsorted(exponents, near_exp))
+        if n > starts[first]:
+            lo, hi = first, int(np.searchsorted(starts, n, side="right")) - 1
+            near, top = int(starts[lo]), int(starts[hi])
     pos, mult = seq.positions, seq.multiplicities
     if 0 < near < top < n:
         pos = np.concatenate((pos[:near], pos[top:n]))
@@ -494,7 +475,7 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
                                  pos.size, hi - lo)
     logs, args, pi_count, least = terms
     if hi > lo:
-        far_logs, far_args = _far_terms(table, slice(lo, hi), near_exp, z)
+        far_logs, far_args = _far_terms(_shell_table(seq), exponents, slice(lo, hi), near_exp, z)
         logs = np.concatenate((logs, far_logs))
         args = np.concatenate((args, far_args))
     theta = exact_sum(args) + (pi_count & 1) * math.pi
@@ -502,52 +483,42 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
                              least, pos.size, hi - lo)
 
 
-class _CountingTable(NamedTuple):
-    """A sequence's dyadic shells 2**j <= |a| < 2**(j + 1) at or above
-    2**_COUNT_MIN_EXP (|a| = np.hypot, so each shell is a run), with the
-    local expansion of each shell's potential
-    u_j(w) = sum of m (log|w - a| - log|a|) = Re sum of C[j, k] (w / rho_j)**k,
-    rho_j = 2**(j - _COUNT_SHIFT), k = 1 .. _COUNT_NODES/2 - 1."""
-
-    exponents: np.ndarray      # j of each nonempty shell, ascending
-    starts: np.ndarray         # shell i is positions[starts[i]:starts[i + 1]]
-    coefficients: np.ndarray   # (shells, _COUNT_NODES // 2 - 1), complex
-
-
-# One _CountingTable a sequence, made on the first log_modulus_via_counting
+# One counting table a sequence, made on the first log_modulus_via_counting
 # call that has far zeros and dropped with the sequence.  It is built from
-# the counting kernel alone and shares nothing with _SHELL_TABLES.
+# the counting kernel alone and shares no sum with _SHELL_TABLES, only
+# the shell index's runs.
 _COUNTING_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _counting_table(seq: ZeroSequence) -> _CountingTable:
-    """seq's _CountingTable, built once: shell j's potential sampled by
-    partial_log_potential (the counting kernel, in its cache-sized blocks)
-    at the nodes rho_j exp(2 pi i n / M), n = 0 .. M - 1, M = _COUNT_NODES,
-    and C[j, k] = (2/M) times the k-th bin of the samples' DFT, one matrix
-    product for every shell.  On a real sequence u_j(conj w) = u_j(w), term
-    by term (the kernel squares dy = -Im w), and node M - n is node n's
-    exact conjugate, so nodes n = 0 .. M/2 are sampled and the rest are
-    their mirrors, the bits a sample there would have."""
+def _counting_table(seq: ZeroSequence) -> np.ndarray:
+    """seq's counting table, built once: a complex row for each dyadic
+    shell 2**j <= |a| < 2**(j + 1) of the shell index, from the first at or
+    above 2**_COUNT_MIN_EXP to the last, holding the local expansion of its
+    potential
+    u_j(w) = sum of m (log|w - a| - log|a|) = Re sum of C[j, k] (w / rho_j)**k,
+    rho_j = 2**(j - _COUNT_SHIFT), k = 1 .. _COUNT_NODES/2 - 1.  u_j is
+    sampled by partial_log_potential (the counting kernel, in its
+    cache-sized blocks) at the nodes rho_j exp(2 pi i n / M),
+    n = 0 .. M - 1, M = _COUNT_NODES, and C[j, k] = (2/M) times the k-th
+    bin of the samples' DFT, one matrix product for every shell.  On a real
+    sequence u_j(conj w) = u_j(w), term by term (the kernel squares
+    dy = -Im w), and node M - n is node n's exact conjugate, so nodes
+    n = 0 .. M/2 are sampled and the rest are their mirrors, the bits a
+    sample there would have."""
     table = _COUNTING_TABLES.get(seq)
     if table is not None:
         return table
-    pos = seq.positions
-    exps = np.frexp(np.hypot(pos.real, pos.imag))[1] - 1
-    first = int(np.searchsorted(exps, _COUNT_MIN_EXP))
-    starts = np.concatenate(([first], first + 1 + np.flatnonzero(np.diff(exps[first:])),
-                             [len(seq)]))
-    shell_exps = exps[starts[:-1]]
-    samples = np.empty((shell_exps.size, _COUNT_NODES))
+    exponents, starts = shell_index(seq)[1:]
+    cut = int(np.searchsorted(exponents, _COUNT_MIN_EXP))
+    samples = np.empty((exponents.size - cut, _COUNT_NODES))
     sampled = _COUNT_NODES // 2 + 1 if seq.all_real else _COUNT_NODES
-    for i, j in enumerate(shell_exps.tolist()):
+    for i, j in enumerate(exponents[cut:].tolist()):
         nodes = _COUNT_UNIT[:sampled] * 2.0 ** (j - _COUNT_SHIFT)
         samples[i, :sampled] = partial_log_potential(seq, nodes,
-                                                     slice(starts[i], starts[i + 1]))
+                                                     slice(starts[cut + i], starts[cut + i + 1]))
     if seq.all_real:
         samples[:, sampled:] = samples[:, sampled - 2:0:-1]
-    coefficients = samples @ _COUNT_DFT
-    table = _CountingTable(shell_exps, starts, coefficients)
+    table = samples @ _COUNT_DFT
     _COUNTING_TABLES[seq] = table
     return table
 
@@ -613,16 +584,18 @@ def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
     near = len(seq)
     split = _far_exponent(z, _COUNT_SHIFT)
     if split is not None and seq.max_abs >= 2.0 ** max(split, _COUNT_MIN_EXP):
-        table = _counting_table(seq)   # its shells all lie at or above 2**_COUNT_MIN_EXP
-        first = int(np.searchsorted(table.exponents, split))
-        near = int(table.starts[first])
+        exponents, starts = shell_index(seq)[1:]
+        first = int(np.searchsorted(exponents, max(split, _COUNT_MIN_EXP)))
+        near = int(starts[first])
     terms = step_terms(seq, 0j, z, 0.0, math.inf, slice(0, near))
     if terms is None:   # z on a zero
         return -math.inf
     if near < len(seq):
-        v = z * np.ldexp(1.0, _COUNT_SHIFT - table.exponents[first:])
+        v = z * np.ldexp(1.0, _COUNT_SHIFT - exponents[first:])
         powers = np.cumprod(np.repeat(v[:, None], _COUNT_NODES // 2 - 1, axis=1), axis=1)
-        terms = np.concatenate((terms, (table.coefficients[first:] * powers).real.ravel()))
+        # the table's rows end with the index's last shell
+        coefficients = _counting_table(seq)[first - exponents.size:]
+        terms = np.concatenate((terms, (coefficients * powers).real.ravel()))
     return exact_sum(terms)
 
 
@@ -810,17 +783,15 @@ def tail_correction(seq: ZeroSequence, z: complex, R: float) -> TailCorrection:
         raise ValueError(f"R must be positive, got {R}")
     if not seq.origin_excluded:
         raise ValueError("tail correction requires 0 not in the zero set")
-    pos = seq.positions
-    mult = seq.multiplicities
-    d = np.hypot(pos.real, pos.imag)
-    tail = d >= R
-    count = int(mult[tail].sum())
+    moduli = shell_index(seq)[0]
+    tail = slice(np.searchsorted(moduli, R), None)   # the zeros with |a| >= R
+    mult, d = seq.multiplicities[tail], moduli[tail]
+    count = int(mult.sum())
     if count == 0:
         return TailCorrection(0j, 0.0, 0)
-    inv = mult[tail] / pos[tail]
-    first = -z * complex(inv.sum())
-    ratio = abs(z) / float(d[tail].min())
-    inv_sq = float((mult[tail] / d[tail] ** 2).sum())
+    first = -z * complex((mult / seq.positions[tail]).sum())
+    ratio = abs(z) / float(d.min())
+    inv_sq = float((mult / d ** 2).sum())
     if ratio >= 1.0:
         bound = math.inf
     else:

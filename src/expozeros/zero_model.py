@@ -95,7 +95,8 @@ class ZeroSequence:
 
     positions (complex128) and multiplicities (float64) are merged, sorted
     and read-only; `zeros` views them as Zero objects, and the flags
-    all_real and all_simple are computed, on first access.
+    all_real and all_simple, max_abs and total_multiplicity are computed,
+    on first access.
     truncation_radius > 0 claims the stored list is complete inside
     |z| < truncation_radius; 0 means the sequence is exactly this finite set
     on all of the plane.  Instances are immutable and safe to share across
@@ -167,11 +168,11 @@ class ZeroSequence:
         """Whether every stored multiplicity is 1."""
         return bool(np.all(self.multiplicities == 1.0))
 
-    @property
+    @cached_property
     def total_multiplicity(self) -> int:
         return int(self.multiplicities.sum())
 
-    @property
+    @cached_property
     def max_abs(self) -> float:
         """The largest |a| (np.hypot): the last position's, by the stored order."""
         last = self.positions[-1:]

@@ -358,16 +358,20 @@ class TestStepIntegral:
         assert np.float64(forward + 0.0).tobytes() == np.float64(-backward + 0.0).tobytes()
 
     def test_origin_logs_made_once_read_only_and_dropped(self):
+        # and the shell index, cached by the same policy
         seq = random_sequence(np.random.default_rng(6), n_max=30)
         cold = step_integral(seq, 0.0, 2 + 1j, 0.0, math.inf)
         logs = counting._base_logs(seq, 0j, 0.0, math.inf)
         assert counting._base_logs(seq, 0j, 0.0, math.inf) is logs
         assert not logs.flags.writeable
         assert step_integral(seq, 0.0, 2 + 1j, 0.0, math.inf) == cold
-        ref = weakref.ref(seq)
-        del seq, logs
+        index = counting.shell_index(seq)
+        assert counting.shell_index(seq) is index
+        assert not any(array.flags.writeable for array in index)
+        ref, moduli = weakref.ref(seq), weakref.ref(index[0])
+        del seq, logs, index
         gc.collect()
-        assert ref() is None
+        assert ref() is None and moduli() is None
 
     def test_origin_logs_shared_across_threads(self):
         # threads racing to fill the cache for the same sequences get the
@@ -623,6 +627,23 @@ def term_arrays(draw):
     return rng.permutation(np.concatenate([terms, *triples[:draw(st.integers(0, 5))]]))
 
 
+@st.composite
+def shell_sequences(draw):
+    """Up to 40 zeros whose moduli lie in a drawn window of the double
+    range, subnormals included, on either axis or off both, with
+    multiplicities 1-3: empty and one-zero sequences among them, and at
+    times a stored origin."""
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = draw(st.one_of(st.integers(-1080, -1020), st.integers(-1020, 1020)))   # subnormals
+    hi = draw(st.integers(lo, min(lo + draw(st.sampled_from((0, 3, 60, 2100))), 1020)))
+    mods = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(lo, hi + 1, n))
+    angles = rng.choice((0.0, math.pi, math.pi / 2, -math.pi / 2, 1.0, -2.5), n)
+    positions = [complex(m * math.cos(t), m * math.sin(t)) for m, t in zip(mods, angles)]
+    positions += draw(st.sampled_from(([], [], [0j], [complex(-0.0, 0.0)], [complex(0.0, -0.0)])))
+    return ZeroSequence.from_arrays(positions, rng.integers(1, 4, len(positions)))
+
+
 def _exact_negation(values) -> list[float]:
     """Non-overlapping floats whose exact sum is -sum(values): the partials
     of Shewchuk's summation (math.fsum's), negated."""
@@ -675,6 +696,28 @@ def _real_with_signed_zero_parts(seed: int) -> ZeroSequence:
     signs = np.signbit(seq.positions.imag)
     assert seq.all_real and signs.any() and not signs.all()
     return seq
+
+
+class TestShellIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(shell_sequences())
+    def test_moduli_and_shells_against_a_scan(self, seq):
+        # every modulus is Python's abs bit for bit, and the shells are
+        # the runs of j = frexp(|a|)[1] - 1 a scan of the nonzero moduli
+        # finds, a stored origin before them
+        moduli, got_exponents, got_starts = counting.shell_index(seq)
+        mods = [abs(a) for a in seq.positions.tolist()]
+        assert [m.hex() for m in moduli.tolist()] == [m.hex() for m in mods]
+        origin = 0 if seq.origin_excluded else 1
+        assert mods[:origin] == [0.0] * origin and 0.0 not in mods[origin:]
+        exponents, starts = [], []
+        for i in range(origin, len(mods)):
+            j = math.frexp(mods[i])[1] - 1
+            if not exponents or j != exponents[-1]:
+                exponents.append(j)
+                starts.append(i)
+        assert got_exponents.tolist() == exponents
+        assert got_starts.tolist() == starts + [len(seq)]
 
 
 class TestCenterLogs:

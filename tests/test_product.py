@@ -20,7 +20,7 @@ from conftest import (
 )
 from expozeros import product
 from expozeros.counting import (_center_logs, exact_sum, log_potential, partial_log_potential,
-                                step_integral)
+                                shell_index, step_integral)
 from expozeros import (
     LogComplex,
     Zero,
@@ -609,18 +609,16 @@ class TestFarZeros:
             pe = _check_against_mpmath(seq, z, R)
             assert (pe.dense_zeros, pe.far_shells) == (int((mod < R).sum()), 0)
 
-    def test_table_built_once_and_dropped_with_its_sequence(self, monkeypatch):
+    def test_table_built_once_and_dropped_with_its_sequence(self):
         seq = _spread_sequence(85)
         built = []
-        table_type = product._ShellTable
-        monkeypatch.setattr(product, "_ShellTable", lambda *parts: built.append(len(parts))
-                            or table_type(*parts))
         for z in (0.7 + 0.2j, -3.0 + 1.0j, 11.0j):
             assert evaluate_product(seq, z).far_shells > 0
-        assert len(built) == 1
-        sums = weakref.ref(product._SHELL_TABLES[seq].real)
+            built.append(product._SHELL_TABLES[seq])
+        assert all(table is built[0] for table in built)
+        sums = weakref.ref(built[0])
         held = weakref.ref(seq)
-        del seq
+        del seq, built
         gc.collect()
         assert held() is None and sums() is None
 
@@ -760,11 +758,13 @@ class TestCountingFarShells:
         # mean, rebuilt here from partial_log_potential) within E + 4u mu
         seq = _spread_sequence(89)
         table = product._counting_table(seq)
+        _, exponents, starts = shell_index(seq)
+        assert exponents[0] >= product._COUNT_MIN_EXP   # row i is shell i
         pos, mult = seq.positions, seq.multiplicities
         log_a = np.abs(np.log(np.hypot(pos.real, pos.imag)))
         unit = np.exp(2j * np.pi * np.arange(32) / 32)
-        for i, j in enumerate(table.exponents.tolist()):
-            run = slice(table.starts[i], table.starts[i + 1])
+        for i, j in enumerate(exponents.tolist()):
+            run = slice(starts[i], starts[i + 1])
             mu = float(mult[run].sum())
             E = U * float(np.sum(mult[run] * (74.0 + 140.0 * log_a[run])))
             samples = partial_log_potential(seq, unit * 2.0 ** (j - 5), run)
@@ -775,21 +775,19 @@ class TestCountingFarShells:
                     c = -rho ** k / k * mpmath.fsum(
                         m * mpmath.mpc(a.real, a.imag) ** -k
                         for a, m in zip(pos[run].tolist(), mult[run].tolist()))
-                    err = abs(mpmath.mpc(table.coefficients[i, k - 1]) - c)
+                    err = abs(mpmath.mpc(table[i, k - 1]) - c)
                     assert err <= 2.0 * E + 4.0 * U * mu + mu * 32.0 ** -(32 - k)
 
-    def test_table_built_once_and_dropped_with_its_sequence(self, monkeypatch):
+    def test_table_built_once_and_dropped_with_its_sequence(self):
         seq = _spread_sequence(90)
         built = []
-        table_type = product._CountingTable
-        monkeypatch.setattr(product, "_CountingTable", lambda *parts: built.append(len(parts))
-                            or table_type(*parts))
         for z in (0.7 + 0.2j, -3.0 + 1.0j, 11.0j):
             log_modulus_via_counting(seq, z)
-        assert len(built) == 1
-        coefficients = weakref.ref(product._COUNTING_TABLES[seq].coefficients)
+            built.append(product._COUNTING_TABLES[seq])
+        assert all(table is built[0] for table in built)
+        coefficients = weakref.ref(built[0])
         held = weakref.ref(seq)
-        del seq
+        del seq, built
         gc.collect()
         assert held() is None and coefficients() is None
 
@@ -810,10 +808,11 @@ class TestCountingFarShells:
         real = integer_lattice(2e3)
         table = product._counting_table(real)
         assert set(sizes) == {17}
+        _, exponents, starts = shell_index(real)
         full = np.array([partial_log_potential(real, unit * 2.0 ** (j - 5),
-                                               slice(table.starts[i], table.starts[i + 1]))
-                         for i, j in enumerate(table.exponents.tolist())])
-        assert np.array_equal(full @ product._COUNT_DFT, table.coefficients)
+                                               slice(starts[i], starts[i + 1]))
+                         for i, j in enumerate(exponents.tolist())])
+        assert np.array_equal(full @ product._COUNT_DFT, table)
         sizes.clear()
         product._counting_table(_spread_sequence(92))
         assert set(sizes) == {32}
@@ -836,18 +835,15 @@ class TestCountingFarShells:
         for z in points:
             assert abs(evaluate_product(seq, z).value.log_magnitude
                        - log_modulus_via_counting(seq, z)) <= 1e-12
+        shell = int(np.flatnonzero(shell_index(seq)[1] == 8)[0])
         if side == "counting":
-            table = product._counting_table(seq)
-            shell = int(np.flatnonzero(table.exponents == 8)[0])
-            moved = table.coefficients.copy()
+            moved = product._counting_table(seq).copy()
             moved[shell, 1] *= 1.0 + 1e-6
-            monkeypatch.setitem(product._COUNTING_TABLES, seq, table._replace(coefficients=moved))
+            monkeypatch.setitem(product._COUNTING_TABLES, seq, moved)
         else:
-            table = product._shell_table(seq)
-            shell = int(np.flatnonzero(table.exponents == 8)[0])
-            moved = table.real.copy()
-            moved[shell, 1] *= 1.0 + 1e-6
-            monkeypatch.setitem(product._SHELL_TABLES, seq, table._replace(real=moved))
+            moved = product._shell_table(seq).copy()
+            moved.real[shell, 1] *= 1.0 + 1e-6
+            monkeypatch.setitem(product._SHELL_TABLES, seq, moved)
         for z in points:
             assert abs(evaluate_product(seq, z).value.log_magnitude
                        - log_modulus_via_counting(seq, z)) > 1e-9
