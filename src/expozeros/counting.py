@@ -324,7 +324,8 @@ def growth_check(seq: ZeroSequence, radii) -> GrowthEstimate:
         raise ValueError(
             f"radius {rs.max()} exceeds completeness guarantee {R} - 1 for annulus counts"
         )
-    counts = np.concatenate(([0], np.cumsum(seq.multiplicities.astype(np.int64))))   # n(0, |a|)
+    # counts[k]: the multiplicity of the k least moduli
+    counts = np.concatenate(([0], np.cumsum(seq.multiplicities.astype(np.int64))))
     moduli = shell_index(seq)[0]
     n_t = counts[np.searchsorted(moduli, rs, side="right")].astype(float)
     n_t1 = counts[np.searchsorted(moduli, rs + 1.0, side="right")].astype(float)

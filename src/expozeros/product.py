@@ -198,24 +198,25 @@ def _far_exponent(z: complex, shift: int = _FAR_SHIFT) -> int | None:
 _SHELL_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _shell_table(seq: ZeroSequence) -> np.ndarray:
+def _shell_table(seq: ZeroSequence) -> tuple[np.ndarray, np.ndarray]:
     """seq's shell table, built once: the power sums
     q[j, k] = sum of m (2**j / a)**k, k = 1.._SERIES_TERMS, of each dyadic
-    shell 2**j <= |a| < 2**(j + 1) of the shell index, a complex row a
-    shell.  A shell's t = 2**j / a comes from b = a 2**-j (exact, |b| in
-    [1, 2)): t = 1 / b for a real sequence, else
-    t = (Re b - i Im b) / (Re b**2 + Im b**2) in real arithmetic; t**k is
-    the running product t**(k - 1) t, and q[j, k] is the exact_sum of the
-    real and of the imaginary parts of m t**k over the shell (correctly
-    rounded, so a conjugate-symmetric shell's imaginary sums are exactly
-    0).  Temporaries are a few real arrays of one shell's length."""
+    shell 2**j <= |a| < 2**(j + 1) of the shell index, a row a shell, as an
+    array of real parts and one of imaginary parts.  A shell's t = 2**j / a
+    comes from b = a 2**-j (exact, |b| in [1, 2)): t = 1 / b for a real
+    sequence, else t = (Re b - i Im b) / (Re b**2 + Im b**2) in real
+    arithmetic; t**k is the running product t**(k - 1) t, and q[j, k] is
+    the exact_sum of the real and of the imaginary parts of m t**k over the
+    shell (correctly rounded, so a conjugate-symmetric shell's imaginary
+    sums are exactly 0).  Temporaries are a few real arrays of one shell's
+    length."""
     table = _SHELL_TABLES.get(seq)
     if table is not None:
         return table
     pos, mult = seq.positions, seq.multiplicities
     exponents, starts = shell_index(seq)[1:]
-    table = np.zeros((exponents.size, _SERIES_TERMS), dtype=complex)
-    real, imag = table.real, table.imag
+    real = np.zeros((exponents.size, _SERIES_TERMS))
+    imag = np.zeros((exponents.size, _SERIES_TERMS))
     for i, j in enumerate(exponents.tolist()):
         run = slice(starts[i], starts[i + 1])
         m = None if seq.all_simple else mult[run]
@@ -240,11 +241,12 @@ def _shell_table(seq: ZeroSequence) -> np.ndarray:
                 pr, pi = pr * tr - pi * ti, pr * ti + pi * tr
             real[i, k] = exact_sum(pr if m is None else pr * m)
             imag[i, k] = exact_sum(pi if m is None else pi * m)
+    table = real, imag
     _SHELL_TABLES[seq] = table
     return table
 
 
-def _far_terms(table: np.ndarray, exps: np.ndarray, shells: slice, near_exp: int, z: complex):
+def _far_terms(table: tuple, exps: np.ndarray, shells: slice, near_exp: int, z: complex):
     """The series' log and argument terms over the given shells (j from
     exps, the shell index's), with 2**near_exp = A as _far_exponent gives
     it: the real and the imaginary part of -(z / 2**j)**k q[j, k] / k for
@@ -260,7 +262,7 @@ def _far_terms(table: np.ndarray, exps: np.ndarray, shells: slice, near_exp: int
     powers = np.array(powers).reshape(_SERIES_TERMS, 2)
     shift = (near_exp - exps[shells])[:, None] * _SERIES_K
     ur, ui = np.ldexp(powers[:, 0], shift), np.ldexp(powers[:, 1], shift)
-    qr, qi = table.real[shells], table.imag[shells]
+    qr, qi = table[0][shells], table[1][shells]
     logs = ur * qr
     logs -= ui * qi
     logs /= _SERIES_NEG_K

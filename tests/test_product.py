@@ -616,7 +616,7 @@ class TestFarZeros:
             assert evaluate_product(seq, z).far_shells > 0
             built.append(product._SHELL_TABLES[seq])
         assert all(table is built[0] for table in built)
-        sums = weakref.ref(built[0])
+        sums = weakref.ref(built[0][0])
         held = weakref.ref(seq)
         del seq, built
         gc.collect()
@@ -841,9 +841,10 @@ class TestCountingFarShells:
             moved[shell, 1] *= 1.0 + 1e-6
             monkeypatch.setitem(product._COUNTING_TABLES, seq, moved)
         else:
-            moved = product._shell_table(seq).copy()
-            moved.real[shell, 1] *= 1.0 + 1e-6
-            monkeypatch.setitem(product._SHELL_TABLES, seq, moved)
+            real, imag = product._shell_table(seq)
+            moved = real.copy()
+            moved[shell, 1] *= 1.0 + 1e-6
+            monkeypatch.setitem(product._SHELL_TABLES, seq, (moved, imag))
         for z in points:
             assert abs(evaluate_product(seq, z).value.log_magnitude
                        - log_modulus_via_counting(seq, z)) > 1e-9
