@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 import os
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -220,12 +219,6 @@ def imaginary_inverse_sum(seq: ZeroSequence) -> float:
     return exact_sum(seq.multiplicities * np.abs(inv.imag))
 
 
-# shell_index's arrays of each sequence: made once a sequence (immutable,
-# keyed by identity), read-only, and dropped with it, as _ORIGIN_LOGS'
-# entries are, and for the same reason safe to share or race to fill.
-_SHELL_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def shell_index(seq: ZeroSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """seq's moduli and dyadic shells 2**j <= |a| < 2**(j + 1), built once,
     as three read-only arrays: the moduli |a| (np.hypot, Python's abs bit
@@ -234,17 +227,15 @@ def shell_index(seq: ZeroSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     positions[starts[i]:starts[i + 1]].  A shell starts wherever the
     exponent j = frexp(|a|)[1] - 1 of a nonzero modulus changes; a stored
     origin lies in no shell, before starts[0]."""
-    index = _SHELL_INDEX.get(seq)
-    if index is None:
-        moduli = np.hypot(seq.positions.real, seq.positions.imag)
-        origin = 0 if seq.origin_excluded else 1
-        exps = np.frexp(moduli[origin:])[1] - 1
-        runs = np.flatnonzero(np.concatenate(([True], exps[1:] != exps[:-1])))[: exps.size]
-        index = (moduli, exps[runs], np.append(runs + origin, len(seq)))
-        for array in index:
-            array.flags.writeable = False
-        _SHELL_INDEX[seq] = index
-    return index
+    return seq.derived(_shell_index)
+
+
+def _shell_index(seq: ZeroSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    moduli = np.hypot(seq.positions.real, seq.positions.imag)
+    origin = 0 if seq.origin_excluded else 1
+    exps = np.frexp(moduli[origin:])[1] - 1
+    runs = np.flatnonzero(np.concatenate(([True], exps[1:] != exps[:-1])))[: exps.size]
+    return moduli, exps[runs], np.append(runs + origin, len(seq))
 
 
 @dataclass(frozen=True)
@@ -506,39 +497,35 @@ def _center_logs(seq: ZeroSequence, center: complex, t_lo: float,
     return logs
 
 
-# log|a| of every zero, the base logs of b = 0 over [0, inf) that each
-# partial_log_potential call (circle averages, the counting side's shell
-# samples) and each step integral from b = 0 needs: made once a sequence
-# (immutable, keyed by identity), read-only, and dropped with it.
-# An entry depends on its sequence alone, so callers and threads that share
-# it, or race to fill it, get the same values.
-_ORIGIN_LOGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _base_logs(seq: ZeroSequence, b: complex, t_lo: float, t_hi: float) -> np.ndarray:
     """_center_logs of the base point b, which may not sit on a zero: from
     t = 0 that integral diverges (DivergentIntegralError, naming the zero).
-    The logs of b = 0 over [0, inf) are _ORIGIN_LOGS' read-only array, and
-    over [1, inf) (Jensen's counting side) their maximum with 0, the same
-    bits: the clamp takes a distance below 1, whose own log is negative, to
-    1, whose log is 0, and leaves every other distance and its log alone.
-    That needs no zero at the origin, whose [0, inf) log diverges."""
-    if b == 0 and t_lo == 1.0 and t_hi == math.inf and seq.origin_excluded:
-        return np.maximum(_base_logs(seq, b, 0.0, t_hi), 0.0)
-    origin = b == 0 and t_lo == 0.0 and t_hi == math.inf
-    logs = _ORIGIN_LOGS.get(seq) if origin else None
-    if logs is not None:
-        return logs
+    The logs of b = 0 over [0, inf) are the sequence's read-only
+    _origin_logs, and over [1, inf) (Jensen's counting side) their maximum
+    with 0, the same bits: the clamp takes a distance below 1, whose own log
+    is negative, to 1, whose log is 0, and leaves every other distance and
+    its log alone.  That needs no zero at the origin, whose [0, inf) log
+    diverges."""
+    if b == 0 and t_hi == math.inf and seq.origin_excluded:
+        if t_lo == 0.0:
+            return seq.derived(_origin_logs)
+        if t_lo == 1.0:
+            return np.maximum(seq.derived(_origin_logs), 0.0)
     logs = _center_logs(seq, b, t_lo, t_hi)
     hit = np.flatnonzero(logs == -math.inf) if t_lo == 0.0 else ()
     if len(hit):
         z = complex(seq.positions[hit[0]])
         raise DivergentIntegralError(
             f"integral from t = 0 diverges: base point b = {b} is the zero at {z}", zero=z)
-    if origin:
-        logs.flags.writeable = False
-        _ORIGIN_LOGS[seq] = logs
     return logs
+
+
+def _origin_logs(seq: ZeroSequence) -> np.ndarray:
+    """log|a| of every zero of a sequence without a zero at the origin: the
+    base logs of b = 0 over [0, inf) that each partial_log_potential call
+    (circle averages, the counting side's shell samples) and each step
+    integral from b = 0 needs."""
+    return _center_logs(seq, 0j, 0.0, math.inf)
 
 
 def step_integral(seq: ZeroSequence, b: complex, x: complex, t_lo: float, t_hi: float) -> float:

@@ -311,9 +311,10 @@ def default_base_point(seq: ZeroSequence) -> float:
     if not len(seq):
         return candidates[0]
     pos = seq.positions
-    dists = [float(np.hypot(pos.real - c, pos.imag).min()) for c in candidates]
-    for c, d in zip(candidates, dists):
-        if d >= 1e-6:
+    dists = []
+    for c in candidates:
+        dists.append(float(np.hypot(pos.real - c, pos.imag).min()))
+        if dists[-1] >= 1e-6:
             return c
     return candidates[int(np.argmax(dists))]
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,15 +190,8 @@ def _far_exponent(z: complex, shift: int = _FAR_SHIFT) -> int | None:
     return j if j < 1024 else None
 
 
-# One shell table a sequence (immutable, keyed by identity), made on the
-# first evaluate_product call that has far zeros and dropped with the
-# sequence; an entry depends on its sequence alone, like counting's
-# _ORIGIN_LOGS.
-_SHELL_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _shell_table(seq: ZeroSequence) -> tuple[np.ndarray, np.ndarray]:
-    """seq's shell table, built once: the power sums
+    """seq's shell table, built once a sequence through seq.derived: the power sums
     q[j, k] = sum of m (2**j / a)**k, k = 1.._SERIES_TERMS, of each dyadic
     shell 2**j <= |a| < 2**(j + 1) of the shell index, a row a shell, as an
     array of real parts and one of imaginary parts.  A shell's t = 2**j / a
@@ -210,9 +202,6 @@ def _shell_table(seq: ZeroSequence) -> tuple[np.ndarray, np.ndarray]:
     shell (correctly rounded, so a conjugate-symmetric shell's imaginary
     sums are exactly 0).  Temporaries are a few real arrays of one shell's
     length."""
-    table = _SHELL_TABLES.get(seq)
-    if table is not None:
-        return table
     pos, mult = seq.positions, seq.multiplicities
     exponents, starts = shell_index(seq)[1:]
     real = np.zeros((exponents.size, _SERIES_TERMS))
@@ -241,9 +230,7 @@ def _shell_table(seq: ZeroSequence) -> tuple[np.ndarray, np.ndarray]:
                 pr, pi = pr * tr - pi * ti, pr * ti + pi * tr
             real[i, k] = exact_sum(pr if m is None else pr * m)
             imag[i, k] = exact_sum(pi if m is None else pi * m)
-    table = real, imag
-    _SHELL_TABLES[seq] = table
-    return table
+    return real, imag
 
 
 def _far_terms(table: tuple, exps: np.ndarray, shells: slice, near_exp: int, z: complex):
@@ -477,7 +464,8 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
                                  pos.size, hi - lo)
     logs, args, pi_count, least = terms
     if hi > lo:
-        far_logs, far_args = _far_terms(_shell_table(seq), exponents, slice(lo, hi), near_exp, z)
+        far_logs, far_args = _far_terms(seq.derived(_shell_table), exponents, slice(lo, hi),
+                                        near_exp, z)
         logs = np.concatenate((logs, far_logs))
         args = np.concatenate((args, far_args))
     theta = exact_sum(args) + (pi_count & 1) * math.pi
@@ -485,15 +473,9 @@ def evaluate_product(seq: ZeroSequence, z: complex, R: float | None = None) -> P
                              least, pos.size, hi - lo)
 
 
-# One counting table a sequence, made on the first log_modulus_via_counting
-# call that has far zeros and dropped with the sequence.  It is built from
-# the counting kernel alone and shares no sum with _SHELL_TABLES, only
-# the shell index's runs.
-_COUNTING_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _counting_table(seq: ZeroSequence) -> np.ndarray:
-    """seq's counting table, built once: a complex row for each dyadic
+    """seq's counting table, built once a sequence through seq.derived: a
+    complex row for each dyadic
     shell 2**j <= |a| < 2**(j + 1) of the shell index, from the first at or
     above 2**_COUNT_MIN_EXP to the last, holding the local expansion of its
     potential
@@ -507,9 +489,6 @@ def _counting_table(seq: ZeroSequence) -> np.ndarray:
     dy = -Im w), and node M - n is node n's exact conjugate, so nodes
     n = 0 .. M/2 are sampled and the rest are their mirrors, the bits a
     sample there would have."""
-    table = _COUNTING_TABLES.get(seq)
-    if table is not None:
-        return table
     exponents, starts = shell_index(seq)[1:]
     cut = int(np.searchsorted(exponents, _COUNT_MIN_EXP))
     samples = np.empty((exponents.size - cut, _COUNT_NODES))
@@ -520,9 +499,7 @@ def _counting_table(seq: ZeroSequence) -> np.ndarray:
                                                      slice(starts[cut + i], starts[cut + i + 1]))
     if seq.all_real:
         samples[:, sampled:] = samples[:, sampled - 2:0:-1]
-    table = samples @ _COUNT_DFT
-    _COUNTING_TABLES[seq] = table
-    return table
+    return samples @ _COUNT_DFT
 
 
 def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
@@ -596,7 +573,7 @@ def log_modulus_via_counting(seq: ZeroSequence, z: complex) -> float:
         v = z * np.ldexp(1.0, _COUNT_SHIFT - exponents[first:])
         powers = np.cumprod(np.repeat(v[:, None], _COUNT_NODES // 2 - 1, axis=1), axis=1)
         # the table's rows end with the index's last shell
-        coefficients = _counting_table(seq)[first - exponents.size:]
+        coefficients = seq.derived(_counting_table)[first - exponents.size:]
         terms = np.concatenate((terms, (coefficients * powers).real.ravel()))
     return exact_sum(terms)
 

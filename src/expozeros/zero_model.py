@@ -178,6 +178,22 @@ class ZeroSequence:
         last = self.positions[-1:]
         return float(np.hypot(last.real, last.imag).max(initial=0.0))
 
+    def derived(self, build):
+        """build(self), built on first use and kept in the instance's own
+        __dict__, so it is dropped with the sequence: for data that depends
+        on the zeros alone and is built once a sequence.  The value is one
+        array or a tuple of arrays, each made read-only, so callers and
+        threads share it; threads racing on a first use may each build, and
+        every one gets the value stored first."""
+        store = self.__dict__.setdefault("_derived", {})
+        value = store.get(build)
+        if value is None:
+            value = build(self)
+            for array in value if isinstance(value, tuple) else (value,):
+                array.flags.writeable = False
+            value = store.setdefault(build, value)
+        return value
+
     def __len__(self) -> int:
         return len(self.positions)
 

@@ -1,9 +1,7 @@
-import gc
 import math
 import re
 import sys
 import threading
-import weakref
 from unittest import mock
 
 import mpmath
@@ -25,7 +23,7 @@ from conftest import (
     slope_scale,
     value_scale,
 )
-from expozeros import counting
+from expozeros import counting, product
 from expozeros import (
     DivergentIntegralError,
     Zero,
@@ -357,34 +355,30 @@ class TestStepIntegral:
         # of a zero value cannot be antisymmetric
         assert np.float64(forward + 0.0).tobytes() == np.float64(-backward + 0.0).tobytes()
 
-    def test_origin_logs_made_once_read_only_and_dropped(self):
-        # and the shell index, cached by the same policy
-        seq = random_sequence(np.random.default_rng(6), n_max=30)
-        cold = step_integral(seq, 0.0, 2 + 1j, 0.0, math.inf)
-        logs = counting._base_logs(seq, 0j, 0.0, math.inf)
-        assert counting._base_logs(seq, 0j, 0.0, math.inf) is logs
-        assert not logs.flags.writeable
-        assert step_integral(seq, 0.0, 2 + 1j, 0.0, math.inf) == cold
-        index = counting.shell_index(seq)
-        assert counting.shell_index(seq) is index
-        assert not any(array.flags.writeable for array in index)
-        ref, moduli = weakref.ref(seq), weakref.ref(index[0])
-        del seq, logs, index
-        gc.collect()
-        assert ref() is None and moduli() is None
-
     def test_origin_logs_shared_across_threads(self):
-        # threads racing to fill the cache for the same sequences get the
-        # values of a cold single-threaded run
+        # threads racing to build the derived values of the same sequences
+        # (the origin logs through step integrals, the shell index and the
+        # product's two tables), each in its own order, get the bits of a
+        # cold single-threaded run
         rng = np.random.default_rng(8)
         seqs = [random_sequence(rng, n_max=400, r_min=0.5) for _ in range(6)]
         points = [complex(*rng.uniform(-20.0, 20.0, 2)) for _ in range(4)]
-        want = [[step_integral(ZeroSequence.from_arrays(s.positions, s.multiplicities),
-                               0.0, z, 0.0, math.inf) for z in points] for s in seqs]
+        reads = [
+            lambda s: [step_integral(s, 0.0, z, 0.0, math.inf) for z in points],
+            lambda s: [array.tobytes() for array in counting.shell_index(s)],
+            lambda s: [array.tobytes() for array in s.derived(product._shell_table)],
+            lambda s: s.derived(product._counting_table).tobytes(),
+        ]
+        want = [[read(ZeroSequence.from_arrays(s.positions, s.multiplicities)) for read in reads]
+                for s in seqs]
         got = [None] * 8
 
         def work(k):
-            got[k] = [[step_integral(s, 0.0, z, 0.0, math.inf) for z in points] for s in seqs]
+            order = [(k + i) % len(reads) for i in range(len(reads))]
+            got[k] = [[None] * len(reads) for _ in seqs]
+            for i, s in enumerate(seqs):
+                for r in order:
+                    got[k][i][r] = reads[r](s)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -756,7 +750,7 @@ class TestCenterLogs:
             got = counting._base_logs(seq, 0j, 1.0, math.inf)
             want = counting._center_logs(seq, 0j, 1.0, math.inf)
             assert got.tobytes() == want.tobytes()
-            assert counting._base_logs(seq, 0j, 0.0, math.inf) is counting._ORIGIN_LOGS[seq]
+            assert counting._base_logs(seq, 0j, 0.0, math.inf) is seq.derived(counting._origin_logs)
             mult = seq.multiplicities
             for x in (2.5 + 0.25j, -0.3, complex(seq.positions[3])):
                 if np.all(seq.positions != x):
@@ -778,7 +772,7 @@ class TestCenterLogs:
                     == np.float64(counting.exact_sum(terms)).tobytes())
         with pytest.raises(DivergentIntegralError):
             step_integral(seq, 0.0, 4.0, 0.0, math.inf)
-        assert seq not in counting._ORIGIN_LOGS
+        assert counting._origin_logs not in seq.__dict__.get("_derived", {})
 
     def test_step_terms_of_parts_are_the_whole_terms(self):
         # a prefix and its rest give the whole sequence's terms bit for

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import struct
@@ -20,6 +21,7 @@ from expozeros import (
     INCONCLUSIVE,
     SATISFIED,
     VIOLATED,
+    CriterionReport,
     Zero,
     ZeroSequence,
     build_generator,
@@ -162,6 +164,10 @@ class TestCheckB:
         rep = check_B(seq, 0.5, np.linspace(0.0, 1.0, 9))
         assert rep.verdict == INCONCLUSIVE
         assert rep.witness is None
+        # a grid of one zero has no finite value to judge
+        rep = check_B(integer_lattice(10.0), 0.5, [1.0])
+        assert (rep.verdict, rep.witness, rep.notes) == (INCONCLUSIVE, None, "no finite grid values")
+        assert rep.extremum_value == -math.inf
 
 
 class TestCheckD:
@@ -284,6 +290,16 @@ class TestTypeBound:
         assert rep.verdict == SATISFIED
         assert rep.extremum_value == 0.0
 
+    def test_unstable_plateau_inconclusive(self):
+        # one zero at 1: the values on the plateau |y| >= 1 vary by 0.29,
+        # beyond the tolerance, so an estimate above sigma's threshold is
+        # not judged
+        rep = type_bound(ZeroSequence([1.0]), 0.5, [1.0, -1.0, 2.0, -2.0], 0.5)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.witness is None
+        assert rep.extremum_value > 0.5 + criteria.TYPE_TOLERANCE * 1.5
+        assert rep.notes == "sigma = 0.5; plateau variation = 0.291"
+
     def test_requires_both_signs(self):
         with pytest.raises(ValueError):
             type_bound(ZeroSequence(()), 0.0, [1.0, 2.0], 1.0)
@@ -291,6 +307,49 @@ class TestTypeBound:
     def test_requires_ascending_magnitudes(self):
         with pytest.raises(ValueError):
             type_bound(ZeroSequence(()), 0.0, [2.0, -1.0], 1.0)
+
+
+def _all_distances_base_point(seq: ZeroSequence) -> float:
+    """The base-point rule that takes every candidate's distance first."""
+    candidates = (0.0, 0.5, 0.25, 0.75, 1.0 / 3.0, 0.2, 0.7, 1.0 / 7.0)
+    if not len(seq):
+        return candidates[0]
+    pos = seq.positions
+    dists = [float(np.hypot(pos.real - c, pos.imag).min()) for c in candidates]
+    for c, d in zip(candidates, dists):
+        if d >= 1e-6:
+            return c
+    return candidates[int(np.argmax(dists))]
+
+
+class TestDefaultBasePoint:
+    CANDIDATES = (0.0, 0.5, 0.25, 0.75, 1.0 / 3.0, 0.2, 0.7, 1.0 / 7.0)
+
+    @pytest.mark.parametrize("seq, want", [
+        (ZeroSequence(()), 0.0),
+        (integer_lattice(50.0), 0.0),
+        (ZeroSequence([0.0, 0.5]), 0.25),
+        (ZeroSequence([0.0, 0.5 + 1e-7j, 0.25 - 5e-7, 0.75]), 1.0 / 3.0),
+        # a zero on every candidate: the first of the equally far ones
+        (ZeroSequence(CANDIDATES), 0.0),
+        # a zero within 1e-6 of every candidate: the farthest candidate
+        (ZeroSequence([c + 1e-8 for c in CANDIDATES if c != 0.75] + [0.75 + 5e-7j]), 0.75),
+    ], ids=["empty", "lattice", "zero-and-half", "near-misses", "every-candidate",
+            "near-every-candidate"])
+    def test_in_order_rule_matches_all_distances(self, seq, want):
+        assert default_base_point(seq) == _all_distances_base_point(seq) == want
+
+    def test_first_clear_candidate_takes_one_distance(self, monkeypatch):
+        calls = []
+
+        def hypot(*args):
+            calls.append(1)
+            return np.hypot(*args)
+
+        monkeypatch.setattr(criteria, "np", mock.Mock(wraps=np, hypot=hypot))
+        assert default_base_point(integer_lattice(4e3)) == 0.0
+        assert default_base_point(ZeroSequence([0.0, 0.5])) == 0.25
+        assert len(calls) == 1 + 3
 
 
 class TestNonFiniteArguments:
@@ -334,6 +393,40 @@ class TestClassify:
         payload = rep.to_dict()
         assert set(payload["criteria"]) == {"C", "B", "D"}
         json.dumps(payload, allow_nan=True)
+        # complete only inside R = 1: no annulus fits, so the growth fields
+        # are NaN and no radius is sampled
+        small = ZeroSequence.from_arrays([0.5, -0.5 + 0.25j], [1, 2], truncation_radius=1.0)
+        payload = classify(small).to_dict()
+        growth = payload["growth"]
+        assert math.isnan(growth["linear_ratio_sup"])
+        assert math.isnan(growth["annulus_increment_max_ratio"])
+        assert growth["sample_radii"] == []
+        assert json.loads(json.dumps(payload, allow_nan=True))["growth"]["sample_radii"] == []
+
+    @pytest.mark.parametrize("verdicts, downgraded", [
+        ({"C": VIOLATED, "B": SATISFIED, "D": INCONCLUSIVE}, ("B",)),
+        # B is downgraded first, so D is downgraded by its pair with C only
+        ({"C": VIOLATED, "B": SATISFIED, "D": SATISFIED}, ("B", "D")),
+    ], ids=["B-under-C", "D-and-B-under-C"])
+    def test_verdicts_closed_under_the_inclusion_chain(self, monkeypatch, verdicts, downgraded):
+        canned = {name: CriterionReport(name, verdict, 2.0, 1.0, 0.0, "canned grid",
+                                        notes="base point b = 0.0" if name == "B" else "")
+                  for name, verdict in verdicts.items()}
+        for name in canned:
+            monkeypatch.setattr(criteria, f"check_{name}",
+                                lambda *args, name=name, **kwargs: canned[name])
+        rep = classify(integer_lattice(20.0))
+        for name, before in canned.items():
+            if name not in downgraded:
+                assert rep.reports[name] is before
+                continue
+            note = "downgraded: conflicts with C violation (numerical artifact)"
+            assert rep.reports[name] == dataclasses.replace(
+                before, verdict=INCONCLUSIVE, witness=None,
+                notes=f"{before.notes}; {note}" if before.notes else note)
+        assert rep.consistency_notes == tuple(
+            f"{name} evidence said satisfied while C said violated; "
+            f"{name} downgraded to inconclusive" for name in downgraded)
 
     def test_type_check_included_when_sigma_given(self):
         rep = classify(integer_lattice(200.0), sigma=math.pi)

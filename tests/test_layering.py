@@ -4,7 +4,9 @@ A read of obj._name is allowed only on self or cls; dunders are exempt.
 What one module needs from another's object goes through a public method
 or attribute, so the terms a method relies on change in one place.  The
 private names one module imports from another are pinned to a short list,
-so a new private dependency between modules shows in review.
+so a new private dependency between modules shows in review.  No module
+imports weakref: data derived from a sequence is kept on it, through
+ZeroSequence.derived, so a new module-level cache shows in review too.
 """
 
 import ast
@@ -67,3 +69,30 @@ def test_a_private_import_is_found(tmp_path):
                     "from . import counting\n"
                     "from numpy import _core\n")
     assert private_imports(path) == ["counting:_split"]
+
+
+def imported_modules(path: Path) -> list[str]:
+    """The top-level name of every module that path imports."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            hits += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            hits.append(node.module.split(".")[0])
+    return hits
+
+
+def test_no_module_imports_weakref():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert [path.name for path in files if "weakref" in imported_modules(path)] == []
+
+
+def test_a_weakref_import_is_found(tmp_path):
+    for text in ("import weakref\n", "from weakref import WeakKeyDictionary\n",
+                 "import numpy as np, weakref as wr\n", "def f():\n    import weakref\n"):
+        path = tmp_path / "cache.py"
+        path.write_text(text)
+        assert "weakref" in imported_modules(path)
+    path.write_text("from .weakref import x\nimport weakrefs\n")
+    assert "weakref" not in imported_modules(path)

@@ -18,7 +18,7 @@ from conftest import (
     random_conjugate_sequence,
     random_sequence,
 )
-from expozeros import product
+from expozeros import counting, product
 from expozeros.counting import (_center_logs, exact_sum, log_potential, partial_log_potential,
                                 shell_index, step_integral)
 from expozeros import (
@@ -609,19 +609,6 @@ class TestFarZeros:
             pe = _check_against_mpmath(seq, z, R)
             assert (pe.dense_zeros, pe.far_shells) == (int((mod < R).sum()), 0)
 
-    def test_table_built_once_and_dropped_with_its_sequence(self):
-        seq = _spread_sequence(85)
-        built = []
-        for z in (0.7 + 0.2j, -3.0 + 1.0j, 11.0j):
-            assert evaluate_product(seq, z).far_shells > 0
-            built.append(product._SHELL_TABLES[seq])
-        assert all(table is built[0] for table in built)
-        sums = weakref.ref(built[0][0])
-        held = weakref.ref(seq)
-        del seq, built
-        gc.collect()
-        assert held() is None and sums() is None
-
     @pytest.mark.parametrize("zeros, z", [
         ([5e-324, 2.0], 3.0),                          # 1/a overflows
         ([1.5e-323 + 1e-323j, 2.0], 2e-323),           # z/a = 4/(3 + 2i) by subnormals
@@ -778,19 +765,6 @@ class TestCountingFarShells:
                     err = abs(mpmath.mpc(table[i, k - 1]) - c)
                     assert err <= 2.0 * E + 4.0 * U * mu + mu * 32.0 ** -(32 - k)
 
-    def test_table_built_once_and_dropped_with_its_sequence(self):
-        seq = _spread_sequence(90)
-        built = []
-        for z in (0.7 + 0.2j, -3.0 + 1.0j, 11.0j):
-            log_modulus_via_counting(seq, z)
-            built.append(product._COUNTING_TABLES[seq])
-        assert all(table is built[0] for table in built)
-        coefficients = weakref.ref(built[0])
-        held = weakref.ref(seq)
-        del seq, built
-        gc.collect()
-        assert held() is None and coefficients() is None
-
     def test_real_sequences_sample_half_the_nodes(self, monkeypatch):
         # node M - n is node n's exact conjugate, so a real sequence's
         # shells sample nodes 0 .. 16 and mirror the rest: the coefficients
@@ -820,7 +794,7 @@ class TestCountingFarShells:
     def test_no_table_without_far_zeros(self):
         seq = _spread_sequence(91)
         log_modulus_via_counting(seq, 200.0 + 0j)   # 32 |z| beyond every zero
-        assert seq not in product._COUNTING_TABLES
+        assert product._counting_table not in seq.__dict__["_derived"]
 
     @pytest.mark.parametrize("side", ["counting", "product"])
     def test_each_side_has_its_own_table(self, monkeypatch, side):
@@ -837,17 +811,56 @@ class TestCountingFarShells:
                        - log_modulus_via_counting(seq, z)) <= 1e-12
         shell = int(np.flatnonzero(shell_index(seq)[1] == 8)[0])
         if side == "counting":
-            moved = product._counting_table(seq).copy()
+            moved = seq.derived(product._counting_table).copy()
             moved[shell, 1] *= 1.0 + 1e-6
-            monkeypatch.setitem(product._COUNTING_TABLES, seq, moved)
+            monkeypatch.setitem(seq.__dict__["_derived"], product._counting_table, moved)
         else:
-            real, imag = product._shell_table(seq)
+            real, imag = seq.derived(product._shell_table)
             moved = real.copy()
             moved[shell, 1] *= 1.0 + 1e-6
-            monkeypatch.setitem(product._SHELL_TABLES, seq, (moved, imag))
+            monkeypatch.setitem(seq.__dict__["_derived"], product._shell_table, (moved, imag))
         for z in points:
             assert abs(evaluate_product(seq, z).value.log_magnitude
                        - log_modulus_via_counting(seq, z)) > 1e-9
+
+
+def _far_product(seq: ZeroSequence, z: complex):
+    pe = evaluate_product(seq, z)
+    assert pe.far_shells > 0
+    return pe
+
+
+class TestDerivedValues:
+    """The four values built once a sequence through ZeroSequence.derived:
+    the shell index, the origin logs and the product's two tables."""
+
+    @pytest.mark.parametrize("make, get, use", [
+        (lambda: random_sequence(np.random.default_rng(6), n_max=30), shell_index,
+         lambda seq, z: tail_correction(seq, z, 20.0)),
+        (lambda: random_sequence(np.random.default_rng(6), n_max=30),
+         lambda seq: counting._base_logs(seq, 0j, 0.0, math.inf),
+         lambda seq, z: step_integral(seq, 0.0, z, 0.0, math.inf)),
+        (lambda: _spread_sequence(85), lambda seq: seq.derived(product._shell_table),
+         _far_product),
+        (lambda: _spread_sequence(90), lambda seq: seq.derived(product._counting_table),
+         log_modulus_via_counting),
+    ], ids=["shell_index", "origin_logs", "shell_table", "counting_table"])
+    def test_built_once_read_only_and_dropped(self, make, get, use):
+        # the value is built on first use, each later read returns the same
+        # arrays, read-only, a warm call gives a cold one's result, and the
+        # arrays go with their sequence
+        seq = make()
+        built = []
+        for z in (0.7 + 0.2j, -3.0 + 1.0j, 11.0j):
+            assert use(seq, z) == use(make(), z)
+            built.append(get(seq))
+        assert all(value is built[0] for value in built)
+        arrays = built[0] if isinstance(built[0], tuple) else (built[0],)
+        assert not any(array.flags.writeable for array in arrays)
+        held, first = weakref.ref(seq), weakref.ref(arrays[0])
+        del seq, built, arrays
+        gc.collect()
+        assert held() is None and first() is None
 
 
 class TestUnitDiscRuns:
@@ -1112,6 +1125,14 @@ class TestTailCorrection:
     def test_no_tail(self):
         corr = tail_correction(PAIR, 1j, 5.0)
         assert corr.log_correction == 0j and corr.zero_count == 0
+
+    @pytest.mark.parametrize("z, bound", [(0.5j, 0.5), (1.0, math.inf), (-1.0 + 0j, math.inf),
+                                          (3j, math.inf)])
+    def test_no_second_order_bound_past_the_nearest_tail_zero(self, z, bound):
+        # |z| at or beyond the tail's least modulus (1 here): the series
+        # behind the bound diverges
+        corr = tail_correction(PAIR, z, 0.5)
+        assert corr.second_order_bound == bound and corr.zero_count == 2
 
     def test_first_order_improves_truncation(self):
         rng = np.random.default_rng(16)
