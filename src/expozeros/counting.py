@@ -842,6 +842,91 @@ def _truncation_bounds(h: float, dist: np.ndarray, mult: np.ndarray) -> tuple[fl
             float((2.0 * size * tail).min()) / h)
 
 
+class _FarField:
+    """The layout of a _RealAxis and its far field.  Both depend on the
+    sequence, the range [lo, hi], the cell count and the near reach alone,
+    so _RealAxis.sibling shares one between evaluators of other base points
+    and lower limits.
+
+    The zeros are sorted by Re a, stably: positions are merged and stored in
+    hypot order, so a real zero comes first among zeros of equal Re.  Cell k
+    has centre centres[k] and half-width halves[k].  Its near zeros are
+    re[near[k, 0]:near[k, 1]], those with |Re a - c| < reach[k], and every
+    other zero is far.  fit(k) builds the cell's far fit on first use and
+    keeps it in fits."""
+
+    def __init__(self, seq: ZeroSequence, lo: float, hi: float, cells: int, t_lo: float):
+        self.lo, self.hi, self.cells = lo, hi, cells
+        self.edges = np.linspace(lo, hi, cells + 1)
+        self.centres = 0.5 * (self.edges[:-1] + self.edges[1:])
+        self.halves = 0.5 * (self.edges[1:] - self.edges[:-1])
+        pos = seq.positions
+        self.order = np.argsort(pos.real, kind="stable")
+        self.re = pos.real[self.order]
+        self.im = pos.imag[self.order]
+        self.im2 = self.im ** 2
+        self.mult = seq.multiplicities[self.order].astype(float)
+        self.reach = self.near_reach(t_lo)
+        self.near = np.stack([np.searchsorted(self.re, self.centres - self.reach, side="right"),
+                              np.searchsorted(self.re, self.centres + self.reach, side="left")], 1)
+        # each once, ascending: positions are merged
+        self.real_zeros = self.re[self.im == 0.0]
+        self.fits: dict = {}
+
+    def near_reach(self, t_lo: float) -> np.ndarray:
+        """Every cell's near reach for the lower limit t_lo: 3h, or 3h + t_lo
+        where 2h < t_lo.  Either way a far zero is at least max(2h, t_lo)
+        from every point of the cell, so the clamp never acts on it."""
+        return 3.0 * self.halves + np.where(2.0 * self.halves >= t_lo, 0.0, t_lo)
+
+    def cells_of(self, xs: np.ndarray) -> np.ndarray:
+        if xs.size and not (xs.min() >= self.lo and xs.max() <= self.hi):
+            raise ValueError(f"points must lie in [{self.lo}, {self.hi}]")
+        return np.clip(np.searchsorted(self.edges, xs, side="right") - 1, 0, self.cells - 1)
+
+    def fit(self, k: int) -> tuple[tuple, int]:
+        """Cell k's far fit: log|c - a| of its far zeros, the chord slope,
+        the node values less the chord and their derivatives at the nodes,
+        and E and E'; and the node terms this call summed (none when the fit
+        was built before)."""
+        fit = self.fits.get(k)
+        if fit is not None:
+            return fit, 0
+        i, j = self.near[k]
+        re, im, m = (np.concatenate([v[:i], v[j:]]) for v in (self.re, self.im, self.mult))
+        h = float(self.halves[k])
+        two_dc = 2.0 * (self.centres[k] - re)
+        dist = np.hypot(self.centres[k] - re, im)
+        d2 = dist * dist
+        half_m = 0.5 * m
+        s = (h * _CHEB)[:, None]
+        nodes = _row_sums(_NODES, re.size, _SMALL_BLOCK_CELLS, lambda rows: (
+            _accurate_sums(half_m * np.log1p(s[rows] * (two_dc + s[rows]) / d2))), 1)
+        slope = (nodes[0] - nodes[-1]) / (_CHEB[0] - _CHEB[-1])
+        rest = nodes - slope * _CHEB
+        spread = float((m * -np.log1p(-h / dist)).sum())
+        top = float(np.abs(rest).max())
+        values, slopes = _truncation_bounds(h, dist, m)
+        fit = self.fits[k] = (
+            np.log(dist), slope, rest, _DIFF @ rest,
+            values + _LEBESGUE * _U * (20.0 * spread + 5.0 * _NODES * top),
+            slopes + _LEBESGUE * _U * ((_NODES - 1) ** 2 * 23.0 * spread
+                                       + 6.0 * _NODES * _DIFF_NORM * top) / h)
+        return fit, _NODES * re.size
+
+
+class _AxisValues:
+    """What a _RealAxis shares with its siblings of the same (b, t_lo): the
+    zeros' log clamp|b - a| in the far field's order, K by cell, and every
+    value computed so far, by point ascending."""
+
+    def __init__(self, log_b: np.ndarray):
+        self.log_b = log_b
+        self.consts: dict = {}
+        self.points = np.empty(0)
+        self.values = np.empty(0)
+
+
 class _RealAxis:
     """log_potential(seq, x, b, t_lo) and _log_potential_slope(seq, x, t_lo)
     at real x in [lo, hi], by a one-level treecode (Dutt, Gu & Rokhlin 1996;
@@ -849,21 +934,28 @@ class _RealAxis:
 
     [lo, hi] is split into round(sqrt(samples / p)) equal cells, p = 20, with
     samples the caller's base sample count.  For a point x in the cell of
-    centre c and half-width h, the zeros with |Re a - c| < 3h + t_lo are
-    near: their terms are summed densely and pairwise, by log_potential's
-    and _log_potential_slope's kernels (_potential_sums and _slope_sums),
-    so a point on a zero gives exactly -inf when t_lo = 0.  Every other zero
-    is far: |x - a| >= 2h + t_lo on the cell, so the clamp never acts on it.
-    The far sums are computed once per cell, on first use, at the cell's p
-    first-kind Chebyshev nodes, as the constant
-    K = sum of m (log|c - a| - L_b) plus the centred sums
-    f(x) = sum of m log(|x - a| / |c - a|) (each term by log1p), every node
-    sum within u |sum| of its rounded terms (_accurate_sums, by rows through
-    _row_sums).  The chord through the end nodes is taken off f, and the
-    rest is interpolated to the cell's points; the far slope is the
-    derivative of that interpolant, the chord's slope plus the rest's
-    derivative values at the nodes (_DIFF) again interpolated, over h.  Each
-    value depends on x alone, on any number of threads.
+    centre c and half-width h, the zeros with |Re a - c| < 3h are near, or
+    with |Re a - c| < 3h + t_lo where 2h < t_lo.  Near terms are summed
+    densely and pairwise, by log_potential's and _log_potential_slope's
+    kernels (_potential_sums and _slope_sums), so a point on a zero gives
+    exactly -inf when t_lo = 0.  Every other zero is far: |x - a| >= 2h and
+    |x - a| >= t_lo on the cell, so the clamp never acts on it.  The far sums
+    f(x) = sum of m log(|x - a| / |c - a|) (each term by log1p) are computed
+    once per cell, on first use, at the cell's p first-kind Chebyshev nodes,
+    every node sum within u |sum| of its rounded terms (_accurate_sums, by
+    rows through _row_sums).  The chord through the end nodes is taken off
+    f, and the rest is interpolated to the cell's points; the far slope is
+    the derivative of that interpolant, the chord's slope plus the rest's
+    derivative values at the nodes (_DIFF) again interpolated, over h.  A
+    value adds the cell's constant K = sum of m (log|c - a| - L_b) over the
+    far zeros.  Each value depends on x alone, on any number of threads.
+
+    None of the layout, the node sums or E and E' below depends on b, and
+    the near windows depend on t_lo only where 2h < t_lo.  They live in a
+    _FarField, which sibling(b, t_lo) shares with an evaluator of another
+    base point or lower limit; K and the near sums are the evaluator's own.
+    values computes each point once: siblings of the same (b, t_lo) share
+    K and the values computed so far as well.
 
     Error bound, u = 2**-53, L_x = log clamp|a - x|, L_b = log clamp|a - b|
     and Lambda = (2/pi) log p + 1 the nodes' Lebesgue bound: a value is
@@ -895,129 +987,147 @@ class _RealAxis:
     the product with _DIFF, ||D|| = _DIFF_NORM its largest absolute row
     sum, and of its interpolation.  far_bound and slope_bound return E and
     E' at points, and gap_bounds bounds check_B's and check_D's objectives
-    between the real zeros (real_zeros, ascending) from them.  kernel_calls
-    and kernel_points count the calls of values and the points they took;
-    near_points and node_points count the value terms evaluated.
+    between the real zeros (real_zeros, ascending) from them.  Each
+    evaluator counts its own work: kernel_calls and kernel_points the calls
+    of values that computed new points and those points, and near_points
+    and node_points the value terms it summed (a sibling that finds a
+    cell's node sums already built sums none).
     """
 
     def __init__(self, seq: ZeroSequence, b: float, t_lo: float, lo: float, hi: float,
                  samples: int, *, threads: int = 1):
-        self.seq = seq
-        self.b = float(b)
-        self.threads = int(threads)
-        if self.threads < 1:
+        if int(threads) < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
-        self.t_lo = float(t_lo)
-        _check_range(seq, self.t_lo, math.inf, 0.0)
+        t_lo = float(t_lo)
+        _check_range(seq, t_lo, math.inf, 0.0)
         lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError(f"need a finite range lo <= hi, got [{lo}, {hi}]")
-        self.lo = lo
-        self.hi = hi if hi > lo else lo + max(1.0, abs(lo))
-        self.cells = max(1, round(math.sqrt(samples / _NODES)))
-        self._edges = np.linspace(self.lo, self.hi, self.cells + 1)
-        self._centres = 0.5 * (self._edges[:-1] + self._edges[1:])
-        self._halves = 0.5 * (self._edges[1:] - self._edges[:-1])
-        pos = seq.positions
-        order = np.argsort(pos.real, kind="stable")
-        self._re = pos.real[order]
-        self._im = pos.imag[order]
-        self._im2 = self._im ** 2
-        self._mult = seq.multiplicities[order].astype(float)
-        self._log_b = _base_logs(seq, complex(self.b), self.t_lo, math.inf)[order]
-        reach = 3.0 * self._halves + self.t_lo
-        self._near = np.stack([np.searchsorted(self._re, self._centres - reach, side="right"),
-                               np.searchsorted(self._re, self._centres + reach, side="left")], 1)
-        # each once, ascending: positions are merged
-        self.real_zeros = self._re[self._im == 0.0]
-        self._value_fits: dict = {}
-        self.kernel_calls = 0
-        self.kernel_points = 0
-        self.near_points = 0
-        self.node_points = 0
+        hi = hi if hi > lo else lo + max(1.0, abs(lo))
+        self.seq, self.threads = seq, int(threads)
+        far = _FarField(seq, lo, hi, max(1, round(math.sqrt(samples / _NODES))), t_lo)
+        self._attach(self, far, float(b), t_lo, None)
 
-    def _cells_of(self, xs: np.ndarray) -> np.ndarray:
-        if xs.size and not (xs.min() >= self.lo and xs.max() <= self.hi):
-            raise ValueError(f"points must lie in [{self.lo}, {self.hi}]")
-        return np.clip(np.searchsorted(self._edges, xs, side="right") - 1, 0, self.cells - 1)
+    def sibling(self, b: float, t_lo: float) -> "_RealAxis":
+        """An evaluator of log_potential(seq, x, b, t_lo) with this one's
+        range, cells and threads, and counts of its own.  It shares this
+        one's far field when t_lo gives every cell the same near reach, and
+        with it K and the values computed so far when (b, t_lo) are this
+        one's; it gives the bits of a fresh _RealAxis either way."""
+        b, t_lo = float(b), float(t_lo)
+        _check_range(self.seq, t_lo, math.inf, 0.0)
+        far = self._far
+        if not np.array_equal(far.near_reach(t_lo), far.reach):
+            far = _FarField(self.seq, far.lo, far.hi, far.cells, t_lo)
+        same = far is self._far and (b, t_lo) == (self.b, self.t_lo)
+        other = object.__new__(_RealAxis)
+        other.seq, other.threads = self.seq, self.threads
+        self._attach(other, far, b, t_lo, self._shared if same else None)
+        return other
 
-    def _value_fit(self, k: int):
-        """K, the chord slope, the node values less the chord and their
-        derivatives at the nodes, and E and E' of cell k's far sums."""
-        fit = self._value_fits.get(k)
-        if fit is None:
-            i, j = self._near[k]
-            re, im, m, log_b = (np.concatenate([v[:i], v[j:]])
-                                for v in (self._re, self._im, self._mult, self._log_b))
-            h = float(self._halves[k])
-            two_dc = 2.0 * (self._centres[k] - re)
-            dist = np.hypot(self._centres[k] - re, im)
-            d2 = dist * dist
-            half_m = 0.5 * m
-            s = (h * _CHEB)[:, None]
-            nodes = _row_sums(_NODES, re.size, _SMALL_BLOCK_CELLS, lambda rows: (
-                _accurate_sums(half_m * np.log1p(s[rows] * (two_dc + s[rows]) / d2))), 1)
-            self.node_points += _NODES * re.size
-            const = float(_accurate_sums((m * (np.log(dist) - log_b))[None, :])[0])
-            slope = (nodes[0] - nodes[-1]) / (_CHEB[0] - _CHEB[-1])
-            rest = nodes - slope * _CHEB
-            spread = float((m * -np.log1p(-h / dist)).sum())
-            top = float(np.abs(rest).max())
-            values, slopes = _truncation_bounds(h, dist, m)
-            fit = (const, slope, rest, _DIFF @ rest,
-                   values + _LEBESGUE * _U * (20.0 * spread + 5.0 * _NODES * top),
-                   slopes + _LEBESGUE * _U * ((_NODES - 1) ** 2 * 23.0 * spread
-                                              + 6.0 * _NODES * _DIFF_NORM * top) / h)
-            self._value_fits[k] = fit
+    @staticmethod
+    def _attach(axis: "_RealAxis", far: _FarField, b: float, t_lo: float,
+                shared: _AxisValues | None) -> None:
+        """Give axis the far field far, the values of (b, t_lo) in shared
+        (fresh ones when None) and counts of its own."""
+        axis.b, axis.t_lo = b, t_lo
+        axis._far = far
+        axis.lo, axis.hi, axis.cells, axis.real_zeros = far.lo, far.hi, far.cells, far.real_zeros
+        if shared is None:
+            shared = _AxisValues(_base_logs(axis.seq, complex(b), t_lo, math.inf)[far.order])
+        axis._shared = shared
+        axis._used = set()
+        axis.kernel_calls = 0
+        axis.kernel_points = 0
+        axis.near_points = 0
+        axis.node_points = 0
+
+    def _fit(self, k: int) -> tuple:
+        """_FarField.fit's fit of cell k, counting the node terms built here."""
+        fit, terms = self._far.fit(k)
+        self.node_points += terms
+        self._used.add(k)
         return fit
+
+    def _const(self, k: int) -> float:
+        """K of cell k: sum of m (log|c - a| - L_b) over its far zeros."""
+        consts = self._shared.consts
+        if k not in consts:
+            log_dist = self._fit(k)[0]
+            i, j = self._far.near[k]
+            m, log_b = (np.concatenate([v[:i], v[j:]]) for v in (self._far.mult, self._shared.log_b))
+            consts[k] = float(_accurate_sums((m * (log_dist - log_b))[None, :])[0])
+        return consts[k]
 
     def _by_cell(self, xs, per_cell) -> np.ndarray:
         """per_cell(k, points, s) over the cells holding xs, s the points'
         offsets from the centre in half-widths."""
+        far = self._far
         xs = np.asarray(xs, dtype=float)
         flat = xs.ravel()
-        cell = self._cells_of(flat)
+        cell = far.cells_of(flat)
         out = np.empty(flat.size)
         used = np.unique(cell)
         for k in used:
             at = np.flatnonzero(cell == k) if used.size > 1 else slice(None)
             x = flat[at]
-            out[at] = per_cell(int(k), x, (x - self._centres[k]) / self._halves[k])
+            out[at] = per_cell(int(k), x, (x - far.centres[k]) / far.halves[k])
         return out.reshape(xs.shape)
 
-    def values(self, xs) -> np.ndarray:
-        """log_potential(seq, x, b, t_lo) at every x of xs."""
-        self.kernel_calls += 1
-        self.kernel_points += np.size(xs)
+    def _evaluate(self, xs) -> np.ndarray:
+        """log_potential(seq, x, b, t_lo) at every x of xs, computed afresh."""
+        far, log_b = self._far, self._shared.log_b
 
         def per_cell(k, x, s):
-            i, j = self._near[k]
-            near = _potential_sums(self._re[i:j], None if self.seq.all_real else self._im[i:j],
-                                   None if self.seq.all_simple else self._mult[i:j],
-                                   self._log_b[i:j], x, self.t_lo, math.inf, self.threads)
+            i, j = far.near[k]
+            near = _potential_sums(far.re[i:j], None if self.seq.all_real else far.im[i:j],
+                                   None if self.seq.all_simple else far.mult[i:j],
+                                   log_b[i:j], x, self.t_lo, math.inf, self.threads)
             self.near_points += x.size * int(j - i)
-            const, slope, rest = self._value_fit(k)[:3]
-            return near + (const + (slope * s + _interpolate(rest, s)))
+            slope, rest = self._fit(k)[1:3]
+            return near + (self._const(k) + (slope * s + _interpolate(rest, s)))
         return self._by_cell(xs, per_cell)
+
+    def values(self, xs) -> np.ndarray:
+        """log_potential(seq, x, b, t_lo) at every x of xs, each point
+        computed once across the siblings that share this one's values."""
+        xs = np.asarray(xs, dtype=float)
+        # + 0.0 spells x = 0 one way: -0.0 gives the same value
+        flat = xs.ravel() + 0.0
+        memo = self._shared
+        new = np.unique(flat)
+        at = np.searchsorted(memo.points, new)
+        known = at < memo.points.size
+        known[known] = memo.points[at[known]] == new[known]
+        if not known.all():
+            new, at = new[~known], at[~known]
+            got = self._evaluate(new)
+            self.kernel_calls += 1
+            self.kernel_points += new.size
+            memo.points = np.insert(memo.points, at, new)
+            memo.values = np.insert(memo.values, at, got)
+        return memo.values[np.searchsorted(memo.points, flat)].reshape(xs.shape)
 
     def slopes(self, xs) -> np.ndarray:
         """_log_potential_slope(seq, x, t_lo) at every x of xs (off the zeros)."""
+        far = self._far
+
         def per_cell(k, x, s):
-            i, j = self._near[k]
-            near = _slope_sums(self._re[i:j], None if self.seq.all_real else self._im2[i:j],
-                               None if self.seq.all_simple else self._mult[i:j], x, self.t_lo,
+            i, j = far.near[k]
+            near = _slope_sums(far.re[i:j], None if self.seq.all_real else far.im2[i:j],
+                               None if self.seq.all_simple else far.mult[i:j], x, self.t_lo,
                                self.threads)
-            _, slope, _, diff = self._value_fit(k)[:4]
-            return near + (slope + _interpolate(diff, s)) / self._halves[k]
+            fit = self._fit(k)
+            return near + (fit[1] + _interpolate(fit[3], s)) / far.halves[k]
         return self._by_cell(xs, per_cell)
 
     def far_bound(self, xs) -> np.ndarray:
         """E of the cell of every x of xs."""
-        return self._by_cell(xs, lambda k, x, s: self._value_fit(k)[4])
+        return self._by_cell(xs, lambda k, x, s: self._fit(k)[4])
 
     def slope_bound(self, xs) -> np.ndarray:
         """E' of the cell of every x of xs."""
-        return self._by_cell(xs, lambda k, x, s: self._value_fit(k)[5])
+        return self._by_cell(xs, lambda k, x, s: self._fit(k)[5])
 
     def gap_bounds(self, kap2: float, za, zb, ga, gb, c, value_at,
                    target) -> tuple[np.ndarray, int]:
@@ -1059,7 +1169,7 @@ class _RealAxis:
         # by Re a; where hypot tells them apart, a real zero comes before
         # complex zeros of equal Re, since positions are stored in hypot order
         # and the sort is stable
-        re, im, mult, log_b = self._re, self._im, self._mult, self._log_b
+        re, im, mult, log_b = self._far.re, self._far.im, self._far.mult, self._shared.log_b
         off_axis = im != 0.0
         beta = np.abs(im[off_axis])
         curv = float((mult[off_axis] / np.maximum(beta, t) ** 2).sum())
@@ -1113,9 +1223,10 @@ class _RealAxis:
         return out, int(todo.size)
 
     def diagnostics(self) -> dict:
-        """The calls of values and their points, cells, the value terms
-        summed densely and at nodes (and their total, zero_points), and the
-        largest E of the cells used."""
+        """This evaluator's own work: the calls of values that computed new
+        points and those points, cells, the value terms it summed densely
+        and at nodes (and their total, zero_points), and the largest E of
+        the cells it used."""
         return {
             "kernel_calls": self.kernel_calls,
             "kernel_points": self.kernel_points,
@@ -1123,5 +1234,5 @@ class _RealAxis:
             "cells": self.cells,
             "near_points": self.near_points,
             "node_points": self.node_points,
-            "far_error_bound": float(max((fit[4] for fit in self._value_fits.values()), default=0.0)),
+            "far_error_bound": float(max((self._far.fits[k][4] for k in self._used), default=0.0)),
         }

@@ -165,13 +165,16 @@ def _augment_grid(real: np.ndarray, xs: np.ndarray, objective,
 
     Returns the sorted judged points, the objective's values there, and the
     counts gaps, gaps_searched (real-zero gaps in the grid range, and those
-    given golden-section probes) and slope_points (of the bounds).  Every
-    point is evaluated once.  The judged points are xs, the midpoints and
-    the probes; D's bound reads the gap ends, which check_D puts in xs.  The
-    first pass probes two points per gap; since G**2 = 1 - G the point that
-    survives a pass is one of the next pass's two, so each later pass probes
-    one new point and keeps the survivor's value.  objective must act
-    pointwise: a value may not depend on the other points of a call.
+    given golden-section probes) and slope_points (of the bounds).  The
+    judged points are xs, the midpoints and the probes; D's bound reads the
+    gap ends, which check_D puts in xs.  The first pass probes two points
+    per gap; since G**2 = 1 - G the point that survives a pass is one of the
+    next pass's two, so each later pass probes one new point and keeps the
+    survivor's value.  objective must act pointwise: a value may not depend
+    on the other points of a call.  It is asked for some points again (the
+    bounds read the midpoints, and the judged points are read back at the
+    end), so each point is evaluated once where objective memoizes by
+    point, as _RealAxis.values does.
     """
     # + 0.0 spells x = 0 one way: a symmetric grid holds both -0.0 and 0.0,
     # and np.unique keeps whichever its sort puts first
@@ -187,22 +190,9 @@ def _augment_grid(real: np.ndarray, xs: np.ndarray, objective,
     mids = 0.5 * (za + zb)
     rest = np.concatenate([xs, mids])
     rest = np.unique(rest[(rest >= lo) & (rest <= hi)])
-    seen, seen_values = rest, objective(rest)
-    finite = np.isfinite(seen_values)
-    js, running = _running_sup_windows(rest[finite], seen_values[finite])
-
-    def values_at(points: np.ndarray) -> np.ndarray:
-        """objective at points, evaluating only those not evaluated before"""
-        nonlocal seen, seen_values
-        at = np.minimum(np.searchsorted(seen, points), seen.size - 1)
-        new = np.unique(points[seen[at] != points])
-        if new.size:
-            seen = np.concatenate([seen, new])
-            seen_values = np.concatenate([seen_values, objective(new)])
-            order = np.argsort(seen)
-            seen, seen_values = seen[order], seen_values[order]
-            at = np.searchsorted(seen, points)
-        return seen_values[at]
+    rest_values = objective(rest)
+    finite = np.isfinite(rest_values)
+    js, running = _running_sup_windows(rest[finite], rest_values[finite])
 
     # the octaves of |x| over the open gap, and whether each holds a window
     inner = np.where((ga < 0.0) & (gb > 0.0), 0.0, np.minimum(np.abs(ga), np.abs(gb)))
@@ -215,26 +205,26 @@ def _augment_grid(real: np.ndarray, xs: np.ndarray, objective,
     if covered.size:
         target = running[k_lo[covered]]
         ub, slope_points = bound(za[covered], zb[covered], ga[covered], gb[covered],
-                                 np.clip(mids[covered], lo, hi), values_at, target)
+                                 np.clip(mids[covered], lo, hi), objective, target)
         search[covered[ub < target]] = False
     counts = {"gaps": int(ga.size), "gaps_searched": int(search.sum()),
               "slope_points": slope_points}
     ga, gb = ga[search], gb[search]
     x1 = gb - _GOLDEN * (gb - ga)
     x2 = ga + _GOLDEN * (gb - ga)
-    f1, f2 = np.split(values_at(np.concatenate([x1, x2])), 2)
+    f1, f2 = np.split(objective(np.concatenate([x1, x2])), 2)
     probes = [x1, x2]
     for _ in range(2):
         move_lo = f1 < f2
         ga = np.where(move_lo, x1, ga)
         gb = np.where(move_lo, gb, x2)
         new = np.where(move_lo, ga + _GOLDEN * (gb - ga), gb - _GOLDEN * (gb - ga))
-        f_new = values_at(new)
+        f_new = objective(new)
         probes.append(new)
         x1, x2 = np.where(move_lo, x2, new), np.where(move_lo, new, x1)
         f1, f2 = np.where(move_lo, f2, f_new), np.where(move_lo, f_new, f1)
     pts = np.unique(np.concatenate([rest, *probes]))
-    return pts, values_at(pts), counts
+    return pts, objective(pts), counts
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -347,19 +337,28 @@ def default_grid(x_max: float, per_octave: int = 24) -> np.ndarray:
 
 # --- criteria ----------------------------------------------------------------
 
-def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
-               grid_note: str, notes: str, threads: int) -> CriterionReport:
-    """The B and D pipeline over h(x) = log_potential(seq, x, b, t_lo) minus
-    the quadratic truncation envelope, judged as h when t_lo = 0 (B) and as
-    |h| otherwise (D): the grid is augmented, and the running sup of the
-    finite values over dyadic |x| windows is judged by its trend.  Values
-    and slopes come from one _RealAxis over the grid's range, with cells
-    sized by the grid's point count."""
+# grid descriptions' notes of the B and D checks
+_SUP_GRID_NOTES = {"B": " (zero-gap midpoints + golden refinement)", "D": "; base point fixed at 0"}
+
+
+def _grid_points(x_grid) -> np.ndarray:
     base = np.unique(np.asarray(x_grid, dtype=float))
     if base.size == 0:
         raise ValueError("x_grid must be nonempty")
+    return base
+
+
+def _sup_check(seq: ZeroSequence, criterion: str, base: np.ndarray,
+               axis: _RealAxis) -> CriterionReport:
+    """The B and D pipeline over h(x) = log_potential(seq, x, b, t_lo) minus
+    the quadratic truncation envelope, judged as h when t_lo = 0 (B) and as
+    |h| otherwise (D): the grid base (sorted, each point once) is augmented,
+    and the running sup of the finite values over dyadic |x| windows is
+    judged by its trend.  Values and slopes come from axis, a _RealAxis over
+    the grid's range with cells sized by the grid's point count; b and t_lo
+    are its own."""
     kap2 = _curvature_allowance(seq)
-    axis = _RealAxis(seq, b, t_lo, base[0], base[-1], base.size, threads=threads)
+    t_lo = axis.t_lo
 
     def objective(arr: np.ndarray) -> np.ndarray:
         h = axis.values(arr) - 0.5 * kap2 * arr ** 2
@@ -376,7 +375,7 @@ def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
                    | axis.diagnostics() | counts)
     desc = (
         f"{base.size}-point grid on [{base.min():g}, {base.max():g}], "
-        f"augmented to {xs.size} points{grid_note}; "
+        f"augmented to {xs.size} points{_SUP_GRID_NOTES[criterion]}; "
         f"values adjusted by the quadratic truncation envelope (coeff {kap2:.3g})"
     )
     finite = np.isfinite(vals)
@@ -400,7 +399,7 @@ def _sup_check(seq: ZeroSequence, criterion: str, x_grid, b: float, t_lo: float,
         window_values=tuple(float(v) for v in running),
         trend_slope=slope,
         tail_error_bound=_tail_allowance(seq, float(np.abs(xs).max())),
-        notes=notes,
+        notes=f"base point b = {axis.b}" if criterion == "B" else "",
         diagnostics=diagnostics,
     )
 
@@ -409,9 +408,9 @@ def check_B(seq: ZeroSequence, b: float, x_grid, *, threads: int = 1) -> Criteri
     """Real-axis boundedness evidence: sup of phi over the augmented grid,
     with a running-sup trend over dyadic |x| windows."""
     _require_finite(b=b, x_grid=x_grid)
-    b = float(b)
-    return _sup_check(seq, "B", x_grid, b, 0.0, " (zero-gap midpoints + golden refinement)",
-                      f"base point b = {b}", threads)
+    base = _grid_points(x_grid)
+    return _sup_check(seq, "B", base, _RealAxis(seq, b, 0.0, base[0], base[-1], base.size,
+                                                threads=threads))
 
 
 def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1) -> CriterionReport:
@@ -422,7 +421,17 @@ def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1) -> CriterionReport:
     _require_finite(x_grid=x_grid)
     if not seq.origin_excluded:
         raise ValueError("base-1 criterion requires 0 not in the zero set")
-    return _sup_check(seq, "D", x_grid, 0.0, 1.0, "; base point fixed at 0", "", threads)
+    base = _grid_points(x_grid)
+    return _sup_check(seq, "D", base, _RealAxis(seq, 0.0, 1.0, base[0], base[-1], base.size,
+                                                threads=threads))
+
+
+def _span(seq: ZeroSequence, x_max: float | None) -> float:
+    """x_max, by default default_x_max(seq); it must be positive."""
+    x_max = default_x_max(seq) if x_max is None else float(x_max)
+    if x_max <= 0:
+        raise ValueError(f"x_max must be positive, got {x_max}")
+    return x_max
 
 
 def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int = 32,
@@ -430,22 +439,25 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
     """Weighted positive-part integral evidence: adaptive trapezoid of
     [phi(x)]^+ / (1+x^2) over dyadic windows up to x_max, with a decay-rate
     verdict on the window contributions.  phi comes from one _RealAxis over
-    [-x_max, x_max], with cells sized by the base sample count."""
+    [-x_max, x_max] with cells sized by default_grid(x_max, grid).size, the
+    layout classify shares with B and D (grid at least 8)."""
     _require_finite(b=b, x_max=x_max)
-    b = float(b)
-    if x_max is None:
-        x_max = default_x_max(seq)
-    x_max = float(x_max)
-    if x_max <= 0:
-        raise ValueError(f"x_max must be positive, got {x_max}")
+    x_max = _span(seq, x_max)
     grid = max(8, int(grid))
+    axis = _RealAxis(seq, b, 0.0, -x_max, x_max, default_grid(x_max, grid).size, threads=threads)
+    return _weighted_check(seq, axis, x_max, grid)
+
+
+def _weighted_check(seq: ZeroSequence, axis: _RealAxis, x_max: float,
+                    grid: int) -> CriterionReport:
+    """check_C with phi from axis, a _RealAxis over [-x_max, x_max] for the
+    base point b and t_lo = 0, and grid samples a window."""
     kap2 = _curvature_allowance(seq)
 
     best_x = 0.0
     best_val = -math.inf
     edges = _dyadic_edges(x_max)
     base_points = 2 * (grid + 1) * (len(edges) - 1)
-    axis = _RealAxis(seq, b, 0.0, -x_max, x_max, base_points, threads=threads)
 
     def both_sides(xs: np.ndarray) -> np.ndarray:
         return axis.values(np.concatenate([xs, -xs])).reshape(2, -1)
@@ -521,7 +533,7 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
         window_values=tuple(float(w[2]) for w in windows),
         trend_slope=slope,
         tail_error_bound=_tail_allowance(seq, x_max),
-        notes=f"base point b = {b}; truncated weighted integral = {total:.6g}",
+        notes=f"base point b = {axis.b}; truncated weighted integral = {total:.6g}",
         diagnostics={"grid_base_points": base_points,
                      "grid_aug_points": sum(2 * (w[3] + 1) for w in windows),
                      **axis.diagnostics()},
@@ -667,7 +679,14 @@ def classify(seq: ZeroSequence, *, b: float | None = None, x_max: float | None =
     """Run the prerequisite estimates and the three class criteria with shared
     grids, then close the verdict set under the inclusion chain D within B
     within C (a satisfied inner verdict cannot coexist with a violated outer
-    one; such pairs are numerical artifacts and the inner one is downgraded)."""
+    one; such pairs are numerical artifacts and the inner one is downgraded).
+
+    C, B and D share one density, max(8, grid) points an octave, and one
+    real-axis layout: a _RealAxis over [-x_max, x_max] with cells sized by
+    default_grid(x_max, grid).size, whose far field all three read.  C and
+    B share its values for the base point b, and D has its own for
+    (0, t_lo = 1); each report gives the bits of check_C, check_B or check_D
+    called alone, and its diagnostics count only its own check's work."""
     _require_finite(b=b, x_max=x_max, sigma=sigma)
     if not seq.origin_excluded:
         raise ValueError(
@@ -676,9 +695,8 @@ def classify(seq: ZeroSequence, *, b: float | None = None, x_max: float | None =
     if b is None:
         b = default_base_point(seq)
     b = float(b)
-    if x_max is None:
-        x_max = default_x_max(seq)
-    x_max = float(x_max)
+    x_max = _span(seq, x_max)
+    grid = max(8, int(grid))
 
     lind = lindelof_sums(seq, _prerequisite_radii(seq))
     growth_radii = _growth_radii(seq)
@@ -690,10 +708,11 @@ def classify(seq: ZeroSequence, *, b: float | None = None, x_max: float | None =
     angular = tuple((float(a), angular_density(seq, a, ang_R)) for a in alphas)
 
     xs = default_grid(x_max, grid)
+    axis = _RealAxis(seq, b, 0.0, -x_max, x_max, xs.size, threads=threads)
     reports = {
-        "C": check_C(seq, b, x_max, grid=grid, threads=threads),
-        "B": check_B(seq, b, xs, threads=threads),
-        "D": check_D(seq, xs, threads=threads),
+        "C": _weighted_check(seq, axis, x_max, grid),
+        "B": _sup_check(seq, "B", xs, axis.sibling(b, 0.0)),
+        "D": _sup_check(seq, "D", xs, axis.sibling(0.0, 1.0)),
     }
     if sigma is not None:
         y_hi = x_max if x_max > 4 else 4.0

@@ -935,8 +935,14 @@ class TestRealAxis:
         bound = 150 * U * slope_scale(seq, xs[off], t_lo) + axis.slope_bound(xs[off])
         assert np.all(np.abs(slopes - dense_slopes) <= bound)
         # a point's value and slope alone are its bits in the batch
-        alone = np.concatenate([axis.values(xs[i:i + 1]) for i in range(xs.size)])
+        alone = np.concatenate([axis._evaluate(xs[i:i + 1]) for i in range(xs.size)])
         assert alone.tobytes() == got.tobytes()
+        # so are a sibling's of another base point and lower limit, whose far
+        # field is this one's unless t_lo moves a near window (2h < 1 here)
+        other = counting._RealAxis(seq, 0.125, 1.0 - t_lo, lo, hi, samples)
+        sibling = other.sibling(b, t_lo)
+        assert (sibling._far is other._far) == bool(np.all(2.0 * other._far.halves >= 1.0))
+        assert sibling.values(xs).tobytes() == got.tobytes()
         if off.any():
             alone = np.concatenate([axis.slopes(x[None]) for x in xs[off]])
             assert alone.tobytes() == slopes.tobytes()
@@ -1010,26 +1016,28 @@ class TestRealAxis:
                        * np.abs(values).max())
             assert np.all(np.abs(got - cheb.chebval(s, cheb.chebder(coef))) <= allowed)
 
-    @pytest.mark.parametrize("t_lo", [0.0, 1.0])
+    @pytest.mark.parametrize("t_lo", [0.0, 1.0, 4.0])
     def test_truncation_terms_bound_the_exact_interpolants(self, t_lo):
         # one cell's far sum f and its slope f', and the interpolant through
         # f at the exact Chebyshev nodes, all at 40 digits: the interpolation
         # errors are what the truncation terms of E and E' bound, free of
         # the rounding terms that dominate a float comparison.  The nearest
-        # far zeros sit just past the cell's near window |Re a - c| < 3h + t_lo.
-        edge = 3.0 + t_lo
+        # far zeros sit just past the cell's near window |Re a - c| < 3h,
+        # or 3h + t_lo where 2h < t_lo (h = 1 here).
+        edge = 3.0 + (t_lo if 2.0 < t_lo else 0.0)
         pos = np.concatenate([[1.0 + edge + 1e-3, 1.0 - edge - 0.05, 1.3 + edge + 0.2j,
                                1.3 + edge - 0.2j, 20.0 + 5.0j, 20.0 - 5.0j],
                               np.arange(8.0, 60.0), -np.arange(6.0, 50.0, 1.5)])
         seq = ZeroSequence.from_arrays(pos, np.arange(pos.size) % 3 + 1)
         axis = counting._RealAxis(seq, 0.5, t_lo, -10.0, 10.0, 2000)
         k = 5
-        c, h = float(axis._centres[k]), float(axis._halves[k])
+        far = axis._far
+        c, h = float(far.centres[k]), float(far.halves[k])
         assert (c, h) == (1.0, 1.0)
-        i, j = axis._near[k]
+        assert far.reach[k] == 3.0 * h + edge - 3.0
+        i, j = far.near[k]
         assert i == j   # every zero is far from this cell
-        values, slopes = counting._truncation_bounds(h, np.hypot(c - axis._re, axis._im),
-                                                     axis._mult)
+        values, slopes = counting._truncation_bounds(h, np.hypot(c - far.re, far.im), far.mult)
         p = counting._NODES
         with mpmath.workdps(40):
             zeros = [(mpmath.mpc(a), m) for a, m in zip(seq.positions, seq.multiplicities)]

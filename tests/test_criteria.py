@@ -412,9 +412,8 @@ class TestClassify:
         canned = {name: CriterionReport(name, verdict, 2.0, 1.0, 0.0, "canned grid",
                                         notes="base point b = 0.0" if name == "B" else "")
                   for name, verdict in verdicts.items()}
-        for name in canned:
-            monkeypatch.setattr(criteria, f"check_{name}",
-                                lambda *args, name=name, **kwargs: canned[name])
+        monkeypatch.setattr(criteria, "_weighted_check", lambda *args: canned["C"])
+        monkeypatch.setattr(criteria, "_sup_check", lambda seq, name, *args: canned[name])
         rep = classify(integer_lattice(20.0))
         for name, before in canned.items():
             if name not in downgraded:
@@ -457,16 +456,16 @@ def real_axis_sequences(draw):
 
 
 def _judged_points(check, *args):
-    """Run a B or D check with its evaluator's values recorded; return the
-    report and every point the values were asked for."""
+    """Run a B or D check with its evaluator's kernel recorded; return the
+    report and every point the kernel computed a value for."""
     calls = []
-    values = counting._RealAxis.values
+    evaluate = counting._RealAxis._evaluate
 
     def recording(axis, points):
         calls.append(np.array(points, dtype=float))
-        return values(axis, points)
+        return evaluate(axis, points)
 
-    with mock.patch.object(counting._RealAxis, "values", recording):
+    with mock.patch.object(counting._RealAxis, "_evaluate", recording):
         rep = check(*args)
     return rep, np.concatenate(calls)
 
@@ -496,6 +495,9 @@ class TestEvaluatedOnce:
         b = default_base_point(seq)
         # a fresh evaluator with the check's layout: the grid's range and size
         fresh = _gap_objectives(seq, b, -span, span, np.unique(grid).size)[1]
+        # D's evaluator shares B's far field: its near windows reach 3h, as
+        # 2h >= t_lo = 1 on every cell here
+        assert fresh["D"][3]._far is fresh["B"][3]._far
         for rep, asked in (_judged_points(check_B, seq, b, grid), _judged_points(check_D, seq, grid)):
             diag = rep.diagnostics
             # each point once, and every point evaluated is judged
@@ -549,8 +551,10 @@ class TestEvaluatedOnce:
         xs = default_grid(default_x_max(seq), 24)
         counts = {"B": (917, 917, 1, 498), "D": (1445, 1445, 29, 470)}
         # value terms: near zeros summed densely plus far zeros at the nodes
-        # (dense: 1832166 and 2887110 zeros x points)
-        terms = {"B": (273502, 169960), "D": (433949, 169760)}
+        # (dense: 1832166 and 2887110 zeros x points).  D's near windows
+        # reach 3h, as B's do (2h >= 1 on every cell), so its far field and
+        # node terms are B's
+        terms = {"B": (273502, 169960), "D": (431059, 169960)}
         for rep in (check_B(seq, 0.0, xs), check_D(seq, xs)):
             diag = rep.diagnostics
             augmented = int(re.match(r"^(\d+)-point grid .*augmented to (\d+) points",
@@ -578,16 +582,16 @@ class TestEvaluatedOnce:
             edges = [0.0, min(1.0, x_max)]
             while edges[-1] < x_max:
                 edges.append(min(2.0 * max(edges[-1], 1.0), x_max))
-            # a fresh evaluator with the check's layout
-            axis = counting._RealAxis(seq, b, 0.0, -x_max, x_max, 2 * 9 * (len(edges) - 1))
-            windows, points = [], 0
+            # a fresh evaluator with the check's layout, B's and D's in classify
+            axis = counting._RealAxis(seq, b, 0.0, -x_max, x_max, default_grid(x_max, 8).size)
+            windows, points, judged = [], 0, []
             for lo, hi in zip(edges, edges[1:]):
                 n, prev = 8, None
                 while True:
                     xs = np.linspace(lo, hi, n + 1)
                     env = 0.5 * kap2 * xs ** 2
-                    up = np.maximum(axis.values(xs) - env, 0.0)
-                    um = np.maximum(axis.values(-xs) - env, 0.0)
+                    up = np.maximum(axis._evaluate(xs) - env, 0.0)
+                    um = np.maximum(axis._evaluate(-xs) - env, 0.0)
                     assert_within_bound(axis, np.concatenate([xs, -xs]))
                     val = float(np.trapezoid((up + um) / (1.0 + xs ** 2), xs))
                     if prev is not None and (abs(val - prev) <= 1e-4 * (1.0 + abs(val)) or n >= 128):
@@ -595,8 +599,13 @@ class TestEvaluatedOnce:
                     prev, n = val, 2 * n
                 windows.append(val)
                 points += 2 * (n + 1)
+                judged += [xs, -xs]
             assert bits(rep.window_values) == bits(windows)
-            assert rep.diagnostics["kernel_points"] == rep.diagnostics["grid_aug_points"] == points
+            assert rep.diagnostics["grid_aug_points"] == points
+            # each window edge is judged by both windows, and x = 0 as 0.0
+            # and -0.0, but computed once
+            distinct = np.unique(np.concatenate(judged) + 0.0).size
+            assert rep.diagnostics["kernel_points"] == distinct < points
             assert rep.diagnostics["grid_base_points"] == 2 * 9 * len(windows)
 
 
@@ -618,11 +627,13 @@ def _unpruned(check, *args):
 def _gap_objectives(seq, b, lo, hi, samples):
     """The envelope coefficient, and per criterion the base point, t_lo,
     judged objective and evaluator of check_B and check_D on a grid over
-    [lo, hi] of samples points, computed afresh."""
+    [lo, hi] of samples points, computed afresh: D's evaluator is a sibling
+    of B's, as in classify."""
     kap2 = criteria._curvature_allowance(seq)
     out = {}
+    axis = counting._RealAxis(seq, b, 0.0, lo, hi, samples)
     for name, base, t_lo in (("B", b, 0.0), ("D", 0.0, 1.0)):
-        axis = counting._RealAxis(seq, base, t_lo, lo, hi, samples)
+        axis = axis.sibling(base, t_lo)
 
         def objective(xs, axis=axis, t_lo=t_lo):
             h = axis.values(xs) - 0.5 * kap2 * xs ** 2
@@ -740,7 +751,7 @@ class TestGapPruning:
                                            np.concatenate([seq.multiplicities,
                                                            np.ones(2 * pairs.size)]))
         axis = counting._RealAxis(seq, 0.0, 1.0, -1.0, 1.0, 20)
-        re, im = axis._re, axis._im
+        re, im = axis._far.re, axis._far.im
         assert np.all(np.diff(re) >= 0.0)
         # positions are merged, so a real zero is first among its ties
         # exactly when none ties with the zero before it
@@ -751,6 +762,78 @@ class TestGapPruning:
         xs = default_grid(default_x_max(seq), 24)
         assert check_B(seq, 0.0, xs).diagnostics["kernel_points"] <= 3000
         assert check_D(seq, xs).diagnostics["kernel_points"] <= 6000
+
+
+def _alone(seq, b=None, x_max=None, grid=24):
+    """check_C, check_B and check_D called alone with classify's arguments."""
+    b = default_base_point(seq) if b is None else b
+    x_max = default_x_max(seq) if x_max is None else x_max
+    xs = default_grid(x_max, max(8, grid))
+    return {"C": check_C(seq, b, x_max, grid=grid), "B": check_B(seq, b, xs),
+            "D": check_D(seq, xs)}
+
+
+def _complex_multiple():
+    # conjugate pairs off the axis and real zeros, multiplicities 1 to 3
+    n = np.arange(1.0, 30.0)
+    pos = np.concatenate([n + 0.5, -n - 0.25, n + 0.3j, n - 0.3j, -n + 1.5j, -n - 1.5j])
+    return ZeroSequence.from_arrays(pos, np.arange(pos.size) % 3 + 1, truncation_radius=31.0)
+
+
+def _complete_x_max_12():
+    # complete, so x_max = 2 max|a| + 4 = 12: C's old cell rule gave 4 cells
+    # (2 (grid + 1) windows = 250 samples), the grid's size 3 (241 points)
+    return ZeroSequence.from_arrays([1.0, -1.5, 2.5, 3.0 + 1.0j, 3.0 - 1.0j, -4.0], [1, 1, 2, 1, 1, 2])
+
+
+class TestSharedAxis:
+    """classify reads one real-axis far field for C, B and D, and one set of
+    values for C and B; its reports are the checks' alone, bit for bit."""
+
+    @pytest.mark.parametrize("make, kwargs", [
+        (lambda: integer_lattice(200.0), {}),
+        (lambda: scaled_lattice(0.5, 200.0), {}),
+        (lambda: build_generator("alpha", c=1.0, N=200), {}),
+        (lambda: integer_lattice(200.0), {"b": 0.5}),
+        (_complex_multiple, {}),
+        (_complete_x_max_12, {}),
+    ], ids=["lattice", "scaled", "alpha", "lattice-b", "complex-multiple", "complete-x_max-12"])
+    def test_reports_are_the_checks_alone(self, make, kwargs):
+        seq = make()
+        rep = classify(seq, **kwargs)
+        assert rep.consistency_notes == ()   # no verdict downgraded
+        alone = _alone(seq, **kwargs)
+        for name in ("C", "B", "D"):
+            assert _report_bits(rep.reports[name]) == _report_bits(alone[name]), name
+        cells = {r.diagnostics["cells"] for r in (*rep.reports.values(), *alone.values())}
+        assert len(cells) == 1
+
+    def test_node_sums_made_once(self):
+        seq = integer_lattice(200.0)
+        diag = {name: r.diagnostics for name, r in classify(seq).reports.items()}
+        alone = {name: r.diagnostics for name, r in _alone(seq).items()}
+        # C builds every cell's node sums; B and D find them built
+        assert diag["C"]["node_points"] == sum(d["node_points"] for d in diag.values())
+        assert diag["B"]["node_points"] == diag["D"]["node_points"] == 0
+        assert {d["node_points"] for d in alone.values()} == {diag["C"]["node_points"]} != {0}
+        # each report counts its own check's work: B computes only the
+        # points C did not, D all of its own
+        assert diag["C"] == alone["C"]
+        assert 0 < diag["B"]["kernel_points"] < alone["B"]["kernel_points"]
+        assert diag["B"]["near_points"] < alone["B"]["near_points"]
+        assert (diag["D"]["kernel_points"], diag["D"]["near_points"]) == (
+            alone["D"]["kernel_points"], alone["D"]["near_points"])
+
+    def test_one_density_below_eight_an_octave(self):
+        # grid = 4 is taken as 8 for all three, as check_C always took it
+        seq = integer_lattice(1e3)
+        four, eight = classify(seq, grid=4), classify(seq, grid=8)
+        x_max = default_x_max(seq)
+        for name in ("C", "B", "D"):
+            assert _report_bits(four.reports[name]) == _report_bits(eight.reports[name]), name
+            assert four.reports[name].diagnostics == eight.reports[name].diagnostics
+        assert four.reports["B"].diagnostics["grid_base_points"] == default_grid(x_max, 8).size
+        assert len({r.diagnostics["cells"] for r in four.reports.values()}) == 1
 
 
 # C/B/D verdicts of classify with default arguments on every catalog
