@@ -939,7 +939,7 @@ class TestRealAxis:
         assert alone.tobytes() == got.tobytes()
         # so are a sibling's of another base point and lower limit, whose far
         # field is this one's unless t_lo moves a near window (2h < 1 here)
-        other = counting._RealAxis(seq, 0.125, 1.0 - t_lo, lo, hi, samples)
+        other = counting._RealAxis(seq, default_base_point(seq), 1.0 - t_lo, lo, hi, samples)
         sibling = other.sibling(b, t_lo)
         assert (sibling._far is other._far) == bool(np.all(2.0 * other._far.halves >= 1.0))
         assert sibling.values(xs).tobytes() == got.tobytes()
