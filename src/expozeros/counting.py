@@ -1129,7 +1129,7 @@ class _RealAxis:
         """E' of the cell of every x of xs."""
         return self._by_cell(xs, lambda k, x, s: self._fit(k)[5])
 
-    def gap_bounds(self, kap2: float, za, zb, ga, gb, c, value_at,
+    def gap_bounds(self, tail, za, zb, ga, gb, c, value_at,
                    target) -> tuple[np.ndarray, int]:
         """Upper bounds, rounding allowance included, of a B or D objective on
         the gaps [ga, gb] between the real zeros za < zb, from the judged values
@@ -1137,14 +1137,16 @@ class _RealAxis:
         points they cost.
 
         The objective is h(x) = sum of m (log clamp|x - a| - log clamp|b - a|)
-        - kap2 x^2 / 2 with clamp(d) = max(d, t_lo), judged as h (B: t_lo = 0)
-        or as |h| (D: b = 0, t_lo = 1).  On a gap holding no real zero in its
-        interior, a zero is near when Re a lies within t_lo of the gap and
-        |Im a| < t_lo (its clamp may act there; none is near when t_lo = 0).  A
-        near term is a nondecreasing function of |x - a|, so it lies between
-        its value at x = clip(Re a, ga, gb) and its larger end value.  The far
-        rest S is smooth on the gap and S - curv x^2 / 2 is concave: a real
-        zero's log is concave, and a complex zero's has curvature at most
+        - tail.envelope(x), clamp(d) = max(d, t_lo), judged as h (B: t_lo = 0)
+        or as |h| (D: b = 0, t_lo = 1); the envelope is even, nonnegative,
+        increasing in |x| and convex, and tail.slope is its derivative.  On a
+        gap holding no real zero in its interior, a zero is near when Re a lies
+        within t_lo of the gap and |Im a| < t_lo (its clamp may act there; none
+        is near when t_lo = 0).  A near term is a nondecreasing function of
+        |x - a|, so it lies between its value at x = clip(Re a, ga, gb) and its
+        larger end value.  The far rest S, less the envelope, is smooth on the
+        gap and S - curv x^2 / 2 is concave: a real zero's log is concave, the
+        envelope convex, and a complex zero's log has curvature at most
         1 / max((Im a)^2, t_lo^2), summed into curv.  With r = max(c - ga, gb - c)
         and w = gb - ga, that gives
 
@@ -1158,12 +1160,12 @@ class _RealAxis:
         loosens them.  S'(c) is h'(c) (the derivative of the values, near
         sums and far interpolant alike) less the near terms' slopes.  A gap
         with more than _NEAR_MAX near zeros is given no bound.
-        Each bound carries an allowance for rounding: the stated
-        80 u * sum m (1 + |L_p| + |L_b|) per value, with the same form for the
-        slope (times r) and the near sums, taken 4 + (near zeros) times, plus
-        the far-field bounds E of the values used and E' (times r) of the
-        slope.  Where the part without the slope term already reaches target,
-        that part is returned and no slope is computed.
+        Each bound carries an allowance for rounding: the stated 80 u * (sum m
+        (1 + |L_p| + |L_b|) + envelope at the largest gap end) per value, with
+        the same form for the slope (times r) and the near sums, taken
+        4 + (near zeros) times, plus the far-field bounds E of the values used
+        and E' (times r) of the slope.  Where the part without the slope term
+        already reaches target, that part is returned and no slope is computed.
         """
         t = self.t_lo
         # by Re a; where hypot tells them apart, a real zero comes before
@@ -1212,12 +1214,12 @@ class _RealAxis:
         with np.errstate(divide="ignore"):
             lam = np.maximum(abs(math.log(max(reach + self.seq.max_abs, t))), np.abs(np.log(d)))
             tol = (4.0 + count) * 80.0 * _U * (float((mult * np.abs(log_b)).sum())
-                                               + 0.5 * kap2 * reach ** 2
+                                               + tail.envelope(reach)
                                                + mass * (1.0 + lam + r / d)) + far
         out = np.maximum(vc + up, neg) + tol
         todo = np.flatnonzero(out < target)
         ct, rt = c[todo], r[todo]
-        slope = self.slopes(ct) - kap2 * ct - near_slope[todo]
+        slope = self.slopes(ct) - tail.slope(ct) - near_slope[todo]
         upper = vc[todo] + up[todo] + np.abs(slope) * rt + curv * rt ** 2 / 2.0
         out[todo] = np.maximum(upper, neg[todo]) + tol[todo] + rt * self.slope_bound(ct)
         return out, int(todo.size)

@@ -158,7 +158,7 @@ def _augment_grid(real: np.ndarray, xs: np.ndarray, objective,
     The base grid and the midpoints are evaluated first; they give each
     dyadic |x| window's running sup.  A gap is searched only when it reaches
     into an octave that holds no finite value yet, or when its bound (bound
-    takes _RealAxis.gap_bounds's arguments after kap2) reaches the running
+    takes _RealAxis.gap_bounds's arguments after the tail) reaches the running
     sup of the lowest window it touches.  A probe below that sup moves no
     window's running sup and not the extremum, so the judged values keep
     every result of searching all gaps.
@@ -261,38 +261,42 @@ def _sup_trend_verdict(js: np.ndarray, running: np.ndarray, tolerance: float):
     return (VIOLATED if slope > tolerance else SATISFIED), slope
 
 
-def _rim(seq: ZeroSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Moduli (np.hypot) and multiplicities of the stored rim shell [R/2, R);
-    empty for a complete sequence.  Positions are stored in ascending hypot
-    order, so the shell is a suffix."""
-    R = seq.truncation_radius
-    d = shell_index(seq)[0]
-    start = int(np.searchsorted(d, R / 2.0)) if R > 0 else d.size
-    return d[start:], seq.multiplicities[start:]
+@dataclass(frozen=True)
+class _Tail:
+    """The truncation-tail model: what the zeros past the completeness
+    radius R could add to a full-range step integral at real |x| < R, the
+    only x the checks judge.  To second order the missing factors' logs add
+    x^2/2 times the tail sum of Re(1/a^2); of(seq) estimates it by the stored
+    rim shell [R/2, R) (hypot moduli, a suffix of the stored order), whose
+    1/|a|^2 mass kap2 matches the tail's for linear-density sequences.
+    Values are judged less envelope(x) = kap2 x^2 / 2, else every truncated
+    sequence looks unbounded on the default span; slope is its derivative.
+    error_bound(span) = span lam + span^2 kap2, lam the rim's sum of m/|a|,
+    estimates the error at |x| <= span.  A complete sequence has no rim and
+    gets 0.  _RealAxis.gap_bounds relies on the envelope being even,
+    nonnegative, increasing in |x| and convex on (-R, R)."""
 
+    kap2: float
+    lam: float
 
-def _tail_allowance(seq: ZeroSequence, span: float) -> float:
-    """Rim-mass extrapolation estimate of the step-integral error that zeros
-    beyond the completeness radius could contribute at |x| <= span."""
-    d, m = _rim(seq)
-    lam = float((m / d).sum())
-    kap = float((m / d ** 2).sum())
-    return span * lam + span ** 2 * kap
+    @classmethod
+    def of(cls, seq: ZeroSequence) -> "_Tail":
+        d, R = shell_index(seq)[0], seq.truncation_radius
+        start = int(np.searchsorted(d, R / 2.0)) if R > 0 else d.size
+        d, m = d[start:], seq.multiplicities[start:]
+        return cls(float((m / d ** 2).sum()), float((m / d).sum()))
 
+    def envelope(self, x):
+        return 0.5 * self.kap2 * x ** 2
 
-def _curvature_allowance(seq: ZeroSequence) -> float:
-    """Coefficient of the quadratic truncation envelope.
+    def slope(self, x):
+        return self.kap2 * x
 
-    Cutting a sequence at |a| < R shifts every full-range step integral by
-    the missing factors' logs; to second order that is x^2/2 times the tail
-    sum of Re(1/a^2).  The unknown tail is estimated by the stored rim shell
-    [R/2, R), whose 1/|a|^2 mass matches the tail's for linear-density
-    sequences.  Criterion values are judged after subtracting
-    0.5 * coefficient * x^2, otherwise every truncated sequence eventually
-    looks unbounded on the default span.  Complete sequences need none.
-    """
-    d, m = _rim(seq)
-    return float((m / d ** 2).sum())
+    def error_bound(self, span: float) -> float:
+        return span * self.lam + span ** 2 * self.kap2
+
+    def __str__(self) -> str:
+        return f"the quadratic truncation envelope (coeff {self.kap2:.3g})"
 
 
 def default_base_point(seq: ZeroSequence) -> float:
@@ -341,27 +345,28 @@ def default_grid(x_max: float, per_octave: int = 24) -> np.ndarray:
 _SUP_GRID_NOTES = {"B": " (zero-gap midpoints + golden refinement)", "D": "; base point fixed at 0"}
 
 
-def _grid_points(x_grid) -> np.ndarray:
+def _grid_points(seq: ZeroSequence, x_grid) -> np.ndarray:
     base = np.unique(np.asarray(x_grid, dtype=float))
     if base.size == 0:
         raise ValueError("x_grid must be nonempty")
+    R = seq.truncation_radius
+    if 0 < R <= max(-base[0], base[-1]):
+        raise ValueError(f"x_grid must lie in |x| < R = {R:g}, where zeros are stored")
     return base
 
 
-def _sup_check(seq: ZeroSequence, criterion: str, base: np.ndarray,
-               axis: _RealAxis) -> CriterionReport:
-    """The B and D pipeline over h(x) = log_potential(seq, x, b, t_lo) minus
-    the quadratic truncation envelope, judged as h when t_lo = 0 (B) and as
-    |h| otherwise (D): the grid base (sorted, each point once) is augmented,
-    and the running sup of the finite values over dyadic |x| windows is
-    judged by its trend.  Values and slopes come from axis, a _RealAxis over
-    the grid's range with cells sized by the grid's point count; b and t_lo
-    are its own."""
-    kap2 = _curvature_allowance(seq)
+def _sup_check(seq: ZeroSequence, criterion: str, base: np.ndarray, axis: _RealAxis,
+               tail: _Tail) -> CriterionReport:
+    """The B and D pipeline over h(x) = log_potential(seq, x, b, t_lo) less
+    tail's envelope, judged as h when t_lo = 0 (B) and as |h| otherwise (D):
+    the grid base (sorted, each point once) is augmented, and the running
+    sup of the finite values over dyadic |x| windows is judged by its trend.
+    Values and slopes come from axis, a _RealAxis over the grid's range with
+    cells sized by the grid's point count; b and t_lo are its own."""
     t_lo = axis.t_lo
 
     def objective(arr: np.ndarray) -> np.ndarray:
-        h = axis.values(arr) - 0.5 * kap2 * arr ** 2
+        h = axis.values(arr) - tail.envelope(arr)
         return np.abs(h) if t_lo > 0.0 else h
 
     grid = base
@@ -370,13 +375,13 @@ def _sup_check(seq: ZeroSequence, criterion: str, base: np.ndarray,
         # D is finite at the real zeros, and its bounds need the gap ends
         grid = np.concatenate([base, real[(real >= base[0]) & (real <= base[-1])]])
     xs, vals, counts = _augment_grid(real, grid, objective,
-                                     lambda *gap: axis.gap_bounds(kap2, *gap))
+                                     lambda *gap: axis.gap_bounds(tail, *gap))
     diagnostics = ({"grid_base_points": base.size, "grid_aug_points": xs.size}
                    | axis.diagnostics() | counts)
     desc = (
         f"{base.size}-point grid on [{base.min():g}, {base.max():g}], "
         f"augmented to {xs.size} points{_SUP_GRID_NOTES[criterion]}; "
-        f"values adjusted by the quadratic truncation envelope (coeff {kap2:.3g})"
+        f"values adjusted by {tail}"
     )
     finite = np.isfinite(vals)
     if not finite.any():
@@ -398,7 +403,7 @@ def _sup_check(seq: ZeroSequence, criterion: str, base: np.ndarray,
         window_x=tuple(float(2.0 ** j) for j in js),
         window_values=tuple(float(v) for v in running),
         trend_slope=slope,
-        tail_error_bound=_tail_allowance(seq, float(np.abs(xs).max())),
+        tail_error_bound=tail.error_bound(float(np.abs(xs).max())),
         notes=f"base point b = {axis.b}" if criterion == "B" else "",
         diagnostics=diagnostics,
     )
@@ -408,9 +413,9 @@ def check_B(seq: ZeroSequence, b: float, x_grid, *, threads: int = 1) -> Criteri
     """Real-axis boundedness evidence: sup of phi over the augmented grid,
     with a running-sup trend over dyadic |x| windows."""
     _require_finite(b=b, x_grid=x_grid)
-    base = _grid_points(x_grid)
+    base = _grid_points(seq, x_grid)
     return _sup_check(seq, "B", base, _RealAxis(seq, b, 0.0, base[0], base[-1], base.size,
-                                                threads=threads))
+                                                threads=threads), _Tail.of(seq))
 
 
 def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1) -> CriterionReport:
@@ -421,16 +426,19 @@ def check_D(seq: ZeroSequence, x_grid, *, threads: int = 1) -> CriterionReport:
     _require_finite(x_grid=x_grid)
     if not seq.origin_excluded:
         raise ValueError("base-1 criterion requires 0 not in the zero set")
-    base = _grid_points(x_grid)
+    base = _grid_points(seq, x_grid)
     return _sup_check(seq, "D", base, _RealAxis(seq, 0.0, 1.0, base[0], base[-1], base.size,
-                                                threads=threads))
+                                                threads=threads), _Tail.of(seq))
 
 
 def _span(seq: ZeroSequence, x_max: float | None) -> float:
-    """x_max, by default default_x_max(seq); it must be positive."""
+    """x_max, by default default_x_max(seq): positive, and below R if R > 0."""
     x_max = default_x_max(seq) if x_max is None else float(x_max)
     if x_max <= 0:
         raise ValueError(f"x_max must be positive, got {x_max}")
+    R = seq.truncation_radius
+    if 0 < R <= x_max:
+        raise ValueError(f"x_max must lie below R = {R:g}, where zeros are stored, got {x_max}")
     return x_max
 
 
@@ -445,19 +453,16 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
     x_max = _span(seq, x_max)
     grid = max(8, int(grid))
     axis = _RealAxis(seq, b, 0.0, -x_max, x_max, default_grid(x_max, grid).size, threads=threads)
-    return _weighted_check(seq, axis, x_max, grid)
+    return _weighted_check(seq, axis, _Tail.of(seq), x_max, grid)
 
 
-def _weighted_check(seq: ZeroSequence, axis: _RealAxis, x_max: float,
+def _weighted_check(seq: ZeroSequence, axis: _RealAxis, tail: _Tail, x_max: float,
                     grid: int) -> CriterionReport:
     """check_C with phi from axis, a _RealAxis over [-x_max, x_max] for the
-    base point b and t_lo = 0, and grid samples a window."""
-    kap2 = _curvature_allowance(seq)
-
+    base point b and t_lo = 0, tail's envelope and grid samples a window."""
     best_x = 0.0
     best_val = -math.inf
     edges = _dyadic_edges(x_max)
-    base_points = 2 * (grid + 1) * (len(edges) - 1)
 
     def both_sides(xs: np.ndarray) -> np.ndarray:
         return axis.values(np.concatenate([xs, -xs])).reshape(2, -1)
@@ -469,7 +474,7 @@ def _weighted_check(seq: ZeroSequence, axis: _RealAxis, x_max: float,
         pot = both_sides(xs)
         prev = None
         while True:
-            envelope = 0.5 * kap2 * xs ** 2
+            envelope = tail.envelope(xs)
             up, um = np.maximum(pot - envelope, 0.0)
             weight = 1.0 + xs ** 2
             val = float(np.trapezoid((up + um) / weight, xs))
@@ -497,7 +502,7 @@ def _weighted_check(seq: ZeroSequence, axis: _RealAxis, x_max: float,
     desc = (
         f"adaptive trapezoid over {len(windows)} dyadic windows to x_max = {x_max:g}, "
         f"base {grid} samples per window, refined until stable; integrand adjusted "
-        f"by the quadratic truncation envelope (coeff {kap2:.3g})"
+        f"by {tail}"
     )
 
     slope = None
@@ -532,9 +537,9 @@ def _weighted_check(seq: ZeroSequence, axis: _RealAxis, x_max: float,
         window_x=tuple(float(w[0]) for w in windows),
         window_values=tuple(float(w[2]) for w in windows),
         trend_slope=slope,
-        tail_error_bound=_tail_allowance(seq, x_max),
+        tail_error_bound=tail.error_bound(x_max),
         notes=f"base point b = {axis.b}; truncated weighted integral = {total:.6g}",
-        diagnostics={"grid_base_points": base_points,
+        diagnostics={"grid_base_points": default_grid(x_max, grid).size,
                      "grid_aug_points": sum(2 * (w[3] + 1) for w in windows),
                      **axis.diagnostics()},
     )
@@ -649,9 +654,7 @@ class ClassifyReport:
         }
 
 
-def _prerequisite_radii(seq: ZeroSequence) -> np.ndarray:
-    R = seq.truncation_radius
-    hi = R if R > 0 else max(seq.max_abs * (1.0 + 1e-9), 1.0)
+def _prerequisite_radii(seq: ZeroSequence, hi: float) -> np.ndarray:
     if len(seq):
         smallest = abs(complex(seq.positions[0]))
         lo = min(max(smallest * 1.25, hi * 1e-6), hi / 2.0)
@@ -698,21 +701,22 @@ def classify(seq: ZeroSequence, *, b: float | None = None, x_max: float | None =
     x_max = _span(seq, x_max)
     grid = max(8, int(grid))
 
-    lind = lindelof_sums(seq, _prerequisite_radii(seq))
+    radius = seq.truncation_radius if seq.truncation_radius > 0 else max(seq.max_abs * (1.0 + 1e-9), 1.0)
+    lind = lindelof_sums(seq, _prerequisite_radii(seq, radius))
     growth_radii = _growth_radii(seq)
     if growth_radii is not None:
         growth = growth_check(seq, growth_radii)
     else:
         growth = GrowthEstimate(math.nan, math.nan, ())
-    ang_R = seq.truncation_radius if seq.truncation_radius > 0 else max(seq.max_abs * (1 + 1e-9), 1.0)
-    angular = tuple((float(a), angular_density(seq, a, ang_R)) for a in alphas)
+    angular = tuple((float(a), angular_density(seq, a, radius)) for a in alphas)
 
     xs = default_grid(x_max, grid)
     axis = _RealAxis(seq, b, 0.0, -x_max, x_max, xs.size, threads=threads)
+    tail = _Tail.of(seq)
     reports = {
-        "C": _weighted_check(seq, axis, x_max, grid),
-        "B": _sup_check(seq, "B", xs, axis.sibling(b, 0.0)),
-        "D": _sup_check(seq, "D", xs, axis.sibling(0.0, 1.0)),
+        "C": _weighted_check(seq, axis, tail, x_max, grid),
+        "B": _sup_check(seq, "B", xs, axis.sibling(b, 0.0), tail),
+        "D": _sup_check(seq, "D", xs, axis.sibling(0.0, 1.0), tail),
     }
     if sigma is not None:
         y_hi = x_max if x_max > 4 else 4.0

@@ -68,6 +68,11 @@ class TestSources:
             assert code == 2 and out == ""
             assert err.startswith("error:") and text in err
 
+    def test_classify_span_past_the_stored_zeros(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--gen", "lattice,R=50", "--x-max", "60")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "x_max must lie below R = 50" in err
+
     def test_eval_out_of_range_grid(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--gen", "lattice,R=10", "--grid", "-3")
         assert code == 2 and out == ""

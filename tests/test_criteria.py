@@ -214,10 +214,11 @@ class TestCheckC:
         assert rep.extremum_value == 0.0
 
 
-class TestRim:
-    def test_shell_edge_measured_with_hypot(self):
+class TestTail:
+    def test_one_rim_zero_measured_with_hypot(self):
         # a sits on the shell edge R/2 = np.abs(a) by numpy's array abs, but
-        # below it by hypot, the modulus the completeness radius is checked with
+        # below it by hypot, the modulus the completeness radius is checked
+        # with: the rim holds only rim_zero
         rng = np.random.default_rng(36)
         while True:
             a = complex(rng.uniform(1.0, 10.0), rng.uniform(1.0, 10.0))
@@ -225,9 +226,19 @@ class TestRim:
                 break
         R = 2.0 * float(np.abs(np.array([a]))[0])
         rim_zero = 0.75 * R
-        seq = ZeroSequence.from_arrays(np.array([a, rim_zero]), np.ones(2), R)
-        assert criteria._curvature_allowance(seq) == 1.0 / rim_zero ** 2
-        assert criteria._tail_allowance(seq, 3.0) == 3.0 / rim_zero + 9.0 / rim_zero ** 2
+        tail = criteria._Tail.of(ZeroSequence.from_arrays(np.array([a, rim_zero]), np.ones(2), R))
+        kap2 = 1.0 / rim_zero ** 2
+        xs = np.array([-3.0, 0.0, 0.5, 3.0])
+        assert bits(tail.envelope(xs)) == bits(0.5 * kap2 * xs ** 2)
+        assert bits(tail.slope(xs)) == bits(kap2 * xs)
+        assert tail.error_bound(3.0) == 3.0 / rim_zero + 9.0 / rim_zero ** 2
+        assert f"coeff {kap2:.3g}" in str(tail)
+
+    def test_complete_sequence_has_none(self):
+        tail = criteria._Tail.of(ZeroSequence.from_arrays([1.0, -2.0, 3.0 + 1.0j], [1, 2, 1]))
+        xs = np.linspace(-50.0, 50.0, 11)
+        assert not tail.envelope(xs).any() and not tail.slope(xs).any()
+        assert tail.error_bound(50.0) == 0.0
 
 
 class TestCartwrightIntegral:
@@ -377,7 +388,38 @@ class TestNonFiniteArguments:
             call(integer_lattice(50))
 
 
+class TestSpanInsideR:
+    """A truncated sequence stores no zero at |x| >= R, so the checks judge
+    only |x| < R."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda s: check_C(s, 0.5, 60.0), "x_max"),
+        (lambda s: check_C(s, 0.5, 50.0), "x_max"),
+        (lambda s: classify(s, x_max=60.0), "x_max"),
+        (lambda s: check_B(s, 0.5, np.linspace(-60.0, 60.0, 11)), "x_grid"),
+        (lambda s: check_B(s, 0.5, [-50.0, 1.0]), "x_grid"),
+        (lambda s: check_D(s, np.linspace(-60.0, 60.0, 11)), "x_grid"),
+        (lambda s: check_D(s, [1.0, 50.0]), "x_grid"),
+    ], ids=["C", "C-at-R", "classify", "B", "B-at-R", "D", "D-at-R"])
+    def test_raises_naming_the_argument(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must lie"):
+            call(integer_lattice(50))
+
+    def test_inside_R_and_complete_sequences_run(self):
+        x = math.nextafter(50.0, 0.0)
+        seq = integer_lattice(50)
+        for rep in (check_C(seq, 0.5, x), check_B(seq, 0.5, [-x, x]), check_D(seq, [-x, x])):
+            assert rep.truncation_radius == 50.0
+        complete = ZeroSequence.from_arrays([1.0, -2.0], [1, 1])
+        assert check_B(complete, 0.5, np.linspace(-60.0, 60.0, 11)).truncation_radius == 0.0
+
+
 class TestClassify:
+    def test_tail_model_built_once(self):
+        with mock.patch.object(criteria._Tail, "of", wraps=criteria._Tail.of) as of:
+            classify(integer_lattice(200.0))
+        assert of.call_count == 1
+
     def test_empty_all_satisfied(self):
         rep = classify(ZeroSequence(()))
         assert all(r.verdict == SATISFIED for r in rep.reports.values())
@@ -578,7 +620,7 @@ class TestEvaluatedOnce:
             b = default_base_point(seq)
             x_max = float(rng.uniform(0.5, 40.0))
             rep = check_C(seq, b, x_max, grid=8)
-            kap2 = criteria._curvature_allowance(seq)
+            tail = criteria._Tail.of(seq)
             edges = [0.0, min(1.0, x_max)]
             while edges[-1] < x_max:
                 edges.append(min(2.0 * max(edges[-1], 1.0), x_max))
@@ -589,7 +631,7 @@ class TestEvaluatedOnce:
                 n, prev = 8, None
                 while True:
                     xs = np.linspace(lo, hi, n + 1)
-                    env = 0.5 * kap2 * xs ** 2
+                    env = tail.envelope(xs)
                     up = np.maximum(axis._evaluate(xs) - env, 0.0)
                     um = np.maximum(axis._evaluate(-xs) - env, 0.0)
                     assert_within_bound(axis, np.concatenate([xs, -xs]))
@@ -606,7 +648,8 @@ class TestEvaluatedOnce:
             # and -0.0, but computed once
             distinct = np.unique(np.concatenate(judged) + 0.0).size
             assert rep.diagnostics["kernel_points"] == distinct < points
-            assert rep.diagnostics["grid_base_points"] == 2 * 9 * len(windows)
+            # the distinct base points, as B and D count the same grid
+            assert rep.diagnostics["grid_base_points"] == default_grid(x_max, 8).size
 
 
 REPORT_FIELDS = ("verdict", "witness", "extremum_value", "window_x", "window_values",
@@ -625,22 +668,22 @@ def _unpruned(check, *args):
 
 
 def _gap_objectives(seq, b, lo, hi, samples):
-    """The envelope coefficient, and per criterion the base point, t_lo,
-    judged objective and evaluator of check_B and check_D on a grid over
-    [lo, hi] of samples points, computed afresh: D's evaluator is a sibling
-    of B's, as in classify."""
-    kap2 = criteria._curvature_allowance(seq)
+    """The tail model, and per criterion the base point, t_lo, judged
+    objective and evaluator of check_B and check_D on a grid over [lo, hi]
+    of samples points, computed afresh: D's evaluator is a sibling of B's,
+    as in classify."""
+    tail = criteria._Tail.of(seq)
     out = {}
     axis = counting._RealAxis(seq, b, 0.0, lo, hi, samples)
     for name, base, t_lo in (("B", b, 0.0), ("D", 0.0, 1.0)):
         axis = axis.sibling(base, t_lo)
 
         def objective(xs, axis=axis, t_lo=t_lo):
-            h = axis.values(xs) - 0.5 * kap2 * xs ** 2
+            h = axis.values(xs) - tail.envelope(xs)
             return np.abs(h) if t_lo > 0.0 else h
 
         out[name] = (base, t_lo, objective, axis)
-    return kap2, out
+    return tail, out
 
 
 def _golden_max(objective, ga, gb, passes=40):
@@ -691,7 +734,7 @@ class TestGapPruning:
     def test_bound_covers_the_gap_maximum(self, seq, lo, hi):
         # every gap's bound, not only the pruned ones, against a dense sample
         # plus a golden search of the gap
-        kap2, objectives = _gap_objectives(seq, default_base_point(seq), lo, hi, 200)
+        tail, objectives = _gap_objectives(seq, default_base_point(seq), lo, hi, 200)
         axis = objectives["B"][3]
         rz = axis.real_zeros
         first, last = np.searchsorted(rz, lo), np.searchsorted(rz, hi, side="right")
@@ -703,7 +746,7 @@ class TestGapPruning:
         if not ga.size:
             return
         for name, (b, t_lo, objective, axis) in objectives.items():
-            ub, slope_points = axis.gap_bounds(kap2, za, zb, ga, gb,
+            ub, slope_points = axis.gap_bounds(tail, za, zb, ga, gb,
                                                np.clip(0.5 * (za + zb), lo, hi), objective,
                                                math.inf)
             assert slope_points == ga.size
@@ -725,10 +768,10 @@ class TestGapPruning:
             if not seq.origin_excluded:
                 continue
             za, zb = reals[:-1], reals[1:]
-            kap2, objectives = _gap_objectives(seq, default_base_point(seq), reals[0], reals[-1],
+            tail, objectives = _gap_objectives(seq, default_base_point(seq), reals[0], reals[-1],
                                                200)
             for name, (b, t_lo, objective, axis) in objectives.items():
-                ub, _ = axis.gap_bounds(kap2, za, zb, za, zb, 0.5 * (za + zb), objective,
+                ub, _ = axis.gap_bounds(tail, za, zb, za, zb, 0.5 * (za + zb), objective,
                                         math.inf)
                 dense = objective(np.linspace(za, zb, 257)).max(axis=0)
                 assert np.all(dense <= ub), name
@@ -871,3 +914,68 @@ GOLDEN_VERDICTS = [
 def test_golden_verdicts(name, params, verdicts, reason):
     rep = classify(build_generator(name, **params))
     assert tuple(rep.reports[k].verdict for k in ("C", "B", "D")) == verdicts, reason
+
+
+def _lattice(R, add=(), drop=()):
+    """integer_lattice(R) with the real zeros add joined and drop removed."""
+    n = np.arange(-math.floor(R), math.floor(R) + 1, dtype=float)
+    n = n[(n != 0.0) & (np.abs(n) < R) & ~np.isin(n, drop)]
+    pos = np.concatenate([n, add])
+    return ZeroSequence.from_arrays(pos, np.ones(pos.size), R)
+
+
+def _shifted(R, y, add=(), drop=()):
+    """The shifted lattice, n + i y for every integer n with |n + i y| < R,
+    with the zeros add joined and drop removed: sin(pi (z - i y)) / sin(-i pi y)
+    times a rational factor."""
+    n = np.arange(-math.floor(R), math.floor(R) + 1, dtype=float)
+    pos = (n + 1j * y)[np.hypot(n, y) < R]
+    pos = np.concatenate([pos[~np.isin(pos, drop)], np.asarray(add, dtype=complex)])
+    return ZeroSequence.from_arrays(pos, np.ones(pos.size), R)
+
+
+# Finite changes to sine-type functions: each multiplies f by a rational
+# factor, so each row's C/B/D answer is known exactly.
+KNOWN_ANSWERS = [
+    ("lattice+-1/2", lambda R: _lattice(R, [0.5, -0.5]), (SATISFIED, VIOLATED, VIOLATED),
+     "(1 - 4z^2) sin(pi z)/(pi z) grows like |x| on the axis: unbounded, but "
+     "log|f| / (1 + x^2) is integrable"),
+    ("lattice+-1/2+-1/4", lambda R: _lattice(R, [0.5, -0.5, 0.25, -0.25]),
+     (SATISFIED, VIOLATED, VIOLATED), "two more factors: growth like |x|^3"),
+    ("lattice-+-1", lambda R: _lattice(R, drop=[1.0, -1.0]), (SATISFIED, SATISFIED, VIOLATED),
+     "sin(pi z)/(pi z (1 - z^2)) decays like |x|^-3, bounded as the lattice is"),
+    ("shifted-1/2+1/2", lambda R: _shifted(R, 0.5, [0.5]), (SATISFIED, VIOLATED, VIOLATED),
+     "a sine-type function times (1 - 2z): growth like |x|"),
+    ("shifted-1/2-i/2", lambda R: _shifted(R, 0.5, drop=[0.5j]), (SATISFIED, SATISFIED, VIOLATED),
+     "a sine-type function over (1 + 2iz): decay like |x|^-1"),
+]
+
+
+@pytest.mark.parametrize("R", [200.0, 1e3, 4e3], ids=lambda R: f"R={R:g}")
+@pytest.mark.parametrize("name, make, verdicts, reason", KNOWN_ANSWERS,
+                         ids=[row[0] for row in KNOWN_ANSWERS])
+def test_known_answer_verdicts(name, make, verdicts, reason, R):
+    rep = classify(make(R))
+    assert tuple(rep.reports[k].verdict for k in ("C", "B", "D")) == verdicts, reason
+
+
+# Sine-type functions: |f| is bounded above and below off a strip, so C, B
+# and D all hold.  From R = 1e3 on, the quadratic envelope misses the
+# tail's x^4 and higher terms (about R/1536 at x = R/4 on the lattice),
+# which ROADMAP's item "Take the truncation envelope to all orders"
+# removes; these cases must flip to passing with it.
+_ENVELOPE_MISS = pytest.mark.xfail(strict=True, reason="the quadratic truncation envelope "
+                                   "misses the tail's higher orders (ROADMAP's envelope item)")
+SINE_TYPE = [
+    ("lattice+1/2", lambda R: _lattice(R, [0.5])),
+    ("shifted-1/2", lambda R: _shifted(R, 0.5)),
+    ("shifted-1", lambda R: _shifted(R, 1.0)),
+]
+
+
+@pytest.mark.parametrize("R", [200.0, pytest.param(1e3, marks=_ENVELOPE_MISS),
+                               pytest.param(4e3, marks=_ENVELOPE_MISS)], ids=lambda R: f"R={R:g}")
+@pytest.mark.parametrize("name, make", SINE_TYPE, ids=[row[0] for row in SINE_TYPE])
+def test_sine_type_verdicts(name, make, R):
+    rep = classify(make(R))
+    assert tuple(rep.reports[k].verdict for k in ("C", "B", "D")) == (SATISFIED,) * 3
