@@ -64,8 +64,10 @@ def _bisect_newton(f, fprime, targets, lo: float, hi: float) -> np.ndarray:
 
 
 def _symmetric(values: np.ndarray, R: float, provenance: str) -> ZeroSequence:
-    """Simple real zeros at +-v for each v in values, complete inside R."""
-    return ZeroSequence.from_arrays(np.concatenate([values, -values]),
+    """Simple real zeros at +-v for each v in values, complete inside R,
+    given as -v0, v0, -v1, v1, ...: the stored order when the values ascend,
+    so that from_arrays need not sort them."""
+    return ZeroSequence.from_arrays(np.stack([-values, values], axis=1).ravel(),
                                     np.ones(2 * values.size), R, provenance)
 
 

@@ -308,6 +308,9 @@ def run_phi_profile(args) -> int:
     seq = _build_sequence(args)
     b = args.b if args.b is not None else default_base_point(seq)
     span = args.x_max if args.x_max is not None else default_x_max(seq)
+    R = seq.truncation_radius
+    if 0 < R <= span:
+        raise CLIError(f"x_max must lie below R = {R:g}, where zeros are stored, got {span}")
     xs = np.linspace(-span, span, args.grid + 1)
     phi_vals = log_potential(seq, xs, b, threads=args.threads)
     d_vals = log_potential(seq, xs, 0.0, 1.0, threads=args.threads)

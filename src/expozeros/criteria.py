@@ -562,7 +562,7 @@ def cartwright_integral(log_modulus_samples) -> float:
 def type_bound(seq: ZeroSequence, b: float, y_values, sigma: float) -> CriterionReport:
     """Directional growth estimate along the imaginary axis: per-y values of
     the full-range step integral divided by |y|, compared with sigma on the
-    largest-|y| plateau."""
+    largest-|y| plateau.  On a truncated sequence every |y| must lie below R."""
     _require_finite(b=b, y_values=y_values, sigma=sigma)
     ys = np.asarray(y_values, dtype=float)
     if ys.size < 2:
@@ -574,6 +574,9 @@ def type_bound(seq: ZeroSequence, b: float, y_values, sigma: float) -> Criterion
         raise ValueError("y magnitudes must be ascending")
     if not (np.any(ys > 0) and np.any(ys < 0)):
         raise ValueError("y values must include both signs")
+    R = seq.truncation_radius
+    if 0 < R <= mags[-1]:
+        raise ValueError(f"y_values must lie in |y| < R = {R:g}, where zeros are stored")
     b = float(b)
     sigma = float(sigma)
     vals = log_potential(seq, 1j * ys, b) / mags
@@ -719,7 +722,8 @@ def classify(seq: ZeroSequence, *, b: float | None = None, x_max: float | None =
         "D": _sup_check(seq, "D", xs, axis.sibling(0.0, 1.0), tail),
     }
     if sigma is not None:
-        y_hi = x_max if x_max > 4 else 4.0
+        # at least 4 where R allows it; x_max < R by _span
+        y_hi = x_max if x_max > 4 or 0 < seq.truncation_radius <= 4 else 4.0
         base_mags = np.geomspace(y_hi / 8.0, y_hi, 4)
         ys = [s * m for m in base_mags for s in (1.0, -1.0)]
         reports["type_sigma"] = type_bound(seq, b, ys, sigma)

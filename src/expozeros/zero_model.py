@@ -233,13 +233,20 @@ def _parse_mult(token: str, line: int) -> int:
     return mult
 
 
-def _from_records(records, radius: float, provenance: str) -> ZeroSequence:
-    """Checked [re, im, mult] records as a sequence; re and im are paired
-    through a float view, which keeps every bit (re + 1j*im can flip a -0.0)."""
-    table = np.array(records, dtype=np.float64).reshape(-1, 3)
-    positions = np.ascontiguousarray(table[:, :2]).view(np.complex128)[:, 0]
+def _columns(records) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and multiplicities of checked [re, im, mult] records; re and
+    im are paired by assignment, which keeps every bit (re + 1j*im can flip a
+    -0.0)."""
+    table = np.asarray(records, dtype=np.float64).reshape(-1, 3)
+    positions = np.empty(len(table), dtype=np.complex128)
+    positions.real, positions.imag = table[:, 0], table[:, 1]
+    return positions, table[:, 2]
+
+
+def _from_records(radius: float, positions, multiplicities, provenance: str) -> ZeroSequence:
+    """Checked positions and multiplicities as a sequence."""
     try:
-        return ZeroSequence.from_arrays(positions, table[:, 2], radius, provenance)
+        return ZeroSequence.from_arrays(positions, multiplicities, radius, provenance)
     except ValueError as exc:
         raise SequenceFormatError(str(exc)) from exc
 
@@ -258,7 +265,7 @@ def _radius_header(line: str, lineno: int) -> float:
     return radius
 
 
-def _text_records(source: str) -> tuple[float, list[tuple[float, float, int]]]:
+def _text_records(source: str) -> tuple[float, np.ndarray, np.ndarray]:
     """Line-by-line parse: the reference that names the first bad line."""
     radius = 0.0
     header = None
@@ -282,7 +289,7 @@ def _text_records(source: str) -> tuple[float, list[tuple[float, float, int]]]:
         records.append((_parse_float(fields[0], lineno, "real part"),
                         _parse_float(fields[1], lineno, "imaginary part"),
                         _parse_mult(fields[2], lineno)))
-    return radius, records
+    return radius, *_columns(records)
 
 
 # Line breaks of str.splitlines that np.loadtxt reads as field separators
@@ -291,21 +298,24 @@ _LOADTXT_MISSES = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # a line whose first non-blank character starts a record
 _RECORD_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.MULTILINE)
 _TEXT_DTYPE = [("re", "f8"), ("im", "f8"), ("m", "i8")]
+# characters, about, of text one np.loadtxt call parses; a chunk ends at a
+# newline
+_TEXT_CHUNK = 1 << 18
 
 
-def _text_table(source: str) -> tuple[float, np.ndarray] | None:
-    """(radius, [re, im, mult] table) of well-formed text, parsed in
-    whole-array passes; None when the text needs the line loop, to name its
-    bad line or to parse what np.loadtxt refuses (1_0, 20-digit
-    multiplicities, non-ASCII digits).  np.loadtxt rounds floats as float()
-    does, so the two paths agree bit for bit."""
+def _text_table(source: str) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """(radius, positions, multiplicities) of well-formed text; None when the
+    text needs the line loop, to name its bad line or to parse what
+    np.loadtxt refuses (1_0, 20-digit multiplicities, non-ASCII digits).
+    np.loadtxt rounds floats as float() does, so the two paths agree bit for
+    bit.  It parses the body, the text without its `@` line, in chunks of
+    whole lines, each written straight into arrays sized by the line count."""
     if (any(c in source for c in _LOADTXT_MISSES)
             or source.count("\r") != source.count("\r\n")):
         return None
     # `@` lines are few: find each, parse it and cut it from the body
     radius = None
-    pieces = []
-    start = 0
+    starts, ends = [0], []
     at = source.find("@")
     while at >= 0:
         lo = source.rfind("\n", 0, at) + 1
@@ -319,28 +329,35 @@ def _text_table(source: str) -> tuple[float, np.ndarray] | None:
                 radius = _radius_header(line, 0)
             except SequenceFormatError:  # the loop names the header's line
                 return None
-            pieces.append(source[start:lo])
-            start = hi
+            ends.append(lo)
+            starts.append(hi)
         at = source.find("@", hi)
-    body = "".join(pieces) + source[start:] if pieces else source
-    radius = 0.0 if radius is None else radius
-    if not _RECORD_LINE.search(body):
-        # np.loadtxt warns on input with no records
-        return radius, np.empty((0, 3))
-    try:
-        table = np.loadtxt(io.StringIO(body), dtype=_TEXT_DTYPE, comments="#", ndmin=1)
-    except ValueError:
-        return None
-    columns = table["re"], table["im"], table["m"]
-    if not (np.isfinite(columns[:2]).all() and (columns[2] >= 1).all()):
-        return None
-    return radius, np.column_stack(columns)
+    ends.append(len(source))
+    lines = source.count("\n") + 1
+    positions, mult, rows = np.empty(lines, dtype=np.complex128), np.empty(lines), 0
+    for start, end in zip(starts, ends):
+        while start < end:
+            stop = source.find("\n", min(start + _TEXT_CHUNK, end), end)
+            stop = end if stop < 0 else stop + 1
+            chunk = source[start:stop]
+            start = stop
+            if not _RECORD_LINE.search(chunk):
+                continue  # np.loadtxt warns on input with no records
+            try:
+                table = np.loadtxt(io.StringIO(chunk), dtype=_TEXT_DTYPE, comments="#", ndmin=1)
+            except ValueError:
+                return None
+            real, imag, m = table["re"], table["im"], table["m"]
+            if not (np.isfinite(real).all() and np.isfinite(imag).all() and (m >= 1).all()):
+                return None
+            block = slice(rows, rows + table.size)
+            positions.real[block], positions.imag[block], mult[block] = real, imag, m
+            rows += table.size
+    return 0.0 if radius is None else radius, positions[:rows], mult[:rows]
 
 
 def _load_text(source: str, provenance: str) -> ZeroSequence:
-    parsed = _text_table(source)
-    radius, records = _text_records(source) if parsed is None else parsed
-    return _from_records(records, radius, provenance)
+    return _from_records(*(_text_table(source) or _text_records(source)), provenance)
 
 
 def _check_json_number(value, what: str) -> None:
@@ -371,13 +388,16 @@ _JSON_BLANKS = b" \t\n\r"
 # commas and blanks as ints and floats or not at all
 _JSON_NUMBER_BYTES = b"0123456789+-.eE"
 _BRACKETS_TO_BLANKS = bytes.maketrans(b"[]", b"  ")
+# bytes, about, of the `zeros` array one json.loads call parses; a chunk
+# ends at the comma after a record
+_JSON_CHUNK = 1 << 18
 
 
-def _json_table(source: str) -> tuple[float, np.ndarray] | None:
-    """(radius, [re, im, mult] table) of a JSON object whose `zeros` is an
-    array of number triples, parsed without a Python list per record; None
-    when the input needs the full json.loads, to name its fault or to read
-    another layout.
+def _json_table(source: str) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """(radius, positions, multiplicities) of a JSON object whose `zeros` is
+    an array of number triples, parsed without a Python list per record;
+    None when the input needs the full json.loads, to name its fault or to
+    read another layout.
 
     The span from the first `[` to the last `]` must be the `zeros` array:
     the source with that span cut to `[]` must load as an object whose
@@ -385,9 +405,10 @@ def _json_table(source: str) -> tuple[float, np.ndarray] | None:
     [[n,n,n],[n,n,n],...] where each n holds only number bytes: what is
     left after deleting them is rows of `[,,]` joined by `,`, and `],[`
     occurs rows - 1 times.  Then json.loads reads the span with its
-    brackets blanked as one flat list, whose items are ints and floats, and
-    that list must hold 3 * rows of them.  Every number is parsed by
-    json.loads, so the bits are those of the full parse."""
+    brackets blanked as flat lists of ints and floats, in chunks that end at
+    the comma after a record, each written straight into arrays of rows
+    records, and the chunks must hold 3 * rows numbers.  Every number is
+    parsed by json.loads, so the bits are those of the full parse."""
     lo, hi = source.find("["), source.rfind("]")
     if lo < 0 or hi < lo:
         return None
@@ -410,16 +431,29 @@ def _json_table(source: str) -> tuple[float, np.ndarray] | None:
     if rows and not (compact.startswith(b"[[") and compact.endswith(b"]]")
                      and compact.count(b"],[") == rows - 1):
         return None
-    try:
-        values = json.loads(b"[" + body.translate(_BRACKETS_TO_BLANKS) + b"]")
-        table = np.array(values, dtype=np.float64).reshape(-1, 3)
-    except (ValueError, OverflowError):
+    del compact
+    positions, mult = np.empty(rows, dtype=np.complex128), np.empty(rows)
+    done = start = 0
+    while start < len(body):
+        # past the `]` of the last record every `]` is the array's own
+        stop = body.find(b",", body.find(b"]", min(start + _JSON_CHUNK, len(body) - 1)))
+        stop = len(body) if stop < 0 else stop
+        try:
+            values = json.loads(b"[" + body[start:stop].translate(_BRACKETS_TO_BLANKS) + b"]")
+            table = np.array(values, dtype=np.float64).reshape(-1, 3)
+        except (ValueError, OverflowError):
+            return None
+        start = stop + 1
+        m = table[:, 2]
+        if not (done + len(table) <= rows and np.isfinite(table).all() and (m >= 1).all()
+                and (m == np.floor(m)).all()):
+            return None
+        block = slice(done, done + len(table))
+        positions.real[block], positions.imag[block], mult[block] = table[:, 0], table[:, 1], m
+        done += len(table)
+    if done != rows:
         return None
-    mult = table[:, 2]
-    if not (len(values) == 3 * rows and np.isfinite(table).all() and (mult >= 1).all()
-            and (mult == np.floor(mult)).all()):
-        return None
-    return float(radius), table
+    return float(radius), positions, mult
 
 
 def _json_record_table(records: list) -> np.ndarray | None:
@@ -446,7 +480,7 @@ def _json_record_table(records: list) -> np.ndarray | None:
 def _load_json(source: str, provenance: str) -> ZeroSequence:
     parsed = _json_table(source)
     if parsed is not None:
-        return _from_records(parsed[1], parsed[0], provenance)
+        return _from_records(*parsed, provenance)
     try:
         payload = json.loads(source)
     except json.JSONDecodeError as exc:
@@ -461,7 +495,7 @@ def _load_json(source: str, provenance: str) -> ZeroSequence:
     if not isinstance(records, list):
         raise SequenceFormatError("'zeros' must be an array of [re, im, mult] triples")
     table = _json_record_table(records)
-    return _from_records(_json_records(records) if table is None else table, float(radius),
+    return _from_records(float(radius), *_columns(_json_records(records) if table is None else table),
                          provenance)
 
 
@@ -472,9 +506,9 @@ def load_sequence(source: str, provenance: str = "") -> ZeroSequence:
     str.splitlines ends them), `#` comments, and at most one `@radius <R>`
     header.  JSON form: an object with fields `radius` and `zeros` (array of
     [re, im, mult]).  Equal positions are merged with summed multiplicities.
-    Valid input is parsed in whole-array passes: JSON whose only brackets
-    are those of `zeros` without a Python list per record, other JSON from
-    the lists of a full json.loads.  A SequenceFormatError names the first
+    Valid input is parsed in bounded chunks written straight into the two
+    arrays: JSON whose only brackets are those of `zeros` without a Python
+    list per record, other JSON from the lists of a full json.loads.  A SequenceFormatError names the first
     bad 1-based line or zeros[i], found by a per-line or per-record loop.
     """
     if source.lstrip().startswith("{"):
@@ -482,28 +516,53 @@ def load_sequence(source: str, provenance: str = "") -> ZeroSequence:
     return _load_text(source, provenance)
 
 
-def _records(seq: ZeroSequence):
-    """(re, im, multiplicity) as Python floats and ints, for exact reprs."""
-    pos = seq.positions
-    return zip(pos.real.tolist(), pos.imag.tolist(), seq.multiplicities.astype(np.int64).tolist())
+# records a dump renders at a time
+_DUMP_BLOCK = 1 << 14
+
+
+def _render(seq: ZeroSequence, head: str, record: str, sep: str, tail: str) -> str:
+    """head, the records joined by sep, and tail, joined once.  A record is
+    record.format(re, im, m): floats by repr, which keeps every bit on
+    reload, and multiplicities as the exact int of their float.  Blocks of
+    _DUMP_BLOCK records are rendered from tolist() slices; an Im or
+    multiplicity column whose bits are one value in a block is rendered
+    once for the block."""
+    pos, mults = seq.positions, seq.multiplicities
+    out = [head]
+    for lo in range(0, len(pos), _DUMP_BLOCK):
+        block = slice(lo, lo + _DUMP_BLOCK)
+        fields, columns = ["{}"], [map(repr, pos.real[block].tolist())]
+        for values, text in ((pos.imag[block], repr), (mults[block], int)):
+            bits = values.view(np.int64)
+            if (bits == bits[0]).all():
+                fields.append(str(text(values[0].item())))
+            else:
+                fields.append("{}")
+                columns.append(map(text, values.tolist()))
+        template = record.format(*fields)
+        if lo:
+            out.append(sep)
+        if len(columns) == 1:
+            before, after = template.split("{}")
+            out += [before, (after + sep + before).join(columns[0]), after]
+        else:
+            out.append(sep.join(map(template.format, *columns)))
+    out.append(tail)
+    return "".join(out)
 
 
 def dump_sequence(seq: ZeroSequence) -> str:
     """Render the text form; float repr keeps doubles bit-exact on reload."""
-    lines = []
-    if seq.provenance:
-        lines.append(f"# {seq.provenance}")
-    lines.append(f"@radius {seq.truncation_radius!r}")
-    lines.extend(f"{re!r} {im!r} {m}" for re, im, m in _records(seq))
-    return "\n".join(lines) + "\n"
+    head = f"# {seq.provenance}\n" if seq.provenance else ""
+    return _render(seq, f"{head}@radius {seq.truncation_radius!r}\n", "{} {} {}\n", "", "")
 
 
 def dump_sequence_json(seq: ZeroSequence) -> str:
     """Render the JSON form: the bytes json.dumps gives for {"radius": R,
     "zeros": [[re, im, m], ...]}, written without a list per record (json
     writes a finite float by float.__repr__ and an int by int.__repr__)."""
-    zeros = ", ".join(f"[{re!r}, {im!r}, {m}]" for re, im, m in _records(seq))
-    return f'{{"radius": {seq.truncation_radius!r}, "zeros": [{zeros}]}}'
+    return _render(seq, f'{{"radius": {seq.truncation_radius!r}, "zeros": [', "[{}, {}, {}]",
+                   ", ", "]}")
 
 
 def shift_origin(seq: ZeroSequence, c: complex) -> ZeroSequence:

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -19,8 +20,35 @@ from expozeros import (
     profile,
     scaled_lattice,
 )
+from expozeros.zero_model import ZeroSequence
 
 E2 = math.exp(2.0)
+
+
+class TestSymmetricOrder:
+    """Symmetric generators give their zeros in stored order; any order
+    gives the bytes of a sorted build."""
+
+    @pytest.mark.parametrize("values", [np.arange(1.0, 60.0), np.array([0.5, 3.0, 2.0, 2.0, 7.5]),
+                                        np.array([4.0, 2.0, 1.0])], ids=["ascending", "ties", "descending"])
+    def test_bytes_equal_the_sorted_build(self, values):
+        seq = catalog._symmetric(values, 100.0, "sym")
+        sorted_build = ZeroSequence.from_arrays(np.concatenate([values, -values]),
+                                                np.ones(2 * values.size), 100.0, "sym")
+        assert seq.positions.tobytes() == sorted_build.positions.tobytes()
+        assert seq.multiplicities.tobytes() == sorted_build.multiplicities.tobytes()
+        assert seq.duplicate_merges == sorted_build.duplicate_merges
+
+    def test_generators_skip_the_sort(self):
+        with mock.patch.object(np, "lexsort", side_effect=AssertionError("sorted")):
+            sequences = (integer_lattice(1e3), scaled_lattice(0.5, 1e3), footnote_sequence(1e4),
+                         alpha_sequence(AlphaSpec(c=1.0), 500))
+        for seq in sequences:
+            key = np.hypot(seq.positions.real, seq.positions.imag)
+            assert np.all(key[:-1] <= key[1:])
+        with pytest.raises(AssertionError, match="sorted"), \
+                mock.patch.object(np, "lexsort", side_effect=AssertionError("sorted")):
+            catalog._symmetric(np.array([2.0, 1.0]), 5.0, "unsorted")
 
 
 class TestIntegerLattice:

@@ -323,6 +323,11 @@ class TestPhiProfile:
         for row in json.loads(out)["rows"]:
             assert row["d_integrand"] != "-inf"
 
+    def test_span_past_the_stored_zeros(self, capsys):
+        code, out, err = run_cli(capsys, "phi-profile", "--gen", "lattice,R=50", "--x-max", "60")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "x_max must lie below R = 50" in err
+
 
 class TestEval:
     def test_real_axis_sweep_default(self, capsys):

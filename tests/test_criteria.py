@@ -400,7 +400,9 @@ class TestSpanInsideR:
         (lambda s: check_B(s, 0.5, [-50.0, 1.0]), "x_grid"),
         (lambda s: check_D(s, np.linspace(-60.0, 60.0, 11)), "x_grid"),
         (lambda s: check_D(s, [1.0, 50.0]), "x_grid"),
-    ], ids=["C", "C-at-R", "classify", "B", "B-at-R", "D", "D-at-R"])
+        (lambda s: type_bound(s, 0.5, [40.0, -40.0, 80.0, -80.0], math.pi), "y_values"),
+        (lambda s: type_bound(s, 0.5, [25.0, -25.0, -50.0], math.pi), "y_values"),
+    ], ids=["C", "C-at-R", "classify", "B", "B-at-R", "D", "D-at-R", "type", "type-at-R"])
     def test_raises_naming_the_argument(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} must lie"):
             call(integer_lattice(50))
@@ -412,6 +414,13 @@ class TestSpanInsideR:
             assert rep.truncation_radius == 50.0
         complete = ZeroSequence.from_arrays([1.0, -2.0], [1, 1])
         assert check_B(complete, 0.5, np.linspace(-60.0, 60.0, 11)).truncation_radius == 0.0
+        assert type_bound(complete, 0.5, [60.0, -60.0], math.pi).truncation_radius == 0.0
+
+    @pytest.mark.parametrize("R", [2.5, 4.0])
+    def test_classify_sigma_below_a_small_R(self, R):
+        # the type check's span is x_max where 4 would reach R
+        report = classify(integer_lattice(R), sigma=1.0)
+        assert max(report.reports["type_sigma"].window_x) == report.x_max < R
 
 
 class TestClassify:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from expozeros import (
     ZeroSequence,
     dump_sequence,
     dump_sequence_json,
+    integer_lattice,
     load_sequence,
     shift_origin,
     validate,
@@ -647,6 +649,146 @@ class TestFastPathMatchesLoop:
             assert _same_arrays(back, seq)
             assert back.truncation_radius == seq.truncation_radius
         assert len(load_sequence("# nothing\n@radius 2\n\n")) == 0
+
+
+def _reference_dumps(seq):
+    """The text and JSON forms written one record at a time: repr for each
+    float, the exact int of each multiplicity, and json.dumps for the JSON."""
+    records = [(p.real, p.imag, int(m))
+               for p, m in zip(seq.positions.tolist(), seq.multiplicities.tolist())]
+    lines = [f"# {seq.provenance}"] if seq.provenance else []
+    lines.append(f"@radius {seq.truncation_radius!r}")
+    lines += [f"{re!r} {im!r} {m}" for re, im, m in records]
+    return ("\n".join(lines) + "\n",
+            json.dumps({"radius": seq.truncation_radius, "zeros": [list(r) for r in records]}))
+
+
+_io_coordinates = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, -2.5]))
+_io_multiplicities = st.sampled_from([1, 1, 2, 3, 2 ** 53 + 2, 2 ** 63, 10 ** 19])
+
+
+@st.composite
+def _io_sequences(draw):
+    """Sequences whose Im and multiplicity columns are each one value or
+    mixed, with -0.0 parts, nonzero imaginary parts and multiplicities past
+    2^53 and 2^63."""
+    n = draw(st.integers(0, 12))
+    real = draw(st.lists(_io_coordinates, min_size=n, max_size=n))
+    imag = (draw(st.lists(_io_coordinates, min_size=n, max_size=n)) if draw(st.booleans())
+            else [draw(_io_coordinates)] * n)
+    mult = (draw(st.lists(_io_multiplicities, min_size=n, max_size=n)) if draw(st.booleans())
+            else [draw(_io_multiplicities)] * n)
+    positions = np.empty(n, dtype=np.complex128)
+    positions.real, positions.imag = real, imag
+    seq = ZeroSequence.from_arrays(positions, mult, provenance=draw(st.sampled_from(["", "io"])))
+    if draw(st.booleans()):
+        seq = ZeroSequence.from_arrays(seq.positions, seq.multiplicities, 2.0 * seq.max_abs + 1.0,
+                                       seq.provenance)
+    return seq
+
+
+@st.composite
+def _laid_out_text(draw, text):
+    """text with blank and comment lines between its lines, comments after
+    some records, the `@radius` line moved and CRLF or LF endings."""
+    lines = text.splitlines()
+    header = lines.pop(next(i for i, line in enumerate(lines) if line.startswith("@")))
+    lines = [line + draw(st.sampled_from(["", "", " # note", "\t#"])) for line in lines]
+    lines.insert(draw(st.integers(0, len(lines))), header)
+    out = []
+    for line in lines:
+        out += draw(st.lists(st.sampled_from(["", "   ", "# c", "  # @radius 9"]), max_size=2))
+        out.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(out) + draw(st.sampled_from([end, ""]))
+
+
+# (_TEXT_CHUNK, _JSON_CHUNK, _DUMP_BLOCK) of a few characters, bytes and
+# records, so that block edges fall inside short inputs
+_block_sizes = st.tuples(st.integers(1, 24), st.integers(1, 24), st.integers(1, 4))
+
+
+def _blocks(sizes):
+    text, json_bytes, records = sizes
+    return mock.patch.multiple(zero_model, _TEXT_CHUNK=text, _JSON_CHUNK=json_bytes,
+                               _DUMP_BLOCK=records)
+
+
+class TestBlockedIO:
+    """Dumps and loads in blocks give the bytes and bits of one record at a
+    time, wherever the block edges fall."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seq=_io_sequences(), sizes=_block_sizes)
+    @example(seq=_EDGE_SEQUENCE, sizes=(1, 1, 1))
+    @example(seq=ZeroSequence(()), sizes=(1, 1, 1))
+    # equal Im values, one of them -0.0, in one block
+    @example(seq=ZeroSequence.from_arrays([1.0, complex(-2.0, -0.0), 3.0], [2, 2, 2]),
+             sizes=(24, 24, 4))
+    def test_dumps_and_round_trips(self, seq, sizes):
+        with _blocks(sizes):
+            text, dumped = dump_sequence(seq), dump_sequence_json(seq)
+            assert (text, dumped) == _reference_dumps(seq)
+            for source in (text, dumped):
+                back = load_sequence(source)
+                assert _same_arrays(back, seq)
+                assert back.truncation_radius.hex() == seq.truncation_radius.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seq=_io_sequences(), sizes=_block_sizes, data=st.data())
+    def test_laid_out_loads_match_the_loops(self, seq, sizes, data):
+        text = data.draw(_laid_out_text(dump_sequence(seq)))
+        dumped = json.dumps(json.loads(dump_sequence_json(seq)), **data.draw(_json_layouts))
+        with _blocks(sizes):
+            for source in (text, dumped):
+                assert _outcome(source) == _loop_outcome(source)
+            if seq.multiplicities.max(initial=1.0) < 2.0 ** 63:
+                assert zero_model._text_table(text) is not None
+            assert zero_model._json_table(dumped) is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(source=st.one_of(_texts(), _jsons()), sizes=_block_sizes)
+    def test_faults_match_the_loops(self, source, sizes):
+        with _blocks(sizes):
+            assert _outcome(source) == _loop_outcome(source)
+
+
+class TestLargeMultiplicities:
+    """Multiplicities past 2^53 and 2^63 are written as the exact int of
+    their float, so both forms reload them bit for bit."""
+
+    @pytest.mark.parametrize("mult", [2.0 ** 53 + 2, 2.0 ** 63, 1e19])
+    def test_round_trip(self, mult):
+        seq = ZeroSequence.from_arrays([1.0, -0.0j, 2.5j], [mult, 1, mult])
+        text, dumped = dump_sequence(seq), dump_sequence_json(seq)
+        assert f" {int(mult)}\n" in text and f", {int(mult)}]" in dumped
+        for source in (text, dumped):
+            assert _same_arrays(load_sequence(source), seq)
+
+
+def _traced_peak(call, *args):
+    """call(*args) and the most memory tracemalloc saw it hold at once."""
+    tracemalloc.start()
+    try:
+        out = call(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestIOPeaks:
+    """No step of a dump or load holds a copy of the whole input or a
+    Python object per record."""
+
+    def test_lattice_1e5(self):
+        seq = integer_lattice(1e5)
+        arrays = seq.positions.nbytes + seq.multiplicities.nbytes
+        for dump in (dump_sequence, dump_sequence_json):
+            written, peak = _traced_peak(dump, seq)
+            assert peak < 3 * len(written), dump.__name__
+            back, peak = _traced_peak(load_sequence, written)
+            assert peak < 4 * arrays, dump.__name__
+            assert _same_arrays(back, seq)
 
 
 class TestShiftOrigin:
