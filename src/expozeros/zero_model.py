@@ -431,11 +431,11 @@ def _json_table(source: str) -> tuple[float, np.ndarray, np.ndarray] | None:
     if rows and not (compact.startswith(b"[[") and compact.endswith(b"]]")
                      and compact.count(b"],[") == rows - 1):
         return None
-    del compact
+    del compact  # free it before the arrays are made
     positions, mult = np.empty(rows, dtype=np.complex128), np.empty(rows)
     done = start = 0
     while start < len(body):
-        # past the `]` of the last record every `]` is the array's own
+        # end at the `,` after the first `]` past _JSON_CHUNK bytes: it parts two records
         stop = body.find(b",", body.find(b"]", min(start + _JSON_CHUNK, len(body) - 1)))
         stop = len(body) if stop < 0 else stop
         try:
