@@ -448,7 +448,8 @@ def check_C(seq: ZeroSequence, b: float, x_max: float | None = None, grid: int =
     [phi(x)]^+ / (1+x^2) over dyadic windows up to x_max, with a decay-rate
     verdict on the window contributions.  phi comes from one _RealAxis over
     [-x_max, x_max] with cells sized by default_grid(x_max, grid).size, the
-    layout classify shares with B and D (grid at least 8)."""
+    layout classify shares with B and D (grid at least 8), so that classify
+    gives its bits with the same grid."""
     _require_finite(b=b, x_max=x_max)
     x_max = _span(seq, x_max)
     grid = max(8, int(grid))
@@ -467,7 +468,7 @@ def _weighted_check(seq: ZeroSequence, axis: _RealAxis, tail: _Tail, x_max: floa
     def both_sides(xs: np.ndarray) -> np.ndarray:
         return axis.values(np.concatenate([xs, -xs])).reshape(2, -1)
 
-    def window_value(lo: float, hi: float) -> tuple[float, int]:
+    def window_value(lo: float, hi: float) -> tuple[float, np.ndarray]:
         nonlocal best_x, best_val
         n = grid
         xs = np.linspace(lo, hi, n + 1)
@@ -486,7 +487,7 @@ def _weighted_check(seq: ZeroSequence, axis: _RealAxis, tail: _Tail, x_max: floa
                     if arr[k] > best_val:
                         best_val = float(arr[k])
                         best_x = float(sign * xs[k])
-                return val, n
+                return val, xs
             prev = val
             n *= 2
             # halving the step is exact, so linspace(lo, hi, 2n + 1)[::2] is
@@ -496,6 +497,10 @@ def _weighted_check(seq: ZeroSequence, axis: _RealAxis, tail: _Tail, x_max: floa
             pot = _interleave(pot, both_sides(odd))
 
     windows = [(lo, hi, *window_value(lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    # the points judged, each once: a window edge is judged by both its
+    # windows, and x = 0 as 0.0 and -0.0
+    judged = np.concatenate([w[3] for w in windows])
+    judged = np.unique(np.concatenate([judged, -judged]))
 
     total = math.fsum(w[2] for w in windows)
     qual = [(int(round(math.log2(w[0]))), w[2]) for w in windows if w[0] >= 2.0]
@@ -540,7 +545,7 @@ def _weighted_check(seq: ZeroSequence, axis: _RealAxis, tail: _Tail, x_max: floa
         tail_error_bound=tail.error_bound(x_max),
         notes=f"base point b = {axis.b}; truncated weighted integral = {total:.6g}",
         diagnostics={"grid_base_points": default_grid(x_max, grid).size,
-                     "grid_aug_points": sum(2 * (w[3] + 1) for w in windows),
+                     "grid_aug_points": judged.size,
                      **axis.diagnostics()},
     )
 
@@ -692,7 +697,8 @@ def classify(seq: ZeroSequence, *, b: float | None = None, x_max: float | None =
     default_grid(x_max, grid).size, whose far field all three read.  C and
     B share its values for the base point b, and D has its own for
     (0, t_lo = 1); each report gives the bits of check_C, check_B or check_D
-    called alone, and its diagnostics count only its own check's work."""
+    called alone with the same grid (check_C's default grid is 32, not 24),
+    and its diagnostics count only its own check's work."""
     _require_finite(b=b, x_max=x_max, sigma=sigma)
     if not seq.origin_excluded:
         raise ValueError(

@@ -15,7 +15,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -233,22 +232,23 @@ def _parse_mult(token: str, line: int) -> int:
     return mult
 
 
-def _columns(records) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and multiplicities of checked [re, im, mult] records; re and
-    im are paired by assignment, which keeps every bit (re + 1j*im can flip a
+def _fill(size: int, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and multiplicities of the (re, im, mult) column blocks,
+    written in turn into arrays of size entries, of which the filled prefix
+    is returned; a block past size entries raises ValueError.  re and im are
+    paired by assignment, which keeps every bit (re + 1j*im can flip a
     -0.0)."""
-    table = np.asarray(records, dtype=np.float64).reshape(-1, 3)
-    positions = np.empty(len(table), dtype=np.complex128)
-    positions.real, positions.imag = table[:, 0], table[:, 1]
-    return positions, table[:, 2]
+    positions, mult, rows = np.empty(size, dtype=np.complex128), np.empty(size), 0
+    for re, im, m in blocks:
+        block = slice(rows, rows + len(m))
+        positions.real[block], positions.imag[block], mult[block] = re, im, m
+        rows = block.stop
+    return positions[:rows], mult[:rows]
 
 
-def _from_records(radius: float, positions, multiplicities, provenance: str) -> ZeroSequence:
-    """Checked positions and multiplicities as a sequence."""
-    try:
-        return ZeroSequence.from_arrays(positions, multiplicities, radius, provenance)
-    except ValueError as exc:
-        raise SequenceFormatError(str(exc)) from exc
+def _columns(records) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and multiplicities of checked [re, im, mult] records."""
+    return _fill(len(records), [np.asarray(records, dtype=np.float64).reshape(-1, 3).T])
 
 
 def _radius_header(line: str, lineno: int) -> float:
@@ -265,7 +265,7 @@ def _radius_header(line: str, lineno: int) -> float:
     return radius
 
 
-def _text_records(source: str) -> tuple[float, np.ndarray, np.ndarray]:
+def _text_records(source: str) -> tuple[np.ndarray, np.ndarray, float]:
     """Line-by-line parse: the reference that names the first bad line."""
     radius = 0.0
     header = None
@@ -289,7 +289,7 @@ def _text_records(source: str) -> tuple[float, np.ndarray, np.ndarray]:
         records.append((_parse_float(fields[0], lineno, "real part"),
                         _parse_float(fields[1], lineno, "imaginary part"),
                         _parse_mult(fields[2], lineno)))
-    return radius, *_columns(records)
+    return *_columns(records), radius
 
 
 # Line breaks of str.splitlines that np.loadtxt reads as field separators
@@ -303,13 +303,14 @@ _TEXT_DTYPE = [("re", "f8"), ("im", "f8"), ("m", "i8")]
 _TEXT_CHUNK = 1 << 18
 
 
-def _text_table(source: str) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """(radius, positions, multiplicities) of well-formed text; None when the
-    text needs the line loop, to name its bad line or to parse what
-    np.loadtxt refuses (1_0, 20-digit multiplicities, non-ASCII digits).
-    np.loadtxt rounds floats as float() does, so the two paths agree bit for
-    bit.  It parses the body, the text without its `@` line, in chunks of
-    whole lines, each written straight into arrays sized by the line count."""
+def _text_table(source: str) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(positions, multiplicities, radius) parsed from text, values
+    unchecked; None when the text needs the line loop, to name its bad line
+    or to parse what np.loadtxt refuses (1_0, 20-digit multiplicities,
+    non-ASCII digits).  np.loadtxt rounds floats as float() does, so the two
+    paths agree bit for bit.  It parses the body, the text without its `@`
+    line, in chunks of whole lines, each written straight into arrays sized
+    by the line count."""
     if (any(c in source for c in _LOADTXT_MISSES)
             or source.count("\r") != source.count("\r\n")):
         return None
@@ -333,31 +334,23 @@ def _text_table(source: str) -> tuple[float, np.ndarray, np.ndarray] | None:
             starts.append(hi)
         at = source.find("@", hi)
     ends.append(len(source))
-    lines = source.count("\n") + 1
-    positions, mult, rows = np.empty(lines, dtype=np.complex128), np.empty(lines), 0
-    for start, end in zip(starts, ends):
-        while start < end:
-            stop = source.find("\n", min(start + _TEXT_CHUNK, end), end)
-            stop = end if stop < 0 else stop + 1
-            chunk = source[start:stop]
-            start = stop
-            if not _RECORD_LINE.search(chunk):
-                continue  # np.loadtxt warns on input with no records
-            try:
-                table = np.loadtxt(io.StringIO(chunk), dtype=_TEXT_DTYPE, comments="#", ndmin=1)
-            except ValueError:
-                return None
-            real, imag, m = table["re"], table["im"], table["m"]
-            if not (np.isfinite(real).all() and np.isfinite(imag).all() and (m >= 1).all()):
-                return None
-            block = slice(rows, rows + table.size)
-            positions.real[block], positions.imag[block], mult[block] = real, imag, m
-            rows += table.size
-    return 0.0 if radius is None else radius, positions[:rows], mult[:rows]
 
+    def chunks():
+        for start, end in zip(starts, ends):
+            while start < end:
+                stop = source.find("\n", min(start + _TEXT_CHUNK, end), end)
+                stop = end if stop < 0 else stop + 1
+                chunk = source[start:stop]
+                start = stop
+                if _RECORD_LINE.search(chunk):  # np.loadtxt warns on input with no records
+                    table = np.loadtxt(io.StringIO(chunk), dtype=_TEXT_DTYPE, comments="#",
+                                       ndmin=1)
+                    yield table["re"], table["im"], table["m"]
 
-def _load_text(source: str, provenance: str) -> ZeroSequence:
-    return _from_records(*(_text_table(source) or _text_records(source)), provenance)
+    try:
+        return *_fill(source.count("\n") + 1, chunks()), 0.0 if radius is None else radius
+    except ValueError:
+        return None
 
 
 def _check_json_number(value, what: str) -> None:
@@ -371,8 +364,22 @@ def _check_json_number(value, what: str) -> None:
     raise SequenceFormatError(f"{what} must be a finite number, got {value!r}")
 
 
-def _json_records(records: list) -> list:
-    """Record-by-record check: the reference that names the first bad zeros[i]."""
+def _json_records(source: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Full json.loads and a record-by-record check: the reference that
+    names the fault, the first bad zeros[i] among them."""
+    try:
+        payload = json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise SequenceFormatError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+    except ValueError as exc:  # an integer literal past int()'s digit limit
+        raise SequenceFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SequenceFormatError("top-level JSON value must be an object")
+    radius = payload.get("radius", 0.0)
+    _check_json_number(radius, "radius")
+    records = payload.get("zeros", [])
+    if not isinstance(records, list):
+        raise SequenceFormatError("'zeros' must be an array of [re, im, mult] triples")
     for i, rec in enumerate(records):
         if not (isinstance(rec, list) and len(rec) == 3):
             raise SequenceFormatError(f"zeros[{i}] must be a [re, im, mult] triple")
@@ -380,7 +387,7 @@ def _json_records(records: list) -> list:
             _check_json_number(v, f"zeros[{i}].{label}")
         if int(rec[2]) != rec[2] or rec[2] < 1:
             raise SequenceFormatError(f"zeros[{i}] multiplicity must be a positive integer, got {rec[2]!r}")
-    return records
+    return *_columns(records), float(radius)
 
 
 _JSON_BLANKS = b" \t\n\r"
@@ -393,11 +400,11 @@ _BRACKETS_TO_BLANKS = bytes.maketrans(b"[]", b"  ")
 _JSON_CHUNK = 1 << 18
 
 
-def _json_table(source: str) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """(radius, positions, multiplicities) of a JSON object whose `zeros` is
-    an array of number triples, parsed without a Python list per record;
-    None when the input needs the full json.loads, to name its fault or to
-    read another layout.
+def _json_table(source: str) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(positions, multiplicities, radius) of a JSON object whose `zeros` is
+    an array of number triples, parsed without a Python list per record,
+    values unchecked; None when the input needs the record loop, to name
+    its fault or to read another layout.
 
     The span from the first `[` to the last `]` must be the `zeros` array:
     the source with that span cut to `[]` must load as an object whose
@@ -432,71 +439,22 @@ def _json_table(source: str) -> tuple[float, np.ndarray, np.ndarray] | None:
                      and compact.count(b"],[") == rows - 1):
         return None
     del compact  # free it before the arrays are made
-    positions, mult = np.empty(rows, dtype=np.complex128), np.empty(rows)
-    done = start = 0
-    while start < len(body):
-        # end at the `,` after the first `]` past _JSON_CHUNK bytes: it parts two records
-        stop = body.find(b",", body.find(b"]", min(start + _JSON_CHUNK, len(body) - 1)))
-        stop = len(body) if stop < 0 else stop
-        try:
+
+    def chunks():
+        start = 0
+        while start < len(body):
+            # end at the `,` after the first `]` past _JSON_CHUNK bytes: it parts two records
+            stop = body.find(b",", body.find(b"]", min(start + _JSON_CHUNK, len(body) - 1)))
+            stop = len(body) if stop < 0 else stop
             values = json.loads(b"[" + body[start:stop].translate(_BRACKETS_TO_BLANKS) + b"]")
-            table = np.array(values, dtype=np.float64).reshape(-1, 3)
-        except (ValueError, OverflowError):
-            return None
-        start = stop + 1
-        m = table[:, 2]
-        if not (done + len(table) <= rows and np.isfinite(table).all() and (m >= 1).all()
-                and (m == np.floor(m)).all()):
-            return None
-        block = slice(done, done + len(table))
-        positions.real[block], positions.imag[block], mult[block] = table[:, 0], table[:, 1], m
-        done += len(table)
-    if done != rows:
-        return None
-    return float(radius), positions, mult
+            start = stop + 1
+            yield np.array(values, dtype=np.float64).reshape(-1, 3).T
 
-
-def _json_record_table(records: list) -> np.ndarray | None:
-    """The parsed records as an (n, 3) float table, checked in C-level
-    passes: the tier for JSON that _json_table refuses, such as an object
-    with other arrays beside `zeros`; None when a record needs the loop to
-    name its fault.  type() is exact, so bools (type bool) fail the number
-    check."""
-    if not (set(map(type, records)) <= {list} and set(map(len, records)) <= {3}):
-        return None
-    flat = list(chain.from_iterable(records))
-    if not set(map(type, flat)) <= {int, float}:
-        return None
     try:
-        table = np.array(flat, dtype=np.float64).reshape(-1, 3)
-    except OverflowError:
+        positions, mult = _fill(rows, chunks())
+    except (ValueError, OverflowError):
         return None
-    mult = table[:, 2]
-    if not (np.isfinite(table).all() and (mult >= 1).all() and (mult == np.floor(mult)).all()):
-        return None
-    return table
-
-
-def _load_json(source: str, provenance: str) -> ZeroSequence:
-    parsed = _json_table(source)
-    if parsed is not None:
-        return _from_records(*parsed, provenance)
-    try:
-        payload = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise SequenceFormatError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
-    except ValueError as exc:  # an integer literal past int()'s digit limit
-        raise SequenceFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SequenceFormatError("top-level JSON value must be an object")
-    radius = payload.get("radius", 0.0)
-    _check_json_number(radius, "radius")
-    records = payload.get("zeros", [])
-    if not isinstance(records, list):
-        raise SequenceFormatError("'zeros' must be an array of [re, im, mult] triples")
-    table = _json_record_table(records)
-    return _from_records(float(radius), *_columns(_json_records(records) if table is None else table),
-                         provenance)
+    return (positions, mult, float(radius)) if len(mult) == rows else None
 
 
 def load_sequence(source: str, provenance: str = "") -> ZeroSequence:
@@ -506,14 +464,29 @@ def load_sequence(source: str, provenance: str = "") -> ZeroSequence:
     str.splitlines ends them), `#` comments, and at most one `@radius <R>`
     header.  JSON form: an object with fields `radius` and `zeros` (array of
     [re, im, mult]).  Equal positions are merged with summed multiplicities.
-    Valid input is parsed in bounded chunks written straight into the two
-    arrays: JSON whose only brackets are those of `zeros` without a Python
-    list per record, other JSON from the lists of a full json.loads.  A SequenceFormatError names the first
-    bad 1-based line or zeros[i], found by a per-line or per-record loop.
+    Each form has one chunked reader, which parses without checking values
+    and writes its bounded chunks straight into the two arrays; for JSON it
+    reads an object whose only brackets are those of `zeros`.  from_arrays
+    checks the values.  Input the reader refuses, or whose values
+    from_arrays refuses, goes through the form's per-line or per-record
+    loop, and a SequenceFormatError names the first bad 1-based line or
+    zeros[i], or gives from_arrays' message.
     """
     if source.lstrip().startswith("{"):
-        return _load_json(source, provenance)
-    return _load_text(source, provenance)
+        table, records = _json_table, _json_records
+    else:
+        table, records = _text_table, _text_records
+    parsed = table(source)
+    if parsed is not None:
+        try:
+            return ZeroSequence.from_arrays(*parsed, provenance)
+        except ValueError:
+            pass  # the loop names the bad line or record, if there is one
+    parsed = records(source)
+    try:
+        return ZeroSequence.from_arrays(*parsed, provenance)
+    except ValueError as exc:
+        raise SequenceFormatError(str(exc)) from exc
 
 
 # records a dump renders at a time

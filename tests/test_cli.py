@@ -130,6 +130,14 @@ class TestSources:
         assert code == 2
         assert "line 2" in err
 
+    def test_zero_outside_the_claimed_radius(self, tmp_path, capsys):
+        path = tmp_path / "zeros.txt"
+        path.write_text("@radius 2\n1 0 1\n3 0 1\n")
+        code, out, err = run_cli(capsys, "classify", "--file", str(path))
+        assert code == 2 and out == ""
+        assert "zero at |z| = 3.0 contradicts claimed completeness radius 2.0" in err
+        assert "Traceback" not in err
+
     def test_huge_json_integer(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         path.write_text('{"zeros": [[1%s, 0, 1]]}' % ("0" * 400))

@@ -379,6 +379,28 @@ class TestLoadJson:
             load_sequence('{"zeros": [[1, 0, 1], [2, 0, true]]}')
 
 
+class TestValuesFromArraysRefuses:
+    """Input that a chunked reader parses but whose values from_arrays
+    refuses goes through the form's loop, which names no bad line or record:
+    the error is from_arrays' own, without a line."""
+
+    @pytest.mark.parametrize("source, far, chunked", [
+        ("@radius 2\n1 0 1\n3 0 1\n", 3.0, True),
+        ("@radius 2\n1 0 1\n-2 0 1\n", 2.0, True),
+        ('{"radius": 2, "zeros": [[1, 0, 1], [3, 0, 1]]}', 3.0, True),
+        ('{"radius": 2, "zeros": [[1, 0, 1], [0, 2, 1]]}', 2.0, True),
+        # np.loadtxt refuses 1_0, so the text loop parses it
+        ("@radius 2\n1_0 0 1\n1 0 1\n", 10.0, False),
+    ], ids=["text-beyond", "text-at", "json-beyond", "json-at", "text-loop"])
+    def test_zero_outside_the_claimed_radius(self, source, far, chunked):
+        reader = zero_model._json_table if source.startswith("{") else zero_model._text_table
+        assert (reader(source) is not None) == chunked
+        with pytest.raises(SequenceFormatError) as err:
+            load_sequence(source)
+        assert str(err.value) == f"zero at |z| = {far} contradicts claimed completeness radius 2.0"
+        assert err.value.line is None
+
+
 class TestRoundTrip:
     def test_text_bit_exact(self):
         rng = np.random.default_rng(7)
@@ -465,8 +487,7 @@ def _loop_outcome(source):
     """_outcome with the whole-array parses refusing every input, so the
     per-line and per-record loops do all the work."""
     with mock.patch.object(zero_model, "_text_table", lambda source: None), \
-            mock.patch.object(zero_model, "_json_table", lambda source: None), \
-            mock.patch.object(zero_model, "_json_record_table", lambda records: None):
+            mock.patch.object(zero_model, "_json_table", lambda source: None):
         return _outcome(source)
 
 
@@ -637,18 +658,24 @@ class TestFastPathMatchesLoop:
         layouts = [json.dumps(json.loads(dumped), indent=2),
                    json.dumps(json.loads(dumped), separators=(",", ":"))]
         # other arrays in the object, or a second `zeros` key, leave the
-        # flat parse to the parsed records' table
+        # flat parse to the record loop
         listed = ['{"note": [1], "meta": {"k": [2]}, ' + dumped[1:],
                   '{"zeros": [[1, 0, 1]], ' + dumped[1:]]
         for source in (dumped, *layouts):
             assert zero_model._json_table(source) is not None
         for source in listed:
             assert zero_model._json_table(source) is None
-        for source in (text, crlf, dumped, *layouts, *listed):
-            back = load_sequence(source)
-            assert _same_arrays(back, seq)
-            assert back.truncation_radius == seq.truncation_radius
+
+        def loads_back(sources):
+            for source in sources:
+                back = load_sequence(source)
+                assert _same_arrays(back, seq)
+                assert back.truncation_radius == seq.truncation_radius
+
+        loads_back((text, crlf, dumped, *layouts))
         assert len(load_sequence("# nothing\n@radius 2\n\n")) == 0
+        monkeypatch.undo()
+        loads_back(listed)
 
 
 def _reference_dumps(seq):
