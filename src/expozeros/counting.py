@@ -238,6 +238,22 @@ def _shell_index(seq: ZeroSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return moduli, exps[runs], np.append(runs + origin, len(seq))
 
 
+def _even(seq: ZeroSequence) -> bool:
+    """Whether seq's zeros are even: the multiset of (a, m) equals that of
+    (-a, m), positions compared numerically, so 0.0 and -0.0 match.  Built
+    once a sequence."""
+    return bool(seq.derived(_even_flag))
+
+
+def _even_flag(seq: ZeroSequence) -> np.ndarray:
+    # -a has |a|'s hypot bit for bit, and merged positions are distinct, so
+    # -positions in the stored order equal positions exactly when even
+    neg = -seq.positions
+    order = np.lexsort((neg.imag, neg.real, shell_index(seq)[0]))
+    return np.array(bool(np.array_equal(neg[order], seq.positions)
+                         and np.array_equal(seq.multiplicities[order], seq.multiplicities)))
+
+
 @dataclass(frozen=True)
 class LindelofTrace:
     """Partial sums of 1/a over |a| < R at each sampled radius."""
@@ -853,10 +869,13 @@ class _FarField:
     has centre centres[k] and half-width halves[k].  Its near zeros are
     re[near[k, 0]:near[k, 1]], those with |Re a - c| < reach[k], and every
     other zero is far.  fit(k) builds the cell's far fit on first use and
-    keeps it in fits."""
+    keeps it in fits.  fold is whether the zeros are even (_even) and the
+    range symmetric, lo == -hi: then every value is even in x and every
+    slope odd, and _RealAxis computes at |x| alone."""
 
     def __init__(self, seq: ZeroSequence, lo: float, hi: float, cells: int, t_lo: float):
         self.lo, self.hi, self.cells = lo, hi, cells
+        self.fold = lo == -hi and _even(seq)
         self.edges = np.linspace(lo, hi, cells + 1)
         self.centres = 0.5 * (self.edges[:-1] + self.edges[1:])
         self.halves = 0.5 * (self.edges[1:] - self.edges[:-1])
@@ -992,6 +1011,20 @@ class _RealAxis:
     of values that computed new points and those points, and near_points
     and node_points the value terms it summed (a sibling that finds a
     cell's node sums already built sums none).
+
+    Even zero sets are folded.  When the multiset of (a, m) equals that of
+    (-a, m) (_even) and the range is symmetric, lo == -hi, n(x, t) =
+    n(-x, t) for every t: the exact value at -x is the one at |x|, and the
+    exact slope at -x is minus the one at |x|.  Such an evaluator computes
+    at |x| alone: values, slopes, far_bound and slope_bound all go through
+    _by_cell, which computes each distinct |x| once a call, in the cell of
+    |x|, and values keeps the values computed so far by |x|.  So a point
+    gets the same bits alone as in a batch, the value at -x is the value at
+    |x| bit for bit, and the slope at -x is minus the slope at |x|.  The
+    bound above holds at -x: its first part is the same at x and -x, and
+    far_bound and slope_bound give E and E' of the cell of |x|, whose fit
+    the value and slope came from.  Zero sets that are not even, and ranges
+    that are not symmetric, are computed at x itself.
     """
 
     def __init__(self, seq: ZeroSequence, b: float, t_lo: float, lo: float, hi: float,
@@ -1059,19 +1092,24 @@ class _RealAxis:
             consts[k] = float(_accurate_sums((m * (log_dist - log_b))[None, :])[0])
         return consts[k]
 
-    def _by_cell(self, xs, per_cell) -> np.ndarray:
+    def _by_cell(self, xs, per_cell, odd: bool = False) -> np.ndarray:
         """per_cell(k, points, s) over the cells holding xs, s the points'
-        offsets from the centre in half-widths."""
+        offsets from the centre in half-widths.  On a folded far field each
+        distinct |x| is computed once, in its own cell, and an odd quantity
+        takes the sign of x."""
         far = self._far
         xs = np.asarray(xs, dtype=float)
         flat = xs.ravel()
-        cell = far.cells_of(flat)
-        out = np.empty(flat.size)
+        pts, back = np.unique(np.abs(flat), return_inverse=True) if far.fold else (flat, None)
+        cell = far.cells_of(pts)
+        out = np.empty(pts.size)
         used = np.unique(cell)
         for k in used:
             at = np.flatnonzero(cell == k) if used.size > 1 else slice(None)
-            x = flat[at]
+            x = pts[at]
             out[at] = per_cell(int(k), x, (x - far.centres[k]) / far.halves[k])
+        if back is not None:
+            out = np.sign(flat) * out[back] if odd else out[back]
         return out.reshape(xs.shape)
 
     def _evaluate(self, xs) -> np.ndarray:
@@ -1092,8 +1130,9 @@ class _RealAxis:
         """log_potential(seq, x, b, t_lo) at every x of xs, each point
         computed once across the siblings that share this one's values."""
         xs = np.asarray(xs, dtype=float)
-        # + 0.0 spells x = 0 one way: -0.0 gives the same value
-        flat = xs.ravel() + 0.0
+        # + 0.0 spells x = 0 one way: -0.0 gives the same value; on a folded
+        # far field -x gives the value of |x|
+        flat = np.abs(xs.ravel()) if self._far.fold else xs.ravel() + 0.0
         memo = self._shared
         new = np.unique(flat)
         at = np.searchsorted(memo.points, new)
@@ -1119,7 +1158,7 @@ class _RealAxis:
                                self.threads)
             fit = self._fit(k)
             return near + (fit[1] + _interpolate(fit[3], s)) / far.halves[k]
-        return self._by_cell(xs, per_cell)
+        return self._by_cell(xs, per_cell, odd=True)
 
     def far_bound(self, xs) -> np.ndarray:
         """E of the cell of every x of xs."""

@@ -9,6 +9,7 @@ Every producer builds through ZeroSequence.from_arrays.
 
 from __future__ import annotations
 
+import cmath
 import io
 import json
 import math
@@ -57,24 +58,59 @@ class Zero:
         object.__setattr__(self, "multiplicity", mult)
 
 
-def _merge(positions: np.ndarray, multiplicities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# entries from_arrays checks, and orders, at a time: every temporary of a
+# check is a block's, not the input's size
+_CHECK_BLOCK = 1 << 15
+
+
+def _check_values(positions: np.ndarray, multiplicities: np.ndarray) -> None:
+    """Raise ValueError unless every position is finite and every
+    multiplicity a positive integer: all positions first, then all
+    multiplicities, in blocks of _CHECK_BLOCK."""
+    for lo in range(0, positions.size, _CHECK_BLOCK):
+        if not np.isfinite(positions[lo:lo + _CHECK_BLOCK]).all():
+            raise ValueError("zero positions must be finite")
+    for lo in range(0, multiplicities.size, _CHECK_BLOCK):
+        m = multiplicities[lo:lo + _CHECK_BLOCK]
+        if not np.all(np.isfinite(m) & (m >= 1) & (m == np.floor(m))):
+            raise ValueError("multiplicities must be positive integers")
+
+
+def _merge(positions: np.ndarray, multiplicities: np.ndarray,
+           owned: tuple[bool, bool] = (False, False)) -> tuple[np.ndarray, np.ndarray]:
     """Sort by (|a|, Re, Im) and sum the multiplicities of equal positions.
     |a| is np.hypot: it matches Python's abs(complex) bit for bit, np.abs does
     not and would reorder near ties.  The sort is stable, so a run of equal
-    positions keeps its first spelling (0.0 or -0.0), as a dict would."""
-    real, imag = positions.real, positions.imag
-    key = np.hypot(real, imag)
-    if _ordered(key, real, imag):
-        # a stable sort of ordered keys is the identity
-        pos, mult = positions, multiplicities
-    else:
-        order = np.lexsort((imag, real, key))
-        pos, mult = positions[order], multiplicities[order]
-    # a run starts wherever a position differs from its left neighbour; the
-    # slice drops the lone start that an empty input would otherwise get.
-    # Indexing and reduceat give new arrays, never views of the input.
-    starts = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))[: pos.size]
-    return pos[starts], np.add.reduceat(mult, starts)
+    positions keeps its first spelling (0.0 or -0.0), as a dict would.
+
+    The result is never a view of the input.  Input already in order skips
+    the sort, and input with no equal neighbours the run sums; an input
+    array that reaches the result as it is is copied once, unless owned
+    marks it (positions, multiplicities) as made for this call alone."""
+    if not _in_order(positions):
+        real, imag = positions.real, positions.imag
+        order = np.lexsort((imag, real, np.hypot(real, imag)))
+        positions, multiplicities, owned = positions[order], multiplicities[order], (True, True)
+    differs = positions[1:] != positions[:-1]
+    if differs.all():
+        return (positions if owned[0] else positions.copy(),
+                multiplicities if owned[1] else multiplicities.copy())
+    # a run starts wherever a position differs from its left neighbour;
+    # indexing and reduceat give new arrays
+    starts = np.flatnonzero(np.concatenate(([True], differs)))
+    return positions[starts], np.add.reduceat(multiplicities, starts)
+
+
+def _in_order(positions: np.ndarray) -> bool:
+    """Whether positions ascend by (hypot, Re, Im): _ordered over blocks of
+    _CHECK_BLOCK + 1 entries, each sharing its first entry with the last
+    one's end."""
+    for lo in range(0, positions.size - 1, _CHECK_BLOCK):
+        block = positions[lo:lo + _CHECK_BLOCK + 1]
+        real, imag = block.real, block.imag
+        if not _ordered(np.hypot(real, imag), real, imag):
+            return False
+    return True
 
 
 def _ordered(key: np.ndarray, real: np.ndarray, imag: np.ndarray) -> bool:
@@ -123,19 +159,19 @@ class ZeroSequence:
     def from_arrays(cls, positions, multiplicities, truncation_radius=0.0, provenance="",
                     duplicate_merges=0, *, shift_base=None, shift_offset=0j) -> "ZeroSequence":
         """Validate, merge and sort one zero per entry of the two arrays."""
+        given = positions, multiplicities
         positions = np.asarray(positions, dtype=np.complex128)
         multiplicities = np.asarray(multiplicities, dtype=np.float64)
         if positions.ndim != 1 or positions.shape != multiplicities.shape:
             raise ValueError(f"need 1-D arrays of one length, got {positions.shape}, {multiplicities.shape}")
-        if not np.all(np.isfinite(positions)):
-            raise ValueError("zero positions must be finite")
-        if not np.all(np.isfinite(multiplicities) & (multiplicities >= 1)
-                      & (multiplicities == np.floor(multiplicities))):
-            raise ValueError("multiplicities must be positive integers")
+        _check_values(positions, multiplicities)
         radius = float(truncation_radius)
         if not math.isfinite(radius) or radius < 0:
             raise ValueError(f"truncation_radius must be finite and >= 0, got {radius!r}")
-        pos, mult = _merge(positions, multiplicities)
+        # an array asarray made, owning its data, is this call's own
+        owned = tuple(array is not arg and array.flags.owndata
+                      for array, arg in zip((positions, multiplicities), given))
+        pos, mult = _merge(positions, multiplicities, owned)
         pos.flags.writeable = mult.flags.writeable = False
         seq = object.__new__(cls)
         # a frozen dataclass takes its fields through __dict__
@@ -548,6 +584,8 @@ def shift_origin(seq: ZeroSequence, c: complex) -> ZeroSequence:
     surviving positions bit-exactly.
     """
     c = complex(c)
+    if not cmath.isfinite(c):
+        raise ValueError(f"shift c must be finite, got {c!r}")
     radius = seq.truncation_radius
     if radius > 0 and abs(c) >= radius:
         raise ValueError(
@@ -556,10 +594,13 @@ def shift_origin(seq: ZeroSequence, c: complex) -> ZeroSequence:
     base_pos, base_mult = seq.shift_base or (seq.positions, seq.multiplicities)
     offset = seq.shift_offset + c
     new_radius = radius - abs(c) if radius > 0 else 0.0
-    moved = base_pos - offset
-    keep = np.hypot(moved.real, moved.imag) < new_radius if new_radius > 0 else slice(None)
+    moved, mult = base_pos - offset, base_mult
+    if new_radius > 0:
+        keep = np.hypot(moved.real, moved.imag) < new_radius
+        if not keep.all():
+            moved, mult = moved[keep], base_mult[keep]
     provenance = f"{seq.provenance}|shift({c})" if seq.provenance else f"shift({c})"
-    return ZeroSequence.from_arrays(moved[keep], base_mult[keep], new_radius, provenance,
+    return ZeroSequence.from_arrays(moved, mult, new_radius, provenance,
                                     shift_base=(base_pos, base_mult), shift_offset=offset)
 
 

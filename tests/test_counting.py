@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import sys
@@ -594,6 +595,32 @@ def evaluator_sequences(draw):
     return build(rng)
 
 
+@st.composite
+def even_sequences(draw):
+    """S and -S as one sequence: real and complex zeros with multiplicities
+    1-3, the origin among them at times, and the zero parts of -S signed
+    either way, so that 0.0 in S may meet -0.0 in -S or 0.0."""
+    part = st.one_of(st.floats(0.05, 30.0), st.floats(-30.0, -0.05), st.sampled_from((0.0, -0.0)))
+    zeros = draw(st.lists(st.tuples(part, part, st.integers(1, 3)), min_size=1, max_size=25))
+    s = np.array([complex(x, y) for x, y, _ in zeros])
+    m = np.array([k for _, _, k in zeros], dtype=float)
+    neg = -s
+    sign = draw(st.sampled_from((None, 0.0, -0.0)))
+    if sign is not None:
+        neg.real[neg.real == 0.0] = sign
+        neg.imag[neg.imag == 0.0] = sign
+    return ZeroSequence.from_arrays(np.concatenate([s, neg]), np.concatenate([m, m]))
+
+
+def _mirrored(extra=()):
+    """S and -S with multiplicities 1-3, plus the zeros extra."""
+    n = np.arange(1.0, 40.0)
+    s = np.concatenate([n + 0.25, 1.5 * n + 2.0j, [3.0 - 0.5j]])
+    m = np.arange(s.size) % 3 + 1
+    return ZeroSequence.from_arrays(np.concatenate([s, -s, extra]),
+                                    np.concatenate([m, m, np.ones(len(extra))]))
+
+
 def _outcome(sum_, terms):
     """The bits of sum_(terms), or the type and message of what it raises."""
     try:
@@ -952,6 +979,71 @@ class TestRealAxis:
             two = counting._RealAxis(seq, b, t_lo, lo, hi, samples, threads=2)
             assert two.values(xs).tobytes() == got.tobytes()
             assert two.slopes(xs[off]).tobytes() == slopes.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seq=even_sequences(), t_lo=st.sampled_from((0.0, 1.0)), span=st.floats(0.5, 60.0),
+           samples=st.integers(1, 400), data=st.data())
+    def test_even_sets_fold_within_bound(self, seq, t_lo, span, samples, data):
+        b = default_base_point(seq) if t_lo == 0.0 else 0.0
+        axis = counting._RealAxis(seq, b, t_lo, -span, span, samples)
+        assert counting._even(seq) and axis._far.fold
+        real = np.abs(seq.positions.real[(seq.positions.imag == 0.0)
+                                         & (np.abs(seq.positions.real) <= span)])
+        half = np.concatenate([data.draw(st.lists(st.floats(0.0, span), min_size=1, max_size=30)),
+                               real, [0.0, span]])
+        xs = np.concatenate([half, -half])
+        got = axis.values(xs)
+        # values are even, bit for bit, and each |x| is computed once
+        left, right = np.split(got, 2)
+        assert left.tobytes() == right.tobytes()
+        assert axis.diagnostics()["kernel_points"] == np.unique(half).size
+        # both sides within the dense kernel's bound plus E of the |x| cell
+        dense = log_potential(seq, xs, b, t_lo)
+        keep = np.isfinite(dense)
+        assert np.array_equal(keep, np.isfinite(got))
+        bound = 150 * U * value_scale(seq, xs[keep], b, t_lo) + axis.far_bound(xs[keep])
+        assert np.all(np.abs(got[keep] - dense[keep]) <= bound)
+        # slopes are odd, off the zeros, and within their bound on both sides
+        half = half[np.abs(seq.positions[:, None] - half).min(axis=0) >= 1e-3]
+        xs = np.concatenate([half, -half])
+        slopes = axis.slopes(xs)
+        left, right = np.split(slopes, 2)
+        assert np.array_equal(left, -right)
+        dense_slopes = counting._log_potential_slope(seq, xs, t_lo)
+        bound = 150 * U * slope_scale(seq, xs, t_lo) + axis.slope_bound(xs)
+        assert np.all(np.abs(slopes - dense_slopes) <= bound)
+
+    @pytest.mark.parametrize("extra, lo, hi, digest", [
+        ((), -40.0, 50.0, "54d15e3236f6aaf3a147d0409337ee621393bc9834528bc1739b48ed34033848"),
+        ((0.75,), -45.0, 45.0, "ff52f2b0e07fd271a0ff23b4c50280998f75ad55c0ab11b6523ecadb1a31e24d"),
+    ], ids=["asymmetric-range", "one-zero-more"])
+    def test_unfolded_cases_keep_their_bits(self, extra, lo, hi, digest):
+        # an even set on an asymmetric range, and S and -S with one zero more
+        # on a symmetric one, are computed at x itself: the sha256 of their
+        # values, slopes and bounds, pinned from the evaluator before the fold
+        seq = _mirrored(extra)
+        p = np.linspace(0.1, 39.9, 50) + 0.013
+        xs = np.concatenate([p, -p])
+        out = []
+        for b, t_lo in ((0.5, 0.0), (0.0, 1.0)):
+            axis = counting._RealAxis(seq, b, t_lo, lo, hi, 400)
+            assert not axis._far.fold
+            out += [axis.values(xs), axis.slopes(xs), axis.far_bound(xs), axis.slope_bound(xs)]
+        assert hashlib.sha256(np.concatenate(out).tobytes()).hexdigest() == digest
+
+    def test_even_compares_positions_and_multiplicities(self):
+        build = ZeroSequence.from_arrays
+        assert counting._even(build([1.0, -1.0, 2.0 + 1.0j, -2.0 - 1.0j], [1, 1, 3, 3]))
+        assert not counting._even(build([1.0, -1.0], [1, 2]))
+        assert not counting._even(build([2.0 + 1.0j, -2.0 - 1.0j, 3.0], [2, 1, 1]))
+        assert not counting._even(build([2.0 + 1.0j, -2.0 + 1.0j], [1, 1]))
+        assert not counting._even(_mirrored([0.75]))
+        # 0.0 and -0.0 are one position, alone or as a zero part
+        assert counting._even(build([0.0, -0.0], [1, 1]))
+        assert counting._even(build([complex(-0.0, 0.0)], [2]))
+        assert counting._even(build([complex(3.0, 0.0), complex(-3.0, 0.0)], [2, 2]))
+        assert counting._even(build([complex(0.0, 2.0), complex(-0.0, -2.0), 0.0], [1, 1, 1]))
+        assert counting._even(ZeroSequence(()))
 
     def test_near_sums_take_the_rule_of_the_whole_sequence(self):
         # a near slice holding only real zeros takes the off-axis rule when

@@ -166,13 +166,16 @@ class TestOrderedMerge:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(_coords, _coords), min_size=1, max_size=12),
            st.lists(st.tuples(st.integers(0, 11), st.integers(1, 3)), max_size=40),
-           st.sampled_from(["drawn", "reversed", "sorted", "sorted_twice"]))
+           st.sampled_from(["drawn", "reversed", "sorted", "sorted_twice"]),
+           st.sampled_from([2, 3, 1 << 15]))
     @example([(1.0, 0.0), (-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (-0.0, 0.0), (0.0, -0.0)],
-             [(i, 1 + i % 3) for i in range(6)], "sorted")
+             [(i, 1 + i % 3) for i in range(6)], "sorted", 1 << 15)
     # ties in hypot that Re, then Im, must order
-    @example([(1.0, 0.0), (-1.0, 0.0)], [(0, 1), (1, 2)], "drawn")
-    @example([(0.0, 1.0), (0.0, -1.0)], [(0, 1), (1, 2)], "drawn")
-    def test_bits_match_the_sorting_merge(self, points, picks, arrange):
+    @example([(1.0, 0.0), (-1.0, 0.0)], [(0, 1), (1, 2)], "drawn", 1 << 15)
+    @example([(0.0, 1.0), (0.0, -1.0)], [(0, 1), (1, 2)], "drawn", 1 << 15)
+    # blocks of 2 entries, ordered within each and not across the first edge
+    @example([(1.0, 0.0), (3.0, 0.0), (2.0, 0.0)], [(0, 1), (1, 1), (2, 1)], "drawn", 2)
+    def test_bits_match_the_sorting_merge(self, points, picks, arrange, block):
         # pairing parts through a float view keeps the sign of a zero part
         table = np.array([points[i % len(points)] for i, _ in picks]).reshape(-1, 2)
         positions = np.ascontiguousarray(table).view(np.complex128)[:, 0]
@@ -187,13 +190,32 @@ class TestOrderedMerge:
                 positions, mults = np.repeat(positions, 2), np.repeat(mults, 2)
             assert zero_model._ordered(np.hypot(positions.real, positions.imag),
                                        positions.real, positions.imag)
-        got = zero_model._merge(positions, mults)
+        # the order check runs in blocks of block entries
+        with mock.patch.object(zero_model, "_CHECK_BLOCK", block):
+            got = zero_model._merge(positions, mults)
         expect = _lexsort_merge(positions, mults)
         assert got[0].tobytes() == expect[0].tobytes()
         assert got[1].tobytes() == expect[1].tobytes()
         # the stored arrays are made read-only, so they never alias the input
         assert not np.shares_memory(got[0], positions)
         assert not np.shares_memory(got[1], mults)
+
+    def test_value_checks_cross_blocks_positions_first(self, monkeypatch):
+        monkeypatch.setattr(zero_model, "_CHECK_BLOCK", 4)
+        positions, mults = np.arange(1.0, 14.0).astype(np.complex128), np.ones(13)
+        bad_positions, bad_mults = positions.copy(), mults.copy()
+        bad_positions[12], bad_mults[1] = complex(5.0, math.inf), 0.5
+        # a bad position in the last block outranks a bad multiplicity in the first
+        with pytest.raises(ValueError, match="positions must be finite"):
+            ZeroSequence.from_arrays(bad_positions, bad_mults)
+        with pytest.raises(ValueError, match="multiplicities must be positive"):
+            ZeroSequence.from_arrays(positions, bad_mults)
+        for bad in (math.nan, 2.5, 0.0):
+            last = mults.copy()
+            last[-1] = bad
+            with pytest.raises(ValueError, match="multiplicities must be positive"):
+                ZeroSequence.from_arrays(positions, last)
+        assert len(ZeroSequence.from_arrays(positions, mults)) == 13
 
     def test_ordered_input_is_copied(self):
         source, mults = np.array([-1 + 0j, 1 + 0j, 2j]), np.array([1.0, 2.0, 1.0])
@@ -839,6 +861,15 @@ class TestShiftOrigin:
         seq = ZeroSequence((Zero(3 + 0j),), truncation_radius=10.0)
         with pytest.raises(ValueError):
             shift_origin(seq, 10.0)
+
+    @pytest.mark.parametrize("seq, c", [
+        (integer_lattice(10.0), math.nan),
+        (integer_lattice(10.0), complex(0.0, math.nan)),
+        (ZeroSequence((Zero(1 + 0j), Zero(-2 + 1j))), math.inf),
+    ], ids=["nan", "nan-imaginary-part", "inf-no-radius"])
+    def test_nonfinite_shift_is_named(self, seq, c):
+        with pytest.raises(ValueError, match=r"^shift c must be finite, got"):
+            shift_origin(seq, c)
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(9)
